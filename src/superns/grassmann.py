@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from .sparse import add_term, add_terms
+
 
 class GrassmannError(ValueError):
     pass
@@ -95,9 +97,6 @@ class QQi:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self):
-        return QQi(self.re, -self.im)
 
     def abs2(self):
         return self.re * self.re + self.im * self.im
@@ -187,8 +186,8 @@ def _merge_sign(a: int, b: int) -> int:
 class GrassmannElement:
     """A finite QQi-linear combination of products of generators.
 
-    terms maps bitmask -> QQi with no stored zeros; num_generators bounds
-    the admissible bits.
+    terms maps bitmask -> QQi and stores no zero (the invariant of
+    superns.sparse); num_generators bounds the admissible bits.
     """
 
     __slots__ = ("L", "terms")
@@ -271,18 +270,7 @@ class GrassmannElement:
         if isinstance(other, (int, Fraction, QQi)):
             other = GrassmannElement.scalar(self.L, other)
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return GrassmannElement(self.L, out)
+        return GrassmannElement(self.L, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -312,16 +300,7 @@ class GrassmannElement:
                 c = ca * cb
                 if _merge_sign(ma, mb) < 0:
                     c = -c
-                m = ma | mb
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                add_term(out, ma | mb, c)
         return GrassmannElement(self.L, out)
 
     def __rmul__(self, other):
@@ -478,8 +457,10 @@ TermKey = tuple[Monomial, int]
 class GradedPoly:
     """Sparse polynomial over QQi in graded symbols times alpha0^(k/2).
 
-    Odd symbols square to zero and anticommute (Koszul signs); capped
-    symbols are truncated at spec.degree_cap total degree.
+    terms maps (monomial, alpha0 half-exponent) -> QQi and stores no zero
+    (the invariant of superns.sparse).  Odd symbols square to zero and
+    anticommute (Koszul signs); capped symbols are truncated at
+    spec.degree_cap total degree.
     """
 
     __slots__ = ("spec", "terms")
@@ -538,18 +519,7 @@ class GradedPoly:
         if isinstance(other, (int, Fraction, QQi)):
             other = GradedPoly.scalar(self.spec, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return GradedPoly(self.spec, out)
+        return GradedPoly(self.spec, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -609,16 +579,7 @@ class GradedPoly:
                 c = c1 * c2
                 if sign < 0:
                     c = -c
-                key = (mono, a1 + a2)
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                add_term(out, (mono, a1 + a2), c)
         return GradedPoly(self.spec, out)
 
     def __rmul__(self, other):

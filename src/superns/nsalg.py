@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi, as_qqi
-from .superseries import SFun
+from .grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
+from .sparse import add_term, add_terms
+from .superseries import DiffOp, SFun
 
-LGen = tuple
 HALF = Fraction(1, 2)
 
 
@@ -59,7 +59,10 @@ def gen_rank(g):
 
 
 class NSExpression:
-    """Finite combination of basis generators with GradedPoly coefficients."""
+    """Finite combination of basis generators with GradedPoly coefficients.
+
+    terms stores no zero coefficient (the invariant of superns.sparse).
+    """
 
     __slots__ = ("spec", "terms")
 
@@ -77,15 +80,7 @@ class NSExpression:
         return cls(spec, {g: p})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for g, p in other.terms.items():
-            s = out.get(g)
-            q = p if s is None else s + p
-            if q:
-                out[g] = q
-            elif s is not None:
-                del out[g]
-        return NSExpression(self.spec, out)
+        return NSExpression(self.spec, add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return NSExpression(self.spec, {g: -p for g, p in self.terms.items()})
@@ -156,64 +151,10 @@ def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
 
 
 # ----------------------------------------------------------------------
-# differential-operator representation on the span of theta^m z^n
+# the differential-operator representation on the span of theta^m z^n;
+# the operators themselves (DiffOp) live in superseries, next to the
+# flows that exponentiate them
 # ----------------------------------------------------------------------
-
-
-class DiffOp:
-    """One of the displayed superderivations, or a signed composition."""
-
-    def __init__(self, kind: str, index, t=1, s=1):
-        self.kind = kind
-        self.t = Fraction(t)
-        self.s = as_qqi(s)
-        if self.kind == "G":
-            r = Fraction(index)
-            if r.denominator != 2:
-                raise ValueError("G index must be half-odd")
-            self.n = int(r - HALF)
-            if self.t.denominator != 1:
-                raise ValueError("non-integer t leaves the Laurent span")
-        else:
-            self.n = int(index)
-        if not self.s:
-            raise ValueError("s must be nonzero")
-
-    def parity(self) -> int:
-        return 1 if self.kind == "G" else 0
-
-    def apply(self, F: SFun) -> SFun:
-        out = {}
-        if self.kind == "L":
-            n, t = self.n, self.t
-            for (k, e), c in F.terms.items():
-                if e == 0:
-                    if k == 0:
-                        continue
-                    key, v = (k + n, 0), c * (-k)
-                else:
-                    key, v = (k + n, 1), c * QQi(-(k + Fraction(n - 1, 2) + t))
-                if v:
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
-        else:
-            n, t, s_ = self.n, int(self.t), self.s
-            s_inv = QQi(1) / s_
-            for (k, e), c in F.terms.items():
-                if e == 0:
-                    if k == 0:
-                        continue
-                    key, v = (k + n - t + 1, 1), c * (s_inv * k)
-                else:
-                    key, v = (k + n + t, 0), c * (-s_)
-                if v:
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
-        return SFun(F.L, {k: v for k, v in out.items() if v})
-
-
-def ns_diffop(kind: str, index, t=1, s=1) -> DiffOp:
-    return DiffOp(kind, index, t, s)
 
 
 def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
@@ -278,15 +219,8 @@ class EnvelopingElement:
         return max(up, down) > self.weight_cap
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            s = out.get(w)
-            q = p if s is None else s + p
-            if q:
-                out[w] = q
-            elif s is not None:
-                del out[w]
-        return EnvelopingElement(self.spec, self.weight_cap, out,
+        return EnvelopingElement(self.spec, self.weight_cap,
+                                 add_terms(self.terms, other.terms),
                                  self.dropped + other.dropped)
 
     def __eq__(self, other):
@@ -417,10 +351,6 @@ class VermaModule:
     def level(self, word) -> Fraction:
         return word_level(word)
 
-    def basis_at(self, level) -> list:
-        level = Fraction(level)
-        return [w for w in self.basis if self.level(w) == level]
-
     def apply_gen(self, g, word) -> dict:
         key = (g, word)
         hit = self._memo.get(key)
@@ -453,12 +383,12 @@ class VermaModule:
                 for w2, p in inner.items():
                     ps = p if sign > 0 else -p
                     for w3, q in self.apply_gen(b, w2).items():
-                        _vec_add(acc, w3, q * ps)
+                        add_term(acc, w3, q * ps)
                 br = _basis_bracket(self.spec, g, b)
                 for g2, q in br.terms.items():
                     for w3, p in self.apply_gen(g2, rest).items():
-                        _vec_add(acc, w3, p * q)
-                out = {w: p for w, p in acc.items() if p}
+                        add_term(acc, w3, p * q)
+                out = acc
         self._memo[key] = out
         return out
 
@@ -466,8 +396,8 @@ class VermaModule:
         out: dict = {}
         for w, p in vec.items():
             for w2, q in self.apply_gen(g, w).items():
-                _vec_add(out, w2, q * p)
-        return {w: p for w, p in out.items() if p}
+                add_term(out, w2, q * p)
+        return out
 
     def act_word(self, gens, vec: dict) -> dict:
         for g in reversed(gens):
@@ -476,15 +406,6 @@ class VermaModule:
 
     def highest_weight_vector(self) -> dict:
         return {(): self.one}
-
-
-def _vec_add(acc: dict, key, val):
-    s = acc.get(key)
-    v = val if s is None else s + val
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
 
 
 def ns_verma_act(X: EnvelopingElement, M: VermaModule) -> dict:
@@ -498,6 +419,6 @@ def ns_verma_act(X: EnvelopingElement, M: VermaModule) -> dict:
         for word, p in X.terms.items():
             vec = M.act_word(word, {col: M.one})
             for w, q in vec.items():
-                _vec_add(img, w, q * p)
-        out[col] = {w: q for w, q in img.items() if q}
+                add_term(img, w, q * p)
+        out[col] = img
     return out

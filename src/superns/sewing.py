@@ -23,12 +23,12 @@ from .grassmann import (
     QQi,
 )
 from .nsalg import (
-    C_GEN,
     G,
     L,
     VermaModule,
     gen_parity,
 )
+from .sparse import add_term
 from .superseries import (
     CoordData,
     InfCoordData,
@@ -126,8 +126,7 @@ def sk_J(Q: ModuliElement) -> ModuliElement:
     return ModuliElement(Q.L, Q.n, punctures, Q.infinity, list(Q.local), -Q.branch)
 
 
-def sw_can_sew(Q1: ModuliElement, i: int, Q2: ModuliElement,
-               margin: Fraction = Fraction(0)) -> bool:
+def sw_can_sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> bool:
     """Body-level disc check for sewing the i-th tube of Q1 to Q2's 0-th.
 
     Linearized criterion.  The i-th local disc of radius r pulls back to a
@@ -136,7 +135,7 @@ def sw_can_sew(Q1: ModuliElement, i: int, Q2: ModuliElement,
     the body radius r, which must contain only Q2's puncture at infinity.
     Such an r exists when |a0|^2 d^2 > max|q|^2, with d the clearance on
     the first factor and q ranging over Q2's movable punctures.  Souls are
-    ignored.  margin > 0 demands extra separation.
+    ignored.
     """
     if not 1 <= i <= Q1.n:
         raise SewingError(f"puncture index {i} outside 1..{Q1.n}")
@@ -154,7 +153,7 @@ def sw_can_sew(Q1: ModuliElement, i: int, Q2: ModuliElement,
         d2 = Fraction(1)
     a2 = Q1.local[i - 1].a0.body().abs2()
     crowd = max((z.body().abs2() for z, _ in Q2.punctures), default=Fraction(0))
-    return bool(a2 * d2 > crowd * (1 + margin))
+    return bool(a2 * d2 > crowd)
 
 
 def sw_boundary_map(local_i: SuperSeries, inf_0: SuperSeries,
@@ -186,9 +185,6 @@ class SewingSeries:
         self.gamma = gamma
         self.degree_cap = degree_cap
         self.weight_cap = Fraction(weight_cap)
-
-    def psi_slot(self, k) -> GradedPoly:
-        return self.psi.get(Fraction(k), GradedPoly(self.spec))
 
 
 def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
@@ -226,15 +222,6 @@ def _trust_filter(p: GradedPoly, level, cap) -> GradedPoly:
     return GradedPoly(p.spec, keep)
 
 
-def _vec_add(acc, key, val):
-    s = acc.get(key)
-    v = val if s is None else s + val
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
-
-
 def _signed_act(module: VermaModule, g, coeff: GradedPoly, vec: dict) -> dict:
     """Apply coeff * g to a vector whose entries are polynomial coefficients."""
     out: dict = {}
@@ -245,7 +232,7 @@ def _signed_act(module: VermaModule, g, coeff: GradedPoly, vec: dict) -> dict:
         if not pre:
             continue
         for w2, r in module.apply_gen(g, w).items():
-            _vec_add(out, w2, pre * r)
+            add_term(out, w2, pre * r)
     return out
 
 
@@ -257,13 +244,12 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int) -> dict:
         nxt: dict = {}
         for g, p in terms:
             for w, q in _signed_act(module, g, p, cur).items():
-                _vec_add(nxt, w, q)
-        cur = {w: q * QQi(Fraction(1, k)) for w, q in nxt.items() if q}
-        cur = {w: q for w, q in cur.items() if q}
+                add_term(nxt, w, q)
+        cur = {w: q * QQi(Fraction(1, k)) for w, q in nxt.items()}
         if not cur:
             break
         for w, q in cur.items():
-            _vec_add(acc, w, q)
+            add_term(acc, w, q)
     return acc
 
 
@@ -301,11 +287,10 @@ def _diag_exp(module: VermaModule, vec: dict, series: GradedPoly,
 class _Factorization:
     """Shared machinery for the left side, the ansatz, and the reads."""
 
-    def __init__(self, A_sup, M_sup, B_sup, N_sup, alpha0, D: int, W):
+    def __init__(self, A_sup, M_sup, B_sup, N_sup, D: int, W):
         self.spec = solver_spec(A_sup, M_sup, B_sup, N_sup, D)
         self.D = D
         self.W = Fraction(W)
-        self.alpha0 = alpha0
         cval = GradedPoly.symbol(self.spec, "c")
         hval = GradedPoly.symbol(self.spec, "h")
         self.module = VermaModule(self.spec, cval, hval, self.W)
@@ -347,8 +332,7 @@ class _Factorization:
         return out
 
 
-def sw_solve(A_sup, M_sup, B_sup, N_sup, alpha0="symbol", D: int = 3,
-             W=6) -> SewingSeries:
+def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     """Solve the factorization order by order in total parameter degree.
 
     A_sup/M_sup/B_sup/N_sup are the index supports (j >= 1) of the four
@@ -356,7 +340,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, alpha0="symbol", D: int = 3,
     coefficient restricted to the parameter monomials certifiable at
     weight cap W.
     """
-    fact = _Factorization(A_sup, M_sup, B_sup, N_sup, alpha0, D, W)
+    fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
     W = fact.W
     zero = GradedPoly(spec)
@@ -385,12 +369,12 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, alpha0="symbol", D: int = 3,
         # raising slots from the highest-weight column
         for k in slots:
             word = (read_cols[k],)
-            res = _deg(lhs_hw.get(word, zero) - rhs_hw.get(word, zero), d)
+            res = (lhs_hw.get(word, zero) - rhs_hw.get(word, zero)).degree_part(d)
             if res:
                 _assert_ch_free(res)
                 psi[-k] = psi[-k] + _trust_filter(res, 0, W)
         # diagonal block: h reads psi0, c reads gamma
-        res = _deg(lhs_hw.get((), zero) - rhs_hw.get((), zero), d)
+        res = (lhs_hw.get((), zero) - rhs_hw.get((), zero)).degree_part(d)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
@@ -404,7 +388,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, alpha0="symbol", D: int = 3,
         # lowering slots from singly-raised columns
         for k in slots:
             rhs_col = fact.rhs(psi, gamma, {(read_cols[k],): module.one})
-            res = _deg(lhs_cols[k].get((), zero) - rhs_col.get((), zero), d)
+            res = (lhs_cols[k].get((), zero) - rhs_col.get((), zero)).degree_part(d)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
                 if k.denominator == 1:
@@ -417,10 +401,6 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, alpha0="symbol", D: int = 3,
     return SewingSeries(spec, {k: p for k, p in psi.items()}, gamma, fact.D, W)
 
 
-def _deg(p: GradedPoly, d: int) -> GradedPoly:
-    return p.degree_part(d)
-
-
 def _assert_ch_free(p: GradedPoly):
     idx_c = p.spec.index["c"]
     idx_h = p.spec.index["h"]
@@ -430,15 +410,14 @@ def _assert_ch_free(p: GradedPoly):
             raise SewingError(f"raising read produced (c,h)-dependent terms: {p!r}")
 
 
-def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup,
-                         alpha0="symbol") -> bool:
+def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bool:
     """Back-substitute: both sides must agree on every certified monomial.
 
     For each basis column of level l, a parameter monomial is certified
     when l plus its raising peak stays within the weight cap; both sides
     are compared there exactly, on all output coordinates.
     """
-    fact = _Factorization(A_sup, M_sup, B_sup, N_sup, alpha0,
+    fact = _Factorization(A_sup, M_sup, B_sup, N_sup,
                           series.degree_cap, series.weight_cap)
     module = fact.module
     zero = GradedPoly(fact.spec)
@@ -485,7 +464,7 @@ def sw_t_series(local_i: CoordData, inf_0: InfCoordData, partials: int,
     M_sup = sorted(j for j, v in local_i.M.items() if v)
     B_sup = sorted(j for j, v in inf_0.B.items() if v)
     N_sup = sorted(j for j, v in inf_0.N.items() if v)
-    series = sw_solve(A_sup, M_sup, B_sup, N_sup, "symbol", D, W)
+    series = sw_solve(A_sup, M_sup, B_sup, N_sup, D, W)
     Lg = local_i.L
     values = {}
     for j in A_sup:

@@ -23,11 +23,13 @@ from .grassmann import (
     QQi,
     as_qqi,
 )
+from .sparse import add_term, add_terms, binom
 
-NEG_INF = object()
-POS_INF = object()
-
+HALF = Fraction(1, 2)
 DEFAULT_WINDOW = (-12, 12)
+# iteration guards: on a finite window both loops end exactly, far sooner
+INVERT_MAX_ROUNDS = 200
+FLOW_MAX_STEPS = 2000
 
 
 class TruncationError(ValueError):
@@ -40,23 +42,6 @@ class DomainError(ValueError):
 
 class ShapeError(ValueError):
     """Input series does not have the required leading shape."""
-
-
-def binom(n, k: int) -> Fraction:
-    """Generalized binomial coefficient for integer or Fraction n."""
-    n = Fraction(n)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (n - i) / (i + 1)
-    return out
-
-
-def _lo_key(v):
-    return float("-inf") if v is None else v
-
-
-def _hi_key(v):
-    return float("inf") if v is None else v
 
 
 def _max_lo(a, b):
@@ -78,7 +63,9 @@ def _min_hi(a, b):
 class SFun:
     """One component of a (1,1)-variable map: p(z) + theta*q(z).
 
-    terms maps (z_order, theta_exponent) -> GrassmannElement.
+    terms maps (z_order, theta_exponent) -> GrassmannElement and stores
+    no zero (the invariant of superns.sparse); the constructor drops zero
+    coefficients and those outside the window.
     """
 
     __slots__ = ("L", "terms", "lo", "hi")
@@ -127,37 +114,6 @@ class SFun:
     def coeff(self, n: int, e: int) -> GrassmannElement:
         return self.terms.get((n, e), GrassmannElement(self.L))
 
-    def support_min(self):
-        """Lowest order at which a nonzero term may exist (NEG_INF if unknown)."""
-        if self.lo is not None:
-            return NEG_INF
-        if not self.terms:
-            return POS_INF
-        return min(n for n, _ in self.terms)
-
-    def support_max(self):
-        if self.hi is not None:
-            return POS_INF
-        if not self.terms:
-            return NEG_INF
-        return max(n for n, _ in self.terms)
-
-    def value_parity(self) -> int | None:
-        """Parity of the values: 0 if even-valued, 1 if odd-valued, None mixed.
-
-        theta itself is odd, so a theta-sector coefficient of parity p makes
-        an overall contribution of parity p+1.
-        """
-        ps = set()
-        for (n, e), c in self.terms.items():
-            p = c.parity()
-            if p is None:
-                return None
-            ps.add((p + e) & 1)
-        if not ps:
-            return 0
-        return ps.pop() if len(ps) == 1 else None
-
     def __eq__(self, other):
         if not isinstance(other, SFun):
             return NotImplemented
@@ -180,20 +136,8 @@ class SFun:
         return SFun(self.L, self.terms, _max_lo(self.lo, lo), _min_hi(self.hi, hi))
 
     def __add__(self, other: "SFun") -> "SFun":
-        lo = _max_lo(self.lo, other.lo)
-        hi = _min_hi(self.hi, other.hi)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return SFun(self.L, out, lo, hi)
+        return SFun(self.L, add_terms(self.terms, other.terms),
+                    _max_lo(self.lo, other.lo), _min_hi(self.hi, other.hi))
 
     def __neg__(self) -> "SFun":
         return SFun(self.L, {k: -c for k, c in self.terms.items()}, self.lo, self.hi)
@@ -206,22 +150,13 @@ class SFun:
         if not isinstance(s, GrassmannElement):
             s = GrassmannElement.scalar(self.L, as_qqi(s))
         st = s.parity_twist()
-        out = {}
-        for (n, e), c in self.terms.items():
-            v = (st if e else s) * c
-            if v:
-                out[(n, e)] = v
+        out = {(n, e): (st if e else s) * c for (n, e), c in self.terms.items()}
         return SFun(self.L, out, self.lo, self.hi)
 
     def scale_right(self, s) -> "SFun":
         if not isinstance(s, GrassmannElement):
             s = GrassmannElement.scalar(self.L, as_qqi(s))
-        out = {}
-        for (n, e), c in self.terms.items():
-            v = c * s
-            if v:
-                out[(n, e)] = v
-        return SFun(self.L, out, self.lo, self.hi)
+        return SFun(self.L, {k: c * s for k, c in self.terms.items()}, self.lo, self.hi)
 
     def shift(self, d: int) -> "SFun":
         lo = None if self.lo is None else self.lo + d
@@ -272,18 +207,7 @@ class SFun:
                     v = c1.parity_twist() * c2
                 else:
                     v = c1 * c2
-                if not v:
-                    continue
-                k = (n, e1 | e2)
-                s = out.get(k)
-                if s is None:
-                    out[k] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                add_term(out, (n, e1 | e2), v)
         return SFun(self.L, out, lo, hi)
 
     # -- calculus ---------------------------------------------------------
@@ -308,16 +232,11 @@ class SFun:
         out = {}
         for (n, e), c in self.terms.items():
             if e == 1:
-                k, v = (n, 0), c
-            else:
-                if n == 0:
-                    continue
-                k, v = (n - 1, 1), c * n
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        lo = None if self.lo is None else self.lo
+                add_term(out, (n, 0), c)
+            elif n:
+                add_term(out, (n - 1, 1), c * n)
         hi = None if self.hi is None else self.hi - 1
-        return SFun(self.L, {k: v for k, v in out.items() if v}, lo, hi)
+        return SFun(self.L, out, self.lo, hi)
 
     # -- powers of an even-valued component --------------------------------
 
@@ -328,7 +247,7 @@ class SFun:
             raise NotInvertible("no invertible leading coefficient")
         return min(orders)
 
-    def power(self, n, clip_lo=None, clip_hi=None) -> "SFun":
+    def power(self, n, clip_hi=None) -> "SFun":
         """self**n for integer or half-integer n via leading-term factoring.
 
         Requires an invertible leading coefficient.  The expansion in the
@@ -400,8 +319,8 @@ class SFun:
         hi = _min_hi(out.hi, clip_hi) if cut else out.hi
         return SFun(self.L, out.terms, out.lo, hi)
 
-    def sqrt(self, branch: int = 1, clip_lo=None, clip_hi=None) -> "SFun":
-        h = self.power(Fraction(1, 2), clip_lo, clip_hi)
+    def sqrt(self, branch: int = 1, clip_hi=None) -> "SFun":
+        h = self.power(HALF, clip_hi)
         return h if branch > 0 else -h
 
     # -- evaluation ---------------------------------------------------------
@@ -496,9 +415,6 @@ class SuperSeries:
     def __repr__(self):
         return f"SuperSeries(zt={self.ev!r}, tht={self.od!r})"
 
-    def check_parities(self) -> bool:
-        return self.ev.value_parity() in (0, None) and self.od.value_parity() in (1, None)
-
     def negate_theta_output(self) -> "SuperSeries":
         """Postcompose with J: (zt, tht) -> (zt, -tht)."""
         return SuperSeries(self.L, self.ev, -self.od)
@@ -507,10 +423,6 @@ class SuperSeries:
 # ----------------------------------------------------------------------
 # spec operations
 # ----------------------------------------------------------------------
-
-
-def ss_D(component: SFun) -> SFun:
-    return component.D()
 
 
 def ss_is_superconformal(H: SuperSeries) -> tuple[bool, SFun]:
@@ -522,14 +434,14 @@ def ss_is_superconformal(H: SuperSeries) -> tuple[bool, SFun]:
 def ss_compose(H1: SuperSeries, H2: SuperSeries,
                clip: tuple[int, int] | None = None) -> SuperSeries:
     """Substitute H2 into H1 componentwise."""
-    lo, hi = (clip if clip is not None else (None, None))
+    hi = clip[1] if clip is not None else None
     Z, T = H2.ev, H2.od
     k = Z.leading_invertible_order()
     zpows: dict[int, SFun] = {}
 
     def zp(n: int) -> SFun:
         if n not in zpows:
-            zpows[n] = Z.power(n, lo, hi)
+            zpows[n] = Z.power(n, hi)
         return zpows[n]
 
     reach = _reach_down_z(Z, H1.L)
@@ -574,8 +486,7 @@ def _reach_down_z(Z: SFun, L: int) -> int:
     return max(0, d) * (L + 1)
 
 
-def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW,
-              max_rounds: int = 200) -> SuperSeries:
+def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW) -> SuperSeries:
     """Compositional inverse: ss_compose(H, result) = id on the window.
 
     Maps with leading order +1 are inverted by a linear-step iteration;
@@ -585,7 +496,7 @@ def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW,
     k = H.ev.leading_invertible_order()
     if k == -1:
         G = ss_compose(H, SuperSeries.inversion(H.L), clip=window)
-        Ginv = ss_invert(G, window, max_rounds)
+        Ginv = ss_invert(G, window)
         return ss_compose(SuperSeries.inversion(H.L), Ginv, clip=window)
     if k != 1:
         raise NotInvertible(f"leading order {k} is not invertible")
@@ -601,7 +512,7 @@ def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW,
     K = SuperSeries(H.L, SFun.z_power(H.L, 1, ainv),
                     SFun.theta_term(H.L, 0, binv) + SFun.const(H.L, -(binv * q0)))
     ident = SuperSeries.identity(H.L)
-    for _ in range(max_rounds):
+    for _ in range(INVERT_MAX_ROUNDS):
         E = ss_compose(H, K, clip=window)
         rev = E.ev - ident.ev
         rod = E.od - ident.od
@@ -624,7 +535,7 @@ def ss_from_components(f: SFun, psi: SFun, branch: int = 1,
     if any(e for (_, e) in f.terms) or any(e for (_, e) in psi.terms):
         raise DomainError("components must be theta-free (1,0)-functions")
     S = f.d_z() + psi * psi.d_z()
-    r = S.sqrt(branch, window[0], window[1])
+    r = S.sqrt(branch, window[1])
     ev = f + _attach_theta(psi * r)
     od = psi + _attach_theta(r)
     H = SuperSeries(L, ev, od)
@@ -711,77 +622,96 @@ def _clean(d):
     return {k: v for k, v in d.items() if v}
 
 
-# -- derivation actions (t = 1, s = 1 realizations) ----------------------
+# -- the superderivations and their flows --------------------------------
 
 
-def _L_action(m: int, F: SFun) -> SFun:
-    """The weight-m even superconformal derivation applied to one component."""
-    out = {}
-    half = Fraction(m + 1, 2)
-    for (n, e), c in F.terms.items():
-        if e == 0:
-            if n == 0:
-                continue
-            v = c * (-n)
+class DiffOp:
+    """One of the displayed superderivations on the span of theta^e z^k.
+
+    kind "L" with integer index n, or "G" with half-odd index r = n + 1/2;
+    t and s parametrize the realization (t integer for G, s nonzero).  L(n)
+    moves both sectors by n.  G(r) moves theta-free orders into the theta
+    sector by n - t + 1 and theta orders out of it by n + t.
+    """
+
+    def __init__(self, kind: str, index, t=1, s=1):
+        self.kind = kind
+        self.t = Fraction(t)
+        self.s = as_qqi(s)
+        if not self.s:
+            raise ValueError("s must be nonzero")
+        # apply's per-operator constants: the order shifts out of the
+        # theta-free and out of the theta sector, and the coefficient
+        # factors; G with s = 1 (the flows' case) needs no QQi factors,
+        # since negation is far cheaper than a QQi product per term
+        if self.kind == "G":
+            r = Fraction(index)
+            if r.denominator != 2:
+                raise ValueError("G index must be half-odd")
+            if self.t.denominator != 1:
+                raise ValueError("non-integer t leaves the Laurent span")
+            self.n = int(r - HALF)
+            self._shift0 = self.n - int(self.t) + 1
+            self._shift1 = self.n + int(self.t)
+            unit = self.s == 1
+            self._s_inv = None if unit else QQi(1) / self.s
+            self._neg_s = None if unit else -self.s
         else:
-            v = c * QQi(-(n + half))
-        if not v:
-            continue
-        k = (n + m, e)
-        s = out.get(k)
-        out[k] = v if s is None else s + v
-    lo = None if F.lo is None else F.lo + m
-    hi = None if F.hi is None else F.hi + m
-    return SFun(F.L, {k: v for k, v in out.items() if v}, lo, hi)
+            self.n = int(index)
+            self._shift0 = self._shift1 = self.n
+            self._half = Fraction(self.n - 1, 2) + self.t
 
+    def parity(self) -> int:
+        return 1 if self.kind == "G" else 0
 
-def _G_action(m: int, F: SFun) -> SFun:
-    """The odd derivation with half-index m + 1/2 applied to one component."""
-    out = {}
-    for (n, e), c in F.terms.items():
-        if e == 0:
-            if n == 0:
-                continue
-            k, v = (n + m, 1), c * n
+    def apply(self, F: SFun) -> SFun:
+        """The derivation applied to F, exact on F's window moved by the
+        shifts: the low edge by the larger, the high edge by the smaller."""
+        out = {}
+        s0, s1 = self._shift0, self._shift1
+        if self.kind == "L":
+            half = self._half
+            for (k, e), c in F.terms.items():
+                if e:
+                    add_term(out, (k + s1, 1), c * QQi(-(k + half)))
+                elif k:
+                    add_term(out, (k + s0, 0), c * (-k))
         else:
-            k, v = (n + m + 1, 0), -c
-        if not v:
-            continue
-        s = out.get(k)
-        out[k] = v if s is None else s + v
-    lo = None if F.lo is None else F.lo + m
-    hi = None if F.hi is None else F.hi + m
-    return SFun(F.L, {k: v for k, v in out.items() if v}, lo, hi)
+            s_inv, neg_s = self._s_inv, self._neg_s
+            for (k, e), c in F.terms.items():
+                if e:
+                    add_term(out, (k + s1, 0), -c if neg_s is None else c * neg_s)
+                elif k:
+                    add_term(out, (k + s0, 1), c * (k if s_inv is None else s_inv * k))
+        lo = None if F.lo is None else F.lo + max(s0, s1)
+        hi = None if F.hi is None else F.hi + min(s0, s1)
+        return SFun(F.L, out, lo, hi)
 
 
-def _apply_flow(H: SuperSeries, terms: list, window, max_steps: int = 2000) -> SuperSeries:
+def _apply_flow(H: SuperSeries, terms: list, window) -> SuperSeries:
     """exp of a sum of coefficient-weighted derivations, applied to H.
 
-    terms is a list of (kind, m, coeff) with kind "L" or "G"; every listed
-    derivation must move z-orders in one direction (all m >= 1 at zero, all
-    m <= -1 at infinity), so window truncation plus nilpotency of the odd
+    terms is a list of (DiffOp, coeff); every listed derivation must move
+    z-orders in one direction (all indices positive at zero, all negative
+    at infinity), so window truncation plus nilpotency of the odd
     coefficients terminates the series exactly.
     """
     lo, hi = window
 
-    def X(pair):
-        ev, od = pair
-        aev = SFun.zero(H.L)
-        aod = SFun.zero(H.L)
-        for kind, m, coeff in terms:
-            act = _L_action if kind == "L" else _G_action
-            aev = aev + act(m, ev).scale_left(coeff)
-            aod = aod + act(m, od).scale_left(coeff)
-        return (SFun(H.L, aev.terms, _max_lo(aev.lo, lo), _min_hi(aev.hi, hi)),
-                SFun(H.L, aod.terms, _max_lo(aod.lo, lo), _min_hi(aod.hi, hi)))
+    def clip(F):
+        return SFun(H.L, F.terms, _max_lo(F.lo, lo), _min_hi(F.hi, hi))
 
-    cur = (SFun(H.L, H.ev.terms, _max_lo(H.ev.lo, lo), _min_hi(H.ev.hi, hi)),
-           SFun(H.L, H.od.terms, _max_lo(H.od.lo, lo), _min_hi(H.od.hi, hi)))
+    def X(F):
+        out = SFun.zero(H.L)
+        for op, coeff in terms:
+            out = out + op.apply(F).scale_left(coeff)
+        return clip(out)
+
+    cur = (clip(H.ev), clip(H.od))
     acc = cur
-    for k in range(1, max_steps + 1):
-        nxt = X(cur)
+    for k in range(1, FLOW_MAX_STEPS + 1):
         w = QQi(Fraction(1, k))
-        cur = (nxt[0].scale_left(w), nxt[1].scale_left(w))
+        cur = (X(cur[0]).scale_left(w), X(cur[1]).scale_left(w))
         if cur[0].is_zero() and cur[1].is_zero():
             return SuperSeries(H.L, acc[0], acc[1])
         acc = (acc[0] + cur[0], acc[1] + cur[1])
@@ -804,10 +734,10 @@ def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     terms = []
     for j, v in sorted(c.A.items()):
         if v:
-            terms.append(("L", j, v))
+            terms.append((DiffOp("L", j), v))
     for j, v in sorted(c.M.items()):
         if v:
-            terms.append(("G", j - 1, v))  # half-index j - 1/2
+            terms.append((DiffOp("G", j - HALF), v))
     H = _apply_flow(base, terms, (None, hi)) if terms else base
     ev = SFun(L, H.ev.terms, None, hi)   # flows only raise orders: exact below
     od = SFun(L, H.od.terms, None, hi)
@@ -831,10 +761,10 @@ def ss_exp_infinity(c: InfCoordData, window: tuple[int, int] = DEFAULT_WINDOW) -
     terms = []
     for j, v in sorted(c.B.items()):
         if v:
-            terms.append(("L", -j, -v))
+            terms.append((DiffOp("L", -j), -v))
     for j, v in sorted(c.N.items()):
         if v:
-            terms.append(("G", -j, -v))  # half-index -j + 1/2
+            terms.append((DiffOp("G", HALF - j), -v))
     H = _apply_flow(base, terms, (lo, None)) if terms else base
     ev = SFun(L, H.ev.terms, lo, None)   # flows only lower orders: exact above
     od = SFun(L, H.od.terms, lo, None)
@@ -872,10 +802,9 @@ def ss_extract_zero(H: SuperSeries, j_max: int | None = None,
         W = H.negate_theta_output()
     else:
         raise ShapeError("leading theta coefficient is not a branch of sqrt(a0)")
-    hi = window[1] if window else _hi_key(H.ev.hi)
-    if hi == float("inf"):
+    hi = window[1] if window else H.ev.hi
+    if hi is None:
         hi = DEFAULT_WINDOW[1]
-    hi = int(hi)
     if j_max is None:
         j_max = hi - 1
     a0_inv = a0.inverse()

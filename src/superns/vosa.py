@@ -18,24 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .sparse import add_term, binom
+
 HALF = Fraction(1, 2)
-
-
-def binom(n, k: int) -> Fraction:
-    n = Fraction(n)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (n - i) / (i + 1)
-    return out
-
-
-def _vec_add(acc: dict, key, val):
-    s = acc.get(key)
-    v = val if s is None else s + val
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
 
 
 def vec_scale(vec: dict, c) -> dict:
@@ -48,7 +33,7 @@ def vec_sum(*vecs) -> dict:
     out: dict = {}
     for v in vecs:
         for k, c in v.items():
-            _vec_add(out, k, c)
+            add_term(out, k, c)
     return out
 
 
@@ -255,7 +240,7 @@ class VertexData:
                 inner = self._xmode_col(w_idx, m + j, col)
                 for mid, c in inner.items():
                     for row, c2 in self._gen_mode(gen, p - j, mid).items():
-                        _vec_add(out, row, c2 * c * cb)
+                        add_term(out, row, c2 * c * cb)
             j += 1
         # term 2: -(-1)^(p + sgn) w_(p+m-j) gen_(j)
         sign = Fraction(-1) ** (p + gen_sign * w_sign)
@@ -268,7 +253,7 @@ class VertexData:
                 inner = self._gen_mode(gen, j, col)
                 for mid, c in inner.items():
                     for row, c2 in self._xmode_col(w_idx, p + m - j, mid).items():
-                        _vec_add(out, row, -sign * c2 * c * cb)
+                        add_term(out, row, -sign * c2 * c * cb)
             j += 1
         return out
 
@@ -305,7 +290,7 @@ class VertexData:
                 else:
                     colv = self.mode_col(v_idx, k, col)
                 for row, c in colv.items():
-                    _vec_add(out, row, c * cv * cw)
+                    add_term(out, row, c * cv * cw)
         return out
 
     def mode_apply(self, v_idx: int, k, vec: dict) -> dict:
@@ -456,9 +441,9 @@ def delta_expand(variant: str, window: int = 12) -> DeltaSeries:
                     continue
                 # (x2 + phi1 phi2)^k = x2^k + k phi1 phi2 x2^(k-1)
                 if abs(k) <= W:
-                    _vec_add(terms, (a, b, k, 0, 0), cb)
+                    add_term(terms, (a, b, k, 0, 0), cb)
                 if k >= 1 and abs(k - 1) <= W:
-                    _vec_add(terms, (a, b, k - 1, 1, 1), cb * k)
+                    add_term(terms, (a, b, k - 1, 1, 1), cb * k)
         return DeltaSeries(W, terms)
     if variant == "split":
         for n in range(-W, W + 1):
@@ -470,7 +455,7 @@ def delta_expand(variant: str, window: int = 12) -> DeltaSeries:
                 if cb:
                     b = n - k
                     if abs(b) <= W and abs(k) <= W:
-                        _vec_add(terms, (a, b, k, 0, 0), cb)
+                        add_term(terms, (a, b, k, 0, 0), cb)
                 elif n >= 0 and k > n:
                     break
         # - phi1 phi2 x0^(-1) delta'((x1-x2)/x0): delta'(y) = sum n y^(n-1)
@@ -489,21 +474,13 @@ def delta_expand(variant: str, window: int = 12) -> DeltaSeries:
                 b = n - 1 - k
                 if abs(b) > W or abs(k) > W:
                     continue
-                _vec_add(terms, (a, b, k, 1, 1), -Fraction(n) * cb)
+                add_term(terms, (a, b, k, 1, 1), -Fraction(n) * cb)
         return DeltaSeries(W, terms)
     if variant == "plain":
         for n in range(-W, W + 1):
             terms[(n, 0, 0, 0, 0)] = Fraction(1)
         return DeltaSeries(W, terms)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def nilpotent_shift_rule(n: int) -> dict:
-    """f(x + phi1 phi2) for f = x^n: {(exponent, phi-flag): coeff}."""
-    out = {(n, 0): Fraction(1)}
-    if n != 0:
-        out[(n - 1, 1)] = Fraction(n)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +584,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                         vec = u_of_vw(Fraction(r) - Fraction(e1, 2),
                                       Fraction(s) - Fraction(e2, 2))
                         for key, val in vec.items():
-                            _vec_add(acc, key, val * cb * s1)
+                            add_term(acc, key, val * cb * s1)
                     if e1 == 1 and e2 == 1 and n != 0:
                         cb2 = binom(n - 1, k) * (-1) ** k
                         if cb2:
@@ -615,7 +592,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                             s = k - c - 1
                             vec = u_of_vw(Fraction(r), Fraction(s))
                             for key, val in vec.items():
-                                _vec_add(acc, key, -Fraction(n) * cb2 * val)
+                                add_term(acc, key, -Fraction(n) * cb2 * val)
                 # term 2 (subtracted)
                 s2 = Fraction(-1) ** (eu * ev) * Fraction(-1) ** (n % 2)
                 if e1 == 1:
@@ -629,7 +606,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                         vec = v_of_uw(Fraction(st) - Fraction(e2, 2),
                                       Fraction(rt) - Fraction(e1, 2))
                         for key, val in vec.items():
-                            _vec_add(acc, key, -val * cb * s2)
+                            add_term(acc, key, -val * cb * s2)
                     if e1 == 1 and e2 == 1 and n != 0:
                         cb2 = binom(n - 1, k) * (-1) ** k
                         if cb2:
@@ -638,7 +615,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                             s2b = Fraction(-1) ** (eu * ev) * Fraction(-1) ** (n % 2)
                             vec = v_of_uw(Fraction(st), Fraction(rt))
                             for key, val in vec.items():
-                                _vec_add(acc, key, -Fraction(n) * cb2 * val * s2b)
+                                add_term(acc, key, -Fraction(n) * cb2 * val * s2b)
                 # term 3 (subtracted as the right side)
                 kmax = int(wtu + wtv + a + 2)
                 for k in range(0, kmax + 1):
@@ -659,7 +636,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                         else:
                             vec = outer(Fraction(j) - HALF, Fraction(mm) - HALF)
                         for key, val in vec.items():
-                            _vec_add(acc, key, -val * cb)
+                            add_term(acc, key, -val * cb)
                     if e1 == 1 and e2 == 1:
                         nn2 = b + k + 1
                         if nn2 != 0:
@@ -668,7 +645,7 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                                 mm2 = -nn2 - c - 2
                                 vec = outer(Fraction(j), Fraction(mm2))
                                 for key, val in vec.items():
-                                    _vec_add(acc, key, Fraction(nn2) * cb2 * val)
+                                    add_term(acc, key, Fraction(nn2) * cb2 * val)
                 checked += 1
                 if acc:
                     if len(failures) < collect_failures:

@@ -1,0 +1,67 @@
+"""The package's layer order, read from each module's import statements.
+
+sparse is the bottom; grassmann holds the coefficient rings on it;
+superseries, nsalg and sewing stack on those; vosa works on plain
+Fraction dicts and so uses nothing but sparse, which keeps it an
+independent control for the ring kernels.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import superns
+
+PKG = Path(superns.__file__).parent
+
+# module -> the package modules it may import
+ALLOWED = {
+    "sparse": set(),
+    "grassmann": {"sparse"},
+    "superseries": {"sparse", "grassmann"},
+    "nsalg": {"sparse", "grassmann", "superseries"},
+    "sewing": {"sparse", "grassmann", "superseries", "nsalg"},
+    "vosa": {"sparse"},
+}
+
+
+def _tree(name):
+    return ast.parse((PKG / f"{name}.py").read_text())
+
+
+def package_imports(name) -> set:
+    out = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif node.module and node.module.split(".")[0] == "superns":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            out.update(parts[:1] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "superns":
+                    out.update(parts[1:2])
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PKG.glob("*.py") if p.stem != "__init__"}
+    assert modules == set(ALLOWED)
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED))
+def test_imports_respect_the_layers(name):
+    assert package_imports(name) <= ALLOWED[name]
+
+
+def test_one_accumulator_and_one_binom():
+    for name in ALLOWED:
+        defined = {node.name for node in ast.walk(_tree(name))
+                   if isinstance(node, ast.FunctionDef)}
+        shared = defined & {"add_term", "add_terms", "binom", "_vec_add"}
+        assert not shared or name == "sparse", (name, shared)

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superns.grassmann import GrassmannElement, QQi
 from superns.superseries import (
     CoordData,
+    DiffOp,
     InfCoordData,
     SFun,
     ShapeError,
@@ -71,6 +74,32 @@ def test_D_squared_is_ddz_on_basis(n):
     for e in (0, 1):
         F = SFun(L, {(n, e): scalar(1)})
         assert F.D().D() == F.d_z()
+
+
+# -- superderivations on windowed series ------------------------------------
+
+# (z-order, theta exponent, Grassmann mask on 2 generators, numerator, denominator)
+_TERM = st.tuples(st.integers(-6, 6), st.integers(0, 1), st.integers(0, 3),
+                  st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("LG"), st.integers(-3, 3), st.integers(-2, 3),
+       st.sampled_from([1, -1, 2, Fraction(1, 3)]), st.lists(_TERM, max_size=14),
+       st.integers(-6, 6), st.integers(0, 9))
+def test_diffop_window_is_exact(kind, n, t, s, raw, lo, width):
+    """Cutting F to a window and then applying the operator agrees with
+    applying it to the uncut F at every order of the reported window."""
+    F_full = SFun.zero(2)
+    for k, e, mask, p, q in raw:
+        F_full = F_full + SFun(2, {(k, e): GrassmannElement(2, {mask: QQi(Fraction(p, q))})})
+    op = DiffOp(kind, n if kind == "L" else n + Fraction(1, 2), t, s)
+    got = op.apply(F_full.with_window(lo, lo + width))
+    want = op.apply(F_full)
+    for k in {k for k, _ in got.terms} | {k for k, _ in want.terms}:
+        if (got.lo is None or got.lo <= k) and (got.hi is None or k <= got.hi):
+            for e in (0, 1):
+                assert got.coeff(k, e) == want.coeff(k, e)
 
 
 # -- composition and inversion ------------------------------------------
