@@ -30,6 +30,9 @@ class NotExact(GrassmannError):
     """Raised when a result (e.g. a square root) leaves the exact field."""
 
 
+_FZERO = Fraction(0)
+
+
 class QQi:
     """A Gaussian rational re + im*i with exact Fraction parts."""
 
@@ -54,6 +57,10 @@ class QQi:
 
     def __mul__(self, other):
         other = as_qqi(other)
+        if not self.im and not other.im:
+            # real * real: one Fraction product; every sewing and series
+            # coefficient takes this path
+            return QQi(self.re * other.re, _FZERO)
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
 
@@ -424,9 +431,14 @@ class ParamSpec:
     degree_cap.  Uncapped symbols (central charge, highest weight) are
     exempt from truncation.  The distinguished Laurent symbol alpha0 is
     tracked separately with half-integer exponents.
+
+    _merges memoizes monomial products for GradedPoly.__mul__: _merges[m1][m2]
+    is GradedPoly._mul_mono(m1, m2) in this ring.  It belongs to this
+    instance, so it is freed with the spec and never shared between two
+    problems' rings.
     """
 
-    __slots__ = ("names", "parity", "capped", "index", "degree_cap")
+    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_merges")
 
     def __init__(self, symbols: list[tuple[str, int, bool]], degree_cap: int):
         self.names = tuple(s[0] for s in symbols)
@@ -434,6 +446,7 @@ class ParamSpec:
         self.capped = tuple(s[2] for s in symbols)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.degree_cap = degree_cap
+        self._merges: dict = {}
         if len(self.index) != len(self.names):
             raise SchemaMismatch("duplicate symbol names")
 
@@ -452,6 +465,7 @@ class ParamSpec:
 # a term key is (monomial, alpha0_half_exponent)
 Monomial = tuple[tuple[int, int], ...]
 TermKey = tuple[Monomial, int]
+_UNSEEN = object()
 
 
 class GradedPoly:
@@ -512,7 +526,7 @@ class GradedPoly:
             {k: (-c if self.monomial_parity(k[0]) else c) for k, c in self.terms.items()})
 
     def _check(self, other: "GradedPoly"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SchemaMismatch("incompatible parameter tables")
 
     def __add__(self, other):
@@ -535,7 +549,8 @@ class GradedPoly:
         return (-self) + other
 
     def _mul_mono(self, m1: Monomial, m2: Monomial) -> tuple[Monomial, int] | None:
-        """Merge two monomials; returns (monomial, sign) or None if it dies."""
+        """Merge two monomials; returns (monomial, sign), or None if it dies
+        as an odd square or over the degree cap."""
         par = self.spec.parity
         odd1 = [i for i, e in m1 if par[i]]
         odd2 = [i for i, e in m2 if par[i]]
@@ -557,25 +572,32 @@ class GradedPoly:
             if par[i] and e > 1:
                 return None
         mono = tuple(sorted(d.items()))
+        if self._capped_degree(mono) > self.spec.degree_cap:
+            return None
         return mono, sign
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
+        # GradedPoly first: Fraction is an ABC, so testing it costs more
+        if not isinstance(other, GradedPoly):
             v = as_qqi(other)
             if not v:
                 return GradedPoly(self.spec, {})
             return GradedPoly(self.spec, {k: c * v for k, c in self.terms.items()})
         self._check(other)
-        cap = self.spec.degree_cap
+        merges = self.spec._merges
+        others = other.terms.items()
         out: dict[TermKey, QQi] = {}
         for (m1, a1), c1 in self.terms.items():
-            for (m2, a2), c2 in other.terms.items():
-                merged = self._mul_mono(m1, m2)
+            row = merges.get(m1)
+            if row is None:
+                row = merges[m1] = {}
+            for (m2, a2), c2 in others:
+                merged = row.get(m2, _UNSEEN)
+                if merged is _UNSEEN:
+                    merged = row[m2] = self._mul_mono(m1, m2)
                 if merged is None:
                     continue
                 mono, sign = merged
-                if self._capped_degree(mono) > cap:
-                    continue
                 c = c1 * c2
                 if sign < 0:
                     c = -c

@@ -14,6 +14,7 @@ the consistency check trusts exactly the same monomials.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .grassmann import (
@@ -203,7 +204,11 @@ def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
 
 
 def _raise_peak(spec: ParamSpec, mono) -> Fraction:
-    """Weight the raising side of a parameter monomial can reach."""
+    """Weight the raising side of a parameter monomial can reach.
+
+    It is never negative and adds up under multiplication; the central
+    charge, the highest weight, the lowering symbols and alpha0 have peak 0.
+    """
     peak = Fraction(0)
     for i, e in mono:
         name = spec.names[i]
@@ -214,43 +219,76 @@ def _raise_peak(spec: ParamSpec, mono) -> Fraction:
     return peak
 
 
-def _trust_filter(p: GradedPoly, level, cap) -> GradedPoly:
-    keep = {}
-    for (mono, a), c in p.terms.items():
-        if level + _raise_peak(p.spec, mono) <= cap:
-            keep[(mono, a)] = c
-    return GradedPoly(p.spec, keep)
+class _Peaks(dict):
+    """Twice the raising peak of each monomial of one ring, memoized.
+
+    Peaks are half-integers, so the doubled ones are ints.  One instance
+    serves one factorization: a memo keyed by monomial alone is only
+    right for the ring whose symbol names it was filled from.
+    """
+
+    def __init__(self, spec: ParamSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, mono):
+        out = self[mono] = int(2 * _raise_peak(self.spec, mono))
+        return out
 
 
-def _signed_act(module: VermaModule, g, coeff: GradedPoly, vec: dict) -> dict:
-    """Apply coeff * g to a vector whose entries are polynomial coefficients."""
-    out: dict = {}
-    odd = gen_parity(g)
-    for w, q in vec.items():
-        qq = q.parity_twist() if odd else q
-        pre = coeff * qq
-        if not pre:
-            continue
-        for w2, r in module.apply_gen(g, w).items():
-            add_term(out, w2, pre * r)
-    return out
+def _within(p: GradedPoly, limit: int, peaks: _Peaks) -> GradedPoly:
+    """The terms of p whose doubled raising peak is at most limit."""
+    return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peaks[k[0]] <= limit})
 
 
-def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int) -> dict:
-    """exp(sum coeff*gen) applied to vec, truncated by the parameter cap."""
+def _trust_filter(p: GradedPoly, level, cap, peaks: _Peaks) -> GradedPoly:
+    """The terms of p certified at a column of this level: level + peak <= cap."""
+    return _within(p, math.floor(2 * (cap - level)), peaks)
+
+
+def _whole(p: GradedPoly) -> GradedPoly:
+    """The filter that keeps every term."""
+    return p
+
+
+def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_whole) -> dict:
+    """exp(sum coeff*gen) applied to vec, truncated by the parameter cap.
+
+    An odd gen meets the vector's polynomial entries parity-twisted (the
+    Koszul sign of moving it past them).  keep filters each product
+    coeff * entry; the matrix elements of gen have raising peak 0, so
+    their products need no second pass.  Every coeff has capped degree
+    >= 1, so the k-th power of the exponent dies past the cap at
+    k = degree_cap + 1 at the latest; a series still alive then raises
+    instead of being cut.
+    """
+    terms = [(g, gen_parity(g), keep(p)) for g, p in terms]
     acc = dict(vec)
     cur = vec
-    for k in range(1, 2 * degree_cap + 3):
+    for k in range(1, degree_cap + 2):
         nxt: dict = {}
-        for g, p in terms:
-            for w, q in _signed_act(module, g, p, cur).items():
-                add_term(nxt, w, q)
-        cur = {w: q * QQi(Fraction(1, k)) for w, q in nxt.items()}
+        twisted = None
+        for g, odd, p in terms:
+            src = cur
+            if odd:
+                if twisted is None:
+                    twisted = {w: q.parity_twist() for w, q in cur.items()}
+                src = twisted
+            for w, q in src.items():
+                pre = keep(p * q)
+                if not pre:
+                    continue
+                for w2, r in module.apply_gen(g, w).items():
+                    add_term(nxt, w2, pre * r)
+        if k > 1:
+            inv_k = QQi(Fraction(1, k))
+            nxt = {w: q * inv_k for w, q in nxt.items()}
+        cur = nxt
         if not cur:
-            break
+            return acc
         for w, q in cur.items():
             add_term(acc, w, q)
-    return acc
+    raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
 def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
@@ -263,9 +301,10 @@ def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
 
 
 def _diag_exp(module: VermaModule, vec: dict, series: GradedPoly,
-              weight_shift: bool, degree_cap: int) -> dict:
+              weight_shift: bool, degree_cap: int, keep=_whole) -> dict:
     """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec."""
     spec = module.spec
+    series = keep(series)
     out = {}
     for w, q in vec.items():
         if weight_shift:
@@ -276,11 +315,13 @@ def _diag_exp(module: VermaModule, vec: dict, series: GradedPoly,
         scal = GradedPoly.scalar(spec, 1)
         term = GradedPoly.scalar(spec, 1)
         for k in range(1, degree_cap + 1):
-            term = term * x * QQi(Fraction(1, k))
+            term = keep(term * x) * QQi(Fraction(1, k))
             if not term:
                 break
             scal = scal + term
-        out[w] = q * scal
+        val = keep(q * scal)
+        if val:
+            out[w] = val
     return out
 
 
@@ -291,6 +332,7 @@ class _Factorization:
         self.spec = solver_spec(A_sup, M_sup, B_sup, N_sup, D)
         self.D = D
         self.W = Fraction(W)
+        self.peaks = _Peaks(self.spec)
         cval = GradedPoly.symbol(self.spec, "c")
         hval = GradedPoly.symbol(self.spec, "h")
         self.module = VermaModule(self.spec, cval, hval, self.W)
@@ -305,18 +347,34 @@ class _Factorization:
         for j in sorted(N_sup):
             self.raise_terms.append((G(-(j - HALF)), -GradedPoly.symbol(self.spec, f"N{j}")))
 
-    def lhs(self, vec: dict) -> dict:
-        out = _exp_apply(self.module, self.raise_terms, vec, self.D)
+    def _keeper(self, level):
+        """The trust filter of a column at level; no filter for level None.
+
+        Peaks add up under multiplication and are never negative, so a term
+        over the column's budget only feeds terms over it: dropping it early
+        leaves every certified coefficient of lhs and rhs unchanged.
+        """
+        if level is None:
+            return _whole
+        peaks, limit = self.peaks, math.floor(2 * (self.W - level))
+        return lambda p: _within(p, limit, peaks)
+
+    def lhs(self, vec: dict, level=None) -> dict:
+        """The left side on vec; given a level, only its certified terms."""
+        keep = self._keeper(level)
+        out = _exp_apply(self.module, self.raise_terms, vec, self.D, keep)
         out = _alpha_reduce(self.module, out)
-        out = _exp_apply(self.module, self.low_terms, out, self.D)
+        out = _exp_apply(self.module, self.low_terms, out, self.D, keep)
         return out
 
-    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict) -> dict:
+    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
+        """The ansatz side on vec; given a level, only its certified terms."""
         spec, module = self.spec, self.module
-        out = _diag_exp(module, vec, gamma, False, self.D)
+        keep = self._keeper(level)
+        out = _diag_exp(module, vec, gamma, False, self.D, keep)
         out = _alpha_reduce(module, out)
         psi0 = psi.get(Fraction(0), GradedPoly(spec))
-        out = _diag_exp(module, out, psi0, True, self.D)
+        out = _diag_exp(module, out, psi0, True, self.D, keep)
         low = []
         raise_ = []
         for k, p in psi.items():
@@ -327,8 +385,8 @@ class _Factorization:
                 low.append((gen, p))
             else:
                 raise_.append((gen, p))
-        out = _exp_apply(module, low, out, self.D)
-        out = _exp_apply(module, raise_, out, self.D)
+        out = _exp_apply(module, low, out, self.D, keep)
+        out = _exp_apply(module, raise_, out, self.D, keep)
         return out
 
 
@@ -372,14 +430,14 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
             res = (lhs_hw.get(word, zero) - rhs_hw.get(word, zero)).degree_part(d)
             if res:
                 _assert_ch_free(res)
-                psi[-k] = psi[-k] + _trust_filter(res, 0, W)
+                psi[-k] = psi[-k] + _trust_filter(res, 0, W, fact.peaks)
         # diagonal block: h reads psi0, c reads gamma
         res = (lhs_hw.get((), zero) - rhs_hw.get((), zero)).degree_part(d)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
-            psi[Fraction(0)] = psi[Fraction(0)] + _trust_filter(h_lin, 0, W)
-            gamma = gamma + _trust_filter(c_lin, 0, W)
+            psi[Fraction(0)] = psi[Fraction(0)] + _trust_filter(h_lin, 0, W, fact.peaks)
+            gamma = gamma + _trust_filter(c_lin, 0, W, fact.peaks)
             leftover = res - h_lin * GradedPoly.symbol(spec, "h") \
                 - c_lin * GradedPoly.symbol(spec, "c")
             if leftover:
@@ -397,7 +455,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                     sol = h_lin * QQi(HALF)
                 # undo the alpha0^(-k) the reduced diagonal put on the column
                 sol = sol * GradedPoly.alpha(spec, int(2 * k))
-                psi[k] = psi[k] + _trust_filter(sol, k, W)
+                psi[k] = psi[k] + _trust_filter(sol, k, W, fact.peaks)
     return SewingSeries(spec, {k: p for k, p in psi.items()}, gamma, fact.D, W)
 
 
@@ -415,7 +473,9 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
 
     For each basis column of level l, a parameter monomial is certified
     when l plus its raising peak stays within the weight cap; both sides
-    are compared there exactly, on all output coordinates.
+    are compared there exactly, on all output coordinates.  Terms that
+    cannot feed a certified monomial are dropped while the sides are
+    built (see _Factorization._keeper).
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup,
                           series.degree_cap, series.weight_cap)
@@ -424,13 +484,12 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
     for col in module.basis:
         lvl = module.level(col)
         vec = {col: module.one}
-        lhs = fact.lhs(vec)
-        rhs = fact.rhs(series.psi, series.gamma, vec)
+        lhs = fact.lhs(vec, lvl)
+        rhs = fact.rhs(series.psi, series.gamma, vec, lvl)
         words = set(lhs) | set(rhs)
         for w in words:
             diff = lhs.get(w, zero) - rhs.get(w, zero)
-            trusted = _trust_filter(diff, lvl, series.weight_cap)
-            if trusted:
+            if _trust_filter(diff, lvl, fact.W, fact.peaks):
                 return False
     return True
 

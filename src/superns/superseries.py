@@ -433,7 +433,13 @@ def ss_is_superconformal(H: SuperSeries) -> tuple[bool, SFun]:
 
 def ss_compose(H1: SuperSeries, H2: SuperSeries,
                clip: tuple[int, int] | None = None) -> SuperSeries:
-    """Substitute H2 into H1 componentwise."""
+    """Substitute H2 into H1 componentwise.
+
+    Only the high edge clip[1] is applied: it caps the z-orders of the
+    powers of H2.ev (SFun.power's clip_hi).  The low edge clip[0] is not
+    read, so terms below it are computed and kept; clip=(lo, hi) gives the
+    same result as clip=(None, hi).
+    """
     hi = clip[1] if clip is not None else None
     Z, T = H2.ev, H2.od
     k = Z.leading_invertible_order()

@@ -1,8 +1,11 @@
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superns.grassmann import (
     DimensionMismatch,
@@ -266,3 +269,99 @@ def test_schema_mismatch_rejected():
     s2 = sewing_spec(2)
     with pytest.raises(Exception):
         poly_mul(GradedPoly.scalar(s1, 1), GradedPoly.scalar(s2, 1))
+
+
+# -- the memoized monomial kernel against a naive product ------------------
+
+
+def naive_product(p, q):
+    """p*q from first principles: concatenate the letters of two monomials,
+    bubble-sort them with a sign flip per swap of two odd letters, then
+    drop odd squares and terms over the degree cap."""
+    spec = p.spec
+    out = {}
+    for (m1, a1), c1 in p.terms.items():
+        for (m2, a2), c2 in q.terms.items():
+            seq = [i for i, e in m1 for _ in range(e)] + [i for i, e in m2 for _ in range(e)]
+            sign = 1
+            for x in range(len(seq)):
+                for y in range(len(seq) - 1 - x):
+                    if seq[y] > seq[y + 1]:
+                        if spec.parity[seq[y]] and spec.parity[seq[y + 1]]:
+                            sign = -sign
+                        seq[y], seq[y + 1] = seq[y + 1], seq[y]
+            counts = Counter(seq)
+            if any(spec.parity[i] and e > 1 for i, e in counts.items()):
+                continue
+            if sum(e for i, e in counts.items() if spec.capped[i]) > spec.degree_cap:
+                continue
+            key = (tuple(sorted(counts.items())), a1 + a2)
+            out[key] = out.get(key, QQi(0)) + c1 * c2 * sign
+    return {k: v for k, v in out.items() if v}
+
+
+NSYM = 5
+# one term: exponent of each symbol (odd symbols keep only the low bit),
+# alpha0 half-exponent, coefficient numerator and denominator
+_POLY_TERM = st.tuples(st.lists(st.integers(0, 2), min_size=NSYM, max_size=NSYM),
+                       st.integers(-2, 2), st.integers(-3, 3), st.integers(1, 3))
+_PARITIES = st.lists(st.integers(0, 1), min_size=NSYM, max_size=NSYM)
+_CAPPED = st.lists(st.booleans(), min_size=NSYM, max_size=NSYM)
+
+
+def spec_of(parity, capped, cap):
+    return ParamSpec([(f"x{i}", parity[i], capped[i]) for i in range(NSYM)], cap)
+
+
+def poly_of(spec, raw):
+    terms = {}
+    for exps, a, num, den in raw:
+        mono = tuple((i, e & 1 if spec.parity[i] else e) for i, e in enumerate(exps))
+        key = (tuple((i, e) for i, e in mono if e), a)
+        terms[key] = terms.get(key, QQi(0)) + QQi(Fraction(num, den))
+    return GradedPoly(spec, {k: v for k, v in terms.items() if v})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARITIES, _CAPPED, st.integers(0, 4),
+       st.lists(_POLY_TERM, max_size=6), st.lists(_POLY_TERM, max_size=6))
+def test_memoized_product_matches_naive_product(parity, capped, cap, raw_p, raw_q):
+    spec = spec_of(parity, capped, cap)
+    p, q = poly_of(spec, raw_p), poly_of(spec, raw_q)
+    # the second round is served from the memo the first one filled
+    for _ in range(2):
+        assert (p * q).terms == naive_product(p, q)
+        assert (q * p).terms == naive_product(q, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PARITIES, _PARITIES, st.integers(0, 3), st.integers(0, 3),
+       st.lists(_POLY_TERM, max_size=5), st.lists(_POLY_TERM, max_size=5))
+def test_specs_with_the_same_symbols_keep_their_own_products(par1, par2, cap1, cap2,
+                                                             raw_p, raw_q):
+    """Same symbol names and monomial keys, different parities or caps:
+    neither ring may serve the other's memoized merges."""
+    capped = [True] * NSYM
+    s1, s2 = spec_of(par1, capped, cap1), spec_of(par2, capped, cap2)
+    # odd exponents above 1 are not elements, so keep exponents at most 1
+    raw_p = [([e & 1 for e in ex], *rest) for ex, *rest in raw_p]
+    raw_q = [([e & 1 for e in ex], *rest) for ex, *rest in raw_q]
+    for spec in (s1, s2, s1):
+        p, q = poly_of(spec, raw_p), poly_of(spec, raw_q)
+        assert (p * q).terms == naive_product(p, q)
+
+
+_FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FRAC, _FRAC, _FRAC, _FRAC, st.sampled_from(["rr", "rc", "cr", "cc"]))
+def test_qqi_product_is_the_four_product_formula(a, b, c, d, kind):
+    if kind[0] == "r":
+        b = Fraction(0)
+    if kind[1] == "r":
+        d = Fraction(0)
+    got = QQi(a, b) * QQi(c, d)
+    assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+    assert (got.re, got.im) == (a * c - b * d, a * d + b * c)
+    assert QQi(c, d) * QQi(a, b) == got

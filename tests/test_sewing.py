@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -5,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from superns.grassmann import GradedPoly, GrassmannElement, QQi
+from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
+from superns.nsalg import L
 from superns.sewing import (
     ModuliElement,
     SewingError,
+    _exp_apply,
+    _Factorization,
+    _raise_peak,
     sk_J,
     sk_permute,
     solver_spec,
@@ -131,6 +136,91 @@ def test_solver_consistency_randomized():
         N = sorted(rng.sample([1, 2], 1))
         series = sw_solve(A, M, B, N, D=3, W=5)
         assert sw_consistency_check(series, A, M, B, N)
+
+
+# -- trust-budget pruning in the consistency check ---------------------------
+
+# Problems of the randomized test's family whose rings give one symbol
+# index different raising peaks (index 2 is M1, B1, B3 and M2 in turn), run
+# one after another so that a peak or merge memo leaking from one ring into
+# the next shows up.
+PRUNE_PROBLEMS = [([1, 2], [1], [1, 2], [1]), ([3], [2], [1, 2], [1]),
+                  ([1], [1], [3], [2]), ([2, 3], [2], [2], [2])]
+
+
+def certified(p, level, W):
+    """The terms of p at level + raising peak <= W, peaks recomputed."""
+    return {k: c for k, c in p.terms.items() if level + _raise_peak(p.spec, k[0]) <= W}
+
+
+def test_pruned_sides_keep_every_certified_coefficient():
+    D, W = 3, 4
+    for problem in PRUNE_PROBLEMS:
+        series = sw_solve(*problem, D=D, W=W)
+        fact = _Factorization(*problem, D, W)
+        zero = GradedPoly(fact.spec)
+        full_terms = pruned_terms = 0
+        for col in fact.module.basis:
+            lvl = fact.module.level(col)
+            vec = {col: fact.module.one}
+            pairs = ((fact.lhs(vec), fact.lhs(vec, lvl)),
+                     (fact.rhs(series.psi, series.gamma, vec),
+                      fact.rhs(series.psi, series.gamma, vec, lvl)))
+            for full, pruned in pairs:
+                for w in set(full) | set(pruned):
+                    f, p = full.get(w, zero), pruned.get(w, zero)
+                    assert certified(p, lvl, W) == certified(f, lvl, W), (problem, col, w)
+                    assert certified(p, lvl, W) == p.terms
+                    full_terms += len(f.terms)
+                    pruned_terms += len(p.terms)
+        assert pruned_terms < full_terms, problem
+
+
+def test_planted_certified_error_fails_the_check():
+    problem = ([1, 2], [1], [1, 2], [1])
+    series = sw_solve(*problem, D=3, W=4)
+    assert sw_consistency_check(series, *problem)
+    planted = 0
+    for k in sorted(k for k in series.psi if k >= 1):
+        good = series.psi[k]
+        if not good:
+            continue
+        key = min(good.terms)  # certified at level k, as every psi[k] term is
+        bad = dict(good.terms)
+        bad[key] = bad[key] + QQi(1)
+        series.psi[k] = GradedPoly(good.spec, {t: c for t, c in bad.items() if c})
+        assert not sw_consistency_check(series, *problem), k
+        series.psi[k] = good
+        planted += 1
+    assert planted >= 2
+
+
+def test_exp_series_outliving_the_cap_raises():
+    fact = _Factorization([1], [], [1], [], 2, 5)
+    hw = fact.module.highest_weight_vector()
+    # capped coefficients: the series dies by round D + 1
+    assert _exp_apply(fact.module, fact.raise_terms, hw, fact.D)
+    # c is uncapped, so c*L(-1) keeps raising hw until the weight cap
+    c = GradedPoly.symbol(fact.spec, "c")
+    with pytest.raises(SewingError, match="still nonzero"):
+        _exp_apply(fact.module, [(L(-1), c)], hw, fact.D)
+
+
+def _live_param_specs():
+    return sum(1 for o in gc.get_objects() if isinstance(o, ParamSpec))
+
+
+def test_solve_and_check_leave_no_ring_behind():
+    """The merge and peak memos die with the problem's rings."""
+    problem = ([1, 2], [1], [2], [1])
+    gc.collect()
+    before = _live_param_specs()
+    series = sw_solve(*problem, D=2, W=3)
+    assert sw_consistency_check(series, *problem)
+    assert _live_param_specs() > before  # the count does see a live ring
+    del series
+    gc.collect()
+    assert _live_param_specs() == before
 
 
 def test_t_series_zero_inputs():

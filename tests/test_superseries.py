@@ -115,6 +115,24 @@ def test_compose_with_identity():
         assert K.od.coeff(n, e) == c
 
 
+@pytest.mark.parametrize("lo", [-6, -2, 0, 3])
+def test_compose_applies_only_the_high_clip_edge(lo):
+    """clip=(lo, hi) and clip=(None, hi) give the same series, window and
+    all, also where terms sit below lo."""
+    rng = random.Random(SEED + 7)
+    I = SuperSeries.inversion(L)
+    H = ss_exp_zero(random_coord_data(rng, jmax=3), (-10, 10))
+    below = 0
+    for H1, H2 in ((H, I), (I, H), (H, ss_invert(H, (-10, 10)))):
+        got = ss_compose(H1, H2, clip=(lo, 5))
+        want = ss_compose(H1, H2, clip=(None, 5))
+        for g, w in ((got.ev, want.ev), (got.od, want.od)):
+            assert (g.terms, g.lo, g.hi) == (w.terms, w.lo, w.hi)
+            below += sum(1 for k, _ in g.terms if k < lo)
+    if lo >= 0:
+        assert below > 0
+
+
 def test_inversion_squared_is_theta_flip():
     I = SuperSeries.inversion(L)
     J = ss_compose(I, I)
