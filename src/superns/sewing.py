@@ -4,16 +4,24 @@ The central solver rewrites
 
     exp(-sum A_j L(j) - sum M G(j-1/2)) a0^(-L(0)) exp(-sum B_j L(-j) - sum N G(-j+1/2))
 
-into raising * lowering * diagonal * central form, degree by degree in the
-formal families, by matching matrix elements on a weight-truncated Verma
-module with formal central charge and highest weight.  Raising a state
-past the weight cap loses information, so every solved coefficient is
-kept only for parameter monomials whose raising peak stays under the cap;
-the consistency check trusts exactly the same monomials.
+into the ansatz
+
+    exp(sum Psi_(-k) X(-k)) exp(sum Psi_k X(k)) exp(Psi_0 L(0)) a0^(-L(0)) exp(Gamma c),
+
+four exponentials around the reduced diagonal (X(k) is L(k) or G(k)),
+degree by degree in the formal families, by matching matrix elements on a
+weight-truncated Verma module with formal central charge and highest
+weight.  Raising a state past the weight cap loses information.  A
+parameter monomial's raising peak is the weight its symbols can lift a
+state by: each power of B_j or N_j adds the weight of its raising
+generator, every other symbol adds 0.  A coefficient read from a column
+of level l is kept only on monomials with l + peak <= W, and the
+consistency check trusts exactly the same monomials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -24,10 +32,12 @@ from .grassmann import (
     QQi,
 )
 from .nsalg import (
+    C_GEN,
     G,
     L,
     VermaModule,
     gen_parity,
+    gen_weight,
 )
 from .sparse import add_term
 from .superseries import (
@@ -188,62 +198,23 @@ class SewingSeries:
         self.weight_cap = Fraction(weight_cap)
 
 
+def _families(A_sup, M_sup, B_sup, N_sup) -> list:
+    """(name, generator) of each formal symbol, in the ring's order.
+
+    A_j and M_j multiply the lowering L(j) and G(j - 1/2), B_j and N_j the
+    raising L(-j) and G(-j + 1/2); a symbol has its generator's parity and,
+    per power, max(0, weight of its generator) as raising peak.
+    """
+    return ([(f"A{j}", L(j)) for j in sorted(A_sup)]
+            + [(f"M{j}", G(j - HALF)) for j in sorted(M_sup)]
+            + [(f"B{j}", L(-j)) for j in sorted(B_sup)]
+            + [(f"N{j}", G(HALF - j)) for j in sorted(N_sup)])
+
+
 def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
-    symbols = []
-    for j in sorted(A_sup):
-        symbols.append((f"A{j}", 0, True))
-    for j in sorted(M_sup):
-        symbols.append((f"M{j}", 1, True))
-    for j in sorted(B_sup):
-        symbols.append((f"B{j}", 0, True))
-    for j in sorted(N_sup):
-        symbols.append((f"N{j}", 1, True))
-    symbols.append(("c", 0, False))
-    symbols.append(("h", 0, False))
-    return ParamSpec(symbols, degree_cap)
-
-
-def _raise_peak(spec: ParamSpec, mono) -> Fraction:
-    """Weight the raising side of a parameter monomial can reach.
-
-    It is never negative and adds up under multiplication; the central
-    charge, the highest weight, the lowering symbols and alpha0 have peak 0.
-    """
-    peak = Fraction(0)
-    for i, e in mono:
-        name = spec.names[i]
-        if name.startswith("B"):
-            peak += int(name[1:]) * e
-        elif name.startswith("N"):
-            peak += (Fraction(int(name[1:])) - HALF) * e
-    return peak
-
-
-class _Peaks(dict):
-    """Twice the raising peak of each monomial of one ring, memoized.
-
-    Peaks are half-integers, so the doubled ones are ints.  One instance
-    serves one factorization: a memo keyed by monomial alone is only
-    right for the ring whose symbol names it was filled from.
-    """
-
-    def __init__(self, spec: ParamSpec):
-        super().__init__()
-        self.spec = spec
-
-    def __missing__(self, mono):
-        out = self[mono] = int(2 * _raise_peak(self.spec, mono))
-        return out
-
-
-def _within(p: GradedPoly, limit: int, peaks: _Peaks) -> GradedPoly:
-    """The terms of p whose doubled raising peak is at most limit."""
-    return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peaks[k[0]] <= limit})
-
-
-def _trust_filter(p: GradedPoly, level, cap, peaks: _Peaks) -> GradedPoly:
-    """The terms of p certified at a column of this level: level + peak <= cap."""
-    return _within(p, math.floor(2 * (cap - level)), peaks)
+    symbols = [(name, gen_parity(g), True)
+               for name, g in _families(A_sup, M_sup, B_sup, N_sup)]
+    return ParamSpec(symbols + [("c", 0, False), ("h", 0, False)], degree_cap)
 
 
 def _whole(p: GradedPoly) -> GradedPoly:
@@ -300,55 +271,26 @@ def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
     return out
 
 
-def _diag_exp(module: VermaModule, vec: dict, series: GradedPoly,
-              weight_shift: bool, degree_cap: int, keep=_whole) -> dict:
-    """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec."""
-    spec = module.spec
-    series = keep(series)
-    out = {}
-    for w, q in vec.items():
-        if weight_shift:
-            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, module.level(w))
-        else:
-            eig = GradedPoly.symbol(spec, "c")
-        x = series * eig
-        scal = GradedPoly.scalar(spec, 1)
-        term = GradedPoly.scalar(spec, 1)
-        for k in range(1, degree_cap + 1):
-            term = keep(term * x) * QQi(Fraction(1, k))
-            if not term:
-                break
-            scal = scal + term
-        val = keep(q * scal)
-        if val:
-            out[w] = val
-    return out
-
-
 class _Factorization:
     """Shared machinery for the left side, the ansatz, and the reads."""
 
     def __init__(self, A_sup, M_sup, B_sup, N_sup, D: int, W):
-        self.spec = solver_spec(A_sup, M_sup, B_sup, N_sup, D)
+        families = _families(A_sup, M_sup, B_sup, N_sup)
+        self.spec = spec = solver_spec(A_sup, M_sup, B_sup, N_sup, D)
         self.D = D
         self.W = Fraction(W)
-        self.peaks = _Peaks(self.spec)
-        cval = GradedPoly.symbol(self.spec, "c")
-        hval = GradedPoly.symbol(self.spec, "h")
-        self.module = VermaModule(self.spec, cval, hval, self.W)
-        self.low_terms = []
-        for j in sorted(A_sup):
-            self.low_terms.append((L(j), -GradedPoly.symbol(self.spec, f"A{j}")))
-        for j in sorted(M_sup):
-            self.low_terms.append((G(j - HALF), -GradedPoly.symbol(self.spec, f"M{j}")))
-        self.raise_terms = []
-        for j in sorted(B_sup):
-            self.raise_terms.append((L(-j), -GradedPoly.symbol(self.spec, f"B{j}")))
-        for j in sorted(N_sup):
-            self.raise_terms.append((G(-(j - HALF)), -GradedPoly.symbol(self.spec, f"N{j}")))
+        self.module = VermaModule(spec, GradedPoly.symbol(spec, "c"),
+                                  GradedPoly.symbol(spec, "h"), self.W)
+        terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
+        self.low_terms = [t for t in terms if t[0][1] > 0]
+        self.raise_terms = [t for t in terms if t[0][1] < 0]
+        # twice each symbol's raising peak (c and h come last, with 0); the
+        # memo of monomial peaks is this ring's alone
+        doubled = [int(2 * max(0, gen_weight(g))) for _, g in families] + [0, 0]
+        self._peak2 = functools.cache(lambda mono: sum(doubled[i] * e for i, e in mono))
 
     def _keeper(self, level):
-        """The trust filter of a column at level; no filter for level None.
+        """trusted(., level) as a function; no filter for level None.
 
         Peaks add up under multiplication and are never negative, so a term
         over the column's budget only feeds terms over it: dropping it early
@@ -356,8 +298,13 @@ class _Factorization:
         """
         if level is None:
             return _whole
-        peaks, limit = self.peaks, math.floor(2 * (self.W - level))
-        return lambda p: _within(p, limit, peaks)
+        limit, peak2 = math.floor(2 * (self.W - level)), self._peak2
+        return lambda p: GradedPoly(
+            p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
+
+    def trusted(self, p: GradedPoly, level) -> GradedPoly:
+        """The terms of p certified at a column of this level: level + peak <= W."""
+        return self._keeper(level)(p)
 
     def lhs(self, vec: dict, level=None) -> dict:
         """The left side on vec; given a level, only its certified terms."""
@@ -369,25 +316,18 @@ class _Factorization:
 
     def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
         """The ansatz side on vec; given a level, only its certified terms."""
-        spec, module = self.spec, self.module
+        module, D = self.module, self.D
         keep = self._keeper(level)
-        out = _diag_exp(module, vec, gamma, False, self.D, keep)
-        out = _alpha_reduce(module, out)
-        psi0 = psi.get(Fraction(0), GradedPoly(spec))
-        out = _diag_exp(module, out, psi0, True, self.D, keep)
-        low = []
-        raise_ = []
+        low, raise_ = [], []
         for k, p in psi.items():
-            if k == 0 or not p:
-                continue
-            gen = L(int(k)) if k.denominator == 1 else G(k)
-            if k > 0:
-                low.append((gen, p))
-            else:
-                raise_.append((gen, p))
-        out = _exp_apply(module, low, out, self.D, keep)
-        out = _exp_apply(module, raise_, out, self.D, keep)
-        return out
+            if k and p:
+                gen = L(int(k)) if k.denominator == 1 else G(k)
+                (low if k > 0 else raise_).append((gen, p))
+        out = _exp_apply(module, [(C_GEN, gamma)], vec, D, keep)
+        out = _alpha_reduce(module, out)
+        out = _exp_apply(module, [(L(0), psi[Fraction(0)])], out, D, keep)
+        out = _exp_apply(module, low, out, D, keep)
+        return _exp_apply(module, raise_, out, D, keep)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -400,52 +340,40 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
-    W = fact.W
     zero = GradedPoly(spec)
+    # the slot k of each one-letter column (g,): psi[-k] multiplies g, psi[k]
+    # its lowering partner
+    cols = {gen_weight(w[0]): w for w in module.basis if len(w) == 1}
     psi: dict = {Fraction(0): zero}
-    slots = []
-    j = 1
-    while j <= W:
-        slots.append(Fraction(j))
-        j += 1
-    r = HALF
-    while r <= W:
-        slots.append(r)
-        r += 1
-    for k in list(slots):
-        psi.setdefault(k, zero)
-        psi.setdefault(-k, zero)
+    for k in cols:
+        psi[k] = psi[-k] = zero
     gamma = zero
     hw = module.highest_weight_vector()
-    read_cols = {}
-    for k in slots:
-        read_cols[k] = L(-int(k)) if k.denominator == 1 else G(-k)
     lhs_hw = fact.lhs(hw)
-    lhs_cols = {k: fact.lhs({(read_cols[k],): module.one}) for k in slots}
+    lhs_cols = {k: fact.lhs({w: module.one}) for k, w in cols.items()}
     for d in range(1, fact.D + 1):
         rhs_hw = fact.rhs(psi, gamma, hw)
         # raising slots from the highest-weight column
-        for k in slots:
-            word = (read_cols[k],)
-            res = (lhs_hw.get(word, zero) - rhs_hw.get(word, zero)).degree_part(d)
+        for k, w in cols.items():
+            res = (lhs_hw.get(w, zero) - rhs_hw.get(w, zero)).degree_part(d)
             if res:
                 _assert_ch_free(res)
-                psi[-k] = psi[-k] + _trust_filter(res, 0, W, fact.peaks)
+                psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
         res = (lhs_hw.get((), zero) - rhs_hw.get((), zero)).degree_part(d)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
-            psi[Fraction(0)] = psi[Fraction(0)] + _trust_filter(h_lin, 0, W, fact.peaks)
-            gamma = gamma + _trust_filter(c_lin, 0, W, fact.peaks)
+            psi[Fraction(0)] = psi[Fraction(0)] + fact.trusted(h_lin, 0)
+            gamma = gamma + fact.trusted(c_lin, 0)
             leftover = res - h_lin * GradedPoly.symbol(spec, "h") \
                 - c_lin * GradedPoly.symbol(spec, "c")
             if leftover:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from singly-raised columns
-        for k in slots:
-            rhs_col = fact.rhs(psi, gamma, {(read_cols[k],): module.one})
+        for k, w in cols.items():
+            rhs_col = fact.rhs(psi, gamma, {w: module.one})
             res = (lhs_cols[k].get((), zero) - rhs_col.get((), zero)).degree_part(d)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
@@ -455,8 +383,8 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                     sol = h_lin * QQi(HALF)
                 # undo the alpha0^(-k) the reduced diagonal put on the column
                 sol = sol * GradedPoly.alpha(spec, int(2 * k))
-                psi[k] = psi[k] + _trust_filter(sol, k, W, fact.peaks)
-    return SewingSeries(spec, {k: p for k, p in psi.items()}, gamma, fact.D, W)
+                psi[k] = psi[k] + fact.trusted(sol, k)
+    return SewingSeries(spec, psi, gamma, fact.D, fact.W)
 
 
 def _assert_ch_free(p: GradedPoly):
@@ -489,7 +417,7 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
         words = set(lhs) | set(rhs)
         for w in words:
             diff = lhs.get(w, zero) - rhs.get(w, zero)
-            if _trust_filter(diff, lvl, fact.W, fact.peaks):
+            if fact.trusted(diff, lvl):
                 return False
     return True
 
@@ -519,45 +447,18 @@ def sw_t_series(local_i: CoordData, inf_0: InfCoordData, partials: int,
     t^(1/2); at the truncation the series is a polynomial, so the partial
     sums stabilize exactly at the last one.
     """
-    A_sup = sorted(j for j, v in local_i.A.items() if v)
-    M_sup = sorted(j for j, v in local_i.M.items() if v)
-    B_sup = sorted(j for j, v in inf_0.B.items() if v)
-    N_sup = sorted(j for j, v in inf_0.N.items() if v)
-    series = sw_solve(A_sup, M_sup, B_sup, N_sup, D, W)
-    Lg = local_i.L
-    values = {}
-    for j in A_sup:
-        values[f"A{j}"] = local_i.A[j]
-    for j in M_sup:
-        values[f"M{j}"] = local_i.M[j]
-    for j in B_sup:
-        values[f"B{j}"] = inf_0.B[j]
-    for j in N_sup:
-        values[f"N{j}"] = inf_0.N[j]
-    by_t: dict[Fraction, GrassmannElement] = {}
-    a0 = local_i.a0
-    root = None
-    inv = a0.inverse()
-    for (mono, a), c in series.gamma.terms.items():
-        # alpha0^(a/2) evaluated at a0/t contributes t^(-a/2) a0^(a/2)
-        acc = GrassmannElement.scalar(Lg, c)
-        for idx, e in mono:
-            acc = acc * (values[series.spec.names[idx]] ** e)
-        if a % 2:
-            if root is None:
-                root = a0.sqrt(1)
-            acc = acc * (root ** a if a > 0 else root.inverse() ** (-a))
-        elif a:
-            acc = acc * (a0 ** (a // 2) if a > 0 else inv ** (-a // 2))
-        tpow = Fraction(-a, 2)
-        cur = by_t.get(tpow)
-        by_t[tpow] = acc if cur is None else cur + acc
+    sources = (local_i.A, local_i.M, inf_0.B, inf_0.N)
+    sups = [sorted(j for j, v in src.items() if v) for src in sources]
+    series = sw_solve(*sups, D, W)
+    given = [src[j] for src, sup in zip(sources, sups) for j in sup]
+    values = {name: v for (name, _), v in zip(_families(*sups), given)}
+    # alpha0^(a/2) at a0/t is t^(-a/2) a0^(a/2): one t-power per alpha0 exponent
+    by_alpha: dict[int, dict] = {}
+    for key, c in series.gamma.terms.items():
+        by_alpha.setdefault(key[1], {})[key] = c
     sums = []
-    total = GrassmannElement(Lg)
-    for tpow in sorted(by_t):
-        total = total + by_t[tpow]
+    total = GrassmannElement(local_i.L)
+    for a in sorted(by_alpha, reverse=True):
+        total = total + GradedPoly(series.spec, by_alpha[a]).substitute(values, local_i.a0)
         sums.append(total)
-    out = []
-    for k in range(partials):
-        out.append(sums[k] if k < len(sums) else total)
-    return out
+    return [sums[k] if k < len(sums) else total for k in range(partials)]

@@ -314,7 +314,7 @@ class SFun:
             if u0_pow.is_zero():
                 break
             if p > 2 * self.L + 4:
-                break
+                raise TruncationError(f"nilpotent part of the power still nonzero at order {p}")
         out = acc.shift(kn).scale_left(lead)
         hi = _min_hi(out.hi, clip_hi) if cut else out.hi
         return SFun(self.L, out.terms, out.lo, hi)
@@ -392,12 +392,6 @@ class SuperSeries:
         """I(z,theta) = (1/z, i*theta/z), the sewing boundary involution."""
         return cls(L, SFun.z_power(L, -1),
                    SFun.theta_term(L, -1, GrassmannElement.scalar(L, QQi(0, 1))))
-
-    @classmethod
-    def inversion_inverse(cls, L: int) -> "SuperSeries":
-        """I^(-1)(z,theta) = (1/z, -i*theta/z)."""
-        return cls(L, SFun.z_power(L, -1),
-                   SFun.theta_term(L, -1, GrassmannElement.scalar(L, QQi(0, -1))))
 
     @classmethod
     def theta_flip(cls, L: int) -> "SuperSeries":

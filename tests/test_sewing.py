@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.nsalg import L
+from superns.nsalg import C_GEN, L
 from superns.sewing import (
     ModuliElement,
     SewingError,
     _exp_apply,
     _Factorization,
-    _raise_peak,
     sk_J,
     sk_permute,
     solver_spec,
@@ -148,9 +147,22 @@ PRUNE_PROBLEMS = [([1, 2], [1], [1, 2], [1]), ([3], [2], [1, 2], [1]),
                   ([1], [1], [3], [2]), ([2, 3], [2], [2], [2])]
 
 
+def raise_peak(spec, mono):
+    """The raising peak of a monomial, read off the symbol names: each power
+    of B_j adds j, of N_j adds j - 1/2."""
+    peak = Fraction(0)
+    for i, e in mono:
+        name = spec.names[i]
+        if name[0] == "B":
+            peak += int(name[1:]) * e
+        elif name[0] == "N":
+            peak += (int(name[1:]) - HALF) * e
+    return peak
+
+
 def certified(p, level, W):
     """The terms of p at level + raising peak <= W, peaks recomputed."""
-    return {k: c for k, c in p.terms.items() if level + _raise_peak(p.spec, k[0]) <= W}
+    return {k: c for k, c in p.terms.items() if level + raise_peak(p.spec, k[0]) <= W}
 
 
 def test_pruned_sides_keep_every_certified_coefficient():
@@ -174,6 +186,47 @@ def test_pruned_sides_keep_every_certified_coefficient():
                     full_terms += len(f.terms)
                     pruned_terms += len(p.terms)
         assert pruned_terms < full_terms, problem
+
+
+def diag_exp_reference(module, vec, series, weight_shift, degree_cap):
+    """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec.
+
+    Every word is an eigenvector, of L(0) with eigenvalue h + level and of c
+    with c, so the exponential is a scalar power series per word.
+    """
+    spec = module.spec
+    out = {}
+    for w, q in vec.items():
+        if weight_shift:
+            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, module.level(w))
+        else:
+            eig = GradedPoly.symbol(spec, "c")
+        x = series * eig
+        scal = term = GradedPoly.scalar(spec, 1)
+        for k in range(1, degree_cap + 1):
+            term = term * x * QQi(Fraction(1, k))
+            scal = scal + term
+        out[w] = q * scal
+    return out
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_diagonal_exponentials_match_the_closed_form(problem):
+    D, W = 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    fact = _Factorization(*problem, D, W)
+    module = fact.module
+    psi0, gamma = series.psi[Fraction(0)], series.gamma
+    assert psi0 and gamma
+    for col in module.basis:
+        lvl = module.level(col)
+        vec = {col: module.one}
+        for gen, coeff, weight_shift in ((C_GEN, gamma, False), (L(0), psi0, True)):
+            want = diag_exp_reference(module, vec, coeff, weight_shift, D)
+            assert _exp_apply(module, [(gen, coeff)], vec, D) == want, (col, gen)
+            pruned = _exp_apply(module, [(gen, coeff)], vec, D, fact._keeper(lvl))
+            assert ({w: p.terms for w, p in pruned.items()}
+                    == {w: certified(p, lvl, W) for w, p in want.items()}), (col, gen)
 
 
 def test_planted_certified_error_fails_the_check():

@@ -26,6 +26,7 @@ from superns.superseries import (
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
 L = 6
+HALF = Fraction(1, 2)
 
 
 def scalar(v):
@@ -103,6 +104,20 @@ def test_diffop_window_is_exact(kind, n, t, s, raw, lo, width):
 
 
 # -- composition and inversion ------------------------------------------
+
+
+def test_power_runs_the_nilpotent_part_out():
+    """The souls of f sit below its leading z^2 term, so the expansion of f^n
+    runs through the longest nilpotent tail L allows; it must end exactly."""
+    pairs = gen(1) * gen(2) + gen(3) * gen(4) + gen(5) * gen(6)
+    f = (SFun.z_power(L, 2, scalar(4)) + SFun.z_power(L, 1, pairs)
+         + SFun.theta_term(L, 2, scalar(3)) + SFun.theta_term(L, 1, gen(2)))
+    one = SFun.const(L, 1)
+    for n in (1, 2, 3):
+        assert f.power(-n) * f.power(n) == one, n
+    root = f.power(HALF)
+    assert root * root == f
+    assert f.power(-HALF) * root == one
 
 
 def test_compose_with_identity():
