@@ -13,6 +13,7 @@ the one place that accumulates into such a dict; it keeps the invariant.
 """
 
 from fractions import Fraction
+from math import comb
 
 
 def add_term(acc: dict, key, val) -> None:
@@ -41,7 +42,22 @@ def add_terms(a: dict, b: dict) -> dict:
 
 
 def binom(n, k: int) -> Fraction:
-    """Generalized binomial coefficient C(n, k) for integer or Fraction n."""
+    """Generalized binomial coefficient C(n, k), k >= 0, for integer or
+    Fraction n.
+
+    Integral n takes exact integer arithmetic, with upper negation
+    C(n, k) = (-1)^k C(k - n - 1, k) for n < 0; the result is a Fraction
+    on every path.
+    """
+    if k < 0:
+        raise ValueError("binom needs k >= 0")
+    if isinstance(n, Fraction) and n.denominator == 1:
+        n = n.numerator
+    if isinstance(n, int):
+        if n >= 0:
+            return Fraction(comb(n, k))
+        c = comb(k - n - 1, k)
+        return Fraction(-c if k & 1 else c)
     n = Fraction(n)
     out = Fraction(1)
     for i in range(k):

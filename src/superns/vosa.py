@@ -15,6 +15,7 @@ keys in the x sector and half-odd keys in the phi sector.  The binomial
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -235,7 +236,7 @@ class VertexData:
         while True:
             if col_wt + w_wt - (m + j) - 1 < 0:
                 break
-            cb = binom(p, j) * (-1) ** j
+            cb = binom(p, j).numerator * (-1 if j & 1 else 1)
             if cb:
                 inner = self._xmode_col(w_idx, m + j, col)
                 for mid, c in inner.items():
@@ -243,12 +244,12 @@ class VertexData:
                         add_term(out, row, c2 * c * cb)
             j += 1
         # term 2: -(-1)^(p + sgn) w_(p+m-j) gen_(j)
-        sign = Fraction(-1) ** (p + gen_sign * w_sign)
+        sign = -1 if (p + gen_sign * w_sign) & 1 else 1
         j = 0
         while True:
             if col_wt + gen_wt - j - 1 < 0:
                 break
-            cb = binom(p, j) * (-1) ** j
+            cb = binom(p, j).numerator * (-1 if j & 1 else 1)
             if cb:
                 inner = self._gen_mode(gen, j, col)
                 for mid, c in inner.items():
@@ -481,157 +482,125 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
 
     Bins are asserted only where every internal sum provably stays inside
     the weight cap; the rest are counted as skipped.
+
+    All arithmetic on indices is on integers: a mode key k in (1/2)Z is
+    carried as the doubled int k2 = 2k (the memos below are keyed by it, and
+    it becomes Fraction(k2, 2) only when a mode is applied, which is where
+    the Fraction-keyed overrides are read), weights and the cap are doubled
+    for the soundness test, and the signed binomials (-1)^k C(n, k) are
+    ints.
     """
-    space = V.space
-    cap = space.cap
+    cap2 = int(2 * V.space.cap)
     eu, ev = V.sign(u), V.sign(v)
-    wtu, wtv = V.weight(u), V.weight(v)
+    wtu2, wtv2 = int(2 * V.weight(u)), int(2 * V.weight(v))
     if inputs is None:
-        inputs = V.basis_indices(min(cap, 2))
+        inputs = V.basis_indices(min(V.space.cap, 2))
     rng = range(-window, window + 1)
     checked = skipped = 0
     failures = []
 
+    @functools.cache
+    def signed_binom(n, k):
+        """(-1)^k C(n, k) as an int."""
+        out = binom(n, k).numerator
+        return -out if k & 1 else out
+
+    @functools.cache
+    def inner_uv(kj2):
+        return V.mode_apply(u, Fraction(kj2, 2), {v: Fraction(1)})
+
     for w in inputs:
-        wt = V.weight(w)
+        wt2 = int(2 * V.weight(w))
         wvec = {w: Fraction(1)}
-        vw_cache: dict = {}
-        uw_cache: dict = {}
-        uvw_cache: dict = {}
-        vuw_cache: dict = {}
-        inner_cache: dict = {}
-        outer_cache: dict = {}
 
-        def vw(key):
-            if key not in vw_cache:
-                vw_cache[key] = V.mode_apply(v, key, wvec)
-            return vw_cache[key]
+        @functools.cache
+        def vw(kv2):
+            return V.mode_apply(v, Fraction(kv2, 2), wvec)
 
-        def u_of_vw(ku, kv):
-            key = (ku, kv)
-            if key not in uvw_cache:
-                base = vw(kv)
-                uvw_cache[key] = V.mode_apply(u, ku, base) if base else {}
-            return uvw_cache[key]
+        @functools.cache
+        def u_of_vw(ku2, kv2):
+            base = vw(kv2)
+            return V.mode_apply(u, Fraction(ku2, 2), base) if base else {}
 
-        def uw(key):
-            if key not in uw_cache:
-                uw_cache[key] = V.mode_apply(u, key, wvec)
-            return uw_cache[key]
+        @functools.cache
+        def uw(ku2):
+            return V.mode_apply(u, Fraction(ku2, 2), wvec)
 
-        def v_of_uw(kv, ku):
-            key = (kv, ku)
-            if key not in vuw_cache:
-                base = uw(ku)
-                vuw_cache[key] = V.mode_apply(v, kv, base) if base else {}
-            return vuw_cache[key]
+        @functools.cache
+        def v_of_uw(kv2, ku2):
+            base = uw(ku2)
+            return V.mode_apply(v, Fraction(kv2, 2), base) if base else {}
 
-        def inner_uv(kj):
-            if kj not in inner_cache:
-                inner_cache[kj] = V.mode_apply(u, kj, {v: Fraction(1)})
-            return inner_cache[kj]
-
-        def outer(kj, km):
-            key = (kj, km)
-            if key not in outer_cache:
-                base = inner_uv(kj)
-                outer_cache[key] = V.mode_apply_vec(base, km, wvec) if base else {}
-            return outer_cache[key]
+        @functools.cache
+        def outer(kj2, km2):
+            base = inner_uv(kj2)
+            return V.mode_apply_vec(base, Fraction(km2, 2), wvec) if base else {}
 
         for a, b, c in itertools.product(rng, rng, rng):
             n = -a - 1
             for e1, e2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                h1, h2 = Fraction(e1, 2), Fraction(e2, 2)
                 # every internal vector, including the odd-derivation images
                 # backing the phi modes, must stay inside the weight cap;
                 # the iterate's phi1 - phi2 feeds u's half modes into both
                 # phi sectors, so any phi at all needs the u image
-                sound = (wt + wtv + c + h2 <= cap
-                         and wt + wtu + b + h1 <= cap
-                         and wtu + wtv + a + h1 + h2 <= cap)
+                sound = (wt2 + wtv2 + 2 * c + e2 <= cap2
+                         and wt2 + wtu2 + 2 * b + e1 <= cap2
+                         and wtu2 + wtv2 + 2 * a + e1 + e2 <= cap2)
                 if e1 or e2:
-                    sound = sound and wtu + HALF <= cap
+                    sound = sound and wtu2 + 1 <= cap2
                 if e2:
-                    sound = sound and wtv + HALF <= cap
+                    sound = sound and wtv2 + 1 <= cap2
                 if not sound:
                     skipped += 1
                     continue
                 acc: dict = {}
                 # term 1
-                s1 = Fraction(1)
-                if e2 == 1:
-                    s1 = Fraction(-1) ** (eu + e1)
-                kmax = int(wt + wtv + c + 2)
-                for k in range(0, kmax + 1):
-                    cb = binom(n, k) * (-1) ** k
+                s1 = -1 if e2 and (eu + e1) & 1 else 1
+                for k in range((wt2 + wtv2 + 2 * c + 4) // 2 + 1):
+                    cb = signed_binom(n, k)
                     if cb:
-                        r = n - k - b - 1
-                        s = k - c - 1
-                        vec = u_of_vw(Fraction(r) - Fraction(e1, 2),
-                                      Fraction(s) - Fraction(e2, 2))
+                        vec = u_of_vw(2 * (n - k - b - 1) - e1, 2 * (k - c - 1) - e2)
                         for key, val in vec.items():
                             add_term(acc, key, val * cb * s1)
-                    if e1 == 1 and e2 == 1 and n != 0:
-                        cb2 = binom(n - 1, k) * (-1) ** k
+                    if e1 and e2 and n:
+                        cb2 = signed_binom(n - 1, k)
                         if cb2:
-                            r = n - k - b - 2
-                            s = k - c - 1
-                            vec = u_of_vw(Fraction(r), Fraction(s))
+                            vec = u_of_vw(2 * (n - k - b - 2), 2 * (k - c - 1))
                             for key, val in vec.items():
-                                add_term(acc, key, -Fraction(n) * cb2 * val)
+                                add_term(acc, key, -n * cb2 * val)
                 # term 2 (subtracted)
-                s2 = Fraction(-1) ** (eu * ev) * Fraction(-1) ** (n % 2)
-                if e1 == 1:
-                    s2 *= Fraction(-1) ** ev
-                kmax = int(wt + wtu + b + 2)
-                for k in range(0, kmax + 1):
-                    cb = binom(n, k) * (-1) ** k
+                s2b = -1 if (eu * ev + n) & 1 else 1
+                s2 = -s2b if e1 and ev else s2b
+                for k in range((wt2 + wtu2 + 2 * b + 4) // 2 + 1):
+                    cb = signed_binom(n, k)
                     if cb:
-                        rt = k - b - 1
-                        st = n - k - c - 1
-                        vec = v_of_uw(Fraction(st) - Fraction(e2, 2),
-                                      Fraction(rt) - Fraction(e1, 2))
+                        vec = v_of_uw(2 * (n - k - c - 1) - e2, 2 * (k - b - 1) - e1)
                         for key, val in vec.items():
                             add_term(acc, key, -val * cb * s2)
-                    if e1 == 1 and e2 == 1 and n != 0:
-                        cb2 = binom(n - 1, k) * (-1) ** k
+                    if e1 and e2 and n:
+                        cb2 = signed_binom(n - 1, k)
                         if cb2:
-                            rt = k - b - 1
-                            st = n - k - c - 2
-                            s2b = Fraction(-1) ** (eu * ev) * Fraction(-1) ** (n % 2)
-                            vec = v_of_uw(Fraction(st), Fraction(rt))
+                            vec = v_of_uw(2 * (n - k - c - 2), 2 * (k - b - 1))
                             for key, val in vec.items():
-                                add_term(acc, key, -Fraction(n) * cb2 * val * s2b)
+                                add_term(acc, key, -n * cb2 * val * s2b)
                 # term 3 (subtracted as the right side)
-                kmax = int(wtu + wtv + a + 2)
-                for k in range(0, kmax + 1):
-                    j = k - a - 1
+                for k in range((wtu2 + wtv2 + 2 * a + 4) // 2 + 1):
+                    j2 = 2 * (k - a - 1)
                     nn = b + k
-                    mm = -nn - c - 2
-                    cb = binom(nn, k) * (-1) ** k
-                    if cb:
-                        if e1 == 0 and e2 == 0:
-                            vec = outer(Fraction(j), Fraction(mm))
-                        elif e1 == 1 and e2 == 0:
-                            vec = outer(Fraction(j) - HALF, Fraction(mm))
-                        elif e1 == 0 and e2 == 1:
-                            vec = vec_sum(
-                                outer(Fraction(j), Fraction(mm) - HALF),
-                                vec_scale(outer(Fraction(j) - HALF, Fraction(mm)),
-                                          Fraction(-1)))
-                        else:
-                            vec = outer(Fraction(j) - HALF, Fraction(mm) - HALF)
-                        for key, val in vec.items():
-                            add_term(acc, key, -val * cb)
-                    if e1 == 1 and e2 == 1:
-                        nn2 = b + k + 1
-                        if nn2 != 0:
-                            cb2 = binom(nn2 - 1, k) * (-1) ** k
-                            if cb2:
-                                mm2 = -nn2 - c - 2
-                                vec = outer(Fraction(j), Fraction(mm2))
-                                for key, val in vec.items():
-                                    add_term(acc, key, Fraction(nn2) * cb2 * val)
+                    mm2 = 2 * (-nn - c - 2)
+                    cb = signed_binom(nn, k)
+                    if not cb:
+                        continue
+                    vec = outer(j2 - e1, mm2 - e2)
+                    if e2 and not e1:
+                        vec = vec_sum(vec, vec_scale(outer(j2 - 1, mm2), -1))
+                    for key, val in vec.items():
+                        add_term(acc, key, -val * cb)
+                    if e1 and e2 and nn != -1:
+                        # the phi1 phi2 part at nn + 1, whose signed
+                        # binomial (-1)^k C(nn + 1 - 1, k) is cb again
+                        for key, val in outer(j2, mm2 - 2).items():
+                            add_term(acc, key, (nn + 1) * cb * val)
                 checked += 1
                 if acc:
                     if len(failures) < collect_failures:
@@ -768,10 +737,29 @@ def grading_check(V: VertexData) -> dict:
 def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
     """The three displayed bracket relations on the tau modes, with the
     module's own central charge.  Columns are restricted so that both
-    operator orders stay inside the weight cap."""
+    operator orders stay inside the weight cap.
+
+    L(n) and G(r) act through their basis columns, each computed once per
+    call; the memo lives only in this call, because copies of V share
+    their caches and may carry other overrides."""
     cap = V.space.cap
     cc = V.cc if V.cc is not None else V.compute_central_charge()
     report = {"passed": True, "witnesses": [], "central_charge": cc}
+
+    @functools.cache
+    def column(kind, idx, i):
+        apply = V.L_apply if kind == "L" else V.G_apply
+        return apply(idx, {i: Fraction(1)})
+
+    def act(kind, idx, vec):
+        out: dict = {}
+        for i, ci in vec.items():
+            for row, c in column(kind, idx, i).items():
+                add_term(out, row, c * ci)
+        return out
+
+    L = functools.partial(act, "L")
+    G = functools.partial(act, "G")
 
     def safe_columns(s1, s2):
         # both operator orders applied; raising intermediates must fit
@@ -788,10 +776,9 @@ def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
         for n in rng:
             for w in safe_columns(m, n):
                 wvec = {w: Fraction(1)}
-                lhs = vec_sum(V.L_apply(int(m), V.L_apply(int(n), wvec)),
-                              vec_scale(V.L_apply(int(n), V.L_apply(int(m), wvec)),
-                                        Fraction(-1)))
-                rhs = vec_scale(V.L_apply(int(m + n), wvec), m - n)
+                lhs = vec_sum(L(int(m), L(int(n), wvec)),
+                              vec_scale(L(int(n), L(int(m), wvec)), Fraction(-1)))
+                rhs = vec_scale(L(int(m + n), wvec), m - n)
                 if m + n == 0:
                     central = Fraction(int(m) ** 3 - int(m), 12) * cc
                     rhs = vec_sum(rhs, vec_scale(wvec, central))
@@ -800,18 +787,16 @@ def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
             r = m + HALF
             for w in safe_columns(r, n):
                 wvec = {w: Fraction(1)}
-                lhs = vec_sum(V.G_apply(r, V.L_apply(int(n), wvec)),
-                              vec_scale(V.L_apply(int(n), V.G_apply(r, wvec)),
-                                        Fraction(-1)))
-                rhs = vec_scale(V.G_apply(r + n, wvec), r - Fraction(n) / 2)
+                lhs = vec_sum(G(r, L(int(n), wvec)),
+                              vec_scale(L(int(n), G(r, wvec)), Fraction(-1)))
+                rhs = vec_scale(G(r + n, wvec), r - Fraction(n) / 2)
                 if vec_sum(lhs, vec_scale(rhs, Fraction(-1))):
                     record("GL", r, n, w)
             r, s = m + HALF, n - HALF
             for w in safe_columns(r, s):
                 wvec = {w: Fraction(1)}
-                lhs = vec_sum(V.G_apply(r, V.G_apply(s, wvec)),
-                              V.G_apply(s, V.G_apply(r, wvec)))
-                rhs = vec_scale(V.L_apply(int(m + n), wvec), 2)
+                lhs = vec_sum(G(r, G(s, wvec)), G(s, G(r, wvec)))
+                rhs = vec_scale(L(int(m + n), wvec), 2)
                 if r + s == 0:
                     central = (m * m + m) / 3 * cc
                     rhs = vec_sum(rhs, vec_scale(wvec, central))

@@ -64,4 +64,30 @@ def test_binom_matches_math_comb(n, k):
 @given(st.integers(-7, 7), st.integers(1, 3), st.integers(0, 6))
 def test_binom_matches_sympy_for_rational_n(p, q, k):
     expected = sympy.binomial(sympy.Rational(p, q), k)
-    assert binom(Fraction(p, q), k) == Fraction(int(expected.p), int(expected.q))
+    got = binom(Fraction(p, q), k)
+    assert got == Fraction(int(expected.p), int(expected.q))
+    assert type(got) is Fraction
+
+
+def product_binom(n, k):
+    """The Fraction product formula binom used before its integer path."""
+    n = Fraction(n)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (n - i) / (i + 1)
+    return out
+
+
+@given(st.integers(-15, 15), st.integers(0, 20))
+def test_binom_integer_path_matches_the_product_formula(n, k):
+    want = product_binom(n, k)
+    for arg in (n, Fraction(n, 1)):
+        got = binom(arg, k)
+        assert got == want
+        assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("n", [3, -3, Fraction(3), Fraction(1, 2)])
+def test_binom_rejects_negative_k_on_every_path(n):
+    with pytest.raises(ValueError):
+        binom(n, -1)
