@@ -1,9 +1,16 @@
-"""Exact arithmetic in finite-generator Grassmann algebras.
+"""Exact arithmetic in finite-generator Grassmann algebras and graded
+polynomial rings.
 
-Elements live in the algebra on anticommuting generators z1..zL over the
-Gaussian rationals.  Terms are keyed by bitmasks (bit i-1 set means zi is a
-factor), so the empty mask holds the body and every other mask is soul.
-All operations are pure; elements are immutable by convention.
+GrassmannElement lives in the algebra on anticommuting generators z1..zL
+over the Gaussian rationals (QQi), because a body can be complex (a square
+root of a negative, the inversion's i*theta/z).  Terms are keyed by
+bitmasks (bit i-1 set means zi is a factor), so the empty mask holds the
+body and every other mask is soul.
+
+GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
+is over the rationals: each coefficient is an int when it is integral and
+a Fraction otherwise (see as_rational).  All operations are pure; elements
+are immutable by convention.
 """
 
 from __future__ import annotations
@@ -155,6 +162,33 @@ def as_qqi(x) -> QQi:
             return QQi(int(x.real), int(x.imag))
         raise NotExact(f"refusing inexact complex {x}")
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
+
+
+def as_rational(x) -> int | Fraction:
+    """x as a GradedPoly coefficient: an int when integral, else a Fraction.
+
+    A QQi with zero imaginary part stands for its real part; any other QQi
+    raises NotExact.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, QQi):
+        if x.im:
+            raise NotExact(f"graded polynomials have rational coefficients, not {x!r}")
+        x = x.re
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to a rational coefficient")
+
+
+def _integral(terms: dict) -> dict:
+    """terms with each integral Fraction value replaced by its int, in place."""
+    for k, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
 
 
 def _frac_sqrt(q: Fraction) -> Fraction:
@@ -395,25 +429,6 @@ class GrassmannElement:
         return " + ".join(parts)
 
 
-# Spec-facing functional aliases ---------------------------------------
-
-
-def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
-
-
-def gr_split(a: GrassmannElement) -> tuple[QQi, GrassmannElement]:
-    return a.split()
-
-
-def gr_inverse(a: GrassmannElement) -> GrassmannElement:
-    return a.inverse()
-
-
-def gr_sqrt(a: GrassmannElement, branch: int = 1) -> GrassmannElement:
-    return a.sqrt(branch)
-
-
 # ----------------------------------------------------------------------
 # Graded polynomial ring with a distinguished Laurent symbol
 # ----------------------------------------------------------------------
@@ -432,13 +447,13 @@ class ParamSpec:
     exempt from truncation.  The distinguished Laurent symbol alpha0 is
     tracked separately with half-integer exponents.
 
-    _merges memoizes monomial products for GradedPoly.__mul__: _merges[m1][m2]
-    is GradedPoly._mul_mono(m1, m2) in this ring.  It belongs to this
-    instance, so it is freed with the spec and never shared between two
-    problems' rings.
+    Two memos belong to this instance, so they are freed with the spec and
+    never shared between two problems' rings: _merges[m1][m2] is
+    GradedPoly._mul_mono(m1, m2) for GradedPoly.__mul__, and _odd[m] is
+    the parity of monomial m for GradedPoly.parity_twist.
     """
 
-    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_merges")
+    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_merges", "_odd")
 
     def __init__(self, symbols: list[tuple[str, int, bool]], degree_cap: int):
         self.names = tuple(s[0] for s in symbols)
@@ -447,6 +462,7 @@ class ParamSpec:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.degree_cap = degree_cap
         self._merges: dict = {}
+        self._odd: dict = {}
         if len(self.index) != len(self.names):
             raise SchemaMismatch("duplicate symbol names")
 
@@ -468,35 +484,41 @@ TermKey = tuple[Monomial, int]
 _UNSEEN = object()
 
 
-class GradedPoly:
-    """Sparse polynomial over QQi in graded symbols times alpha0^(k/2).
+Rational = int | Fraction
 
-    terms maps (monomial, alpha0 half-exponent) -> QQi and stores no zero
-    (the invariant of superns.sparse).  Odd symbols square to zero and
-    anticommute (Koszul signs); capped symbols are truncated at
+
+class GradedPoly:
+    """Sparse polynomial over the rationals in graded symbols times alpha0^(k/2).
+
+    terms maps (monomial, alpha0 half-exponent) -> coefficient and stores no
+    zero (the invariant of superns.sparse).  A coefficient is an int when it
+    is integral and a Fraction otherwise: never Fraction(n, 1), never a QQi.
+    Scalars enter through as_rational, and sums, products and scalar
+    multiples store integral results as ints.  Odd symbols square to zero
+    and anticommute (Koszul signs); capped symbols are truncated at
     spec.degree_cap total degree.
     """
 
     __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: ParamSpec, terms: dict[TermKey, QQi] | None = None):
+    def __init__(self, spec: ParamSpec, terms: dict[TermKey, Rational] | None = None):
         self.spec = spec
         self.terms = terms if terms is not None else {}
 
     @classmethod
     def scalar(cls, spec: ParamSpec, value, alpha_half: int = 0) -> "GradedPoly":
-        v = as_qqi(value)
+        v = as_rational(value)
         return cls(spec, {((), alpha_half): v} if v else {})
 
     @classmethod
     def symbol(cls, spec: ParamSpec, name: str, coeff=1) -> "GradedPoly":
         i = spec.index[name]
-        v = as_qqi(coeff)
+        v = as_rational(coeff)
         return cls(spec, {(((i, 1),), 0): v} if v else {})
 
     @classmethod
     def alpha(cls, spec: ParamSpec, half_exponent: int, coeff=1) -> "GradedPoly":
-        v = as_qqi(coeff)
+        v = as_rational(coeff)
         return cls(spec, {((), half_exponent): v} if v else {})
 
     def is_zero(self) -> bool:
@@ -521,9 +543,14 @@ class GradedPoly:
 
     def parity_twist(self) -> "GradedPoly":
         """even part minus odd part (sign from passing one odd symbol)."""
-        return GradedPoly(
-            self.spec,
-            {k: (-c if self.monomial_parity(k[0]) else c) for k, c in self.terms.items()})
+        odd = self.spec._odd
+        out = {}
+        for k, c in self.terms.items():
+            o = odd.get(k[0])
+            if o is None:
+                o = odd[k[0]] = self.monomial_parity(k[0])
+            out[k] = -c if o else c
+        return GradedPoly(self.spec, out)
 
     def _check(self, other: "GradedPoly"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -533,7 +560,7 @@ class GradedPoly:
         if isinstance(other, (int, Fraction, QQi)):
             other = GradedPoly.scalar(self.spec, other)
         self._check(other)
-        return GradedPoly(self.spec, add_terms(self.terms, other.terms))
+        return GradedPoly(self.spec, _integral(add_terms(self.terms, other.terms)))
 
     __radd__ = __add__
 
@@ -579,14 +606,14 @@ class GradedPoly:
     def __mul__(self, other):
         # GradedPoly first: Fraction is an ABC, so testing it costs more
         if not isinstance(other, GradedPoly):
-            v = as_qqi(other)
+            v = as_rational(other)
             if not v:
                 return GradedPoly(self.spec, {})
-            return GradedPoly(self.spec, {k: c * v for k, c in self.terms.items()})
+            return GradedPoly(self.spec, _integral({k: c * v for k, c in self.terms.items()}))
         self._check(other)
         merges = self.spec._merges
         others = other.terms.items()
-        out: dict[TermKey, QQi] = {}
+        out: dict[TermKey, Rational] = {}
         for (m1, a1), c1 in self.terms.items():
             row = merges.get(m1)
             if row is None:
@@ -602,7 +629,7 @@ class GradedPoly:
                 if sign < 0:
                     c = -c
                 add_term(out, (mono, a1 + a2), c)
-        return GradedPoly(self.spec, out)
+        return GradedPoly(self.spec, _integral(out))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -634,7 +661,7 @@ class GradedPoly:
     def coefficient(self, assignments: dict[str, int]) -> "GradedPoly":
         """Extract the coefficient of prod(sym^exp); other symbols untouched."""
         idx = {self.spec.index[n]: e for n, e in assignments.items()}
-        out: dict[TermKey, QQi] = {}
+        out: dict[TermKey, Rational] = {}
         for (mono, a), c in self.terms.items():
             d = dict(mono)
             if all(d.get(i, 0) == e for i, e in idx.items()):
@@ -688,14 +715,10 @@ class GradedPoly:
         parts = []
         for (mono, a) in sorted(self.terms, key=lambda k: (len(k[0]), k)):
             c = self.terms[(mono, a)]
-            bits = [repr(c)]
+            bits = [str(c)]
             if a:
                 bits.append(f"a0^({a}/2)" if a % 2 else f"a0^{a//2}")
             for i, e in mono:
                 bits.append(names[i] if e == 1 else f"{names[i]}^{e}")
             parts.append("*".join(bits))
         return " + ".join(parts)
-
-
-def poly_mul(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p * q

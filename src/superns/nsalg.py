@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
+from .grassmann import GradedPoly, GrassmannElement, ParamSpec
 from .sparse import add_term, add_terms
 from .superseries import DiffOp, SFun
 
@@ -168,7 +168,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
     for g, p in target.terms.items():
         if g == C_GEN:
             continue  # the representation has c = 0
-        coeff = p.terms.get(((), 0), QQi(0))
+        coeff = p.terms.get(((), 0), 0)
         if len(p.terms) > (1 if coeff else 0):
             raise ValueError("target must be numeric")
         ops.append((coeff, DiffOp(g[0], g[1], t, s)))
@@ -176,7 +176,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
     for k in k_range:
         for e in (0, 1):
             F = SFun(L_gen, {(k, e): GrassmannElement.scalar(L_gen, 1)})
-            lhs = op1.apply(op2.apply(F)) - op2.apply(op1.apply(F)).scale_left(QQi(sign))
+            lhs = op1.apply(op2.apply(F)) - op2.apply(op1.apply(F)).scale_left(sign)
             rhs = SFun.zero(L_gen)
             for coeff, op in ops:
                 rhs = rhs + op.apply(F).scale_left(coeff)
@@ -306,8 +306,14 @@ class VermaModule:
     """Verma module with (possibly formal) central charge and highest weight.
 
     Basis: PBW raising words of level <= weight_cap applied to the
-    highest-weight vector.  Vectors are maps word -> GradedPoly; the action
-    of any generator is computed by bracket recursion and memoized.
+    highest-weight vector, sorted by (level, word); position maps a basis
+    word to its index and levels[i] is the level of basis[i].  Vectors are
+    maps word -> GradedPoly; apply_gen computes the action of any generator
+    on a word by bracket recursion and memoizes it.  table(g) is the action
+    of g by basis position: a list whose row i is None until row(g, i)
+    fills it, then maps position -> GradedPoly.  Tables hold only positions
+    and ring elements, never the module, so a module is freed by reference
+    counting alone.
     """
 
     def __init__(self, spec: ParamSpec, c_value: GradedPoly, h_value: GradedPoly,
@@ -319,6 +325,9 @@ class VermaModule:
         self.one = GradedPoly.scalar(spec, 1)
         self._memo: dict = {}
         self.basis = self._enumerate_basis()
+        self.position = {w: i for i, w in enumerate(self.basis)}
+        self.levels = [word_level(w) for w in self.basis]
+        self._tables: dict = {}
 
     def _raising_gens(self):
         gens = []
@@ -333,19 +342,19 @@ class VermaModule:
         return sorted(gens, key=gen_rank)
 
     def _enumerate_basis(self):
+        # an explicit stack: a closure that calls itself would be a reference
+        # cycle holding the module until the cyclic collector runs
         gens = self._raising_gens()
         out = []
-
-        def extend(word, level, start):
+        stack = [((), Fraction(0), 0)]
+        while stack:
+            word, level, start = stack.pop()
             out.append(word)
             for i in range(start, len(gens)):
                 g = gens[i]
                 lv = level + gen_weight(g)
-                if lv > self.cap:
-                    continue
-                extend(word + (g,), lv, i if g[0] == "L" else i + 1)
-
-        extend((), Fraction(0), 0)
+                if lv <= self.cap:
+                    stack.append((word + (g,), lv, i if g[0] == "L" else i + 1))
         return sorted(out, key=lambda w: (word_level(w), w))
 
     def level(self, word) -> Fraction:
@@ -391,6 +400,18 @@ class VermaModule:
                 out = acc
         self._memo[key] = out
         return out
+
+    def table(self, g) -> list:
+        """The action of g by basis position; rows are filled by row()."""
+        t = self._tables.get(g)
+        if t is None:
+            t = self._tables[g] = [None] * len(self.basis)
+        return t
+
+    def row(self, g, i: int) -> dict:
+        """apply_gen(g, basis[i]) keyed by position, for table(g)[i]."""
+        position = self.position
+        return {position[w]: p for w, p in self.apply_gen(g, self.basis[i]).items()}
 
     def act(self, g, vec: dict) -> dict:
         out: dict = {}

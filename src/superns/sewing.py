@@ -231,42 +231,50 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_who
     their products need no second pass.  Every coeff has capped degree
     >= 1, so the k-th power of the exponent dies past the cap at
     k = degree_cap + 1 at the latest; a series still alive then raises
-    instead of being cut.
+    instead of being cut.  vec and the result are keyed by basis word;
+    in between, vectors are keyed by basis position and each gen acts
+    through module.table(gen).
     """
-    terms = [(g, gen_parity(g), keep(p)) for g, p in terms]
-    acc = dict(vec)
-    cur = vec
+    terms = [(g, module.table(g), gen_parity(g), keep(p)) for g, p in terms]
+    position = module.position
+    cur = {position[w]: q for w, q in vec.items()}
+    acc = dict(cur)
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
         twisted = None
-        for g, odd, p in terms:
+        for g, table, odd, p in terms:
             src = cur
             if odd:
                 if twisted is None:
-                    twisted = {w: q.parity_twist() for w, q in cur.items()}
+                    twisted = {i: q.parity_twist() for i, q in cur.items()}
                 src = twisted
-            for w, q in src.items():
+            for i, q in src.items():
                 pre = keep(p * q)
                 if not pre:
                     continue
-                for w2, r in module.apply_gen(g, w).items():
-                    add_term(nxt, w2, pre * r)
+                row = table[i]
+                if row is None:
+                    row = table[i] = module.row(g, i)
+                for j, r in row.items():
+                    add_term(nxt, j, pre * r)
         if k > 1:
-            inv_k = QQi(Fraction(1, k))
-            nxt = {w: q * inv_k for w, q in nxt.items()}
+            inv_k = Fraction(1, k)
+            nxt = {i: q * inv_k for i, q in nxt.items()}
         cur = nxt
         if not cur:
-            return acc
-        for w, q in cur.items():
-            add_term(acc, w, q)
+            basis = module.basis
+            return {basis[i]: q for i, q in acc.items()}
+        for i, q in cur.items():
+            add_term(acc, i, q)
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
 def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
     """Multiply each component by alpha0^(-level), the reduced diagonal."""
+    position, levels = module.position, module.levels
     out = {}
     for w, q in vec.items():
-        half_exp = -int(2 * module.level(w))
+        half_exp = -int(2 * levels[position[w]])
         out[w] = q * GradedPoly.alpha(module.spec, half_exp)
     return out
 
@@ -378,9 +386,9 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
                 if k.denominator == 1:
-                    sol = h_lin * QQi(Fraction(1, 2 * int(k)))
+                    sol = h_lin * Fraction(1, 2 * int(k))
                 else:
-                    sol = h_lin * QQi(HALF)
+                    sol = h_lin * HALF
                 # undo the alpha0^(-k) the reduced diagonal put on the column
                 sol = sol * GradedPoly.alpha(spec, int(2 * k))
                 psi[k] = psi[k] + fact.trusted(sol, k)
@@ -409,8 +417,7 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
                           series.degree_cap, series.weight_cap)
     module = fact.module
     zero = GradedPoly(fact.spec)
-    for col in module.basis:
-        lvl = module.level(col)
+    for col, lvl in zip(module.basis, module.levels):
         vec = {col: module.one}
         lhs = fact.lhs(vec, lvl)
         rhs = fact.rhs(series.psi, series.gamma, vec, lvl)
@@ -430,12 +437,12 @@ def sw_gamma2(A_sup, M_sup, B_sup, N_sup, D: int = 3) -> GradedPoly:
         coeff = Fraction(j ** 3 - j, 12)
         if coeff:
             term = GradedPoly.symbol(spec, f"A{j}") * GradedPoly.symbol(spec, f"B{j}")
-            out = out + term * QQi(coeff) * GradedPoly.alpha(spec, -2 * j)
+            out = out + term * coeff * GradedPoly.alpha(spec, -2 * j)
     for j in sorted(set(M_sup) & set(N_sup)):
         coeff = Fraction(j * j - j, 3)
         if coeff:
             term = GradedPoly.symbol(spec, f"N{j}") * GradedPoly.symbol(spec, f"M{j}")
-            out = out + term * QQi(coeff) * GradedPoly.alpha(spec, 1 - 2 * j)
+            out = out + term * coeff * GradedPoly.alpha(spec, 1 - 2 * j)
     return out
 
 

@@ -15,11 +15,7 @@ from superns.grassmann import (
     NotInvertible,
     ParamSpec,
     QQi,
-    gr_inverse,
-    gr_mul,
-    gr_split,
-    gr_sqrt,
-    poly_mul,
+    as_rational,
 )
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
@@ -71,11 +67,11 @@ def test_distributive_expansion():
 def test_split_body_soul():
     z = G()
     a = scalar(3) + z[0] * z[1]
-    body, soul = gr_split(a)
+    body, soul = a.split()
     assert body == QQi(3)
     assert soul == z[0] * z[1]
-    assert gr_split(GrassmannElement(4))[0] == QQi(0)
-    assert gr_split(z[0]) == (QQi(0), z[0])
+    assert GrassmannElement(4).split()[0] == QQi(0)
+    assert z[0].split() == (QQi(0), z[0])
 
 
 def test_soul_nilpotent():
@@ -91,10 +87,10 @@ def test_soul_nilpotent():
 
 def test_inverse_identity_scalar_and_soul():
     z = G()
-    assert gr_inverse(scalar(1)) == scalar(1)
-    assert gr_inverse(scalar(2)) == scalar(Fraction(1, 2))
+    assert scalar(1).inverse() == scalar(1)
+    assert scalar(2).inverse() == scalar(Fraction(1, 2))
     a = scalar(1) + z[0] * z[1]
-    assert gr_inverse(a) == scalar(1) - z[0] * z[1]
+    assert a.inverse() == scalar(1) - z[0] * z[1]
 
 
 def test_inverse_times_input_is_one():
@@ -103,30 +99,30 @@ def test_inverse_times_input_is_one():
         a = random_element(rng, 6)
         if not a.body():
             a = a + 1
-        assert gr_mul(a, gr_inverse(a)) == scalar(1, 6)
+        assert a * a.inverse() == scalar(1, 6)
 
 
 def test_zero_body_not_invertible():
     z = G()
     with pytest.raises(NotInvertible):
-        gr_inverse(z[0] * z[1])
+        (z[0] * z[1]).inverse()
 
 
 def test_sqrt_branches_of_one():
-    assert gr_sqrt(scalar(1), 1) == scalar(1)
-    assert gr_sqrt(scalar(1), -1) == scalar(-1)
+    assert scalar(1).sqrt(1) == scalar(1)
+    assert scalar(1).sqrt(-1) == scalar(-1)
 
 
 def test_sqrt_with_soul():
     z = G()
     a = scalar(4) + z[0] * z[1]
-    r = gr_sqrt(a, 1)
+    r = a.sqrt(1)
     assert r == scalar(2) + z[0] * z[1] * QQi(Fraction(1, 4))
     assert r * r == a
 
 
 def test_sqrt_principal_branch_of_minus_one():
-    assert gr_sqrt(scalar(-1), 1) == scalar(QQi(0, 1))
+    assert scalar(-1).sqrt(1) == scalar(QQi(0, 1))
 
 
 def test_sqrt_squares_back_randomized():
@@ -136,21 +132,21 @@ def test_sqrt_squares_back_randomized():
         body = rng.choice(squares)
         a = scalar(body, 6) + random_element(rng, 6, even_only=True).soul()
         for branch in (1, -1):
-            r = gr_sqrt(a, branch)
+            r = a.sqrt(branch)
             assert r * r == a
 
 
 def test_sqrt_rejects_odd_and_bodyless():
     z = G()
     with pytest.raises(Exception):
-        gr_sqrt(z[0], 1)
+        z[0].sqrt(1)
     with pytest.raises(NotInvertible):
-        gr_sqrt(z[0] * z[1], 1)
+        (z[0] * z[1]).sqrt(1)
 
 
 def test_sqrt_inexact_raises():
     with pytest.raises(NotExact):
-        gr_sqrt(scalar(2), 1)
+        scalar(2).sqrt(1)
 
 
 def test_graded_commutativity_randomized():
@@ -163,7 +159,7 @@ def test_graded_commutativity_randomized():
         if pa is None or pb is None:
             continue
         sign = -1 if (pa and pb) else 1
-        assert gr_mul(a, b) == gr_mul(b, a) * sign
+        assert a * b == (b * a) * sign
 
 
 def test_associativity_randomized():
@@ -176,7 +172,7 @@ def test_associativity_randomized():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        gr_mul(scalar(1, 2), scalar(1, 3))
+        scalar(1, 2) * scalar(1, 3)
 
 
 # -- GradedPoly ---------------------------------------------------------
@@ -196,21 +192,21 @@ def sewing_spec(cap=3):
 def test_odd_symbol_squares_to_zero():
     spec = sewing_spec()
     m = GradedPoly.symbol(spec, "M3/2")
-    assert poly_mul(m, m).is_zero()
+    assert (m * m).is_zero()
 
 
 def test_even_symbols_commute():
     spec = sewing_spec()
     a = GradedPoly.symbol(spec, "A1")
     b = GradedPoly.symbol(spec, "B2")
-    assert poly_mul(a, b) == poly_mul(b, a)
+    assert a * b == b * a
 
 
 def test_odd_symbols_anticommute():
     spec = sewing_spec()
     n = GradedPoly.symbol(spec, "N3/2")
     m = GradedPoly.symbol(spec, "M3/2")
-    assert poly_mul(n, m) == -poly_mul(m, n)
+    assert n * m == -(m * n)
 
 
 def test_degree_cap_idempotent():
@@ -218,11 +214,11 @@ def test_degree_cap_idempotent():
     a = GradedPoly.symbol(spec, "A1") + GradedPoly.scalar(spec, 1)
     p = a
     for _ in range(4):
-        p = poly_mul(p, a)
+        p = p * a
     assert p == p.truncate()
     # multiplying then truncating equals truncating then multiplying
-    q = poly_mul(a, a)
-    assert poly_mul(q, a).truncate(2) == poly_mul(q.truncate(2), a).truncate(2)
+    q = a * a
+    assert (q * a).truncate(2) == (q.truncate(2) * a).truncate(2)
 
 
 def test_poly_mul_associative_randomized():
@@ -237,13 +233,13 @@ def test_poly_mul_associative_randomized():
                 p = p + GradedPoly.symbol(spec, rng.choice(names), rng.randint(-3, 3))
             polys.append(p)
         a, b, c = polys
-        assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
+        assert (a * b) * c == a * (b * c)
 
 
 def test_uncapped_symbol_survives_powers():
     spec = sewing_spec(cap=2)
     c = GradedPoly.symbol(spec, "c")
-    p = poly_mul(poly_mul(c, c), poly_mul(c, c))
+    p = (c * c) * (c * c)
     assert not p.is_zero()
 
 
@@ -251,14 +247,14 @@ def test_alpha_exponent_tracking():
     spec = sewing_spec()
     p = GradedPoly.alpha(spec, -3)  # alpha0^(-3/2)
     q = GradedPoly.alpha(spec, 1)
-    assert poly_mul(p, q) == GradedPoly.alpha(spec, -2)
+    assert p * q == GradedPoly.alpha(spec, -2)
 
 
 def test_substitute_grassmann_values():
     spec = sewing_spec()
     L = 4
     z = G(L)
-    p = poly_mul(GradedPoly.symbol(spec, "A1"), GradedPoly.symbol(spec, "B1"))
+    p = GradedPoly.symbol(spec, "A1") * GradedPoly.symbol(spec, "B1")
     vals = {"A1": z[0] * z[1], "B1": z[2] * z[3]}
     got = p.substitute(vals)
     assert got == z[0] * z[1] * z[2] * z[3]
@@ -268,7 +264,7 @@ def test_schema_mismatch_rejected():
     s1 = sewing_spec(3)
     s2 = sewing_spec(2)
     with pytest.raises(Exception):
-        poly_mul(GradedPoly.scalar(s1, 1), GradedPoly.scalar(s2, 1))
+        GradedPoly.scalar(s1, 1) * GradedPoly.scalar(s2, 1)
 
 
 # -- the memoized monomial kernel against a naive product ------------------
@@ -298,6 +294,13 @@ def naive_product(p, q):
             key = (tuple(sorted(counts.items())), a1 + a2)
             out[key] = out.get(key, QQi(0)) + c1 * c2 * sign
     return {k: v for k, v in out.items() if v}
+
+
+def naive_twist(p):
+    """parity_twist from first principles: negate every term with an odd
+    number of odd letters."""
+    return {k: -c if sum(e for i, e in k[0] if p.spec.parity[i]) % 2 else c
+            for k, c in p.terms.items()}
 
 
 NSYM = 5
@@ -349,6 +352,8 @@ def test_specs_with_the_same_symbols_keep_their_own_products(par1, par2, cap1, c
     for spec in (s1, s2, s1):
         p, q = poly_of(spec, raw_p), poly_of(spec, raw_q)
         assert (p * q).terms == naive_product(p, q)
+        # the parity memo is per ring too
+        assert p.parity_twist().terms == naive_twist(p)
 
 
 _FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -365,3 +370,52 @@ def test_qqi_product_is_the_four_product_formula(a, b, c, d, kind):
     assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
     assert (got.re, got.im) == (a * c - b * d, a * d + b * c)
     assert QQi(c, d) * QQi(a, b) == got
+
+
+# -- the rational coefficient domain of GradedPoly ---------------------------
+
+
+def rational_poly_of(spec, raw):
+    """poly_of with rational coefficients, summed through GradedPoly.__add__."""
+    out = GradedPoly(spec)
+    for exps, a, num, den in raw:
+        mono = tuple((i, e & 1 if spec.parity[i] else e) for i, e in enumerate(exps))
+        key = (tuple((i, e) for i, e in mono if e), a)
+        if num:
+            out = out + GradedPoly(spec, {key: as_rational(Fraction(num, den))})
+    return out
+
+
+def in_domain(p):
+    """Every coefficient is an int or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PARITIES, _CAPPED, st.integers(0, 4), st.lists(_POLY_TERM, max_size=6),
+       st.lists(_POLY_TERM, max_size=6), _FRAC.filter(bool))
+def test_graded_poly_coefficients_are_ints_or_non_integral_fractions(
+        parity, capped, cap, raw_p, raw_q, x):
+    spec = spec_of(parity, capped, cap)
+    p, q = rational_poly_of(spec, raw_p), rational_poly_of(spec, raw_q)
+    results = [p, q, p + q, p - q, p * q, q * p, p * x, x * p, p * 2, -q,
+               p + x, p - 1, p.parity_twist(), (p * q).degree_part(1),
+               p.coefficient({"x0": 1}), (p * q).coefficient({"x1": 0})]
+    assert all(in_domain(r) for r in results)
+    # value for value, the same product as the bubble-sort reference
+    assert (p * q).terms == naive_product(p, q)
+    assert (q * p).terms == naive_product(q, p)
+
+
+def test_graded_poly_scalars_must_be_rational():
+    spec = sewing_spec()
+    with pytest.raises(NotExact):
+        GradedPoly.scalar(spec, QQi(0, 1))
+    with pytest.raises(NotExact):
+        GradedPoly.symbol(spec, "A1") * QQi(1, 1)
+    # a Gaussian rational on the real axis is its real part
+    p = GradedPoly.scalar(spec, QQi(Fraction(6, 3)))
+    assert p.terms == {((), 0): 2} and type(p.terms[((), 0)]) is int
+    half = GradedPoly.symbol(spec, "A1", QQi(Fraction(1, 2)))
+    assert type((half * 2).terms[(((0, 1),), 0)]) is int

@@ -65,3 +65,32 @@ def test_one_accumulator_and_one_binom():
                    if isinstance(node, ast.FunctionDef)}
         shared = defined & {"add_term", "add_terms", "binom", "_vec_add"}
         assert not shared or name == "sparse", (name, shared)
+
+
+# sewing's solver: the functions and the class whose arithmetic is on GradedPoly
+SOLVER = {"_exp_apply", "_alpha_reduce", "_Factorization", "sw_solve",
+          "sw_consistency_check", "sw_gamma2"}
+GAUSSIAN = {"QQi", "as_qqi"}
+
+
+def _names(node) -> set:
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+    return out
+
+
+def test_graded_layers_use_no_gaussian_rationals():
+    """QQi stays where a Grassmann body can be complex: nsalg and the sewing
+    solver work on GradedPoly's rational coefficients only."""
+    assert not _names(_tree("nsalg")) & GAUSSIAN
+    solver = [node for node in _tree("sewing").body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SOLVER]
+    assert {node.name for node in solver} == SOLVER
+    for node in solver:
+        assert not _names(node) & GAUSSIAN, node.name

@@ -2,12 +2,13 @@ import gc
 import itertools
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.nsalg import C_GEN, L
+from superns.nsalg import C_GEN, L, VermaModule
 from superns.sewing import (
     ModuliElement,
     SewingError,
@@ -274,6 +275,82 @@ def test_solve_and_check_leave_no_ring_behind():
     del series
     gc.collect()
     assert _live_param_specs() == before
+
+
+def _record_factorizations(monkeypatch, record):
+    """Make every _Factorization built from now on pass itself to record."""
+    init = _Factorization.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        record(self)
+
+    monkeypatch.setattr(_Factorization, "__init__", recording_init)
+
+
+def test_solve_and_check_free_their_modules_without_the_collector(monkeypatch):
+    """A module and its memos and tables die by reference counting alone,
+    as soon as the solve or check that built them returns."""
+    refs = []
+    _record_factorizations(
+        monkeypatch, lambda fact: refs.append((weakref.ref(fact), weakref.ref(fact.module))))
+    problem = ([1, 2], [1], [2], [1])
+    gc.disable()
+    try:
+        series = sw_solve(*problem, D=3, W=4)
+        assert sw_consistency_check(series, *problem)
+        assert len(refs) == 2
+        assert all(f() is None and m() is None for f, m in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_position_tables_hold_the_generator_action(monkeypatch, problem):
+    """Every filled row of every table is apply_gen of its basis word, read
+    through position, as a fresh module computes it."""
+    D, W = 3, 4
+    facts = []
+    _record_factorizations(monkeypatch, facts.append)
+    series = sw_solve(*problem, D=D, W=W)
+    assert sw_consistency_check(series, *problem)
+    for fact in facts:
+        module = fact.module
+        fresh = VermaModule(fact.spec, module.c_value, module.h_value, W)
+        assert fresh.basis == module.basis
+        assert [module.position[w] for w in module.basis] == list(range(len(module.basis)))
+        assert module.levels == [module.level(w) for w in module.basis]
+        filled = 0
+        for g, table in module._tables.items():
+            assert len(table) == len(module.basis)
+            for i, row in enumerate(table):
+                if row is None:
+                    continue
+                want = fresh.apply_gen(g, module.basis[i])
+                assert row == {module.position[w]: p for w, p in want.items()}, (g, i)
+                filled += 1
+        assert filled > 0
+
+
+# D = 3 problems of the randomized test's family whose W = 4 and W = 5 solves
+# both pass (the known defect needs 3 in both A and B)
+TRUNCATION_PROBLEMS = [([1], [1], [1], [1]), ([1, 2], [1], [1, 2], [1]),
+                       ([2], [2], [1, 2], [2]), ([1, 3], [1], [2], [1])]
+
+
+@pytest.mark.parametrize("problem", TRUNCATION_PROBLEMS)
+def test_raising_the_weight_cap_keeps_every_certified_coefficient(problem):
+    """Metamorphic: the part of the W = 5 solution certified at W = 4 is the
+    W = 4 solution, slot by slot and on gamma."""
+    D = 3
+    small, big = sw_solve(*problem, D=D, W=4), sw_solve(*problem, D=D, W=5)
+    fact = _Factorization(*problem, D, 4)
+    zero = GradedPoly(fact.spec)
+    assert set(small.psi) <= set(big.psi)
+    for k in big.psi:
+        level = k if k > 0 else 0
+        assert fact.trusted(big.psi[k], level) == small.psi.get(k, zero), k
+    assert fact.trusted(big.gamma, 0) == small.gamma
 
 
 def test_t_series_zero_inputs():
