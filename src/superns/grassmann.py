@@ -280,14 +280,6 @@ class GrassmannElement:
     def split(self) -> tuple[QQi, "GrassmannElement"]:
         return self.body(), self.soul()
 
-    def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.L, {m: c for m, c in self.terms.items() if bin(m).count("1") % 2 == 0})
-
-    def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.L, {m: c for m, c in self.terms.items() if bin(m).count("1") % 2 == 1})
-
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero-with-no-terms."""
         if not self.terms:

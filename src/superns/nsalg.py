@@ -306,14 +306,16 @@ class VermaModule:
     """Verma module with (possibly formal) central charge and highest weight.
 
     Basis: PBW raising words of level <= weight_cap applied to the
-    highest-weight vector, sorted by (level, word); position maps a basis
-    word to its index and levels[i] is the level of basis[i].  Vectors are
-    maps word -> GradedPoly; apply_gen computes the action of any generator
-    on a word by bracket recursion and memoizes it.  table(g) is the action
-    of g by basis position: a list whose row i is None until row(g, i)
-    fills it, then maps position -> GradedPoly.  Tables hold only positions
-    and ring elements, never the module, so a module is freed by reference
-    counting alone.
+    highest-weight vector, sorted by (level, word), so the highest-weight
+    vector is position 0; position maps a basis word to its index and
+    levels[i] is the level of basis[i].  apply_gen computes the action of
+    any generator on a word by bracket recursion and memoizes it; act and
+    act_word apply it to word-keyed vectors (word -> GradedPoly).  table(g)
+    is the action of g by basis position, the form the sewing solver uses:
+    a list whose row i is None until row(g, i) fills it, then maps position
+    -> GradedPoly.  row is the one place a word becomes a position.  Tables
+    hold only positions and ring elements, never the module, so a module is
+    freed by reference counting alone.
     """
 
     def __init__(self, spec: ParamSpec, c_value: GradedPoly, h_value: GradedPoly,
@@ -409,9 +411,15 @@ class VermaModule:
         return t
 
     def row(self, g, i: int) -> dict:
-        """apply_gen(g, basis[i]) keyed by position, for table(g)[i]."""
-        position = self.position
-        return {position[w]: p for w, p in self.apply_gen(g, self.basis[i]).items()}
+        """table(g)[i]: apply_gen(g, basis[i]) keyed by position, filled on
+        first use."""
+        t = self.table(g)
+        r = t[i]
+        if r is None:
+            position = self.position
+            r = t[i] = {position[w]: p
+                        for w, p in self.apply_gen(g, self.basis[i]).items()}
+        return r
 
     def act(self, g, vec: dict) -> dict:
         out: dict = {}

@@ -45,8 +45,6 @@ from .superseries import (
     InfCoordData,
     SuperSeries,
     ss_compose,
-    ss_exp_infinity,
-    ss_exp_zero,
     ss_invert,
 )
 
@@ -54,10 +52,6 @@ HALF = Fraction(1, 2)
 
 
 class SewingError(ValueError):
-    pass
-
-
-class NotSewable(SewingError):
     pass
 
 
@@ -231,14 +225,13 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_who
     their products need no second pass.  Every coeff has capped degree
     >= 1, so the k-th power of the exponent dies past the cap at
     k = degree_cap + 1 at the latest; a series still alive then raises
-    instead of being cut.  vec and the result are keyed by basis word;
-    in between, vectors are keyed by basis position and each gen acts
-    through module.table(gen).
+    instead of being cut.  vec and the result map basis position ->
+    GradedPoly; each gen acts through module.table(gen), whose rows
+    module.row fills on first use.
     """
     terms = [(g, module.table(g), gen_parity(g), keep(p)) for g, p in terms]
-    position = module.position
-    cur = {position[w]: q for w, q in vec.items()}
-    acc = dict(cur)
+    cur = vec
+    acc = dict(vec)
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
         twisted = None
@@ -254,7 +247,7 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_who
                     continue
                 row = table[i]
                 if row is None:
-                    row = table[i] = module.row(g, i)
+                    row = module.row(g, i)
                 for j, r in row.items():
                     add_term(nxt, j, pre * r)
         if k > 1:
@@ -262,8 +255,7 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_who
             nxt = {i: q * inv_k for i, q in nxt.items()}
         cur = nxt
         if not cur:
-            basis = module.basis
-            return {basis[i]: q for i, q in acc.items()}
+            return acc
         for i, q in cur.items():
             add_term(acc, i, q)
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
@@ -271,12 +263,8 @@ def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_who
 
 def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
     """Multiply each component by alpha0^(-level), the reduced diagonal."""
-    position, levels = module.position, module.levels
-    out = {}
-    for w, q in vec.items():
-        half_exp = -int(2 * levels[position[w]])
-        out[w] = q * GradedPoly.alpha(module.spec, half_exp)
-    return out
+    spec, levels = module.spec, module.levels
+    return {i: q * GradedPoly.alpha(spec, -int(2 * levels[i])) for i, q in vec.items()}
 
 
 class _Factorization:
@@ -349,26 +337,27 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
     zero = GradedPoly(spec)
-    # the slot k of each one-letter column (g,): psi[-k] multiplies g, psi[k]
-    # its lowering partner
-    cols = {gen_weight(w[0]): w for w in module.basis if len(w) == 1}
+    # the slot k of each one-letter column (g,), by basis position: psi[-k]
+    # multiplies g, psi[k] its lowering partner
+    cols = {gen_weight(w[0]): i for i, w in enumerate(module.basis) if len(w) == 1}
     psi: dict = {Fraction(0): zero}
     for k in cols:
         psi[k] = psi[-k] = zero
     gamma = zero
-    hw = module.highest_weight_vector()
+    # the highest-weight vector: the empty word, first in the level-sorted basis
+    hw = {0: module.one}
     lhs_hw = fact.lhs(hw)
-    lhs_cols = {k: fact.lhs({w: module.one}) for k, w in cols.items()}
+    lhs_cols = {k: fact.lhs({i: module.one}) for k, i in cols.items()}
     for d in range(1, fact.D + 1):
         rhs_hw = fact.rhs(psi, gamma, hw)
         # raising slots from the highest-weight column
-        for k, w in cols.items():
-            res = (lhs_hw.get(w, zero) - rhs_hw.get(w, zero)).degree_part(d)
+        for k, i in cols.items():
+            res = (lhs_hw.get(i, zero) - rhs_hw.get(i, zero)).degree_part(d)
             if res:
                 _assert_ch_free(res)
                 psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
-        res = (lhs_hw.get((), zero) - rhs_hw.get((), zero)).degree_part(d)
+        res = (lhs_hw.get(0, zero) - rhs_hw.get(0, zero)).degree_part(d)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
@@ -380,9 +369,9 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from singly-raised columns
-        for k, w in cols.items():
-            rhs_col = fact.rhs(psi, gamma, {w: module.one})
-            res = (lhs_cols[k].get((), zero) - rhs_col.get((), zero)).degree_part(d)
+        for k, i in cols.items():
+            rhs_col = fact.rhs(psi, gamma, {i: module.one})
+            res = (lhs_cols[k].get(0, zero) - rhs_col.get(0, zero)).degree_part(d)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
                 if k.denominator == 1:
@@ -409,21 +398,21 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
 
     For each basis column of level l, a parameter monomial is certified
     when l plus its raising peak stays within the weight cap; both sides
-    are compared there exactly, on all output coordinates.  Terms that
-    cannot feed a certified monomial are dropped while the sides are
-    built (see _Factorization._keeper).
+    are compared there exactly, on all output coordinates.  Columns and
+    both sides are vectors keyed by basis position.  Terms that cannot
+    feed a certified monomial are dropped while the sides are built (see
+    _Factorization._keeper).
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup,
                           series.degree_cap, series.weight_cap)
     module = fact.module
     zero = GradedPoly(fact.spec)
-    for col, lvl in zip(module.basis, module.levels):
+    for col, lvl in enumerate(module.levels):
         vec = {col: module.one}
         lhs = fact.lhs(vec, lvl)
         rhs = fact.rhs(series.psi, series.gamma, vec, lvl)
-        words = set(lhs) | set(rhs)
-        for w in words:
-            diff = lhs.get(w, zero) - rhs.get(w, zero)
+        for i in set(lhs) | set(rhs):
+            diff = lhs.get(i, zero) - rhs.get(i, zero)
             if fact.trusted(diff, lvl):
                 return False
     return True

@@ -153,11 +153,6 @@ class SFun:
         out = {(n, e): (st if e else s) * c for (n, e), c in self.terms.items()}
         return SFun(self.L, out, self.lo, self.hi)
 
-    def scale_right(self, s) -> "SFun":
-        if not isinstance(s, GrassmannElement):
-            s = GrassmannElement.scalar(self.L, as_qqi(s))
-        return SFun(self.L, {k: c * s for k, c in self.terms.items()}, self.lo, self.hi)
-
     def shift(self, d: int) -> "SFun":
         lo = None if self.lo is None else self.lo + d
         hi = None if self.hi is None else self.hi + d
@@ -221,11 +216,6 @@ class SFun:
                 continue
             out[(n - 1, e)] = c * n
         return SFun(self.L, out, lo, hi)
-
-    def d_theta(self) -> "SFun":
-        """Left derivative: d/dtheta (p + theta q) = q."""
-        out = {(n, 0): c for (n, e), c in self.terms.items() if e == 1}
-        return SFun(self.L, out, self.lo, self.hi)
 
     def D(self) -> "SFun":
         """D = d/dtheta + theta d/dz, so D(D(F)) = dF/dz."""

@@ -63,7 +63,7 @@ def test_one_accumulator_and_one_binom():
     for name in ALLOWED:
         defined = {node.name for node in ast.walk(_tree(name))
                    if isinstance(node, ast.FunctionDef)}
-        shared = defined & {"add_term", "add_terms", "binom", "_vec_add"}
+        shared = defined & {"add_term", "add_terms", "binom", "_vec_add", "vec_sum"}
         assert not shared or name == "sparse", (name, shared)
 
 
@@ -85,12 +85,27 @@ def _names(node) -> set:
     return out
 
 
+def _solver_nodes() -> list:
+    return [node for node in _tree("sewing").body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SOLVER]
+
+
 def test_graded_layers_use_no_gaussian_rationals():
     """QQi stays where a Grassmann body can be complex: nsalg and the sewing
     solver work on GradedPoly's rational coefficients only."""
     assert not _names(_tree("nsalg")) & GAUSSIAN
-    solver = [node for node in _tree("sewing").body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SOLVER]
+    solver = _solver_nodes()
     assert {node.name for node in solver} == SOLVER
     for node in solver:
         assert not _names(node) & GAUSSIAN, node.name
+
+
+def test_solver_vectors_never_pass_through_words():
+    """The solver keys vectors by basis position from end to end; the one
+    word -> position boundary is VermaModule.row, so no solver function reads
+    the module's position map."""
+    solver = _solver_nodes()
+    assert {node.name for node in solver} == SOLVER
+    for node in solver:
+        reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "position" not in reads, node.name

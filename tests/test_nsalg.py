@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from superns.grassmann import GradedPoly, ParamSpec, QQi
 from superns.nsalg import (
@@ -269,3 +270,99 @@ def test_verma_act_preserved_by_normal_order():
         assert cols, w
         for col in cols:
             assert md[col] == mo[col], (w, col)
+
+
+# -- the NS Kac determinant as an oracle for the Verma action ----------------
+
+KAC_LEVELS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def _dagger(g):
+    """L(n)^dagger = L(-n), G(r)^dagger = G(-r)."""
+    return L(-g[1]) if g[0] == "L" else G(-g[1])
+
+
+def _ns_partitions(level) -> int:
+    """Dimension of a Neveu-Schwarz Verma module at this level: the
+    coefficient of q^level in prod_k (1 + q^(k - 1/2)) / (1 - q^k)."""
+    n2 = int(2 * level)
+    counts = [1] + [0] * n2
+    for part2 in range(1, n2 + 1):
+        if part2 % 2:  # G(-part2/2): each odd part at most once
+            for m in range(n2, part2 - 1, -1):
+                counts[m] += counts[m - part2]
+        else:
+            for m in range(part2, n2 + 1):
+                counts[m] += counts[m - part2]
+    return counts[n2]
+
+
+def _kac_ratio(t, level):
+    """det of the Shapovalov form at level, divided by the Kac product
+    prod (h - h_rs)^p_NS(level - rs/2) over r, s >= 1 of equal parity with
+    rs/2 <= level, at c = 15/2 - 3(t + 1/t)."""
+    t = Fraction(t)
+    c = Fraction(15, 2) - 3 * (t + 1 / t)
+    M = VermaModule(SPEC, GradedPoly.scalar(SPEC, c), h_poly(), level)
+    h = sympy.Symbol("h")
+    ih = SPEC.index["h"]
+
+    def to_sympy(p):
+        out = sympy.Integer(0)
+        for (mono, _alpha), coeff in p.terms.items():
+            out += sympy.Rational(coeff.numerator, coeff.denominator) * h ** dict(mono).get(ih, 0)
+        return out
+
+    words = [w for w in M.basis if M.level(w) == level]
+    assert len(words) == _ns_partitions(level)
+    gram = sympy.Matrix([[to_sympy(M.act_word(tuple(_dagger(g) for g in reversed(u)),
+                                              {v: M.one}).get((), GradedPoly(SPEC)))
+                          for v in words] for u in words])
+    det = sympy.expand(gram.det())
+    product = sympy.Integer(1)
+    for r in range(1, int(2 * level) + 1):
+        for s in range(1, int(2 * level) + 1):
+            if (r - s) % 2 == 0 and Fraction(r * s, 2) <= level:
+                h_rs = (Fraction(r * r - 1, 8) * t - Fraction(r * s - 1, 4)
+                        + Fraction(s * s - 1, 8) / t)
+                exponent = _ns_partitions(level - Fraction(r * s, 2))
+                product *= (h - sympy.Rational(h_rs.numerator, h_rs.denominator)) ** exponent
+    return sympy.cancel(det / product), h
+
+
+def _is_nonzero_constant(ratio, h) -> bool:
+    return ratio != 0 and not ratio.has(h)
+
+
+@pytest.mark.parametrize("t", [3, Fraction(3, 2)])
+def test_shapovalov_determinant_matches_the_kac_formula(t):
+    """Oracle: the Gram determinant of the formal-h Verma module at c(t) is
+    the Kac product times a constant that depends only on the level (c = -5/2
+    at t = 3, c = 1 at t = 3/2).  t = 2 would give c = 0, where no central
+    term is seen."""
+    constants = {}
+    for level in KAC_LEVELS:
+        ratio, h = _kac_ratio(t, level)
+        assert _is_nonzero_constant(ratio, h), (t, level, ratio)
+        constants[level] = ratio
+    assert constants == {HALF: 2, Fraction(1): 2, Fraction(3, 2): 8, Fraction(2): 128}
+
+
+def test_kac_oracle_sees_a_wrong_odd_central_term(monkeypatch):
+    """Negative control: with the central term of [G(r), G(-r)] scaled by
+    3/2, the determinant leaves the Kac form from level 3/2 on, where that
+    term first enters (at r = 1/2 it vanishes)."""
+    from superns import nsalg
+
+    bracket = nsalg._basis_bracket
+
+    def skewed(spec, a, b):
+        out = bracket(spec, a, b)
+        if a[0] == b[0] == "G" and C_GEN in out.terms:
+            out = out + NSExpression.single(spec, C_GEN, out.terms[C_GEN] * HALF)
+        return out
+
+    monkeypatch.setattr(nsalg, "_basis_bracket", skewed)
+    verdicts = {level: _is_nonzero_constant(*_kac_ratio(3, level)) for level in KAC_LEVELS}
+    assert verdicts == {HALF: True, Fraction(1): True,
+                        Fraction(3, 2): False, Fraction(2): False}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.nsalg import C_GEN, L, VermaModule
+from superns.nsalg import C_GEN, L, VermaModule, gen_parity
 from superns.sewing import (
     ModuliElement,
     SewingError,
@@ -24,6 +24,7 @@ from superns.sewing import (
     sw_solve,
     sw_t_series,
 )
+from superns.sparse import add_term
 from superns.superseries import (
     CoordData,
     InfCoordData,
@@ -173,8 +174,7 @@ def test_pruned_sides_keep_every_certified_coefficient():
         fact = _Factorization(*problem, D, W)
         zero = GradedPoly(fact.spec)
         full_terms = pruned_terms = 0
-        for col in fact.module.basis:
-            lvl = fact.module.level(col)
+        for col, lvl in enumerate(fact.module.levels):
             vec = {col: fact.module.one}
             pairs = ((fact.lhs(vec), fact.lhs(vec, lvl)),
                      (fact.rhs(series.psi, series.gamma, vec),
@@ -190,16 +190,18 @@ def test_pruned_sides_keep_every_certified_coefficient():
 
 
 def diag_exp_reference(module, vec, series, weight_shift, degree_cap):
-    """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec.
+    """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec,
+    a vector keyed by basis position.
 
-    Every word is an eigenvector, of L(0) with eigenvalue h + level and of c
-    with c, so the exponential is a scalar power series per word.
+    Every basis vector is an eigenvector, of L(0) with eigenvalue h + level
+    and of c with c, so the exponential is a scalar power series per basis
+    vector.
     """
     spec = module.spec
     out = {}
     for w, q in vec.items():
         if weight_shift:
-            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, module.level(w))
+            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, module.levels[w])
         else:
             eig = GradedPoly.symbol(spec, "c")
         x = series * eig
@@ -219,8 +221,7 @@ def test_diagonal_exponentials_match_the_closed_form(problem):
     module = fact.module
     psi0, gamma = series.psi[Fraction(0)], series.gamma
     assert psi0 and gamma
-    for col in module.basis:
-        lvl = module.level(col)
+    for col, lvl in enumerate(module.levels):
         vec = {col: module.one}
         for gen, coeff, weight_shift in ((C_GEN, gamma, False), (L(0), psi0, True)):
             want = diag_exp_reference(module, vec, coeff, weight_shift, D)
@@ -251,7 +252,7 @@ def test_planted_certified_error_fails_the_check():
 
 def test_exp_series_outliving_the_cap_raises():
     fact = _Factorization([1], [], [1], [], 2, 5)
-    hw = fact.module.highest_weight_vector()
+    hw = {0: fact.module.one}  # the highest-weight vector, by basis position
     # capped coefficients: the series dies by round D + 1
     assert _exp_apply(fact.module, fact.raise_terms, hw, fact.D)
     # c is uncapped, so c*L(-1) keeps raising hw until the weight cap
@@ -332,6 +333,55 @@ def test_position_tables_hold_the_generator_action(monkeypatch, problem):
         assert filled > 0
 
 
+def exp_reference(module, terms, vec, degree_cap):
+    """exp(sum coeff*gen) on a word-keyed vec as sum_k X^k vec / k!, each X
+    applied through VermaModule.act; an odd gen meets the entries
+    parity-twisted."""
+    out, cur = dict(vec), vec
+    for k in range(1, degree_cap + 2):
+        nxt: dict = {}
+        for g, p in terms:
+            src = {w: p * (q.parity_twist() if gen_parity(g) else q) for w, q in cur.items()}
+            for w, q in module.act(g, src).items():
+                add_term(nxt, w, q * Fraction(1, k))
+        if not nxt:
+            return out
+        for w, q in nxt.items():
+            add_term(out, w, q)
+        cur = nxt
+    raise AssertionError("reference exponential outlived the cap")
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_position_keyed_exponentials_match_the_word_keyed_action(problem):
+    """On every basis column, _exp_apply of the raising and of the lowering
+    block is the exponential series built from the word-keyed act of a fresh
+    module, read through position.  The lowering block also acts on the
+    raising block's image, whose odd entries make the parity twist count
+    (each block of the family has one odd symbol, which squares to zero)."""
+    D, W = 3, 4
+    fact = _Factorization(*problem, D, W)
+    module = fact.module
+    fresh = VermaModule(fact.spec, module.c_value, module.h_value, W)
+    assert fresh.basis == module.basis
+
+    def by_position(vec):
+        return {fresh.position[w]: q for w, q in vec.items()}
+
+    for terms in (fact.raise_terms, fact.low_terms):
+        assert any(gen_parity(g) for g, _ in terms)
+    for col, word in enumerate(module.basis):
+        want_up = exp_reference(fresh, fact.raise_terms, {word: fresh.one}, D)
+        got_up = _exp_apply(module, fact.raise_terms, {col: module.one}, D)
+        assert got_up == by_position(want_up), word
+        want = exp_reference(fresh, fact.low_terms, {word: fresh.one}, D)
+        got = _exp_apply(module, fact.low_terms, {col: module.one}, D)
+        assert got == by_position(want), word
+        want = exp_reference(fresh, fact.low_terms, want_up, D)
+        got = _exp_apply(module, fact.low_terms, got_up, D)
+        assert got == by_position(want), word
+
+
 # D = 3 problems of the randomized test's family whose W = 4 and W = 5 solves
 # both pass (the known defect needs 3 in both A and B)
 TRUNCATION_PROBLEMS = [([1], [1], [1], [1]), ([1, 2], [1], [1, 2], [1]),
@@ -351,6 +401,27 @@ def test_raising_the_weight_cap_keeps_every_certified_coefficient(problem):
         level = k if k > 0 else 0
         assert fact.trusted(big.psi[k], level) == small.psi.get(k, zero), k
     assert fact.trusted(big.gamma, 0) == small.gamma
+
+
+# W = 4 problems of the family that solve at D = 3 and D = 4 (the known defect
+# stops others at D = 4, such as ([1, 2], [1], [1, 2], [1]))
+DEGREE_PROBLEMS = [([1], [1], [1], [1]), ([1, 3], [1], [2], [1]),
+                   ([1], [1], [2], [1]), ([1, 2], [2], [1], [1])]
+
+
+@pytest.mark.parametrize("problem", DEGREE_PROBLEMS)
+def test_raising_the_degree_cap_keeps_every_lower_degree_coefficient(problem):
+    """Metamorphic: the part of the D = 4 solution of capped degree <= 3 is
+    the D = 3 solution, slot by slot and on gamma.  The two rings differ in
+    their degree cap, so terms are compared, not polynomials."""
+    W = 4
+    small, big = sw_solve(*problem, D=3, W=W), sw_solve(*problem, D=4, W=W)
+    assert sw_consistency_check(big, *problem)
+    assert set(small.psi) == set(big.psi)
+    for k in big.psi:
+        assert big.psi[k].truncate(3).terms == small.psi[k].terms, k
+    assert big.gamma.truncate(3).terms == small.gamma.terms
+    assert any(big.psi[k].degree_part(4) for k in big.psi) or big.gamma.degree_part(4)
 
 
 def test_t_series_zero_inputs():

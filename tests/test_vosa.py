@@ -108,6 +108,19 @@ def test_delta_direct_equals_split():
     assert delta_expand("direct", 6) == delta_expand("split", 6)
 
 
+def test_planted_mode_column_fails_every_consequence_identity(V):
+    """Negative control for consequence_checks: one wrong column of tau at
+    key 1 breaks all four displayed mode identities."""
+    tau = tau_index(V)
+    col = V.space.index[((1,), ())]
+    column = dict(V.mode_col(tau, Fraction(1), col))
+    column[col] = column.get(col, 0) + 1
+    report = consequence_checks(V.with_override(tau, Fraction(1), col, column))
+    assert not report["passed"]
+    assert not any(report[k] for k in ("eq_phi_modes", "eq_x_derivative",
+                                       "eq_g_bracket", "eq_phi_axiom"))
+
+
 def test_planted_G_half_column_is_caught(V):
     vac = V.vacuum_index()
     bad = V.with_override(tau_index(V), HALF, vac, {vac: Fraction(1)})
