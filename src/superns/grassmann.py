@@ -281,7 +281,7 @@ class GrassmannElement:
         return self.body(), self.soul()
 
     def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed or zero-with-no-terms."""
+        """0 for even (the zero element included), 1 for odd, None for mixed."""
         if not self.terms:
             return 0
         ps = {bin(m).count("1") & 1 for m in self.terms}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .grassmann import GradedPoly, GrassmannElement, ParamSpec
-from .sparse import add_term, add_terms
+from .sparse import add_scaled, add_terms
 from .superseries import DiffOp, SFun
 
 HALF = Fraction(1, 2)
@@ -20,8 +20,11 @@ class CapError(ValueError):
     pass
 
 
-def L(n: int):
-    return ("L", int(n))
+def L(n):
+    i = int(n)
+    if i != n:
+        raise ValueError(f"L index must be an integer, got {n}")
+    return ("L", i)
 
 
 def G(r):
@@ -52,7 +55,7 @@ def gen_rank(g):
         return (1, 1, Fraction(0))
     idx = Fraction(g[1])
     if idx < 0:
-        return (0, 0 if g[0] == "G" else 1, idx if g[0] == "G" else idx)
+        return (0, 0 if g[0] == "G" else 1, idx)
     if idx == 0:
         return (1, 0, Fraction(0))
     return (2, 0 if g[0] == "L" else 1, idx)
@@ -233,16 +236,6 @@ class EnvelopingElement:
                           for w, p in self.terms.items())
 
 
-def _is_pbw(word) -> bool:
-    for a, b in zip(word, word[1:]):
-        ra, rb = gen_rank(a), gen_rank(b)
-        if ra > rb:
-            return False
-        if ra == rb and a[0] == "G":
-            return False
-    return True
-
-
 def ns_normal_order(word, coeff, spec: ParamSpec, weight_cap=Fraction(10 ** 6)) -> EnvelopingElement:
     """Rewrite a generator word to PBW order by repeated bracket insertion.
 
@@ -256,9 +249,6 @@ def ns_normal_order(word, coeff, spec: ParamSpec, weight_cap=Fraction(10 ** 6)) 
     while pending:
         w, p = pending.pop()
         if not p:
-            continue
-        if _is_pbw(w):
-            done = done + EnvelopingElement(spec, weight_cap, {w: p})
             continue
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
@@ -275,6 +265,8 @@ def ns_normal_order(word, coeff, spec: ParamSpec, weight_cap=Fraction(10 ** 6)) 
                 for g, q in br.terms.items():
                     pending.append((head + (g,) + tail, p * q))
                 break
+        else:  # no pair out of order: w is a PBW word
+            done = done + EnvelopingElement(spec, weight_cap, {w: p})
     return done
 
 
@@ -392,13 +384,10 @@ class VermaModule:
                 acc: dict = {}
                 inner = self.apply_gen(g, rest)
                 for w2, p in inner.items():
-                    ps = p if sign > 0 else -p
-                    for w3, q in self.apply_gen(b, w2).items():
-                        add_term(acc, w3, q * ps)
+                    add_scaled(acc, self.apply_gen(b, w2), p if sign > 0 else -p)
                 br = _basis_bracket(self.spec, g, b)
                 for g2, q in br.terms.items():
-                    for w3, p in self.apply_gen(g2, rest).items():
-                        add_term(acc, w3, p * q)
+                    add_scaled(acc, self.apply_gen(g2, rest), q)
                 out = acc
         self._memo[key] = out
         return out
@@ -424,8 +413,7 @@ class VermaModule:
     def act(self, g, vec: dict) -> dict:
         out: dict = {}
         for w, p in vec.items():
-            for w2, q in self.apply_gen(g, w).items():
-                add_term(out, w2, q * p)
+            add_scaled(out, self.apply_gen(g, w), p)
         return out
 
     def act_word(self, gens, vec: dict) -> dict:
@@ -446,8 +434,6 @@ def ns_verma_act(X: EnvelopingElement, M: VermaModule) -> dict:
     for col in M.basis:
         img: dict = {}
         for word, p in X.terms.items():
-            vec = M.act_word(word, {col: M.one})
-            for w, q in vec.items():
-                add_term(img, w, q * p)
+            add_scaled(img, M.act_word(word, {col: M.one}), p)
         out[col] = img
     return out

@@ -10,6 +10,7 @@ word, a basis index) to a coefficient.  They share one invariant:
 So a dict is zero exactly when it is empty, and two dicts over the same
 key set are equal exactly when they are equal as dicts.  ``add_term`` is
 the one place that accumulates into such a dict; it keeps the invariant.
+``add_scaled`` is the "acc += c * vec" loop on top of it.
 """
 
 from fractions import Fraction
@@ -31,6 +32,15 @@ def add_term(acc: dict, key, val) -> None:
         acc[key] = s
     else:
         del acc[key]
+
+
+def add_scaled(acc: dict, vec: dict, c) -> None:
+    """acc += vec * c in place, term by term through add_term.
+
+    Each product is formed as ``val * c``, coefficient of vec first.
+    """
+    for key, val in vec.items():
+        add_term(acc, key, val * c)
 
 
 def add_terms(a: dict, b: dict) -> dict:

@@ -646,10 +646,14 @@ class DiffOp:
             unit = self.s == 1
             self._s_inv = None if unit else QQi(1) / self.s
             self._neg_s = None if unit else -self.s
-        else:
+        elif self.kind == "L":
             self.n = int(index)
+            if self.n != index:
+                raise ValueError(f"L index must be an integer, got {index}")
             self._shift0 = self._shift1 = self.n
             self._half = Fraction(self.n - 1, 2) + self.t
+        else:
+            raise ValueError(f"kind must be 'L' or 'G', got {kind!r}")
 
     def parity(self) -> int:
         return 1 if self.kind == "G" else 0

@@ -19,7 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .sparse import add_term, add_terms, binom
+from .sparse import add_scaled, add_term, add_terms, binom
 
 HALF = Fraction(1, 2)
 
@@ -62,13 +62,15 @@ class FockSpace:
 
     @staticmethod
     def _boson_partitions(cap):
-        out = [()]
-        def rec(prefix, largest, left):
+        # an explicit stack: a closure that calls itself would be a reference
+        # cycle left for the cyclic collector after every call
+        out = []
+        stack = [((), int(cap), cap)]
+        while stack:
+            prefix, largest, left = stack.pop()
+            out.append(prefix)
             for part in range(min(largest, int(left)), 0, -1):
-                nxt = prefix + (part,)
-                out.append(nxt)
-                rec(nxt, part, left - part)
-        rec((), int(cap), cap)
+                stack.append((prefix + (part,), part, left - part))
         return out
 
     @staticmethod
@@ -140,6 +142,12 @@ class VertexData:
     G(-1/2)-image, the odd-variable dressing of the underlying structure).
     Overrides support automorphisms and mutation tests without copying
     the recursion caches.
+
+    Cache rule: copies share only _xmode_cache, the x-sector recursion,
+    which depends on nothing but the Fock space; _gimg_cache (the G(-1/2)
+    images, which depend on tau) belongs to one copy.  _x_col reads the
+    recursion alone, never an override: the half-odd columns of mode_col
+    and the G(-1/2) images go through it.
     """
 
     def __init__(self, space: FockSpace, tau_vec: dict, central_charge=None,
@@ -172,11 +180,9 @@ class VertexData:
         mw = Fraction(max_weight)
         return [i for i in range(self.dim()) if self.space.weights[i] <= mw]
 
-    def copy(self, share_tau_caches: bool = True) -> "VertexData":
+    def copy(self) -> "VertexData":
         out = VertexData(self.space, self.tau, self.cc, self.has_odd)
-        out._xmode_cache = self._xmode_cache  # tau-independent, safe to share
-        if share_tau_caches:
-            out._gimg_cache = self._gimg_cache
+        out._xmode_cache = self._xmode_cache
         out._overrides = dict(self._overrides)
         return out
 
@@ -256,26 +262,29 @@ class VertexData:
             return self._xmode_col(v_idx, int(k), col)
         if not self.has_odd:
             return {}
-        gv = self._g_minus_half_image(v_idx)
-        return self.mode_apply_vec(gv, k + HALF, {col: Fraction(1)}, raw=True)
+        return self._x_col(self._g_minus_half_image(v_idx), int(k + HALF), col)
+
+    def _x_col(self, v_vec: dict, n: int, col: int) -> dict:
+        """Integer mode n of the vector v_vec on one column, from the x-sector
+        recursion alone: no override is read."""
+        out: dict = {}
+        for v_idx, cv in v_vec.items():
+            add_scaled(out, self._xmode_col(v_idx, n, col), cv)
+        return out
 
     def _g_minus_half_image(self, v_idx: int) -> dict:
         hit = self._gimg_cache.get(v_idx)
         if hit is None:
-            hit = self.mode_apply_vec(self.tau, 0, {v_idx: Fraction(1)}, raw=True)
-            self._gimg_cache[v_idx] = hit
+            hit = self._gimg_cache[v_idx] = self._x_col(self.tau, 0, v_idx)
         return hit
 
-    def mode_apply_vec(self, v_vec: dict, k, vec: dict, raw: bool = False) -> dict:
+    def mode_apply_vec(self, v_vec: dict, k, vec: dict) -> dict:
         """Mode of a vector v applied to a vector, linear in both slots."""
         k = Fraction(k)
         out: dict = {}
         for v_idx, cv in v_vec.items():
             for col, cw in vec.items():
-                if raw and k.denominator == 1:
-                    colv = self._xmode_col(v_idx, int(k), col)
-                else:
-                    colv = self.mode_col(v_idx, k, col)
+                colv = self.mode_col(v_idx, k, col)
                 for row, c in colv.items():
                     add_term(out, row, c * cv * cw)
         return out
@@ -359,7 +368,7 @@ def automorphism_J(V: VertexData, flavor: str = "with") -> VertexData:
     """
     if flavor not in ("with", "without"):
         raise ValueError("flavor must be 'with' or 'without'")
-    out = V.copy(share_tau_caches=False)
+    out = V.copy()
     out.tau = vec_scale(V.tau, Fraction(-1))
     out.has_odd = flavor == "with"
     return out
@@ -461,13 +470,24 @@ def delta_expand(variant: str, window: int = 12) -> DeltaSeries:
 # ----------------------------------------------------------------------
 
 
-def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
-                 collect_failures: int = 4) -> dict:
+JACOBI_WINDOW = 2  # |exponent| bound on x0, x1 and x2 in the matched monomials
+JACOBI_FAILURES = 4  # failing bins collected before the check returns
+
+
+def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     """Expand all three terms of the odd-variable Jacobi identity and match
     coefficients of x0^a x1^b x2^c in each phi sector.
 
-    Bins are asserted only where every internal sum provably stays inside
-    the weight cap; the rest are counted as skipped.
+    The inputs w are the basis states of weight <= min(cap, 2); a, b and c
+    run over [-JACOBI_WINDOW, JACOBI_WINDOW], and the check stops at the
+    (JACOBI_FAILURES + 1)-th failing bin, reporting the first
+    JACOBI_FAILURES.  Bins are asserted only where every internal sum
+    provably stays inside the weight cap; the rest are counted as skipped.
+
+    The two left-hand terms are one expansion of
+    delta((x1 - x2 - phi1 phi2)/x0) applied to "x_(.) y_(.) w", once with
+    (x, y) = (u, v) and once, subtracted, with the roles exchanged; the
+    local kernel ordered() runs both.
 
     All arithmetic on indices is on integers: a mode key k in (1/2)Z is
     carried as the doubled int k2 = 2k (the memos below are keyed by it, and
@@ -479,9 +499,8 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
     cap2 = int(2 * V.space.cap)
     eu, ev = V.sign(u), V.sign(v)
     wtu2, wtv2 = int(2 * V.weight(u)), int(2 * V.weight(v))
-    if inputs is None:
-        inputs = V.basis_indices(min(V.space.cap, 2))
-    rng = range(-window, window + 1)
+    wt2_of = {u: wtu2, v: wtv2}
+    rng = range(-JACOBI_WINDOW, JACOBI_WINDOW + 1)
     checked = skipped = 0
     failures = []
 
@@ -495,32 +514,40 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
     def inner_uv(kj2):
         return V.mode_apply(u, Fraction(kj2, 2), {v: Fraction(1)})
 
-    for w in inputs:
+    for w in V.basis_indices(min(V.space.cap, 2)):
         wt2 = int(2 * V.weight(w))
         wvec = {w: Fraction(1)}
 
         @functools.cache
-        def vw(kv2):
-            return V.mode_apply(v, Fraction(kv2, 2), wvec)
+        def on_w(x, kx2):
+            return V.mode_apply(x, Fraction(kx2, 2), wvec)
 
         @functools.cache
-        def u_of_vw(ku2, kv2):
-            base = vw(kv2)
-            return V.mode_apply(u, Fraction(ku2, 2), base) if base else {}
-
-        @functools.cache
-        def uw(ku2):
-            return V.mode_apply(u, Fraction(ku2, 2), wvec)
-
-        @functools.cache
-        def v_of_uw(kv2, ku2):
-            base = uw(ku2)
-            return V.mode_apply(v, Fraction(kv2, 2), base) if base else {}
+        def nested(x, kx2, y, ky2):
+            base = on_w(y, ky2)
+            return V.mode_apply(x, Fraction(kx2, 2), base) if base else {}
 
         @functools.cache
         def outer(kj2, km2):
             base = inner_uv(kj2)
             return V.mode_apply_vec(base, Fraction(km2, 2), wvec) if base else {}
+
+        def ordered(acc, x, y, bx, cy, ex, ey, sign, pp_sign):
+            """acc += sign times the bin's coefficient of x_(.) y_(.) w under
+            the delta expansion: x's modes go with the outer variable pair
+            (power bx, phi power ex), y's with the inner one (cy, ey), and
+            n = -a - 1 is the current bin's.  The phi1 phi2 part of the
+            delta function takes pp_sign in place of sign."""
+            for k in range((wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1):
+                cb = signed_binom(n, k)
+                if cb:
+                    add_scaled(acc, nested(x, 2 * (n - k - bx - 1) - ex,
+                                           y, 2 * (k - cy - 1) - ey), cb * sign)
+                if ex and ey and n:
+                    cb2 = signed_binom(n - 1, k)
+                    if cb2:
+                        add_scaled(acc, nested(x, 2 * (n - k - bx - 2),
+                                               y, 2 * (k - cy - 1)), -n * cb2 * pp_sign)
 
         for a, b, c in itertools.product(rng, rng, rng):
             n = -a - 1
@@ -540,35 +567,12 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                     skipped += 1
                     continue
                 acc: dict = {}
-                # term 1
-                s1 = -1 if e2 and (eu + e1) & 1 else 1
-                for k in range((wt2 + wtv2 + 2 * c + 4) // 2 + 1):
-                    cb = signed_binom(n, k)
-                    if cb:
-                        vec = u_of_vw(2 * (n - k - b - 1) - e1, 2 * (k - c - 1) - e2)
-                        for key, val in vec.items():
-                            add_term(acc, key, val * cb * s1)
-                    if e1 and e2 and n:
-                        cb2 = signed_binom(n - 1, k)
-                        if cb2:
-                            vec = u_of_vw(2 * (n - k - b - 2), 2 * (k - c - 1))
-                            for key, val in vec.items():
-                                add_term(acc, key, -n * cb2 * val)
-                # term 2 (subtracted)
+                # term 1, then term 2 subtracted
+                ordered(acc, u, v, b, c, e1, e2,
+                        -1 if e2 and (eu + e1) & 1 else 1, 1)
                 s2b = -1 if (eu * ev + n) & 1 else 1
-                s2 = -s2b if e1 and ev else s2b
-                for k in range((wt2 + wtu2 + 2 * b + 4) // 2 + 1):
-                    cb = signed_binom(n, k)
-                    if cb:
-                        vec = v_of_uw(2 * (n - k - c - 1) - e2, 2 * (k - b - 1) - e1)
-                        for key, val in vec.items():
-                            add_term(acc, key, -val * cb * s2)
-                    if e1 and e2 and n:
-                        cb2 = signed_binom(n - 1, k)
-                        if cb2:
-                            vec = v_of_uw(2 * (n - k - c - 2), 2 * (k - b - 1))
-                            for key, val in vec.items():
-                                add_term(acc, key, -n * cb2 * val * s2b)
+                ordered(acc, v, u, c, b, e2, e1,
+                        s2b if e1 and ev else -s2b, s2b)
                 # term 3 (subtracted as the right side)
                 for k in range((wtu2 + wtv2 + 2 * a + 4) // 2 + 1):
                     j2 = 2 * (k - a - 1)
@@ -577,19 +581,16 @@ def jacobi_check(V: VertexData, u: int, v: int, inputs=None, window: int = 2,
                     cb = signed_binom(nn, k)
                     if not cb:
                         continue
-                    vec = outer(j2 - e1, mm2 - e2)
+                    add_scaled(acc, outer(j2 - e1, mm2 - e2), -cb)
                     if e2 and not e1:
-                        vec = add_terms(vec, vec_scale(outer(j2 - 1, mm2), -1))
-                    for key, val in vec.items():
-                        add_term(acc, key, -val * cb)
+                        add_scaled(acc, outer(j2 - 1, mm2), cb)
                     if e1 and e2 and nn != -1:
                         # the phi1 phi2 part at nn + 1, whose signed
                         # binomial (-1)^k C(nn + 1 - 1, k) is cb again
-                        for key, val in outer(j2, mm2 - 2).items():
-                            add_term(acc, key, (nn + 1) * cb * val)
+                        add_scaled(acc, outer(j2, mm2 - 2), (nn + 1) * cb)
                 checked += 1
                 if acc:
-                    if len(failures) < collect_failures:
+                    if len(failures) < JACOBI_FAILURES:
                         failures.append({"u": u, "v": v, "input": w,
                                          "monomial": (a, b, c, e1, e2),
                                          "residual": dict(acc)})
@@ -613,57 +614,49 @@ def _bracket_g_half(V: VertexData, v: int, n, vec: dict) -> dict:
     return add_terms(first, vec_scale(second, -sgn))
 
 
-def consequence_checks(V: VertexData, max_weight=None, key_range=None) -> dict:
-    """The displayed mode identities tying phi modes, G(-1/2) and L(-1).
+def consequence_checks(V: VertexData) -> dict:
+    """The displayed mode identities tying phi modes, G(-1/2) and L(-1),
+    for every basis state v and mode key n in [-3, 3].
 
     Each identity is checked matrix-exactly on columns whose intermediate
     vectors stay inside the cap, so the assertions are complete where made.
     """
     cap = V.space.cap
-    mw = cap if max_weight is None else Fraction(max_weight)
     report = {"eq_phi_modes": True, "eq_x_derivative": True,
               "eq_g_bracket": True, "eq_phi_axiom": True, "witnesses": []}
-    if key_range is None:
-        key_range = range(-3, 4)
 
     def fail(name, v, n, w):
         report[name] = False
         if len(report["witnesses"]) < 8:
             report["witnesses"].append((name, v, n, w))
 
-    for v in V.basis_indices(mw):
+    for v in V.basis_indices():
         wtv = V.weight(v)
         gv_ok = wtv + HALF <= cap
-        lv_ok = wtv + 1 <= cap
+        lv_ok = wtv + 1 <= cap  # implies gv_ok
         gv = V._g_minus_half_image(v) if gv_ok else None
         lv = V.L_apply(-1, {v: Fraction(1)}) if lv_ok else None
-        for n in key_range:
+        for n in range(-3, 4):
+            phi_n = Fraction(n) - HALF
             for w in V.basis_indices():
                 wt = V.weight(w)
                 wvec = {w: Fraction(1)}
-                bracket_ok = wt + HALF <= cap and wt + wtv - n - 1 <= cap
-                if gv_ok and bracket_ok:
-                    lhs = V.mode_apply(v, Fraction(n) - HALF, wvec)
-                    rhs = _bracket_g_half(V, v, n, wvec)
-                    if lhs != rhs:
-                        fail("eq_phi_modes", v, n, w)
-                if lv_ok:
-                    lhs = vec_scale(V.mode_apply(v, n - 1, wvec), Fraction(-n))
-                    rhs = V.mode_apply_vec(lv, n, wvec)
-                    if lhs != rhs:
-                        fail("eq_x_derivative", v, n, w)
-                if gv_ok and bracket_ok:
-                    lhs = _bracket_g_half(V, v, n, wvec)
-                    rhs = V.mode_apply_vec(gv, n, wvec)
-                    if lhs != rhs:
-                        fail("eq_g_bracket", v, n, w)
-                if gv_ok and wtv + 1 <= cap:
-                    # odd part of the phi axiom: d/dx of the x sector equals
-                    # the phi modes of the G(-1/2) image
-                    lhs = vec_scale(V.mode_apply(v, n - 1, wvec), Fraction(-n))
-                    rhs = V.mode_apply_vec(gv, Fraction(n) - HALF, wvec)
-                    if lhs != rhs:
-                        fail("eq_phi_axiom", v, n, w)
+                # [G(-1/2), v_n] w and -n v_(n-1) w each serve two identities
+                bracket = (_bracket_g_half(V, v, n, wvec)
+                           if gv_ok and wt + HALF <= cap and wt + wtv - n - 1 <= cap
+                           else None)
+                deriv = (vec_scale(V.mode_apply(v, n - 1, wvec), Fraction(-n))
+                         if lv_ok else None)
+                if bracket is not None and V.mode_apply(v, phi_n, wvec) != bracket:
+                    fail("eq_phi_modes", v, n, w)
+                if deriv is not None and V.mode_apply_vec(lv, n, wvec) != deriv:
+                    fail("eq_x_derivative", v, n, w)
+                if bracket is not None and V.mode_apply_vec(gv, n, wvec) != bracket:
+                    fail("eq_g_bracket", v, n, w)
+                # odd part of the phi axiom: d/dx of the x sector equals the
+                # phi modes of the G(-1/2) image
+                if deriv is not None and V.mode_apply_vec(gv, phi_n, wvec) != deriv:
+                    fail("eq_phi_axiom", v, n, w)
     report["passed"] = all(report[k] for k in
                            ("eq_phi_modes", "eq_x_derivative", "eq_g_bracket",
                             "eq_phi_axiom"))
@@ -720,10 +713,10 @@ def grading_check(V: VertexData) -> dict:
     return report
 
 
-def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
+def ns_modes_check(V: VertexData) -> dict:
     """The three displayed bracket relations on the tau modes, with the
-    module's own central charge.  Columns are restricted so that both
-    operator orders stay inside the weight cap.
+    module's own central charge, for mode indices m, n in [-2, 2].  Columns
+    are restricted so that both operator orders stay inside the weight cap.
 
     L(n) and G(r) act through their basis columns, each computed once per
     call; the memo lives only in this call, because copies of V share
@@ -740,8 +733,7 @@ def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
     def act(kind, idx, vec):
         out: dict = {}
         for i, ci in vec.items():
-            for row, c in column(kind, idx, i).items():
-                add_term(out, row, c * ci)
+            add_scaled(out, column(kind, idx, i), ci)
         return out
 
     L = functools.partial(act, "L")
@@ -757,7 +749,7 @@ def ns_modes_check(V: VertexData, index_bound: int = 2) -> dict:
         if len(report["witnesses"]) < 8:
             report["witnesses"].append((name, m, n, w))
 
-    rng = [Fraction(k) for k in range(-index_bound, index_bound + 1)]
+    rng = [Fraction(k) for k in range(-2, 3)]
     for m in rng:
         for n in rng:
             for w in safe_columns(m, n):

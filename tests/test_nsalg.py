@@ -184,6 +184,17 @@ def test_normal_order_odd_square():
     assert out == EnvelopingElement(SPEC, 10 ** 6, {(L(1),): GradedPoly.scalar(SPEC, 1)})
 
 
+@pytest.mark.parametrize("n", [Fraction(3, 2), 1.5, Fraction(-1, 2)])
+def test_L_rejects_a_non_integral_index(n):
+    with pytest.raises(ValueError):
+        L(n)
+
+
+def test_L_accepts_integral_fractions():
+    assert L(Fraction(4, 2)) == L(2) == ("L", 2)
+    assert type(L(Fraction(-3))[1]) is int
+
+
 def test_cap_drop_recorded():
     out = ns_normal_order((L(-9), L(1)), 1, SPEC, weight_cap=4)
     assert out.dropped >= 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.sparse import add_term, add_terms, binom
+from superns.sparse import add_scaled, add_term, add_terms, binom
 
 SPEC = ParamSpec([("a", 0, True), ("m", 1, True), ("c", 0, False)], 3)
 
@@ -53,6 +53,36 @@ def test_add_terms_cancels_and_leaves_operands(ring):
     b = {1: make(-1), 3: make(7)}
     assert add_terms(a, b) == {2: make(5), 3: make(7)}
     assert a == {1: make(1), 2: make(5)} and b == {1: make(-1), 3: make(7)}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_add_scaled_accumulates_in_place_and_keeps_no_zero(ring):
+    make, _ = RINGS[ring]
+    acc = {1: make(2), 2: make(5)}
+    vec = {1: make(1), 3: make(7)}
+    assert add_scaled(acc, vec, -2) is None
+    assert acc == {2: make(5), 3: make(-14)}
+    assert vec == {1: make(1), 3: make(7)}
+    add_scaled(acc, vec, 0)
+    assert acc == {2: make(5), 3: make(-14)}
+    add_scaled(acc, {2: make(-5)}, 1)
+    assert acc == {3: make(-14)}
+
+
+class LeftOnly:
+    """A coefficient that multiplies only from the left: c * x raises."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, c):
+        return self.v * c
+
+
+def test_add_scaled_multiplies_the_coefficient_of_vec_first():
+    acc = {}
+    add_scaled(acc, {"k": LeftOnly(Fraction(3, 2))}, 4)
+    assert acc == {"k": 6}
 
 
 @given(st.integers(0, 40), st.integers(0, 45))

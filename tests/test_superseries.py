@@ -103,6 +103,17 @@ def test_diffop_window_is_exact(kind, n, t, s, raw, lo, width):
                 assert got.coeff(k, e) == want.coeff(k, e)
 
 
+@pytest.mark.parametrize("kind, index", [("L", Fraction(3, 2)), ("L", 0.5),
+                                         ("X", 1), ("G", 1)])
+def test_diffop_rejects_a_bad_kind_or_index(kind, index):
+    with pytest.raises(ValueError):
+        DiffOp(kind, index)
+
+
+def test_diffop_accepts_an_integral_fraction_index():
+    assert DiffOp("L", Fraction(-4, 2)).n == -2
+
+
 # -- composition and inversion ------------------------------------------
 
 

@@ -1,8 +1,11 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
+from superns.sparse import add_term
 from superns.vosa import (
+    FockSpace,
     automorphism_J,
     consequence_checks,
     convert_F1,
@@ -102,6 +105,44 @@ def test_planted_mode_column_of_u_fails_jacobi(V, key):
     assert not report["passed"] and report["failures"]
     if key.denominator == 2:
         assert any(f["monomial"][3] or f["monomial"][4] for f in report["failures"])
+
+
+# the 8 of the 108 mutants below that no asserted bin of jacobi_check(tau, tau)
+# reads at cap 5/2: (key, column), columns as indices of FockSpace(5/2).states
+JACOBI_SURVIVORS = ({(Fraction(-2), col) for col in (3, 7, 8, 10)}
+                    | {(Fraction(-3, 2), col) for col in (5, 6, 8, 10)})
+
+
+def test_jacobi_mutation_score(V):
+    """+1 on the diagonal of one column of tau, at every key in -2, -3/2, ..., 2
+    and every column: exactly the pinned 100 of the 108 mutants fail, so the
+    expansion kernels catch the same planted defects."""
+    tau = tau_index(V)
+    mutants = [(Fraction(k2, 2), col) for k2 in range(-4, 5) for col in V.basis_indices()]
+    assert len(mutants) == 108
+    survivors = set()
+    for key, col in mutants:
+        column = dict(V.mode_col(tau, key, col))
+        add_term(column, col, Fraction(1))
+        if jacobi_check(V.with_override(tau, key, col, column), tau, tau)["passed"]:
+            survivors.add((key, col))
+    assert survivors == JACOBI_SURVIVORS
+
+
+def test_fock_space_leaves_no_reference_cycles():
+    """Building the basis leaves nothing for the cyclic collector, so a run
+    that builds many spaces does not wait on it."""
+    assert sorted(FockSpace._boson_partitions(Fraction(7, 2))) == [
+        (), (1,), (1, 1), (1, 1, 1), (2,), (2, 1), (3,)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        FockSpace(Fraction(7, 2))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_delta_direct_equals_split():
