@@ -7,6 +7,11 @@ root of a negative, the inversion's i*theta/z).  Terms are keyed by
 bitmasks (bit i-1 set means zi is a factor), so the empty mask holds the
 body and every other mask is soul.
 
+One power serves every exponent in ½ℤ: x ** n is the terminating series
+b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
+and a square root x ** Fraction(1, 2) (principal body root).  No other
+code expands a soul series.
+
 GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
 is over the rationals: each coefficient is an int when it is integral and
 a Fraction otherwise (see as_rational).  All operations are pure; elements
@@ -18,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .sparse import add_term, add_terms
+from .sparse import add_scaled, add_term, add_terms
 
 
 class GrassmannError(ValueError):
@@ -351,61 +356,41 @@ class GrassmannElement:
     def __hash__(self):
         return hash((self.L, frozenset(self.terms.items())))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GrassmannElement.scalar(self.L, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def __pow__(self, n):
+        """self ** n for n in ½ℤ: the one body/soul power series.
 
-    def inverse(self) -> "GrassmannElement":
-        """Exact inverse via the terminating geometric series in the soul."""
-        b, s = self.split()
-        if not b:
-            raise NotInvertible("zero body")
-        binv = ONE / b
-        u = s * binv  # nilpotent
-        acc = GrassmannElement.scalar(self.L, 1)
-        term = GrassmannElement.scalar(self.L, 1)
-        for k in range(1, self.L + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            acc = acc + (-term if k % 2 else term)
-        return acc * binv
-
-    def sqrt(self, branch: int = 1) -> "GrassmannElement":
-        """Square root of an even element with invertible body.
-
-        branch +1 takes the principal body root, -1 its negative.  The soul
-        part comes from the terminating binomial series.
+        With body b and soul s, (b + s)^n = b^n Σ_k C(n, k) u^k, u = s/b.
+        The scalar b commutes with s and u is nilpotent, so the sum ends by
+        k = L.  A half-odd n needs an even element and takes the principal
+        root of b (QQi.sqrt); a negative or half-odd n needs b != 0.  With
+        b = 0 and integer n >= 0 the power is the plain product.
         """
-        if self.parity() != 0:
-            raise GrassmannError("square root needs an even element")
+        n = Fraction(n)
+        if n.denominator > 2:
+            raise GrassmannError(f"power {n} is not a half-integer")
         b, s = self.split()
         if not b:
-            raise NotInvertible("zero body has no invertible square root")
-        r = b.sqrt()
-        if branch < 0:
-            r = -r
-        u = s * (ONE / b)  # nilpotent, even
-        # (1+u)^(1/2) = sum C(1/2, k) u^k, terminates
-        acc = GrassmannElement.scalar(self.L, 1)
-        term = GrassmannElement.scalar(self.L, 1)
-        coeff = Fraction(1)
-        half = Fraction(1, 2)
-        for k in range(1, self.L + 1):
-            coeff = coeff * (half - (k - 1)) / k
+            if n.denominator == 1 and n >= 0:
+                out = GrassmannElement.scalar(self.L, 1)
+                for _ in range(n.numerator):
+                    out = out * self
+                return out
+            raise NotInvertible(f"zero body has no power {n}")
+        base = b
+        if n.denominator == 2:
+            if self.parity() != 0:
+                raise GrassmannError("a half-odd power needs an even element")
+            base = b.sqrt()
+        u = s * (ONE / b)
+        lead = base ** n.numerator
+        acc = {0: lead}
+        term, coeff, k = u, n, 1
+        while coeff and term:
+            add_scaled(acc, term.terms, lead * coeff)
+            k += 1
+            coeff = coeff * (n - k + 1) / k
             term = term * u
-            if term.is_zero():
-                break
-            acc = acc + term * QQi(coeff)
-        return acc * r
+        return GrassmannElement(self.L, acc)
 
     def __repr__(self):
         if not self.terms:
@@ -498,9 +483,9 @@ class GradedPoly:
         self.terms = terms if terms is not None else {}
 
     @classmethod
-    def scalar(cls, spec: ParamSpec, value, alpha_half: int = 0) -> "GradedPoly":
+    def scalar(cls, spec: ParamSpec, value) -> "GradedPoly":
         v = as_rational(value)
-        return cls(spec, {((), alpha_half): v} if v else {})
+        return cls(spec, {((), 0): v} if v else {})
 
     @classmethod
     def symbol(cls, spec: ParamSpec, name: str, coeff=1) -> "GradedPoly":
@@ -509,9 +494,8 @@ class GradedPoly:
         return cls(spec, {(((i, 1),), 0): v} if v else {})
 
     @classmethod
-    def alpha(cls, spec: ParamSpec, half_exponent: int, coeff=1) -> "GradedPoly":
-        v = as_rational(coeff)
-        return cls(spec, {((), half_exponent): v} if v else {})
+    def alpha(cls, spec: ParamSpec, half_exponent: int) -> "GradedPoly":
+        return cls(spec, {((), half_exponent): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -662,20 +646,18 @@ class GradedPoly:
         return GradedPoly(self.spec, out)
 
     def substitute(self, values: dict[str, GrassmannElement],
-                   alpha_value: GrassmannElement | None = None,
-                   alpha_branch: int = 1) -> GrassmannElement:
+                   alpha_value: GrassmannElement | None = None) -> GrassmannElement:
         """Evaluate at Grassmann values; symbols not listed must be absent.
 
-        alpha0 needs an invertible even value whose square root is exact when
-        half-exponents occur.
+        alpha0^(a/2) is alpha_value ** (a/2), so alpha0 needs an invertible
+        value, even with an exact principal square root when half-exponents
+        occur.
         """
         some = next(iter(values.values()), None)
         if some is None and alpha_value is None:
             raise GrassmannError("no values supplied")
         L = some.L if some is not None else alpha_value.L
         total = GrassmannElement(L, {})
-        root = None
-        inv = None
         for (mono, a), c in self.terms.items():
             acc = GrassmannElement.scalar(L, c)
             for i, e in mono:
@@ -686,17 +668,7 @@ class GradedPoly:
             if a != 0:
                 if alpha_value is None:
                     raise GrassmannError("alpha0 exponent present but no value")
-                if a % 2:
-                    if root is None:
-                        root = alpha_value.sqrt(alpha_branch)
-                    acc = acc * (root ** a)
-                else:
-                    if a > 0:
-                        acc = acc * (alpha_value ** (a // 2))
-                    else:
-                        if inv is None:
-                            inv = alpha_value.inverse()
-                        acc = acc * (inv ** (-a // 2))
+                acc = acc * alpha_value ** Fraction(a, 2)
             total = total + acc
         return total
 

@@ -351,9 +351,6 @@ class VermaModule:
                     stack.append((word + (g,), lv, i if g[0] == "L" else i + 1))
         return sorted(out, key=lambda w: (word_level(w), w))
 
-    def level(self, word) -> Fraction:
-        return word_level(word)
-
     def apply_gen(self, g, word) -> dict:
         key = (g, word)
         hit = self._memo.get(key)
@@ -368,7 +365,7 @@ class VermaModule:
                 out = {}
             elif kind == "L" and idx == 0:
                 out = {(): self.h_value}
-            elif self.level((g,)) <= self.cap:
+            elif word_level((g,)) <= self.cap:
                 out = {(g,): self.one}
         else:
             b, rest = word[0], word[1:]
@@ -378,7 +375,7 @@ class VermaModule:
                     out = self.apply_gen(L(int(2 * g[1])), rest)
                 else:
                     new = (g,) + word
-                    out = {new: self.one} if self.level(new) <= self.cap else {}
+                    out = {new: self.one} if word_level(new) <= self.cap else {}
             else:
                 sign = -1 if (gen_parity(g) and gen_parity(b)) else 1
                 acc: dict = {}

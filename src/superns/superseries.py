@@ -238,11 +238,15 @@ class SFun:
         return min(orders)
 
     def power(self, n, clip_hi=None) -> "SFun":
-        """self**n for integer or half-integer n via leading-term factoring.
+        """self**n for n in ½ℤ via leading-term factoring.
 
-        Requires an invertible leading coefficient.  The expansion in the
-        remainder terminates by window clipping (orders grow) and by
-        nilpotency (soul and odd coefficients).
+        An integer n >= 0 is the plain product.  Otherwise, with ck z^k the
+        leading invertible term, self**n = ck**n z^(kn) (1 + u)^n for
+        u = (self - ck z^k) / (ck z^k): every Grassmann power, ck**n and the
+        ck**-1 in u, is the one GrassmannElement power, so a half-odd n
+        takes the principal root of ck's body.  The expansion in u
+        terminates by window clipping (orders grow) and by nilpotency (soul
+        and odd coefficients).
         """
         n = Fraction(n)
         if n.denominator == 1 and n >= 0:
@@ -252,23 +256,14 @@ class SFun:
             return out
         k = self.leading_invertible_order()
         ck = self.terms[(k, 0)]
-        if n.denominator == 1:
-            kn = k * int(n)
-            lead = ck ** int(n)
-        else:
-            if n.denominator != 2:
-                raise ValueError("only integer and half-integer powers supported")
-            if k % 2:
-                raise DomainError("odd leading order under a half-integer power")
-            kn = k * n
-            if kn.denominator != 1:
-                raise DomainError("fractional output order")
-            kn = int(kn)
-            root = ck.sqrt(1)
-            lead = root ** n.numerator if n.numerator >= 0 else root.inverse() ** (-n.numerator)
+        lead = ck ** n
+        kn = k * n
+        if kn.denominator != 1:
+            raise DomainError("odd leading order under a half-integer power")
+        kn = int(kn)
         rest = SFun(self.L, {key: c for key, c in self.terms.items() if key != (k, 0)},
                     self.lo, self.hi)
-        u = rest.scale_left(ck.inverse()).shift(-k)
+        u = rest.scale_left(ck ** -1).shift(-k)
         rhi = None if clip_hi is None else clip_hi - kn
         u0 = SFun(self.L, {key: c for key, c in u.terms.items() if key[0] <= 0}, u.lo, u.hi)
         up = SFun(self.L, {key: c for key, c in u.terms.items() if key[0] > 0}, u.lo, u.hi)
@@ -316,39 +311,23 @@ class SFun:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, z: GrassmannElement, theta: GrassmannElement) -> GrassmannElement:
-        """Exact evaluation via the body/soul Taylor split.
+        """Exact evaluation, each z^n the Grassmann power z ** n.
 
-        Requires the series to be exactly supported (no unknown tails) or the
-        caller to accept the stored window as the whole function.
+        Only a series with no unknown tail has a value: on a windowed series
+        (lo or hi set) this raises TruncationError.
         """
-        body, soul = z.split()
-        if not body and any(n < 0 for n, _ in self.terms):
+        if self.lo is not None or self.hi is not None:
+            raise TruncationError(
+                f"cannot evaluate a series known only on [{self.lo}, {self.hi}]")
+        if not z.body() and any(n < 0 for n, _ in self.terms):
             raise DomainError("evaluation at zero body with negative orders")
         powers: dict[int, GrassmannElement] = {}
-
-        def zpow(n: int) -> GrassmannElement:
-            if n in powers:
-                return powers[n]
-            if not soul:
-                base = GrassmannElement.scalar(z.L, body ** n if n >= 0 else (QQi(1) / body) ** (-n))
-                powers[n] = base
-                return base
-            acc = GrassmannElement(z.L)
-            spow = GrassmannElement.scalar(z.L, 1)
-            for k in range(0, z.L + 1):
-                cb = binom(n, k)
-                if cb:
-                    bp = body ** (n - k) if n - k >= 0 else (QQi(1) / body) ** (k - n)
-                    acc = acc + spow * QQi(cb) * bp
-                spow = spow * soul
-                if spow.is_zero():
-                    break
-            powers[n] = acc
-            return acc
-
         total = GrassmannElement(z.L)
         for (n, e), c in self.terms.items():
-            term = c * zpow(n)
+            zn = powers.get(n)
+            if zn is None:
+                zn = powers[n] = z ** n
+            term = c * zn
             if e:
                 term = theta * term
             total = total + term
@@ -356,7 +335,8 @@ class SFun:
 
 
 def _reach_down(u0: SFun, L: int) -> int:
-    """How far repeated powers of a nilpotent tail can reach below order 0."""
+    """How far repeated powers of u0's terms below order 0, all nilpotent,
+    can reach below order 0."""
     if u0.is_zero():
         return 0
     d = max(0, -min(n for n, _ in u0.terms))
@@ -387,9 +367,6 @@ class SuperSeries:
     def theta_flip(cls, L: int) -> "SuperSeries":
         """J(z,theta) = (z, -theta)."""
         return cls(L, SFun.z_power(L, 1), SFun.theta_term(L, 0, -1))
-
-    def window(self):
-        return (_max_lo(self.ev.lo, self.od.lo), _min_hi(self.ev.hi, self.od.hi))
 
     def __eq__(self, other):
         if not isinstance(other, SuperSeries):
@@ -434,7 +411,7 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
             zpows[n] = Z.power(n, hi)
         return zpows[n]
 
-    reach = _reach_down_z(Z, H1.L)
+    reach = _reach_down(Z.shift(-k), H1.L)
     umax = max(0, max((n - k for (n, e) in Z.terms), default=0))
 
     def subst(C: SFun) -> SFun:
@@ -469,13 +446,6 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
     return SuperSeries(H1.L, subst(H1.ev), subst(H1.od))
 
 
-def _reach_down_z(Z: SFun, L: int) -> int:
-    """How far nilpotent sub-leading terms of Z can pull orders back down."""
-    k = Z.leading_invertible_order()
-    d = max((k - n for (n, e) in Z.terms), default=0)
-    return max(0, d) * (L + 1)
-
-
 def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW) -> SuperSeries:
     """Compositional inverse: ss_compose(H, result) = id on the window.
 
@@ -497,8 +467,8 @@ def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     # linear part at the origin: zt ~ a z + (theta z ... higher), tht ~ q0 + b theta
     if not a.body() or not b.body():
         raise NotInvertible("degenerate linear part")
-    ainv = a.inverse()
-    binv = b.inverse()
+    ainv = a ** -1
+    binv = b ** -1
     K = SuperSeries(H.L, SFun.z_power(H.L, 1, ainv),
                     SFun.theta_term(H.L, 0, binv) + SFun.const(H.L, -(binv * q0)))
     ident = SuperSeries.identity(H.L)
@@ -723,7 +693,7 @@ def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     if hi < 1 or (lo is not None and lo > 0):
         raise TruncationError("window cannot hold the leading terms at zero")
     L = c.L
-    root = c.a0.sqrt(1)
+    root = c.a0 ** HALF
     base = SuperSeries(L, SFun.z_power(L, 1, c.a0), SFun.theta_term(L, 0, root))
     terms = []
     for j, v in sorted(c.A.items()):
@@ -786,7 +756,7 @@ def ss_extract_zero(H: SuperSeries, j_max: int | None = None,
     a0 = H.ev.coeff(1, 0)
     if not a0.body():
         raise NotInvertible("leading coefficient has zero body")
-    root = a0.sqrt(1)
+    root = a0 ** HALF
     g0 = H.od.coeff(0, 1)
     if g0 == root:
         branch = 1
@@ -801,8 +771,8 @@ def ss_extract_zero(H: SuperSeries, j_max: int | None = None,
         hi = DEFAULT_WINDOW[1]
     if j_max is None:
         j_max = hi - 1
-    a0_inv = a0.inverse()
-    root_inv = root.inverse()
+    a0_inv = a0 ** -1
+    root_inv = a0 ** -HALF
     A: dict[int, GrassmannElement] = {}
     M: dict[int, GrassmannElement] = {}
     wwin = (0, hi)

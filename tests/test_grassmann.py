@@ -11,6 +11,7 @@ from superns.grassmann import (
     DimensionMismatch,
     GradedPoly,
     GrassmannElement,
+    GrassmannError,
     NotExact,
     NotInvertible,
     ParamSpec,
@@ -19,6 +20,7 @@ from superns.grassmann import (
 )
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
+HALF = Fraction(1, 2)
 
 
 def G(L=4):
@@ -87,10 +89,10 @@ def test_soul_nilpotent():
 
 def test_inverse_identity_scalar_and_soul():
     z = G()
-    assert scalar(1).inverse() == scalar(1)
-    assert scalar(2).inverse() == scalar(Fraction(1, 2))
+    assert scalar(1) ** -1 == scalar(1)
+    assert scalar(2) ** -1 == scalar(Fraction(1, 2))
     a = scalar(1) + z[0] * z[1]
-    assert a.inverse() == scalar(1) - z[0] * z[1]
+    assert a ** -1 == scalar(1) - z[0] * z[1]
 
 
 def test_inverse_times_input_is_one():
@@ -99,30 +101,30 @@ def test_inverse_times_input_is_one():
         a = random_element(rng, 6)
         if not a.body():
             a = a + 1
-        assert a * a.inverse() == scalar(1, 6)
+        assert a * a ** -1 == scalar(1, 6)
 
 
 def test_zero_body_not_invertible():
     z = G()
     with pytest.raises(NotInvertible):
-        (z[0] * z[1]).inverse()
+        (z[0] * z[1]) ** -1
 
 
 def test_sqrt_branches_of_one():
-    assert scalar(1).sqrt(1) == scalar(1)
-    assert scalar(1).sqrt(-1) == scalar(-1)
+    assert scalar(1) ** HALF == scalar(1)
+    assert -(scalar(1) ** HALF) == scalar(-1)
 
 
 def test_sqrt_with_soul():
     z = G()
     a = scalar(4) + z[0] * z[1]
-    r = a.sqrt(1)
+    r = a ** HALF
     assert r == scalar(2) + z[0] * z[1] * QQi(Fraction(1, 4))
     assert r * r == a
 
 
 def test_sqrt_principal_branch_of_minus_one():
-    assert scalar(-1).sqrt(1) == scalar(QQi(0, 1))
+    assert scalar(-1) ** HALF == scalar(QQi(0, 1))
 
 
 def test_sqrt_squares_back_randomized():
@@ -132,21 +134,128 @@ def test_sqrt_squares_back_randomized():
         body = rng.choice(squares)
         a = scalar(body, 6) + random_element(rng, 6, even_only=True).soul()
         for branch in (1, -1):
-            r = a.sqrt(branch)
+            r = a ** HALF if branch > 0 else -(a ** HALF)
             assert r * r == a
 
 
 def test_sqrt_rejects_odd_and_bodyless():
     z = G()
     with pytest.raises(Exception):
-        z[0].sqrt(1)
+        z[0] ** HALF
     with pytest.raises(NotInvertible):
-        (z[0] * z[1]).sqrt(1)
+        (z[0] * z[1]) ** HALF
 
 
 def test_sqrt_inexact_raises():
     with pytest.raises(NotExact):
-        scalar(2).sqrt(1)
+        scalar(2) ** HALF
+
+
+# -- the one power: x ** n for n in ½ℤ -----------------------------------
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_NONZERO_QQI = st.builds(QQi, _SMALL, _SMALL).filter(bool)
+_HALVES = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def elements(draw, parity=None, body=None):
+    """A Grassmann element on L <= 6 generators: up to four soul terms of
+    the given parity (any parity for None) plus the given body."""
+    L = draw(st.integers(1, 6))
+    soul = draw(st.dictionaries(st.integers(1, 2 ** L - 1), _NONZERO_QQI, max_size=4))
+    terms = {m: c for m, c in soul.items()
+             if parity is None or bin(m).count("1") % 2 == parity}
+    if body:
+        terms[0] = body
+    return GrassmannElement(L, terms)
+
+
+@st.composite
+def even_with_square_body(draw):
+    """An even element whose body r*r has an exact principal root."""
+    r = draw(_NONZERO_QQI)
+    return draw(elements(parity=0, body=r * r))
+
+
+def plain_product(x, n):
+    out = GrassmannElement.scalar(x.L, 1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_with_square_body(), _HALVES, _HALVES)
+def test_power_adds_exponents_over_half_integers(x, m, n):
+    assert x ** (m + n) == x ** m * x ** n
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_with_square_body())
+def test_half_power_is_the_principal_square_root(x):
+    r = x ** HALF
+    assert r * r == x
+    root = r.body()
+    assert root.re > 0 or (root.re == 0 and root.im > 0)
+    assert x * x ** -1 == 1
+    assert x ** -HALF * r == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(parity=1).filter(bool), st.integers(-2, 4))
+def test_integer_powers_of_odd_elements(x, n):
+    """An odd element squares to zero and has no inverse."""
+    if n < 0:
+        with pytest.raises(NotInvertible):
+            x ** n
+    else:
+        assert x ** n == (1 if n == 0 else x if n == 1 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(body=QQi(Fraction(3, 2), -1)), st.integers(-3, 4))
+def test_integer_powers_of_mixed_elements(x, n):
+    if n >= 0:
+        assert x ** n == plain_product(x, n)
+    else:
+        assert x ** n * plain_product(x, -n) == 1
+    assert x ** -1 * x == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(parity=1).filter(bool))
+def test_half_power_of_an_odd_element_raises(x):
+    with pytest.raises(GrassmannError):
+        x ** HALF
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(parity=0), st.sampled_from([-1, HALF, -HALF, Fraction(-3, 2)]))
+def test_zero_body_has_no_negative_or_half_power(x, n):
+    with pytest.raises(NotInvertible):
+        x ** n
+
+
+def test_a_mixed_element_has_no_half_power():
+    z = G()
+    with pytest.raises(GrassmannError):
+        (scalar(4) + z[0]) ** HALF
+
+
+def test_power_outside_half_integers_raises():
+    with pytest.raises(GrassmannError):
+        scalar(8) ** Fraction(1, 3)
+
+
+def test_substitute_takes_alpha_powers_through_the_one_power():
+    spec = sewing_spec()
+    z = G()
+    a0 = scalar(4) + z[0] * z[1]
+    for half in (-3, -2, 1, 4):
+        got = GradedPoly.alpha(spec, half).substitute({}, a0)
+        assert got == a0 ** Fraction(half, 2)
+    assert GradedPoly.alpha(spec, -1).substitute({}, a0) * a0 ** HALF == 1
 
 
 def test_graded_commutativity_randomized():

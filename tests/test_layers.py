@@ -68,6 +68,25 @@ def test_one_accumulator_and_one_binom():
         assert not shared or name == "sparse", (name, shared)
 
 
+def test_one_soul_series():
+    """The body/soul power series lives in GrassmannElement.__pow__ alone:
+    no inverse or sqrt beside it, no zpow in superseries, and no binomial
+    coefficient elsewhere in grassmann."""
+    tree = _tree("grassmann")
+    element = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement")
+    methods = {node.name: node for node in element.body if isinstance(node, ast.FunctionDef)}
+    assert "__pow__" in methods
+    assert not {"inverse", "sqrt"} & set(methods)
+    defined = {node.name for node in ast.walk(_tree("superseries"))
+               if isinstance(node, ast.FunctionDef)}
+    assert "zpow" not in defined
+    inside = {id(node) for node in ast.walk(methods["__pow__"])}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "binom" in _names(node.func):
+            assert id(node) in inside, node.lineno
+
+
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
 SOLVER = {"_exp_apply", "_alpha_reduce", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}

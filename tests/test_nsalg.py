@@ -209,7 +209,7 @@ def formal_verma(cap=4):
 
 def test_basis_levels():
     M = formal_verma(2)
-    levels = sorted(M.level(w) for w in M.basis)
+    levels = sorted(word_level(w) for w in M.basis)
     # level 0: 1; 1/2: G(-1/2); 1: L(-1); 3/2: G(-3/2), L(-1)G(-1/2);
     # 2: L(-2), L(-1)^2, G(-3/2)G(-1/2)
     assert levels.count(Fraction(0)) == 1
@@ -224,7 +224,7 @@ def test_L0_diagonal_with_weights():
     for w in M.basis:
         out = M.act(L(0), {w: M.one})
         assert set(out) <= {w}
-        expected = h_poly() + GradedPoly.scalar(SPEC, M.level(w))
+        expected = h_poly() + GradedPoly.scalar(SPEC, word_level(w))
         assert out.get(w, GradedPoly(SPEC)) == expected
 
 
@@ -263,7 +263,7 @@ def test_raising_weight_bookkeeping():
     for g, lift in ((L(-1), 1), (L(-3), 3), (G(-HALF), HALF), (G(-Fraction(5, 2)), Fraction(5, 2))):
         vec = M.act(g, hw)
         (w, _), = vec.items()
-        assert M.level(w) == lift
+        assert word_level(w) == lift
 
 
 def test_verma_act_preserved_by_normal_order():
@@ -277,7 +277,7 @@ def test_verma_act_preserved_by_normal_order():
         mo = ns_verma_act(ordered, M)
         # compare only columns the truncated module sees completely
         margin = max([word_max_raise(w)] + [word_max_raise(u) for u in ordered.terms])
-        cols = [col for col in M.basis if M.level(col) + margin <= M.cap]
+        cols = [col for col in M.basis if word_level(col) + margin <= M.cap]
         assert cols, w
         for col in cols:
             assert md[col] == mo[col], (w, col)
@@ -324,7 +324,7 @@ def _kac_ratio(t, level):
             out += sympy.Rational(coeff.numerator, coeff.denominator) * h ** dict(mono).get(ih, 0)
         return out
 
-    words = [w for w in M.basis if M.level(w) == level]
+    words = [w for w in M.basis if word_level(w) == level]
     assert len(words) == _ns_partitions(level)
     gram = sympy.Matrix([[to_sympy(M.act_word(tuple(_dagger(g) for g in reversed(u)),
                                               {v: M.one}).get((), GradedPoly(SPEC)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.nsalg import C_GEN, L, VermaModule, gen_parity
+from superns.nsalg import C_GEN, L, VermaModule, gen_parity, word_level
 from superns.sewing import (
     ModuliElement,
     SewingError,
@@ -320,7 +320,7 @@ def test_position_tables_hold_the_generator_action(monkeypatch, problem):
         fresh = VermaModule(fact.spec, module.c_value, module.h_value, W)
         assert fresh.basis == module.basis
         assert [module.position[w] for w in module.basis] == list(range(len(module.basis)))
-        assert module.levels == [module.level(w) for w in module.basis]
+        assert module.levels == [word_level(w) for w in module.basis]
         filled = 0
         for g, table in module._tables.items():
             assert len(table) == len(module.basis)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from superns.superseries import (
     SFun,
     ShapeError,
     SuperSeries,
+    TruncationError,
     ss_compose,
     ss_evaluate,
     ss_exp_infinity,
@@ -23,6 +25,7 @@ from superns.superseries import (
     ss_invert,
     ss_is_superconformal,
 )
+from superns.sparse import add_term
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
 L = 6
@@ -403,3 +406,81 @@ def test_evaluate_inversion_at_two():
     v, t = ss_evaluate(SuperSeries.inversion(L), scalar(2), GrassmannElement(L))
     assert v == scalar(Fraction(1, 2))
     assert t.is_zero()
+
+
+def test_evaluate_refuses_a_windowed_series():
+    """A windowed series has an unknown tail, so it has no value to give."""
+    rng = random.Random(SEED)
+    H = ss_exp_zero(random_coord_data(rng), (-12, 12))
+    with pytest.raises(TruncationError):
+        ss_evaluate(H, scalar(1) + gen(1) * gen(2), gen(3))
+
+
+# -- sympy oracle for soul-free series ------------------------------------------
+
+Z = sympy.Symbol("z", positive=True)
+_SQUARES = [1, 4, Fraction(9, 4), Fraction(1, 16)]
+
+
+def body_series(coeffs: dict) -> SFun:
+    """The soul-free theta-free series sum c z^n on no window."""
+    return SFun(L, {(n, 0): scalar(c) for n, c in coeffs.items()})
+
+
+def rational(q):
+    q = Fraction(q)
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def sympy_poly(coeffs: dict):
+    return sum(rational(c) * Z ** n for n, c in coeffs.items())
+
+
+def assert_matches_sympy(got: SFun, expr):
+    """got's theta-free part equals the Laurent expansion of expr on got's
+    window, and got has no theta part and no soul.  A series with no high
+    edge is compared through order 8 and through its own top order."""
+    hi = got.hi if got.hi is not None else max([8] + [n for n, _ in got.terms])
+    want: dict = {}
+    for term in sympy.Add.make_args(sympy.expand(sympy.series(expr, Z, 0, hi + 1).removeO())):
+        c, n = term.as_coeff_exponent(Z)
+        assert c.is_Rational and n.is_Integer, term
+        add_term(want, int(n), QQi(Fraction(int(c.p), int(c.q))))
+    for (n, e), c in got.terms.items():
+        assert e == 0 and c.soul().is_zero()
+    for n in {n for n, _ in got.terms} | set(want):
+        if (got.lo is None or got.lo <= n) and n <= hi:
+            assert got.coeff(n, 0).body() == want.get(n, QQi(0)), n
+
+
+@st.composite
+def soul_free_coeffs(draw, lead_orders=(0, 2, -2)):
+    """A perfect-square leading coefficient at an even order plus a few
+    higher rational terms."""
+    k = draw(st.sampled_from(lead_orders))
+    coeffs = {k: draw(st.sampled_from(_SQUARES))}
+    for n in draw(st.lists(st.integers(k + 1, k + 4), max_size=3, unique=True)):
+        coeffs[n] = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(soul_free_coeffs(), st.sampled_from([-2, -1, -HALF, HALF, Fraction(3, 2)]))
+def test_power_matches_sympy_on_soul_free_series(coeffs, n):
+    got = body_series(coeffs).power(n, 8)
+    expr = sympy_poly(coeffs) ** rational(n)
+    assert_matches_sympy(got, expr)
+
+
+@settings(max_examples=10, deadline=None)
+@given(soul_free_coeffs(lead_orders=(1,)))
+def test_inverse_of_a_soul_free_map_matches_sympy_composition(coeffs):
+    """g, the theta-free part of the inverse's even component, solves
+    f(g(z)) = z on its window, with the composition done in sympy."""
+    window = (-6, 6)
+    f = body_series(coeffs).with_window(None, window[1])
+    g = ss_invert(ss_from_components(f, SFun.zero(L), window=window), window).ev
+    g_expr = sympy_poly({n: c.body().re for (n, e), c in g.terms.items() if e == 0})
+    f_of_g = sympy_poly(coeffs).subs(Z, g_expr)
+    got = SFun(L, {(1, 0): scalar(1)}, g.lo, g.hi)
+    assert_matches_sympy(got, f_of_g)
