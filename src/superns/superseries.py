@@ -474,8 +474,10 @@ def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     ident = SuperSeries.identity(H.L)
     for _ in range(INVERT_MAX_ROUNDS):
         E = ss_compose(H, K, clip=window)
-        rev = E.ev - ident.ev
-        rod = E.od - ident.od
+        # a map with no high edge leaves none on the residual: read it through
+        # the window's, or the orders above it feed back and grow every round
+        rev, rod = (F if F.hi is not None else F.with_window(None, hi)
+                    for F in (E.ev - ident.ev, E.od - ident.od))
         if rev.is_zero() and rod.is_zero():
             return K
         dv = rev.scale_left(ainv)

@@ -24,6 +24,13 @@ from .sparse import add_scaled, add_term, add_terms, binom
 HALF = Fraction(1, 2)
 
 
+@functools.cache
+def signed_binom(n: int, k: int) -> int:
+    """(-1)^k C(n, k) for an int n and k >= 0, as an int."""
+    out = binom(n, k).numerator
+    return -out if k & 1 else out
+
+
 def vec_scale(vec: dict, c) -> dict:
     if not c:
         return {}
@@ -47,7 +54,6 @@ class FockSpace:
     def __init__(self, weight_cap):
         self.cap = Fraction(weight_cap)
         self.states = []
-        self.index = {}
         bosons = self._boson_partitions(self.cap)
         fermions = self._fermion_subsets(self.cap)
         for f in fermions:
@@ -58,7 +64,9 @@ class FockSpace:
         self.states.sort(key=lambda s: (sum(s[0]) + sum(s[1], Fraction(0)), s))
         self.index = {s: i for i, s in enumerate(self.states)}
         self.weights = [sum(b) + sum(f, Fraction(0)) for b, f in self.states]
+        self.weights2 = [int(2 * w) for w in self.weights]
         self.signs = [len(f) & 1 for _, f in self.states]
+        self._acts: dict = {}
 
     @staticmethod
     def _boson_partitions(cap):
@@ -102,36 +110,35 @@ class FockSpace:
             nb = tuple(sorted(b + (part,), reverse=True))
             key = (nb, f)
             tgt = self.index.get(key)
-            return {} if tgt is None else {tgt: Fraction(1)}
+            return {} if tgt is None else {tgt: 1}
         if m not in b:
             return {}
         mult = b.count(m)
         nb = list(b)
         nb.remove(m)
         tgt = self.index.get((tuple(nb), f))
-        return {} if tgt is None else {tgt: Fraction(m * mult)}
+        return {} if tgt is None else {tgt: m * mult}
+
+    def gen_act(self, odd: int, m: int, idx: int) -> dict:
+        """alpha_m (odd = 0) or psi_(m+1/2) (odd = 1) on a basis state, memoized."""
+        key = (odd, m, idx)
+        hit = self._acts.get(key)
+        if hit is None:
+            hit = self._acts[key] = (self.fermion_act(m + HALF, idx) if odd
+                                     else self.boson_act(m, idx))
+        return hit
 
     def fermion_act(self, r: Fraction, idx: int) -> dict:
         """psi_r on a basis state; {psi_r, psi_s} = delta_{r+s,0}."""
         b, f = self.states[idx]
-        if r < 0:
-            part = -r
-            if part in f:
-                return {}
-            bigger = sum(1 for s in f if s > part)
-            nf = tuple(sorted(f + (part,), reverse=True))
-            tgt = self.index.get((b, nf))
-            if tgt is None:
-                return {}
-            return {tgt: Fraction(-1) ** bigger}
-        if r not in f:
+        create = r < 0
+        part = -r if create else r
+        if (part in f) == create:  # a part is created if absent, removed if present
             return {}
-        bigger = sum(1 for s in f if s > r)
-        nf = tuple(x for x in f if x != r)
+        nf = tuple(sorted(f + (part,), reverse=True)) if create else tuple(x for x in f if x != r)
         tgt = self.index.get((b, nf))
-        if tgt is None:
-            return {}
-        return {tgt: Fraction(-1) ** bigger}
+        bigger = sum(1 for s in f if s > part)
+        return {} if tgt is None else {tgt: -1 if bigger & 1 else 1}
 
 
 class VertexData:
@@ -141,13 +148,13 @@ class VertexData:
     half-odd keys the phi sector (populated as the modes of the
     G(-1/2)-image, the odd-variable dressing of the underlying structure).
     Overrides support automorphisms and mutation tests without copying
-    the recursion caches.
+    the recursion caches.  Mode columns have int coefficients.
 
     Cache rule: copies share only _xmode_cache, the x-sector recursion,
-    which depends on nothing but the Fock space; _gimg_cache (the G(-1/2)
-    images, which depend on tau) belongs to one copy.  _x_col reads the
-    recursion alone, never an override: the half-odd columns of mode_col
-    and the G(-1/2) images go through it.
+    which depends on the Fock space alone.  _gimg_cache (G(-1/2) images)
+    and _phi_cache (half-odd mode_col columns) read tau and start empty in
+    each copy.  Neither holds an override: _x_col, which builds both, reads
+    the recursion alone, and mode_col reads overrides first.
     """
 
     def __init__(self, space: FockSpace, tau_vec: dict, central_charge=None,
@@ -158,6 +165,7 @@ class VertexData:
         self.has_odd = has_odd
         self._xmode_cache: dict = {}
         self._gimg_cache: dict = {}
+        self._phi_cache: dict = {}
         self._overrides: dict = {}
 
     # -- structure ----------------------------------------------------------
@@ -188,11 +196,6 @@ class VertexData:
 
     # -- raw x-sector modes of basis states (field-product recursion) -------
 
-    def _gen_mode(self, which: str, m: int, col: int) -> dict:
-        if which == "boson":
-            return self.space.boson_act(m, col)
-        return self.space.fermion_act(m + HALF, col)
-
     def _xmode_col(self, v_idx: int, n: int, col: int) -> dict:
         key = (v_idx, n, col)
         hit = self._xmode_cache.get(key)
@@ -201,53 +204,40 @@ class VertexData:
         space = self.space
         b, f = space.states[v_idx]
         if not b and not f:
-            out = {col: Fraction(1)} if n == -1 else {}
+            out = {col: 1} if n == -1 else {}
         elif b:
             # peel alpha_(-k): v = boson_(-k) v'
             k = b[0]
             rest = space.index[(b[1:], f)]
-            out = self._product_mode_col("boson", -k, 0, rest, n, col)
+            out = self._product_mode_col(0, -k, rest, n, col)
         else:
             r = f[0]
             rest = space.index[(b, f[1:])]
-            out = self._product_mode_col("fermion", -int(r + HALF), 1, rest, n, col)
+            out = self._product_mode_col(1, -int(r + HALF), rest, n, col)
         self._xmode_cache[key] = out
         return out
 
-    def _product_mode_col(self, gen: str, p: int, gen_sign: int, w_idx: int,
-                          m: int, col: int) -> dict:
-        """(gen_(p) w)_(m) column via the field-product expansion."""
+    def _product_mode_col(self, odd: int, p: int, w_idx: int, m: int, col: int) -> dict:
+        """(gen_(p) w)_(m) column via the field-product expansion, p < 0, gen
+        the boson (odd = 0) or the fermion (odd = 1).  x_(n) kills a state of
+        weight h once n + 1 > wt(x) + h: both sums stop there (doubled ints)."""
         space = self.space
-        col_wt = space.weights[col]
-        w_wt = space.weights[w_idx]
-        w_sign = space.signs[w_idx]
-        gen_wt = 1 if gen == "boson" else HALF
+        act = space.gen_act
+        col2 = space.weights2[col]
         out: dict = {}
-        # term 1: gen_(p-j) w_(m+j), terminates when w_(m+j) annihilates
-        j = 0
-        while True:
-            if col_wt + w_wt - (m + j) - 1 < 0:
-                break
-            cb = binom(p, j).numerator * (-1 if j & 1 else 1)
-            if cb:
-                inner = self._xmode_col(w_idx, m + j, col)
-                for mid, c in inner.items():
-                    for row, c2 in self._gen_mode(gen, p - j, mid).items():
-                        add_term(out, row, c2 * c * cb)
-            j += 1
+        # term 1: gen_(p-j) w_(m+j)
+        for j in range((col2 + space.weights2[w_idx]) // 2 - m):
+            cb = signed_binom(p, j)
+            for mid, c in self._xmode_col(w_idx, m + j, col).items():
+                for row, c2 in act(odd, p - j, mid).items():
+                    add_term(out, row, c2 * c * cb)
         # term 2: -(-1)^(p + sgn) w_(p+m-j) gen_(j)
-        sign = -1 if (p + gen_sign * w_sign) & 1 else 1
-        j = 0
-        while True:
-            if col_wt + gen_wt - j - 1 < 0:
-                break
-            cb = binom(p, j).numerator * (-1 if j & 1 else 1)
-            if cb:
-                inner = self._gen_mode(gen, j, col)
-                for mid, c in inner.items():
-                    for row, c2 in self._xmode_col(w_idx, p + m - j, mid).items():
-                        add_term(out, row, -sign * c2 * c * cb)
-            j += 1
+        sign = 1 if (p + odd * space.signs[w_idx]) & 1 else -1
+        for j in range((col2 + 2 - odd) // 2):
+            cb = sign * signed_binom(p, j)
+            for mid, c in act(odd, j, col).items():
+                for row, c2 in self._xmode_col(w_idx, p + m - j, mid).items():
+                    add_term(out, row, c2 * c * cb)
         return out
 
     # -- public mode application --------------------------------------------
@@ -255,14 +245,21 @@ class VertexData:
     def mode_col(self, v_idx: int, k, col: int) -> dict:
         """One column of the mode matrix of a basis state, overrides applied."""
         k = Fraction(k)
-        ov = self._overrides.get((v_idx, k, col))
-        if ov is not None:
-            return ov
+        if self._overrides:
+            ov = self._overrides.get((v_idx, k, col))
+            if ov is not None:
+                return ov
         if k.denominator == 1:
-            return self._xmode_col(v_idx, int(k), col)
+            return self._xmode_col(v_idx, k.numerator, col)
         if not self.has_odd:
             return {}
-        return self._x_col(self._g_minus_half_image(v_idx), int(k + HALF), col)
+        # the phi mode k is the x mode k + 1/2 of the G(-1/2) image
+        key = (v_idx, (k.numerator + 1) // 2, col)
+        hit = self._phi_cache.get(key)
+        if hit is None:
+            hit = self._phi_cache[key] = self._x_col(self._g_minus_half_image(v_idx),
+                                                     key[1], col)
+        return hit
 
     def _x_col(self, v_vec: dict, n: int, col: int) -> dict:
         """Integer mode n of the vector v_vec on one column, from the x-sector
@@ -284,13 +281,12 @@ class VertexData:
         out: dict = {}
         for v_idx, cv in v_vec.items():
             for col, cw in vec.items():
-                colv = self.mode_col(v_idx, k, col)
-                for row, c in colv.items():
+                for row, c in self.mode_col(v_idx, k, col).items():
                     add_term(out, row, c * cv * cw)
         return out
 
     def mode_apply(self, v_idx: int, k, vec: dict) -> dict:
-        return self.mode_apply_vec({v_idx: Fraction(1)}, k, vec)
+        return self.mode_apply_vec({v_idx: 1}, k, vec)
 
     # -- Neveu-Schwarz modes from tau ----------------------------------------
 
@@ -311,7 +307,7 @@ class VertexData:
 
     def compute_central_charge(self) -> Fraction:
         """Read c from [L(2), L(-2)] = 4 L(0) + c/2 on the vacuum."""
-        vac = {self.vacuum_index(): Fraction(1)}
+        vac = {self.vacuum_index(): 1}
         up = self.L_apply(-2, vac)
         down = self.L_apply(2, up)
         val = down.get(self.vacuum_index(), Fraction(0))
@@ -334,7 +330,7 @@ def fixture_boson_fermion(weight_cap) -> VertexData:
         raise ValueError("weight cap too small to hold the superconformal vector")
     space = FockSpace(cap)
     tau_idx = space.index[((1,), (HALF,))]
-    V = VertexData(space, {tau_idx: Fraction(1)}, None, has_odd=True)
+    V = VertexData(space, {tau_idx: 1}, None, has_odd=True)
     V.cc = V.compute_central_charge()
     return V
 
@@ -369,7 +365,7 @@ def automorphism_J(V: VertexData, flavor: str = "with") -> VertexData:
     if flavor not in ("with", "without"):
         raise ValueError("flavor must be 'with' or 'without'")
     out = V.copy()
-    out.tau = vec_scale(V.tau, Fraction(-1))
+    out.tau = vec_scale(V.tau, -1)
     out.has_odd = flavor == "with"
     return out
 
@@ -498,25 +494,19 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     """
     cap2 = int(2 * V.space.cap)
     eu, ev = V.sign(u), V.sign(v)
-    wtu2, wtv2 = int(2 * V.weight(u)), int(2 * V.weight(v))
+    wtu2, wtv2 = V.space.weights2[u], V.space.weights2[v]
     wt2_of = {u: wtu2, v: wtv2}
     rng = range(-JACOBI_WINDOW, JACOBI_WINDOW + 1)
     checked = skipped = 0
     failures = []
 
     @functools.cache
-    def signed_binom(n, k):
-        """(-1)^k C(n, k) as an int."""
-        out = binom(n, k).numerator
-        return -out if k & 1 else out
-
-    @functools.cache
     def inner_uv(kj2):
-        return V.mode_apply(u, Fraction(kj2, 2), {v: Fraction(1)})
+        return V.mode_apply(u, Fraction(kj2, 2), {v: 1})
 
     for w in V.basis_indices(min(V.space.cap, 2)):
-        wt2 = int(2 * V.weight(w))
-        wvec = {w: Fraction(1)}
+        wt2 = V.space.weights2[w]
+        wvec = {w: 1}
 
         @functools.cache
         def on_w(x, kx2):
@@ -540,14 +530,13 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
             delta function takes pp_sign in place of sign."""
             for k in range((wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1):
                 cb = signed_binom(n, k)
-                if cb:
-                    add_scaled(acc, nested(x, 2 * (n - k - bx - 1) - ex,
-                                           y, 2 * (k - cy - 1) - ey), cb * sign)
+                if cb and (prod := nested(x, 2 * (n - k - bx - 1) - ex,
+                                          y, 2 * (k - cy - 1) - ey)):
+                    add_scaled(acc, prod, cb * sign)
                 if ex and ey and n:
-                    cb2 = signed_binom(n - 1, k)
-                    if cb2:
-                        add_scaled(acc, nested(x, 2 * (n - k - bx - 2),
-                                               y, 2 * (k - cy - 1)), -n * cb2 * pp_sign)
+                    cb = signed_binom(n - 1, k)
+                    if cb and (prod := nested(x, 2 * (n - k - bx - 2), y, 2 * (k - cy - 1))):
+                        add_scaled(acc, prod, -n * cb * pp_sign)
 
         for a, b, c in itertools.product(rng, rng, rng):
             n = -a - 1
@@ -581,13 +570,14 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
                     cb = signed_binom(nn, k)
                     if not cb:
                         continue
-                    add_scaled(acc, outer(j2 - e1, mm2 - e2), -cb)
-                    if e2 and not e1:
-                        add_scaled(acc, outer(j2 - 1, mm2), cb)
-                    if e1 and e2 and nn != -1:
-                        # the phi1 phi2 part at nn + 1, whose signed
-                        # binomial (-1)^k C(nn + 1 - 1, k) is cb again
-                        add_scaled(acc, outer(j2, mm2 - 2), (nn + 1) * cb)
+                    if prod := outer(j2 - e1, mm2 - e2):
+                        add_scaled(acc, prod, -cb)
+                    if e2 and not e1 and (prod := outer(j2 - 1, mm2)):
+                        add_scaled(acc, prod, cb)
+                    # the phi1 phi2 part at nn + 1, whose signed binomial
+                    # (-1)^k C(nn + 1 - 1, k) is cb again
+                    if e1 and e2 and nn != -1 and (prod := outer(j2, mm2 - 2)):
+                        add_scaled(acc, prod, (nn + 1) * cb)
                 checked += 1
                 if acc:
                     if len(failures) < JACOBI_FAILURES:
@@ -608,7 +598,7 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
 
 def _bracket_g_half(V: VertexData, v: int, n, vec: dict) -> dict:
     """[G(-1/2), v_n] applied to vec, with the Koszul sign of v."""
-    sgn = Fraction(-1) ** V.sign(v)
+    sgn = -1 if V.sign(v) else 1
     first = V.G_apply(-HALF, V.mode_apply(v, n, vec))
     second = V.mode_apply(v, n, V.G_apply(-HALF, vec))
     return add_terms(first, vec_scale(second, -sgn))
@@ -635,17 +625,17 @@ def consequence_checks(V: VertexData) -> dict:
         gv_ok = wtv + HALF <= cap
         lv_ok = wtv + 1 <= cap  # implies gv_ok
         gv = V._g_minus_half_image(v) if gv_ok else None
-        lv = V.L_apply(-1, {v: Fraction(1)}) if lv_ok else None
+        lv = V.L_apply(-1, {v: 1}) if lv_ok else None
         for n in range(-3, 4):
             phi_n = Fraction(n) - HALF
             for w in V.basis_indices():
                 wt = V.weight(w)
-                wvec = {w: Fraction(1)}
+                wvec = {w: 1}
                 # [G(-1/2), v_n] w and -n v_(n-1) w each serve two identities
                 bracket = (_bracket_g_half(V, v, n, wvec)
                            if gv_ok and wt + HALF <= cap and wt + wtv - n - 1 <= cap
                            else None)
-                deriv = (vec_scale(V.mode_apply(v, n - 1, wvec), Fraction(-n))
+                deriv = (vec_scale(V.mode_apply(v, n - 1, wvec), -n)
                          if lv_ok else None)
                 if bracket is not None and V.mode_apply(v, phi_n, wvec) != bracket:
                     fail("eq_phi_modes", v, n, w)
@@ -670,7 +660,7 @@ def vacuum_checks(V: VertexData) -> dict:
     for col in V.basis_indices():
         for n in range(-3, 3):
             got = V.mode_col(vac, n, col)
-            want = {col: Fraction(1)} if n == -1 else {}
+            want = {col: 1} if n == -1 else {}
             if got != want:
                 report["vacuum_field"] = False
                 report["witnesses"].append(("vacuum_field", n, col))
@@ -679,16 +669,13 @@ def vacuum_checks(V: VertexData) -> dict:
             report["vacuum_field"] = False
             report["witnesses"].append(("vacuum_field", -HALF, col))
     for v in V.basis_indices():
-        wtv = V.weight(v)
-        k = Fraction(0)
-        while k <= 2 * V.space.cap + 1:
+        for k in range(int(2 * V.space.cap) + 2):
             for key in (k, k - HALF):
                 if V.mode_col(v, key, vac):
                     report["creation"] = False
                     report["witnesses"].append(("creation", v, key))
-            k += 1
         got = V.mode_col(v, -1, vac)
-        if got != {v: Fraction(1)}:
+        if got != {v: 1}:
             report["creation"] = False
             report["witnesses"].append(("creation_constant", v))
     report["passed"] = report["vacuum_field"] and report["creation"]
@@ -705,7 +692,7 @@ def grading_check(V: VertexData) -> dict:
     """L(0) acts by the weight on every column whose intermediates fit."""
     report = {"passed": True, "witnesses": []}
     for w in V.basis_indices(V.space.cap - _column_lift(V)):
-        got = V.L_apply(0, {w: Fraction(1)})
+        got = V.L_apply(0, {w: 1})
         want = {w: V.weight(w)} if V.weight(w) else {}
         if got != want:
             report["passed"] = False
@@ -720,64 +707,60 @@ def ns_modes_check(V: VertexData) -> dict:
 
     L(n) and G(r) act through their basis columns, each computed once per
     call; the memo lives only in this call, because copies of V share
-    their caches and may carry other overrides."""
-    cap = V.space.cap
+    their caches and may carry other overrides.  Indices are doubled ints
+    k2 = 2k: even k2 is L(k2/2), odd k2 is G(k2/2)."""
+    cap2, weights2 = int(2 * V.space.cap), V.space.weights2
+    lift2 = int(2 * _column_lift(V))
     cc = V.cc if V.cc is not None else V.compute_central_charge()
     report = {"passed": True, "witnesses": [], "central_charge": cc}
 
     @functools.cache
-    def column(kind, idx, i):
-        apply = V.L_apply if kind == "L" else V.G_apply
-        return apply(idx, {i: Fraction(1)})
+    def column(k2, i):
+        if k2 & 1:
+            return V.G_apply(Fraction(k2, 2), {i: 1})
+        return V.L_apply(k2 // 2, {i: 1})
 
-    def act(kind, idx, vec):
+    def op(k2, vec):
         out: dict = {}
         for i, ci in vec.items():
-            add_scaled(out, column(kind, idx, i), ci)
+            add_scaled(out, column(k2, i), ci)
         return out
 
-    L = functools.partial(act, "L")
-    G = functools.partial(act, "G")
-
-    def safe_columns(s1, s2):
+    def safe_columns(s2, t2):
         # both operator orders applied; raising intermediates must fit
-        lift = max(Fraction(0), -s1, -s2, -s1 - s2) + _column_lift(V)
-        return [w for w in V.basis_indices() if V.weight(w) + lift <= cap]
+        top2 = cap2 - max(0, -s2, -t2, -s2 - t2) - lift2
+        return [w for w in V.basis_indices() if weights2[w] <= top2]
 
-    def record(name, m, n, w):
+    def record(name, s2, t2, w):
         report["passed"] = False
         if len(report["witnesses"]) < 8:
-            report["witnesses"].append((name, m, n, w))
+            report["witnesses"].append((name, Fraction(s2, 2), Fraction(t2, 2), w))
 
-    rng = [Fraction(k) for k in range(-2, 3)]
-    for m in rng:
-        for n in rng:
-            for w in safe_columns(m, n):
-                wvec = {w: Fraction(1)}
-                lhs = add_terms(L(int(m), L(int(n), wvec)),
-                              vec_scale(L(int(n), L(int(m), wvec)), Fraction(-1)))
-                rhs = vec_scale(L(int(m + n), wvec), m - n)
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            m2, n2 = 2 * m, 2 * n
+            for w in safe_columns(m2, n2):
+                wvec = {w: 1}
+                lhs = add_terms(op(m2, op(n2, wvec)), vec_scale(op(n2, op(m2, wvec)), -1))
+                rhs = vec_scale(op(m2 + n2, wvec), m - n)
                 if m + n == 0:
-                    central = Fraction(int(m) ** 3 - int(m), 12) * cc
-                    rhs = add_terms(rhs, vec_scale(wvec, central))
+                    rhs = add_terms(rhs, vec_scale(wvec, Fraction(m ** 3 - m, 12) * cc))
                 if lhs != rhs:
-                    record("LL", m, n, w)
-            r = m + HALF
-            for w in safe_columns(r, n):
-                wvec = {w: Fraction(1)}
-                lhs = add_terms(G(r, L(int(n), wvec)),
-                              vec_scale(L(int(n), G(r, wvec)), Fraction(-1)))
-                rhs = vec_scale(G(r + n, wvec), r - Fraction(n) / 2)
+                    record("LL", m2, n2, w)
+            r2 = m2 + 1
+            for w in safe_columns(r2, n2):
+                wvec = {w: 1}
+                lhs = add_terms(op(r2, op(n2, wvec)), vec_scale(op(n2, op(r2, wvec)), -1))
+                rhs = vec_scale(op(r2 + n2, wvec), Fraction(r2 - n, 2))
                 if lhs != rhs:
-                    record("GL", r, n, w)
-            r, s = m + HALF, n - HALF
-            for w in safe_columns(r, s):
-                wvec = {w: Fraction(1)}
-                lhs = add_terms(G(r, G(s, wvec)), G(s, G(r, wvec)))
-                rhs = vec_scale(L(int(m + n), wvec), 2)
-                if r + s == 0:
-                    central = (m * m + m) / 3 * cc
-                    rhs = add_terms(rhs, vec_scale(wvec, central))
+                    record("GL", r2, n2, w)
+            s2 = n2 - 1
+            for w in safe_columns(r2, s2):
+                wvec = {w: 1}
+                lhs = add_terms(op(r2, op(s2, wvec)), op(s2, op(r2, wvec)))
+                rhs = vec_scale(op(m2 + n2, wvec), 2)
+                if m + n == 0:
+                    rhs = add_terms(rhs, vec_scale(wvec, Fraction(m * m + m, 3) * cc))
                 if lhs != rhs:
-                    record("GG", r, s, w)
+                    record("GG", r2, s2, w)
     return report

@@ -1,8 +1,8 @@
 """The package's layer order, read from each module's import statements.
 
 sparse is the bottom; grassmann holds the coefficient rings on it;
-superseries, nsalg and sewing stack on those; vosa works on plain
-Fraction dicts and so uses nothing but sparse, which keeps it an
+superseries, nsalg and sewing stack on those; vosa works on plain int
+and Fraction dicts and so uses nothing but sparse, which keeps it an
 independent control for the ring kernels.
 """
 
@@ -129,3 +129,23 @@ def test_solver_vectors_never_pass_through_words():
     for node in solver:
         reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert "position" not in reads, node.name
+
+
+# the free mode actions and the x-sector recursion, which run on ints
+INTEGRAL = {"FockSpace": {"boson_act", "fermion_act"},
+            "VertexData": {"_xmode_col", "_product_mode_col"}}
+
+
+def test_vosa_mode_layer_builds_no_fraction():
+    """No Fraction is built in the free mode actions or in the field-product
+    recursion of the x sector: their coefficients are ints."""
+    found = set()
+    for cls in _tree("vosa").body:
+        if isinstance(cls, ast.ClassDef) and cls.name in INTEGRAL:
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name in INTEGRAL[cls.name]:
+                    found.add(node.name)
+                    calls = [n.lineno for n in ast.walk(node)
+                             if isinstance(n, ast.Call) and "Fraction" in _names(n.func)]
+                    assert not calls, (node.name, calls)
+    assert found == set().union(*INTEGRAL.values())

@@ -484,3 +484,29 @@ def test_inverse_of_a_soul_free_map_matches_sympy_composition(coeffs):
     f_of_g = sympy_poly(coeffs).subs(Z, g_expr)
     got = SFun(L, {(1, 0): scalar(1)}, g.lo, g.hi)
     assert_matches_sympy(got, f_of_g)
+
+
+def test_inverse_of_a_polynomial_map_with_no_high_edge_stops(monkeypatch):
+    """f = 4z + z^2/2 - z^4 carries no window.  The inversion reads its
+    residual through the window's high edge only, so every iterate it
+    composes stays inside the window (reading the orders above it made each
+    round about 25 times dearer than the one before, without end), and
+    f(g(z)) = z there."""
+    import superns.superseries as ss
+
+    coeffs = {1: 4, 2: HALF, 4: -1}
+    window = (-6, 6)
+    f = body_series(coeffs)
+    assert f.hi is None
+    compose = ss.ss_compose
+
+    def bounded(H1, H2, clip=None):
+        assert all(n <= window[1] for n, _ in H2.ev.terms), sorted(H2.ev.terms)
+        return compose(H1, H2, clip)
+
+    monkeypatch.setattr(ss, "ss_compose", bounded)
+    g = ss_invert(ss_from_components(f, SFun.zero(L), window=window), window).ev
+    assert g.hi == window[1]
+    g_expr = sympy_poly({n: c.body().re for (n, e), c in g.terms.items() if e == 0})
+    got = SFun(L, {(1, 0): scalar(1)}, g.lo, g.hi)
+    assert_matches_sympy(got, sympy_poly(coeffs).subs(Z, g_expr))

@@ -145,6 +145,24 @@ def test_fock_space_leaves_no_reference_cycles():
             gc.enable()
 
 
+def test_mode_layer_is_integral():
+    """After both checkers on a fresh V at cap 7/2, every coefficient of the
+    x-sector recursion is an int, and so is every free mode action on every
+    basis state."""
+    X = fixture_boson_fermion(Fraction(7, 2))
+    tau = tau_index(X)
+    assert ns_modes_check(X)["passed"]
+    assert jacobi_check(X, tau, tau)["passed"]
+    coeffs = [c for col in X._xmode_cache.values() for c in col.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    space, acts = X.space, []
+    for i in range(len(space.states)):
+        for m in range(-4, 5):
+            acts += [space.boson_act(m, i), space.fermion_act(m + HALF, i)]
+    coeffs = [c for act in acts for c in act.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
 def test_delta_direct_equals_split():
     assert delta_expand("direct", 6) == delta_expand("split", 6)
 
@@ -247,6 +265,28 @@ def test_J_negates_exactly_the_half_odd_modes(V):
     for key, want in mode_columns(V).items():
         sign = -1 if is_phi(key) else 1
         assert J.mode_col(*key) == {row: sign * c for row, c in want.items()}, key
+
+
+def test_half_odd_memo_belongs_to_one_copy():
+    """Negative control for the half-odd column memo, which reads tau: with
+    every half-odd column of X memoized first, J(X) still negates them, X
+    keeps its own, and an override copy reads its planted column.  A memo
+    that copies shared would hand J the columns of X."""
+    X = fixture_boson_fermion(Fraction(5, 2))
+    keys = [Fraction(k) - HALF for k in range(-3, 4)]
+    want = mode_columns(X, keys)
+    assert any(want.values())
+    J = automorphism_J(X)
+    assert mode_columns(J, keys) == {key: {row: -c for row, c in col.items()}
+                                     for key, col in want.items()}
+    assert mode_columns(X, keys) == want
+    tau, col = tau_index(X), X.space.index[((1,), ())]
+    planted = dict(want[tau, HALF, col])
+    add_term(planted, col, 1)
+    bad = X.with_override(tau, HALF, col, planted)
+    assert planted != want[tau, HALF, col]
+    assert bad.mode_col(tau, HALF, col) == planted
+    assert X.mode_col(tau, HALF, col) == want[tau, HALF, col]
 
 
 def test_J_is_an_involution(V):
