@@ -10,7 +10,8 @@ word, a basis index) to a coefficient.  They share one invariant:
 So a dict is zero exactly when it is empty, and two dicts over the same
 key set are equal exactly when they are equal as dicts.  ``add_term`` is
 the one place that accumulates into such a dict; it keeps the invariant.
-``add_scaled`` is the "acc += c * vec" loop on top of it.
+``add_scaled`` is the "acc += c * vec" loop on top of it, and ``scaled``
+is its allocating form, a new dict "vec * c".
 """
 
 from fractions import Fraction
@@ -41,6 +42,14 @@ def add_scaled(acc: dict, vec: dict, c) -> None:
     """
     for key, val in vec.items():
         add_term(acc, key, val * c)
+
+
+def scaled(vec: dict, c) -> dict:
+    """vec * c as a new dict, coefficient of vec first and zero products
+    dropped; {} when c is zero."""
+    if not c:
+        return {}
+    return {key: p for key, val in vec.items() if (p := val * c)}
 
 
 def add_terms(a: dict, b: dict) -> dict:

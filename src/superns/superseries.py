@@ -304,10 +304,6 @@ class SFun:
         hi = _min_hi(out.hi, clip_hi) if cut else out.hi
         return SFun(self.L, out.terms, out.lo, hi)
 
-    def sqrt(self, branch: int = 1, clip_hi=None) -> "SFun":
-        h = self.power(HALF, clip_hi)
-        return h if branch > 0 else -h
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, z: GrassmannElement, theta: GrassmannElement) -> GrassmannElement:
@@ -497,7 +493,9 @@ def ss_from_components(f: SFun, psi: SFun, branch: int = 1,
     if any(e for (_, e) in f.terms) or any(e for (_, e) in psi.terms):
         raise DomainError("components must be theta-free (1,0)-functions")
     S = f.d_z() + psi * psi.d_z()
-    r = S.sqrt(branch, window[1])
+    r = S.power(HALF, window[1])
+    if branch <= 0:
+        r = -r
     ev = f + _attach_theta(psi * r)
     od = psi + _attach_theta(r)
     H = SuperSeries(L, ev, od)

@@ -19,7 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .sparse import add_scaled, add_term, add_terms, binom
+from .sparse import add_scaled, add_terms, binom, scaled
 
 HALF = Fraction(1, 2)
 
@@ -29,12 +29,6 @@ def signed_binom(n: int, k: int) -> int:
     """(-1)^k C(n, k) for an int n and k >= 0, as an int."""
     out = binom(n, k).numerator
     return -out if k & 1 else out
-
-
-def vec_scale(vec: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in vec.items()}
 
 
 # ----------------------------------------------------------------------
@@ -229,22 +223,22 @@ class VertexData:
         for j in range((col2 + space.weights2[w_idx]) // 2 - m):
             cb = signed_binom(p, j)
             for mid, c in self._xmode_col(w_idx, m + j, col).items():
-                for row, c2 in act(odd, p - j, mid).items():
-                    add_term(out, row, c2 * c * cb)
+                add_scaled(out, act(odd, p - j, mid), c * cb)
         # term 2: -(-1)^(p + sgn) w_(p+m-j) gen_(j)
         sign = 1 if (p + odd * space.signs[w_idx]) & 1 else -1
         for j in range((col2 + 2 - odd) // 2):
             cb = sign * signed_binom(p, j)
             for mid, c in act(odd, j, col).items():
-                for row, c2 in self._xmode_col(w_idx, p + m - j, mid).items():
-                    add_term(out, row, c2 * c * cb)
+                add_scaled(out, self._xmode_col(w_idx, p + m - j, mid), c * cb)
         return out
 
     # -- public mode application --------------------------------------------
 
     def mode_col(self, v_idx: int, k, col: int) -> dict:
-        """One column of the mode matrix of a basis state, overrides applied."""
-        k = Fraction(k)
+        """One column of the mode matrix of a basis state, overrides applied.
+
+        k is an int or a Fraction, read as given: equal keys hash alike, so
+        an override stored at Fraction(1) is read at 1 as well."""
         if self._overrides:
             ov = self._overrides.get((v_idx, k, col))
             if ov is not None:
@@ -281,8 +275,7 @@ class VertexData:
         out: dict = {}
         for v_idx, cv in v_vec.items():
             for col, cw in vec.items():
-                for row, c in self.mode_col(v_idx, k, col).items():
-                    add_term(out, row, c * cv * cw)
+                add_scaled(out, self.mode_col(v_idx, k, col), cv * cw)
         return out
 
     def mode_apply(self, v_idx: int, k, vec: dict) -> dict:
@@ -299,11 +292,11 @@ class VertexData:
     def L_apply(self, n: int, vec: dict) -> dict:
         if self.has_odd:
             out = self.mode_apply_vec(self.tau, Fraction(n) + HALF, vec)
-            return vec_scale(out, HALF)
+            return scaled(out, HALF)
         # without odd variables: 2L(n) = {G(-1/2), G(n+1/2)}, never central
         a = self.G_apply(-HALF, self.G_apply(n + HALF, vec))
         b = self.G_apply(n + HALF, self.G_apply(-HALF, vec))
-        return vec_scale(add_terms(a, b), HALF)
+        return scaled(add_terms(a, b), HALF)
 
     def compute_central_charge(self) -> Fraction:
         """Read c from [L(2), L(-2)] = 4 L(0) + c/2 on the vacuum."""
@@ -365,100 +358,9 @@ def automorphism_J(V: VertexData, flavor: str = "with") -> VertexData:
     if flavor not in ("with", "without"):
         raise ValueError("flavor must be 'with' or 'without'")
     out = V.copy()
-    out.tau = vec_scale(V.tau, -1)
+    out.tau = scaled(V.tau, -1)
     out.has_odd = flavor == "with"
     return out
-
-
-# ----------------------------------------------------------------------
-# odd-variable formal delta calculus
-# ----------------------------------------------------------------------
-
-
-class DeltaSeries:
-    """Coefficient table over monomials x0^a x1^b x2^c phi1^e1 phi2^e2.
-
-    Only exponents inside the per-variable window are stored; the series
-    they represent are exact there.
-    """
-
-    def __init__(self, window: int, terms=None):
-        self.window = window
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c and all(abs(e) <= window for e in key[:3]):
-                    self.terms[key] = c
-
-    def coeff(self, a, b, c, e1=0, e2=0) -> Fraction:
-        return self.terms.get((a, b, c, e1, e2), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, DeltaSeries) and self.terms == other.terms
-
-
-def delta_expand(variant: str, window: int = 12) -> DeltaSeries:
-    """Expansion tables for the displayed delta identities.
-
-    variants: "direct" expands delta((x1 - x2 - phi1 phi2)/x0) by the
-    binomial route; "split" builds delta((x1 - x2)/x0) minus
-    phi1 phi2 x0^(-1) delta'((x1 - x2)/x0).  Both agree coefficientwise.
-    """
-    terms: dict = {}
-    W = window
-    if variant == "direct":
-        # sum_n x0^(-n) (x1 - (x2 + phi1 phi2))^n
-        for n in range(-W, W + 1):
-            a = -n
-            if abs(a) > W:
-                continue
-            for k in range(0, 3 * W + 2):
-                cb = binom(n, k) * (-1) ** k
-                if not cb:
-                    if n >= 0 and k > n:
-                        break
-                    continue
-                b = n - k
-                if abs(b) > W:
-                    continue
-                # (x2 + phi1 phi2)^k = x2^k + k phi1 phi2 x2^(k-1)
-                if abs(k) <= W:
-                    add_term(terms, (a, b, k, 0, 0), cb)
-                if k >= 1 and abs(k - 1) <= W:
-                    add_term(terms, (a, b, k - 1, 1, 1), cb * k)
-        return DeltaSeries(W, terms)
-    if variant == "split":
-        for n in range(-W, W + 1):
-            a = -n
-            if abs(a) > W:
-                continue
-            for k in range(0, 3 * W + 2):
-                cb = binom(n, k) * (-1) ** k
-                if cb:
-                    b = n - k
-                    if abs(b) <= W and abs(k) <= W:
-                        add_term(terms, (a, b, k, 0, 0), cb)
-                elif n >= 0 and k > n:
-                    break
-        # - phi1 phi2 x0^(-1) delta'((x1-x2)/x0): delta'(y) = sum n y^(n-1)
-        for n in range(-W - 1, W + 2):
-            if n == 0:
-                continue
-            a = -(n - 1) - 1
-            if abs(a) > W:
-                continue
-            for k in range(0, 3 * W + 2):
-                cb = binom(n - 1, k) * (-1) ** k
-                if not cb:
-                    if n - 1 >= 0 and k > n - 1:
-                        break
-                    continue
-                b = n - 1 - k
-                if abs(b) > W or abs(k) > W:
-                    continue
-                add_term(terms, (a, b, k, 1, 1), -Fraction(n) * cb)
-        return DeltaSeries(W, terms)
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ----------------------------------------------------------------------
@@ -599,9 +501,9 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
 def _bracket_g_half(V: VertexData, v: int, n, vec: dict) -> dict:
     """[G(-1/2), v_n] applied to vec, with the Koszul sign of v."""
     sgn = -1 if V.sign(v) else 1
-    first = V.G_apply(-HALF, V.mode_apply(v, n, vec))
-    second = V.mode_apply(v, n, V.G_apply(-HALF, vec))
-    return add_terms(first, vec_scale(second, -sgn))
+    out = V.G_apply(-HALF, V.mode_apply(v, n, vec))
+    add_scaled(out, V.mode_apply(v, n, V.G_apply(-HALF, vec)), -sgn)
+    return out
 
 
 def consequence_checks(V: VertexData) -> dict:
@@ -635,7 +537,7 @@ def consequence_checks(V: VertexData) -> dict:
                 bracket = (_bracket_g_half(V, v, n, wvec)
                            if gv_ok and wt + HALF <= cap and wt + wtv - n - 1 <= cap
                            else None)
-                deriv = (vec_scale(V.mode_apply(v, n - 1, wvec), -n)
+                deriv = (scaled(V.mode_apply(v, n - 1, wvec), -n)
                          if lv_ok else None)
                 if bracket is not None and V.mode_apply(v, phi_n, wvec) != bracket:
                     fail("eq_phi_modes", v, n, w)
@@ -741,26 +643,28 @@ def ns_modes_check(V: VertexData) -> dict:
             m2, n2 = 2 * m, 2 * n
             for w in safe_columns(m2, n2):
                 wvec = {w: 1}
-                lhs = add_terms(op(m2, op(n2, wvec)), vec_scale(op(n2, op(m2, wvec)), -1))
-                rhs = vec_scale(op(m2 + n2, wvec), m - n)
+                lhs = op(m2, op(n2, wvec))
+                add_scaled(lhs, op(n2, op(m2, wvec)), -1)
+                rhs = scaled(op(m2 + n2, wvec), m - n)
                 if m + n == 0:
-                    rhs = add_terms(rhs, vec_scale(wvec, Fraction(m ** 3 - m, 12) * cc))
+                    add_scaled(rhs, wvec, Fraction(m ** 3 - m, 12) * cc)
                 if lhs != rhs:
                     record("LL", m2, n2, w)
             r2 = m2 + 1
             for w in safe_columns(r2, n2):
                 wvec = {w: 1}
-                lhs = add_terms(op(r2, op(n2, wvec)), vec_scale(op(n2, op(r2, wvec)), -1))
-                rhs = vec_scale(op(r2 + n2, wvec), Fraction(r2 - n, 2))
+                lhs = op(r2, op(n2, wvec))
+                add_scaled(lhs, op(n2, op(r2, wvec)), -1)
+                rhs = scaled(op(r2 + n2, wvec), Fraction(r2 - n, 2))
                 if lhs != rhs:
                     record("GL", r2, n2, w)
             s2 = n2 - 1
             for w in safe_columns(r2, s2):
                 wvec = {w: 1}
                 lhs = add_terms(op(r2, op(s2, wvec)), op(s2, op(r2, wvec)))
-                rhs = vec_scale(op(m2 + n2, wvec), 2)
+                rhs = scaled(op(m2 + n2, wvec), 2)
                 if m + n == 0:
-                    rhs = add_terms(rhs, vec_scale(wvec, Fraction(m * m + m, 3) * cc))
+                    add_scaled(rhs, wvec, Fraction(m * m + m, 3) * cc)
                 if lhs != rhs:
                     record("GG", r2, s2, w)
     return report

@@ -61,17 +61,26 @@ def test_imports_respect_the_layers(name):
 
 def test_one_accumulator_and_one_binom():
     for name in ALLOWED:
-        defined = {node.name for node in ast.walk(_tree(name))
-                   if isinstance(node, ast.FunctionDef)}
+        tree = _tree(name)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         shared = defined & {"add_term", "add_terms", "add_scaled", "binom", "_vec_add",
-                            "vec_sum"}
+                            "vec_sum", "vec_scale"}
+        # a ring class may have a scaled method (NSExpression.scaled); a
+        # module-level dict scaler is sparse's alone
+        shared |= {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "scaled"}
         assert not shared or name == "sparse", (name, shared)
+    # vosa accumulates only through add_scaled, never term by term
+    imported = {a.name for node in ast.walk(_tree("vosa"))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "add_scaled" in imported and "add_term" not in imported
 
 
 def test_one_soul_series():
     """The body/soul power series lives in GrassmannElement.__pow__ alone:
-    no inverse or sqrt beside it, no zpow in superseries, and no binomial
-    coefficient elsewhere in grassmann."""
+    no inverse or sqrt beside it, no zpow or SFun.sqrt in superseries, no
+    delta-function tables in vosa (they are a test oracle), and no
+    binomial coefficient elsewhere in grassmann."""
     tree = _tree("grassmann")
     element = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement")
@@ -81,6 +90,13 @@ def test_one_soul_series():
     defined = {node.name for node in ast.walk(_tree("superseries"))
                if isinstance(node, ast.FunctionDef)}
     assert "zpow" not in defined
+    sfun = next(node for node in _tree("superseries").body
+                if isinstance(node, ast.ClassDef) and node.name == "SFun")
+    sfun_methods = {node.name for node in sfun.body if isinstance(node, ast.FunctionDef)}
+    assert "power" in sfun_methods and "sqrt" not in sfun_methods
+    vosa = {node.name for node in ast.walk(_tree("vosa"))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"DeltaSeries", "delta_expand"} & vosa
     inside = {id(node) for node in ast.walk(methods["__pow__"])}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and "binom" in _names(node.func):

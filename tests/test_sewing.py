@@ -475,18 +475,37 @@ def test_boundary_map_scaling_collapses_to_local():
     assert out.od.coeff(0, 1) == scalar(2)
 
 
-def test_boundary_map_matches_composition_chain():
-    from superns.superseries import ss_exp_infinity, ss_invert
+def _differing_keys(F, G, window):
+    """(component, key) of every coefficient of order inside the window
+    where the super series F and G differ."""
+    out = []
+    for name in ("ev", "od"):
+        f, g = getattr(F, name), getattr(G, name)
+        out += [(name, key) for key in set(f.terms) | set(g.terms)
+                if window[0] <= key[0] <= window[1] and f.coeff(*key) != g.coeff(*key)]
+    return out
 
-    local = ss_exp_zero(CoordData(L_GEN, scalar(4), {1: gen(1) * gen(2)}, {}), (-10, 10))
+
+def test_boundary_map_matches_composition_chain():
+    """The defining identity of the tube map B = local o I o inf^(-1):
+    B o inf = local o I, on every coefficient in the window, with even and
+    odd data in both charts.  Negative control: the same B against a local
+    chart whose weight-1 flow is doubled differs."""
+    from superns.superseries import ss_exp_infinity
+
+    def local_chart(A1):
+        return ss_exp_zero(CoordData(L_GEN, scalar(4), {1: A1}, {1: gen(6)}), (-10, 10))
+
+    A1 = scalar(1) + gen(1) * gen(2)
+    local = local_chart(A1)
     inf = ss_exp_infinity(InfCoordData(L_GEN, {1: gen(3) * gen(4)}, {1: gen(5)}), (-10, 10))
     I = SuperSeries.inversion(L_GEN)
-    out = sw_boundary_map(local, inf, window=(-4, 4))
-    manual = ss_compose(local, ss_compose(I, ss_invert(inf, (-4, 4)), clip=(-4, 4)),
-                        clip=(-4, 4))
-    for key in set(out.ev.terms) | set(manual.ev.terms):
-        if -4 <= key[0] <= 4:
-            assert out.ev.coeff(*key) == manual.ev.coeff(*key)
+    for window in ((-4, 4), (-6, 6)):
+        out = ss_compose(sw_boundary_map(local, inf, window=window), inf, clip=window)
+        assert out.ev.terms and out.od.terms
+        assert _differing_keys(out, ss_compose(local, I, clip=window), window) == []
+        wrong = ss_compose(local_chart(2 * A1), I, clip=window)
+        assert _differing_keys(out, wrong, window)
 
 
 def test_boundary_map_superconformal():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
-from superns.sparse import add_scaled, add_term, add_terms, binom
+from superns.sparse import add_scaled, add_term, add_terms, binom, scaled
 
 SPEC = ParamSpec([("a", 0, True), ("m", 1, True), ("c", 0, False)], 3)
 
@@ -83,6 +83,29 @@ def test_add_scaled_multiplies_the_coefficient_of_vec_first():
     acc = {}
     add_scaled(acc, {"k": LeftOnly(Fraction(3, 2))}, 4)
     assert acc == {"k": 6}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_scaled_allocates_and_leaves_the_operand(ring):
+    make, _ = RINGS[ring]
+    vec = {1: make(1), 3: make(Fraction(7, 2))}
+    out = scaled(vec, -2)
+    assert out == {1: make(-2), 3: make(-7)}
+    assert out is not vec
+    assert scaled(vec, 0) == {} and scaled(vec, Fraction(0)) == {}
+    assert scaled({}, 5) == {}
+    assert vec == {1: make(1), 3: make(Fraction(7, 2))}
+
+
+def test_scaled_drops_a_zero_product():
+    """Grassmann coefficients have zero divisors: g * g is zero."""
+    g = GrassmannElement.generator(3, 1)
+    one = GrassmannElement.scalar(3, 1)
+    assert scaled({1: g, 2: one + g}, g) == {2: g}
+
+
+def test_scaled_multiplies_the_coefficient_of_vec_first():
+    assert scaled({"k": LeftOnly(Fraction(3, 2))}, 4) == {"k": 6}
 
 
 @given(st.integers(0, 40), st.integers(0, 45))

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from superns.sparse import add_term
+from superns.sparse import add_term, binom
 from superns.vosa import (
     FockSpace,
     automorphism_J,
     consequence_checks,
     convert_F1,
     convert_F2,
-    delta_expand,
     fixture_boson_fermion,
     grading_check,
     jacobi_check,
     ns_modes_check,
+    signed_binom,
     vacuum_checks,
 )
 
@@ -163,8 +163,65 @@ def test_mode_layer_is_integral():
     assert coeffs and all(type(c) is int for c in coeffs)
 
 
+# -- the odd-variable delta calculus, the oracle for jacobi_check's bins -------
+
+
+def delta_table(variant, window):
+    """Coefficients of delta((x1 - x2 - phi1 phi2)/x0) = sum_n x0^(-n)
+    (x1 - x2 - phi1 phi2)^n, keyed (a, b, c, e1, e2) for the monomial
+    x0^a x1^b x2^c phi1^e1 phi2^e2, every exponent of x in [-window, window].
+
+    "direct" expands the binomial in x1 and x2 + phi1 phi2, whose k-th power
+    is x2^k + k phi1 phi2 x2^(k-1); "split" is delta((x1 - x2)/x0) minus
+    phi1 phi2 x0^(-1) delta'((x1 - x2)/x0), with delta'(y) = sum_n n y^(n-1).
+    """
+    W = window
+    terms = {}
+    for n in range(-W - 1, W + 2):
+        for k in range(2 * W + 3):  # past 2W + 2, x1^(n - k) is below the window
+            cb = binom(n, k) * (-1) ** k
+            add_term(terms, (-n, n - k, k, 0, 0), cb)
+            if variant == "direct":
+                add_term(terms, (-n, n - k, k - 1, 1, 1), k * cb)
+            else:
+                add_term(terms, (-n, n - 1 - k, k, 1, 1), -n * binom(n - 1, k) * (-1) ** k)
+    return {key: c for key, c in terms.items() if all(abs(e) <= W for e in key[:3])}
+
+
 def test_delta_direct_equals_split():
-    assert delta_expand("direct", 6) == delta_expand("split", 6)
+    direct = delta_table("direct", 6)
+    assert direct and any(key[3] for key in direct)
+    assert direct == delta_table("split", 6)
+
+
+def test_jacobi_bin_coefficients_match_the_delta_table():
+    """jacobi_check's ordered() weighs x_(.) y_(.) w in the bin of x0^(-n) by
+    signed_binom(n, k) at x1^(n-k) x2^k and by -n signed_binom(n-1, k) at
+    phi1 phi2 x1^(n-1-k) x2^k: exactly the delta table, key for key."""
+    W = 6
+    want = {}
+    for n in range(-W, W + 1):
+        for k in range(W + 1):
+            if abs(n - k) <= W:
+                add_term(want, (-n, n - k, k, 0, 0), signed_binom(n, k))
+            if abs(n - 1 - k) <= W:
+                add_term(want, (-n, n - 1 - k, k, 1, 1), -n * signed_binom(n - 1, k))
+    assert delta_table("direct", W) == want
+
+
+@pytest.mark.parametrize("key", [1, Fraction(1)], ids=["int", "Fraction"])
+def test_override_is_read_with_either_key_type(V, key):
+    """mode_col does not normalize its key: an override planted at 1 is read
+    at Fraction(1) and the other way round, by mode_col and by mode_apply."""
+    tau = tau_index(V)
+    col = V.space.index[((1,), ())]
+    column = dict(V.mode_col(tau, 1, col))
+    add_term(column, col, 1)
+    bad = V.with_override(tau, key, col, column)
+    assert V.mode_col(tau, 1, col) != column
+    for read in (1, Fraction(1)):
+        assert bad.mode_col(tau, read, col) == column
+        assert bad.mode_apply(tau, read, {col: 1}) == column
 
 
 def test_planted_mode_column_fails_every_consequence_identity(V):
