@@ -555,17 +555,11 @@ class GradedPoly:
         """Merge two monomials; returns (monomial, sign), or None if it dies
         as an odd square or over the degree cap."""
         par = self.spec.parity
-        odd1 = [i for i, e in m1 if par[i]]
-        odd2 = [i for i, e in m2 if par[i]]
-        sign = 1
-        if odd1 and odd2:
-            if set(odd1) & set(odd2):
-                return None  # odd square
-            # inversions: odd letters of m2 passing greater-indexed odds of m1
-            for j in odd2:
-                crossings = sum(1 for i in odd1 if i > j)
-                if crossings & 1:
-                    sign = -sign
+        odd1 = sum(1 << i for i, e in m1 if par[i])
+        odd2 = sum(1 << i for i, e in m2 if par[i])  # odd letters as bitmasks
+        if odd1 & odd2:
+            return None  # odd square
+        sign = _merge_sign(odd1, odd2)
         d: dict[int, int] = {}
         for i, e in m1:
             d[i] = d.get(i, 0) + e

@@ -161,8 +161,8 @@ def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
 
 
 def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
-                              t=1, s=1, L_gen: int = 0, k_range=range(-5, 6)) -> bool:
-    """Check [op1, op2] = target as operators on basis monomials.
+                              t=1, s=1) -> bool:
+    """Check [op1, op2] = target on the basis monomials theta^e z^k, |k| <= 5.
 
     The target expression must have numeric coefficients and no central
     term (the representation has c = 0).
@@ -176,11 +176,11 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
             raise ValueError("target must be numeric")
         ops.append((coeff, DiffOp(g[0], g[1], t, s)))
     sign = -1 if (op1.parity() and op2.parity()) else 1
-    for k in k_range:
+    for k in range(-5, 6):
         for e in (0, 1):
-            F = SFun(L_gen, {(k, e): GrassmannElement.scalar(L_gen, 1)})
+            F = SFun(0, {(k, e): GrassmannElement.scalar(0, 1)})
             lhs = op1.apply(op2.apply(F)) - op2.apply(op1.apply(F)).scale_left(sign)
-            rhs = SFun.zero(L_gen)
+            rhs = SFun.zero(0)
             for coeff, op in ops:
                 rhs = rhs + op.apply(F).scale_left(coeff)
             if lhs != rhs:

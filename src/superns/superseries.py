@@ -115,6 +115,7 @@ class SFun:
         return self.terms.get((n, e), GrassmannElement(self.L))
 
     def __eq__(self, other):
+        """Compares L and terms; the windows lo, hi are not compared."""
         if not isinstance(other, SFun):
             return NotImplemented
         return self.L == other.L and self.terms == other.terms
@@ -393,18 +394,22 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
     """Substitute H2 into H1 componentwise.
 
     Only the high edge clip[1] is applied: it caps the z-orders of the
-    powers of H2.ev (SFun.power's clip_hi).  The low edge clip[0] is not
-    read, so terms below it are computed and kept; clip=(lo, hi) gives the
-    same result as clip=(None, hi).
+    negative powers of H2.ev (SFun.power's clip_hi).  The low edge
+    clip[0] is not read, so terms below it are computed and kept;
+    clip=(lo, hi) gives the same result as clip=(None, hi).
     """
     hi = clip[1] if clip is not None else None
     Z, T = H2.ev, H2.od
     k = Z.leading_invertible_order()
-    zpows: dict[int, SFun] = {}
+    zpows: dict[int, SFun] = {0: SFun.const(Z.L, 1)}
 
     def zp(n: int) -> SFun:
         if n not in zpows:
-            zpows[n] = Z.power(n, hi)
+            if n < 0:
+                zpows[n] = Z.power(n, hi)
+            # Z^n, n > 0, is the rung above Z^(n-1): SFun.power's own product
+            for m in range(max(zpows) + 1, n + 1):
+                zpows[m] = zpows[m - 1] * Z
         return zpows[n]
 
     reach = _reach_down(Z.shift(-k), H1.L)
@@ -662,16 +667,13 @@ def _apply_flow(H: SuperSeries, terms: list, window) -> SuperSeries:
     """
     lo, hi = window
 
-    def clip(F):
-        return SFun(H.L, F.terms, _max_lo(F.lo, lo), _min_hi(F.hi, hi))
-
     def X(F):
         out = SFun.zero(H.L)
         for op, coeff in terms:
             out = out + op.apply(F).scale_left(coeff)
-        return clip(out)
+        return out.with_window(lo, hi)
 
-    cur = (clip(H.ev), clip(H.od))
+    cur = (H.ev.with_window(lo, hi), H.od.with_window(lo, hi))
     acc = cur
     for k in range(1, FLOW_MAX_STEPS + 1):
         w = QQi(Fraction(1, k))
@@ -702,10 +704,7 @@ def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     for j, v in sorted(c.M.items()):
         if v:
             terms.append((DiffOp("G", j - HALF), v))
-    H = _apply_flow(base, terms, (None, hi)) if terms else base
-    ev = SFun(L, H.ev.terms, None, hi)   # flows only raise orders: exact below
-    od = SFun(L, H.od.terms, None, hi)
-    H = SuperSeries(L, ev, od)
+    H = _apply_flow(base, terms, (None, hi))   # flows only raise orders: exact below
     if c.branch < 0:
         H = H.negate_theta_output()
     return H
@@ -729,19 +728,15 @@ def ss_exp_infinity(c: InfCoordData, window: tuple[int, int] = DEFAULT_WINDOW) -
     for j, v in sorted(c.N.items()):
         if v:
             terms.append((DiffOp("G", HALF - j), -v))
-    H = _apply_flow(base, terms, (lo, None)) if terms else base
-    ev = SFun(L, H.ev.terms, lo, None)   # flows only lower orders: exact above
-    od = SFun(L, H.od.terms, lo, None)
-    return SuperSeries(L, ev, od)
+    return _apply_flow(base, terms, (lo, None))   # flows only lower orders: exact above
 
 
-def ss_extract_zero(H: SuperSeries, j_max: int | None = None,
-                    window: tuple[int, int] | None = None) -> CoordData:
-    """Order-by-order read-off inverting ss_exp_zero on the window.
+def ss_extract_zero(H: SuperSeries) -> CoordData:
+    """Order-by-order read-off inverting ss_exp_zero on H's window.
 
     The unknowns are solved in increasing flow order, interleaving the odd
     family at half-integer steps; each step is a linear read against the
-    invertible leading coefficient.
+    invertible leading coefficient; the flow is rebuilt after each nonzero read.
     """
     L = H.L
     ok, residual = ss_is_superconformal(H)
@@ -766,37 +761,37 @@ def ss_extract_zero(H: SuperSeries, j_max: int | None = None,
         W = H.negate_theta_output()
     else:
         raise ShapeError("leading theta coefficient is not a branch of sqrt(a0)")
-    hi = window[1] if window else H.ev.hi
+    hi = H.ev.hi
     if hi is None:
         hi = DEFAULT_WINDOW[1]
-    if j_max is None:
-        j_max = hi - 1
     a0_inv = a0 ** -1
     root_inv = a0 ** -HALF
     A: dict[int, GrassmannElement] = {}
     M: dict[int, GrassmannElement] = {}
-    wwin = (0, hi)
-    for j in range(1, j_max + 1):
-        cur = ss_exp_zero(CoordData(L, a0, A, M, 1), wwin)
+
+    def flow():
+        return ss_exp_zero(CoordData(L, a0, A, M, 1), (0, hi))
+
+    cur = flow()
+    for j in range(1, hi):
         # odd unknown at half step j - 1/2: read the theta-free slot z^j of tht
         r = W.od.coeff(j, 0) - cur.od.coeff(j, 0)
         if r:
             M[j] = -(r * root_inv)  # responds as -sqrt(a0) * M_(j-1/2)
-            cur = ss_exp_zero(CoordData(L, a0, A, M, 1), wwin)
+            cur = flow()
         # even unknown at step j: read slot z^(j+1) of zt
         r = W.ev.coeff(j + 1, 0) - cur.ev.coeff(j + 1, 0)
         if r:
             A[j] = -(r * a0_inv)  # responds as -a0 * A_j
-    out = CoordData(L, a0, _clean(A), _clean(M), branch)
-    # confirm the read-off reproduces the normalized input on the window
-    back = ss_exp_zero(CoordData(L, a0, _clean(A), _clean(M), 1), wwin)
+            cur = flow()
+    # cur, the flow of the final (A, M), must reproduce W on the window
     for (n, e), c in W.ev.terms.items():
-        if 0 <= n <= hi and back.ev.coeff(n, e) != c:
+        if 0 <= n <= hi and cur.ev.coeff(n, e) != c:
             raise ShapeError(f"read-off failed to reproduce slot z^{n} of zt")
     for (n, e), c in W.od.terms.items():
-        if 0 <= n <= hi and back.od.coeff(n, e) != c:
+        if 0 <= n <= hi and cur.od.coeff(n, e) != c:
             raise ShapeError(f"read-off failed to reproduce slot z^{n} of tht")
-    return out
+    return CoordData(L, a0, A, M, branch)
 
 
 def ss_evaluate(H: SuperSeries, z: GrassmannElement,

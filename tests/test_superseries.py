@@ -63,6 +63,19 @@ def random_inf_data(rng, jmax=4):
     return InfCoordData(L, B, N)
 
 
+# -- equality ---------------------------------------------------------
+
+
+def test_sfun_equality_ignores_windows():
+    """== compares L and terms only: a series equals its restrictions."""
+    F = SFun(L, {(1, 0): scalar(2), (0, 1): gen(1), (3, 0): gen(1) * gen(2)})
+    for lo, hi in ((None, 3), (-4, None), (0, 5)):
+        G = F.with_window(lo, hi)
+        assert (G.lo, G.hi) == (lo, hi) != (F.lo, F.hi)
+        assert G == F and F == G
+    assert F.with_window(None, 2) != F
+
+
 # -- D operator ---------------------------------------------------------
 
 
@@ -160,6 +173,22 @@ def test_compose_applies_only_the_high_clip_edge(lo):
             below += sum(1 for k, _ in g.terms if k < lo)
     if lo >= 0:
         assert below > 0
+
+
+def test_compose_climbs_positive_powers_without_power(monkeypatch):
+    """Z^n for n > 0 is the rung above Z^(n-1); a series of orders >= 0
+    composes without one call to SFun.power, and exactly."""
+    rng = random.Random(SEED + 11)
+    H = ss_exp_zero(random_coord_data(rng, jmax=3), (-10, 10))
+    K = ss_invert(H, (-10, 10))
+
+    def refuse(self, n, clip_hi=None):
+        raise AssertionError(f"SFun.power({n}) called")
+
+    monkeypatch.setattr(SFun, "power", refuse)
+    E = ss_compose(H, K, clip=(-5, 5))
+    assert E.ev.terms == {(1, 0): scalar(1)}
+    assert E.od.terms == {(0, 1): scalar(1)}
 
 
 def test_inversion_squared_is_theta_flip():
@@ -343,11 +372,35 @@ def test_exp_infinity_superconformal():
         assert ok, residual
 
 
+@pytest.mark.parametrize("empty", [True, False])
+def test_flow_maps_keep_half_open_windows(empty):
+    """At zero the flows only raise orders, so ss_exp_zero is exact on
+    (None, hi); at infinity they only lower them, so ss_exp_infinity is
+    exact on (lo, None).  Compared directly, since == ignores windows."""
+    rng = random.Random(SEED + 12)
+    for lo, hi in ((-12, 12), (-5, 3)):
+        for branch in (1, -1):
+            c = random_coord_data(rng)
+            c = CoordData(L, c.a0, {} if empty else c.A, {} if empty else c.M, branch)
+            H = ss_exp_zero(c, (lo, hi))
+            for F in (H.ev, H.od):
+                assert (F.lo, F.hi) == (None, hi)
+                assert F.terms and all(n <= hi for n, _ in F.terms)
+        c = InfCoordData(L) if empty else random_inf_data(rng)
+        H = ss_exp_infinity(c, (lo, hi))
+        for F in (H.ev, H.od):
+            assert (F.lo, F.hi) == (lo, None)
+            assert F.terms and all(n >= lo for n, _ in F.terms)
+        if empty:
+            I = SuperSeries.inversion(L)
+            assert (H.ev.terms, H.od.terms) == (I.ev.terms, I.od.terms)
+
+
 # -- extraction round trip --------------------------------------------------
 
 
 def test_extract_identity():
-    c = ss_extract_zero(SuperSeries.identity(L), j_max=4, window=(-12, 12))
+    c = ss_extract_zero(SuperSeries.identity(L))
     assert c.a0 == scalar(1)
     assert not c.A and not c.M
     assert c.branch == 1
@@ -355,7 +408,7 @@ def test_extract_identity():
 
 def test_extract_scaling():
     H = ss_exp_zero(CoordData(L, scalar(4)), (-12, 12))
-    c = ss_extract_zero(H, j_max=4)
+    c = ss_extract_zero(H)
     assert c.a0 == scalar(4)
     assert not c.A and not c.M
 
@@ -365,8 +418,32 @@ def test_extract_roundtrip_randomized():
     for _ in range(8):
         c = random_coord_data(rng)
         H = ss_exp_zero(c, (-12, 12))
-        got = ss_extract_zero(H, j_max=5)
+        got = ss_extract_zero(H)
         assert got == c
+
+
+def test_extract_builds_one_flow_per_nonzero_coordinate(monkeypatch):
+    """The read-off rebuilds the flow only after it reads a nonzero
+    coordinate, and confirms against the last one it built."""
+    import superns.superseries as ss
+
+    exp_zero = ss.ss_exp_zero
+    calls = []
+
+    def counted(c, window=ss.DEFAULT_WINDOW):
+        calls.append(window)
+        return exp_zero(c, window)
+
+    monkeypatch.setattr(ss, "ss_exp_zero", counted)
+    rng = random.Random(SEED + 13)
+    for _ in range(6):
+        c = random_coord_data(rng)
+        H = exp_zero(c, (-12, 12))
+        calls.clear()
+        assert ss_extract_zero(H) == c
+        nonzero = sum(1 for v in (*c.A.values(), *c.M.values()) if v)
+        assert len(calls) == 1 + nonzero <= 5
+        assert set(calls) == {(0, 12)}
 
 
 def test_extract_negative_branch():
@@ -374,9 +451,28 @@ def test_extract_negative_branch():
     base = random_coord_data(rng)
     c = CoordData(L, base.a0, base.A, base.M, -1)
     H = ss_exp_zero(c, (-12, 12))
-    got = ss_extract_zero(H, j_max=5)
+    got = ss_extract_zero(H)
     assert got.branch == -1
     assert got == c
+
+
+def test_round_trip_frees_its_series_without_the_cyclic_collector():
+    """A reference cycle, such as a recursive closure over ss_compose's
+    power memo, keeps every series it reaches alive until the cyclic
+    collector runs, which raises peak memory."""
+    import gc
+
+    c = random_coord_data(random.Random(SEED + 14))
+    gc.collect()
+    gc.disable()
+    try:
+        H = ss_exp_zero(c, (-12, 12))
+        K = ss_invert(H, (-10, 10))
+        ss_compose(H, K, clip=(-5, 5))
+        ss_extract_zero(H)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_extract_rejects_non_superconformal():
