@@ -2,10 +2,10 @@
 polynomial rings.
 
 GrassmannElement lives in the algebra on anticommuting generators z1..zL
-over the Gaussian rationals (QQi), because a body can be complex (a square
-root of a negative, the inversion's i*theta/z).  Terms are keyed by
-bitmasks (bit i-1 set means zi is a factor), so the empty mask holds the
-body and every other mask is soul.
+over the Gaussian rationals, because a body can be complex (a square root
+of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
+(bit i-1 set means zi is a factor), so the empty mask holds the body and
+every other mask is soul.
 
 One power serves every exponent in ½ℤ: x ** n is the terminating series
 b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
@@ -13,9 +13,11 @@ and a square root x ** Fraction(1, 2) (principal body root).  No other
 code expands a soul series.
 
 GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
-is over the rationals: each coefficient is an int when it is integral and
-a Fraction otherwise (see as_rational).  All operations are pure; elements
-are immutable by convention.
+is over the rationals.  Both rings store a coefficient in one canonical
+form (see as_rational): an int when it is integral, a Fraction when it is
+rational, and a QQi only when its imaginary part is nonzero, which
+GradedPoly refuses.  All operations are pure; elements are immutable by
+convention.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .sparse import add_scaled, add_term, add_terms
+from .sparse import add_term, add_terms
 
 
 class GrassmannError(ValueError):
@@ -46,7 +48,12 @@ _FZERO = Fraction(0)
 
 
 class QQi:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational re + im*i with exact Fraction parts.
+
+    A sum whose imaginary part cancels is its real part in as_rational's
+    form, so sums in sparse.add_term keep the canonical coefficient form;
+    a product stays a QQi (GrassmannElement normalizes its products).
+    """
 
     __slots__ = ("re", "im")
 
@@ -55,23 +62,26 @@ class QQi:
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     def __add__(self, other):
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented  # a ring element adds the scalar itself
         other = as_qqi(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        im = self.im + other.im
+        return QQi(self.re + other.re, im) if im else as_rational(self.re + other.re)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_qqi(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
         return as_qqi(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented
         other = as_qqi(other)
         if not self.im and not other.im:
-            # real * real: one Fraction product; every sewing and series
-            # coefficient takes this path
+            # real * real: one Fraction product
             return QQi(self.re * other.re, _FZERO)
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
@@ -152,9 +162,8 @@ class QQi:
         return QQi(a, b)
 
 
-ZERO = QQi(0)
-ONE = QQi(1)
-I = QQi(0, 1)
+Rational = int | Fraction
+Scalar = int | Fraction | QQi
 
 
 def as_qqi(x) -> QQi:
@@ -169,23 +178,32 @@ def as_qqi(x) -> QQi:
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
 
-def as_rational(x) -> int | Fraction:
-    """x as a GradedPoly coefficient: an int when integral, else a Fraction.
+def as_rational(x) -> Scalar:
+    """x as a ring coefficient in its canonical form: an int when integral,
+    a Fraction when rational, and a QQi only when its imaginary part is
+    nonzero (GradedPoly refuses that case, see _real).
 
-    A QQi with zero imaginary part stands for its real part; any other QQi
-    raises NotExact.
+    Canonical forms of equal values are equal and hash alike, so terms
+    dicts compare and hash by value.
     """
-    if type(x) is int:
+    t = type(x)
+    if t is int:
         return x
-    if isinstance(x, QQi):
+    if t is not Fraction:
+        if t is not QQi:
+            x = as_qqi(x)
         if x.im:
-            raise NotExact(f"graded polynomials have rational coefficients, not {x!r}")
+            return x
         x = x.re
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational coefficient")
+    return x.numerator if x.denominator == 1 else x
+
+
+def _real(x) -> Rational:
+    """as_rational(x) for a GradedPoly coefficient, which must be rational."""
+    v = as_rational(x)
+    if type(v) is QQi:
+        raise NotExact(f"graded polynomials have rational coefficients, not {v!r}")
+    return v
 
 
 def _integral(terms: dict) -> dict:
@@ -229,16 +247,24 @@ def _merge_sign(a: int, b: int) -> int:
     return sign
 
 
-class GrassmannElement:
-    """A finite QQi-linear combination of products of generators.
+def _scaled(terms: dict, v) -> dict:
+    """terms * v for a nonzero scalar v, each product in canonical form."""
+    return {m: p if type(p := c * v) is int else as_rational(p) for m, c in terms.items()}
 
-    terms maps bitmask -> QQi and stores no zero (the invariant of
-    superns.sparse); num_generators bounds the admissible bits.
+
+class GrassmannElement:
+    """A finite linear combination of products of generators over the
+    Gaussian rationals.
+
+    terms maps bitmask -> coefficient in as_rational's canonical form and
+    stores no zero (the invariant of superns.sparse).  Scalars enter through
+    as_rational, products and powers are stored in that form, and sums keep
+    it through add_term.  num_generators bounds the admissible bits.
     """
 
     __slots__ = ("L", "terms")
 
-    def __init__(self, num_generators: int, terms: dict[int, QQi] | None = None):
+    def __init__(self, num_generators: int, terms: dict[int, Scalar] | None = None):
         self.L = num_generators
         self.terms = terms if terms is not None else {}
 
@@ -246,14 +272,14 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, L: int, value) -> "GrassmannElement":
-        v = as_qqi(value)
+        v = as_rational(value)
         return cls(L, {0: v} if v else {})
 
     @classmethod
     def generator(cls, L: int, i: int) -> "GrassmannElement":
         if not 1 <= i <= L:
             raise GrassmannError(f"generator index {i} outside 1..{L}")
-        return cls(L, {1 << (i - 1): ONE})
+        return cls(L, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, L: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
@@ -265,7 +291,7 @@ class GrassmannElement:
             if mask & bit:
                 return cls(L, {})
             mask |= bit
-        v = as_qqi(coeff)
+        v = as_rational(coeff)
         return cls(L, {mask: v} if v else {})
 
     # -- structure ----------------------------------------------------
@@ -276,13 +302,13 @@ class GrassmannElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def body(self) -> QQi:
-        return self.terms.get(0, ZERO)
+    def body(self) -> Scalar:
+        return self.terms.get(0, 0)
 
     def soul(self) -> "GrassmannElement":
         return GrassmannElement(self.L, {m: c for m, c in self.terms.items() if m})
 
-    def split(self) -> tuple[QQi, "GrassmannElement"]:
+    def split(self) -> tuple[Scalar, "GrassmannElement"]:
         return self.body(), self.soul()
 
     def parity(self) -> int | None:
@@ -305,7 +331,8 @@ class GrassmannElement:
             raise DimensionMismatch(f"generator counts differ: {self.L} vs {other.L}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
+        # GrassmannElement first: Fraction is an ABC, so testing it costs more
+        if not isinstance(other, GrassmannElement):
             other = GrassmannElement.scalar(self.L, other)
         self._check(other)
         return GrassmannElement(self.L, add_terms(self.terms, other.terms))
@@ -316,26 +343,24 @@ class GrassmannElement:
         return GrassmannElement(self.L, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = GrassmannElement.scalar(self.L, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            v = as_qqi(other)
-            if not v:
-                return GrassmannElement(self.L, {})
-            return GrassmannElement(self.L, {m: c * v for m, c in self.terms.items()})
+        if not isinstance(other, GrassmannElement):
+            v = as_rational(other)
+            return GrassmannElement(self.L, _scaled(self.terms, v) if v else {})
         self._check(other)
-        out: dict[int, QQi] = {}
+        out: dict[int, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma & mb:
                     continue
                 c = ca * cb
+                if type(c) is not int:
+                    c = as_rational(c)
                 if _merge_sign(ma, mb) < 0:
                     c = -c
                 add_term(out, ma | mb, c)
@@ -347,10 +372,10 @@ class GrassmannElement:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = GrassmannElement.scalar(self.L, other)
         if not isinstance(other, GrassmannElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, QQi)):
+                return NotImplemented
+            other = GrassmannElement.scalar(self.L, other)
         return self.L == other.L and self.terms == other.terms
 
     def __hash__(self):
@@ -376,17 +401,17 @@ class GrassmannElement:
                     out = out * self
                 return out
             raise NotInvertible(f"zero body has no power {n}")
-        base = b
-        if n.denominator == 2:
-            if self.parity() != 0:
-                raise GrassmannError("a half-odd power needs an even element")
-            base = b.sqrt()
-        u = s * (ONE / b)
-        lead = base ** n.numerator
+        if n.denominator == 2 and self.parity() != 0:
+            raise GrassmannError("a half-odd power needs an even element")
+        base = as_rational(as_qqi(b).sqrt()) if n.denominator == 2 else b
+        if type(base) is int:
+            base = Fraction(base)  # an int to a negative power is a float
+        lead = as_rational(base ** n.numerator)
+        u = s * (Fraction(1) / b)
         acc = {0: lead}
         term, coeff, k = u, n, 1
         while coeff and term:
-            add_scaled(acc, term.terms, lead * coeff)
+            acc = add_terms(acc, _scaled(term.terms, lead * coeff))
             k += 1
             coeff = coeff * (n - k + 1) / k
             term = term * u
@@ -399,10 +424,10 @@ class GrassmannElement:
         for m in sorted(self.terms):
             c = self.terms[m]
             if m == 0:
-                parts.append(repr(c))
+                parts.append(str(c))
             else:
                 gens = "".join(f"z{i+1}" for i in range(self.L) if m >> i & 1)
-                parts.append(f"{c!r}*{gens}")
+                parts.append(f"{c}*{gens}")
         return " + ".join(parts)
 
 
@@ -461,19 +486,16 @@ TermKey = tuple[Monomial, int]
 _UNSEEN = object()
 
 
-Rational = int | Fraction
-
-
 class GradedPoly:
     """Sparse polynomial over the rationals in graded symbols times alpha0^(k/2).
 
     terms maps (monomial, alpha0 half-exponent) -> coefficient and stores no
     zero (the invariant of superns.sparse).  A coefficient is an int when it
     is integral and a Fraction otherwise: never Fraction(n, 1), never a QQi.
-    Scalars enter through as_rational, and sums, products and scalar
-    multiples store integral results as ints.  Odd symbols square to zero
-    and anticommute (Koszul signs); capped symbols are truncated at
-    spec.degree_cap total degree.
+    Scalars enter through _real, sums keep the form through add_term, and
+    products and scalar multiples store integral results as ints.  Odd
+    symbols square to zero and anticommute (Koszul signs); capped symbols
+    are truncated at spec.degree_cap total degree.
     """
 
     __slots__ = ("spec", "terms")
@@ -484,13 +506,13 @@ class GradedPoly:
 
     @classmethod
     def scalar(cls, spec: ParamSpec, value) -> "GradedPoly":
-        v = as_rational(value)
+        v = _real(value)
         return cls(spec, {((), 0): v} if v else {})
 
     @classmethod
     def symbol(cls, spec: ParamSpec, name: str, coeff=1) -> "GradedPoly":
         i = spec.index[name]
-        v = as_rational(coeff)
+        v = _real(coeff)
         return cls(spec, {(((i, 1),), 0): v} if v else {})
 
     @classmethod
@@ -536,7 +558,7 @@ class GradedPoly:
         if isinstance(other, (int, Fraction, QQi)):
             other = GradedPoly.scalar(self.spec, other)
         self._check(other)
-        return GradedPoly(self.spec, _integral(add_terms(self.terms, other.terms)))
+        return GradedPoly(self.spec, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -576,7 +598,7 @@ class GradedPoly:
     def __mul__(self, other):
         # GradedPoly first: Fraction is an ABC, so testing it costs more
         if not isinstance(other, GradedPoly):
-            v = as_rational(other)
+            v = _real(other)
             if not v:
                 return GradedPoly(self.spec, {})
             return GradedPoly(self.spec, _integral({k: c * v for k, c in self.terms.items()}))

@@ -29,7 +29,7 @@ from .grassmann import (
     GradedPoly,
     GrassmannElement,
     ParamSpec,
-    QQi,
+    as_qqi,
 )
 from .nsalg import (
     C_GEN,
@@ -85,15 +85,12 @@ class ModuliElement:
             raise SewingError(f"expected {n} local coordinates, got {len(self.local)}")
         if n == 0 and not infinity.sk0_constraint:
             raise SewingError("one-tube elements need the constrained infinity data")
+        # bodies are canonical coefficients, so equal ones hash alike
         bodies = [z.body() for z, _ in self.punctures]
         if any(not b for b in bodies):
             raise SewingError("puncture bodies must be nonzero")
-        seen = set()
-        for b in bodies:
-            key = (b.re, b.im)
-            if key in seen:
-                raise SewingError("puncture bodies must be pairwise distinct")
-            seen.add(key)
+        if len(set(bodies)) < len(bodies):
+            raise SewingError("puncture bodies must be pairwise distinct")
 
     def __eq__(self, other):
         return (isinstance(other, ModuliElement)
@@ -147,17 +144,12 @@ def sw_can_sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> bool:
     if Q2.n < 1:
         raise SewingError("the second factor needs a zero-th tube partner")
     # body position of the i-th puncture (the n-th sits at zero)
-    pos = [z.body() for z, _ in Q1.punctures] + [QQi(0)]
+    pos = [z.body() for z, _ in Q1.punctures] + [0]
     zi = pos[i - 1]
     others = [p for k, p in enumerate(pos) if k != i - 1]
-    d2 = None
-    for p in others:
-        dd = (p - zi).abs2()
-        d2 = dd if d2 is None else min(d2, dd)
-    if d2 is None:
-        d2 = Fraction(1)
-    a2 = Q1.local[i - 1].a0.body().abs2()
-    crowd = max((z.body().abs2() for z, _ in Q2.punctures), default=Fraction(0))
+    d2 = min((as_qqi(p - zi).abs2() for p in others), default=1)
+    a2 = as_qqi(Q1.local[i - 1].a0.body()).abs2()
+    crowd = max((as_qqi(z.body()).abs2() for z, _ in Q2.punctures), default=0)
     return bool(a2 * d2 > crowd)
 
 

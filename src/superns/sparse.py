@@ -21,7 +21,8 @@ from math import comb
 def add_term(acc: dict, key, val) -> None:
     """acc[key] += val in place, dropping the key when the sum is zero.
 
-    A zero val is not stored under a new key.
+    A zero val is not stored under a new key; an integral Fraction sum is
+    stored as its int, the form every ring keeps a rational coefficient in.
     """
     s = acc.get(key)
     if s is None:
@@ -29,10 +30,12 @@ def add_term(acc: dict, key, val) -> None:
             acc[key] = val
         return
     s = s + val
-    if s:
-        acc[key] = s
-    else:
+    if not s:
         del acc[key]
+    elif type(s) is Fraction and s.denominator == 1:
+        acc[key] = s.numerator
+    else:
+        acc[key] = s
 
 
 def add_scaled(acc: dict, vec: dict, c) -> None:

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import (
-    GrassmannElement,
-    NotInvertible,
-    QQi,
-    as_qqi,
-)
+from .grassmann import GrassmannElement, NotInvertible, QQi
 from .sparse import add_term, add_terms, binom
 
 HALF = Fraction(1, 2)
@@ -146,10 +141,10 @@ class SFun:
     def __sub__(self, other: "SFun") -> "SFun":
         return self + (-other)
 
-    def scale_left(self, s: GrassmannElement | QQi | int | Fraction) -> "SFun":
-        """Multiply by a scalar written to the left of theta."""
+    def scale_left(self, s) -> "SFun":
+        """Multiply by a GrassmannElement or scalar written to the left of theta."""
         if not isinstance(s, GrassmannElement):
-            s = GrassmannElement.scalar(self.L, as_qqi(s))
+            s = GrassmannElement.scalar(self.L, s)
         st = s.parity_twist()
         out = {(n, e): (st if e else s) * c for (n, e), c in self.terms.items()}
         return SFun(self.L, out, self.lo, self.hi)
@@ -293,8 +288,8 @@ class SFun:
                 for m, upm in enumerate(up_pows):
                     cm = binom(n - p, m)
                     if cm:
-                        inner = inner + upm.scale_left(QQi(cm))
-                acc = acc + (u0_pow * inner).scale_left(QQi(cp))
+                        inner = inner + upm.scale_left(cm)
+                acc = acc + (u0_pow * inner).scale_left(cp)
             p += 1
             u0_pow = u0_pow * u0
             if u0_pow.is_zero():
@@ -602,13 +597,13 @@ class DiffOp:
     def __init__(self, kind: str, index, t=1, s=1):
         self.kind = kind
         self.t = Fraction(t)
-        self.s = as_qqi(s)
+        self.s = s
         if not self.s:
             raise ValueError("s must be nonzero")
         # apply's per-operator constants: the order shifts out of the
         # theta-free and out of the theta sector, and the coefficient
-        # factors; G with s = 1 (the flows' case) needs no QQi factors,
-        # since negation is far cheaper than a QQi product per term
+        # factors; G with s = 1 (the flows' case) needs no scalar factors,
+        # since negation is far cheaper than a product per term
         if self.kind == "G":
             r = Fraction(index)
             if r.denominator != 2:
@@ -619,7 +614,7 @@ class DiffOp:
             self._shift0 = self.n - int(self.t) + 1
             self._shift1 = self.n + int(self.t)
             unit = self.s == 1
-            self._s_inv = None if unit else QQi(1) / self.s
+            self._s_inv = None if unit else Fraction(1) / self.s
             self._neg_s = None if unit else -self.s
         elif self.kind == "L":
             self.n = int(index)
@@ -642,7 +637,7 @@ class DiffOp:
             half = self._half
             for (k, e), c in F.terms.items():
                 if e:
-                    add_term(out, (k + s1, 1), c * QQi(-(k + half)))
+                    add_term(out, (k + s1, 1), c * (-(k + half)))
                 elif k:
                     add_term(out, (k + s0, 0), c * (-k))
         else:
@@ -676,7 +671,7 @@ def _apply_flow(H: SuperSeries, terms: list, window) -> SuperSeries:
     cur = (H.ev.with_window(lo, hi), H.od.with_window(lo, hi))
     acc = cur
     for k in range(1, FLOW_MAX_STEPS + 1):
-        w = QQi(Fraction(1, k))
+        w = Fraction(1, k)
         cur = (X(cur[0]).scale_left(w), X(cur[1]).scale_left(w))
         if cur[0].is_zero() and cur[1].is_zero():
             return SuperSeries(H.L, acc[0], acc[1])

@@ -16,6 +16,7 @@ from superns.grassmann import (
     NotInvertible,
     ParamSpec,
     QQi,
+    as_qqi,
     as_rational,
 )
 
@@ -196,7 +197,7 @@ def test_power_adds_exponents_over_half_integers(x, m, n):
 def test_half_power_is_the_principal_square_root(x):
     r = x ** HALF
     assert r * r == x
-    root = r.body()
+    root = as_qqi(r.body())
     assert root.re > 0 or (root.re == 0 and root.im > 0)
     assert x * x ** -1 == 1
     assert x ** -HALF * r == 1
@@ -282,6 +283,64 @@ def test_associativity_randomized():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         scalar(1, 2) * scalar(1, 3)
+
+
+# -- the canonical coefficient domain of GrassmannElement --------------------
+
+_GAUSSIAN = st.one_of(st.integers(-3, 3), _SMALL, st.builds(QQi, _SMALL, _SMALL))
+
+
+def canonical(x):
+    """Every coefficient is an int, a Fraction that is not integral, or a
+    QQi off the real axis."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               or (type(c) is QQi and c.im != 0) for c in x.terms.values())
+
+
+@st.composite
+def entered(draw, L):
+    """An element on L generators summed from monomials with Gaussian
+    coefficients, so every value enters through the scalar entry points."""
+    x = GrassmannElement(L)
+    for mask, c in draw(st.dictionaries(st.integers(0, 2 ** L - 1), _GAUSSIAN,
+                                        max_size=5)).items():
+        x = x + GrassmannElement.monomial(L, [i + 1 for i in range(L) if mask >> i & 1], c)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grassmann_coefficients_stay_canonical(data):
+    L = data.draw(st.integers(1, 5))
+    x, y = data.draw(entered(L)), data.draw(entered(L))
+    c = data.draw(_GAUSSIAN)
+    r = data.draw(_GAUSSIAN.filter(bool))
+    n = data.draw(_HALVES)
+    # an even element whose body r*r has an exact root, so every x ** n exists
+    even = GrassmannElement(L, {m: v for m, v in x.terms.items()
+                                if m and bin(m).count("1") % 2 == 0}) + r * r
+    results = [x, x + y, x - y, x * y, y * x, x * c, c * x, x + c, c - x, -x,
+               x.parity_twist(), x ** data.draw(st.integers(0, 3)), even ** n,
+               even ** n * even ** -n]
+    for v in results:
+        assert canonical(v), v.terms
+    assert even ** n * even ** -n == 1
+
+
+def test_equal_scalars_are_equal_and_hash_alike():
+    values = [scalar(2), scalar(Fraction(2)), scalar(QQi(2)), scalar(QQi(Fraction(4, 2), 0)),
+              scalar(QQi(1, 1)) + scalar(QQi(1, -1)), scalar(Fraction(1, 2)) * 4]
+    assert all(v == values[0] for v in values)
+    assert len({hash(v) for v in values}) == 1
+    assert all(v.terms == {0: 2} and type(v.terms[0]) is int for v in values)
+
+
+def test_i_squared_stores_the_int_minus_one():
+    i = scalar(QQi(0, 1), 3)
+    assert (i * i).terms == {0: -1} and type((i * i).terms[0]) is int
+    z = G(3)
+    assert type((z[0] * i * (z[1] * i)).terms[0b11]) is int
+    assert type((scalar(QQi(1, 1), 3) + QQi(1, -1)).body()) is int
 
 
 # -- GradedPoly ---------------------------------------------------------

@@ -136,6 +136,23 @@ def test_graded_layers_use_no_gaussian_rationals():
         assert not _names(node) & GAUSSIAN, node.name
 
 
+def test_series_name_i_only_in_the_inversion():
+    """superseries works on canonical coefficients: i enters only through
+    SuperSeries.inversion, the boundary involution (1/z, i*theta/z), and no
+    scalar is wrapped as a Gaussian rational."""
+    tree = _tree("superseries")
+    assert "as_qqi" not in _names(tree)
+    series = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "SuperSeries")
+    inversion = next(node for node in series.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "inversion")
+    inside = {id(n) for n in ast.walk(inversion)}
+    uses = [n.lineno for n in ast.walk(tree) if id(n) not in inside
+            and "QQi" in _names(n) and isinstance(n, (ast.Name, ast.Attribute))]
+    assert not uses
+    assert "QQi" in _names(inversion)
+
+
 def test_solver_vectors_never_pass_through_words():
     """The solver keys vectors by basis position from end to end; the one
     word -> position boundary is VermaModule.row, so no solver function reads

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi
+from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi, as_qqi
 from superns.nsalg import C_GEN, L, VermaModule, gen_parity, word_level
 from superns.sewing import (
     ModuliElement,
@@ -585,3 +585,50 @@ def test_can_sew_index_range():
     Q1 = simple_moduli(2)
     with pytest.raises(SewingError):
         sw_can_sew(Q1, 3, simple_moduli(1))
+
+
+def moduli_at(bodies, a0=1):
+    """A moduli element with movable punctures at the given bodies and a0 as
+    the leading coefficient of every local coordinate."""
+    n = len(bodies) + 1
+    return ModuliElement(L_GEN, n, [(scalar(b), gen(k + 1)) for k, b in enumerate(bodies)],
+                         InfCoordData(L_GEN), [CoordData(L_GEN, scalar(a0)) for _ in range(n)])
+
+
+def test_moduli_compares_gaussian_bodies_by_value():
+    for twin in (QQi(2), Fraction(4, 2), QQi(Fraction(6, 3), 0)):
+        with pytest.raises(SewingError):
+            moduli_at([2, twin])
+    assert moduli_at([2, QQi(0, 2)]).n == 3
+    assert moduli_at([QQi(0, 2), QQi(0, -2), QQi(2, 2)]).n == 4
+
+
+# (Q1's puncture bodies, a0, tube i, Q2's puncture bodies, verdict) with the
+# verdict |a0|^2 d^2 > max |q|^2 worked by hand, d the clearance of tube i
+CAN_SEW = [
+    ([3], 1, 1, [QQi(2, 2)], True),             # 9 > 8
+    ([QQi(0, 3)], 1, 1, [QQi(2, 2)], True),     # the same, turned by i
+    ([3], 1, 1, [3], False),                    # 9 > 9 fails
+    ([QQi(0, 3)], 1, 1, [QQi(0, -3)], False),
+    ([QQi(0, 3)], 1, 2, [QQi(2, 2)], True),     # tube 2 sits at 0
+    ([3, QQi(3, 1)], QQi(0, 2), 1, [QQi(1, 1)], True),   # 4 * 1 > 2
+    ([3, QQi(3, 1)], QQi(0, 2), 1, [2], False),          # 4 * 1 > 4 fails
+]
+
+
+def can_sew_mismatches() -> list:
+    return [case for case in CAN_SEW
+            if sw_can_sew(moduli_at(case[0], case[1]), case[2], moduli_at(case[3])) != case[4]]
+
+
+def test_can_sew_measures_gaussian_distances():
+    assert can_sew_mismatches() == []
+
+
+def test_can_sew_cases_reject_a_planted_wrong_distance(monkeypatch):
+    """The cases must bite: a clearance that reads only the real part of
+    each body is caught."""
+    import superns.sewing as sewing
+
+    monkeypatch.setattr(sewing, "as_qqi", lambda x: QQi(as_qqi(x).re))
+    assert can_sew_mismatches()
