@@ -110,7 +110,8 @@ class QQi:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a QQi on the real axis equals its rational, so it hashes alike
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -204,14 +205,6 @@ def _real(x) -> Rational:
     if type(v) is QQi:
         raise NotExact(f"graded polynomials have rational coefficients, not {v!r}")
     return v
-
-
-def _integral(terms: dict) -> dict:
-    """terms with each integral Fraction value replaced by its int, in place."""
-    for k, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
-            terms[k] = c.numerator
-    return terms
 
 
 def _frac_sqrt(q: Fraction) -> Fraction:
@@ -449,13 +442,14 @@ class ParamSpec:
     exempt from truncation.  The distinguished Laurent symbol alpha0 is
     tracked separately with half-integer exponents.
 
-    Two memos belong to this instance, so they are freed with the spec and
-    never shared between two problems' rings: _merges[m1][m2] is
-    GradedPoly._mul_mono(m1, m2) for GradedPoly.__mul__, and _odd[m] is
-    the parity of monomial m for GradedPoly.parity_twist.
+    Three memos belong to this instance, so they are freed with the spec
+    and never shared between two problems' rings: _merges[m1][m2] is
+    GradedPoly._mul_mono(m1, m2) for GradedPoly._product, and _odd and
+    _degree hold odd() and degree() of each monomial seen.
     """
 
-    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_merges", "_odd")
+    __slots__ = ("names", "parity", "capped", "index", "degree_cap",
+                 "_merges", "_odd", "_degree")
 
     def __init__(self, symbols: list[tuple[str, int, bool]], degree_cap: int):
         self.names = tuple(s[0] for s in symbols)
@@ -465,6 +459,7 @@ class ParamSpec:
         self.degree_cap = degree_cap
         self._merges: dict = {}
         self._odd: dict = {}
+        self._degree: dict = {}
         if len(self.index) != len(self.names):
             raise SchemaMismatch("duplicate symbol names")
 
@@ -477,6 +472,22 @@ class ParamSpec:
 
     def __hash__(self):
         return hash((self.names, self.parity, self.capped, self.degree_cap))
+
+    def degree(self, mono: Monomial) -> int:
+        """The total degree of the capped symbols of mono."""
+        d = self._degree.get(mono)
+        if d is None:
+            cap = self.capped
+            d = self._degree[mono] = sum(e for i, e in mono if cap[i])
+        return d
+
+    def odd(self, mono: Monomial) -> int:
+        """The parity of mono: 1 when it holds an odd number of odd letters."""
+        o = self._odd.get(mono)
+        if o is None:
+            par = self.parity
+            o = self._odd[mono] = sum(e * par[i] for i, e in mono) & 1
+        return o
 
 
 # a monomial is a tuple of (symbol_index, exponent), sorted by index;
@@ -525,30 +536,16 @@ class GradedPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def _capped_degree(self, mono: Monomial) -> int:
-        cap = self.spec.capped
-        return sum(e for i, e in mono if cap[i])
-
-    def monomial_parity(self, mono: Monomial) -> int:
-        par = self.spec.parity
-        return sum(e * par[i] for i, e in mono) & 1
-
     def parity(self) -> int | None:
         if not self.terms:
             return 0
-        ps = {self.monomial_parity(m) for m, _ in self.terms}
+        ps = {self.spec.odd(m) for m, _ in self.terms}
         return ps.pop() if len(ps) == 1 else None
 
     def parity_twist(self) -> "GradedPoly":
         """even part minus odd part (sign from passing one odd symbol)."""
-        odd = self.spec._odd
-        out = {}
-        for k, c in self.terms.items():
-            o = odd.get(k[0])
-            if o is None:
-                o = odd[k[0]] = self.monomial_parity(k[0])
-            out[k] = -c if o else c
-        return GradedPoly(self.spec, out)
+        odd = self.spec.odd
+        return GradedPoly(self.spec, {k: -c if odd(k[0]) else c for k, c in self.terms.items()})
 
     def _check(self, other: "GradedPoly"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -591,7 +588,7 @@ class GradedPoly:
             if par[i] and e > 1:
                 return None
         mono = tuple(sorted(d.items()))
-        if self._capped_degree(mono) > self.spec.degree_cap:
+        if self.spec.degree(mono) > self.spec.degree_cap:
             return None
         return mono, sign
 
@@ -599,14 +596,19 @@ class GradedPoly:
         # GradedPoly first: Fraction is an ABC, so testing it costs more
         if not isinstance(other, GradedPoly):
             v = _real(other)
-            if not v:
-                return GradedPoly(self.spec, {})
-            return GradedPoly(self.spec, _integral({k: c * v for k, c in self.terms.items()}))
+            return GradedPoly(self.spec, _scaled(self.terms, v) if v else {})
         self._check(other)
+        return GradedPoly(self.spec, self._product({}, self.terms, other.terms))
+
+    def _product(self, out: dict, terms1: dict, terms2: dict) -> dict:
+        """out += terms1 * terms2, in place, for terms dicts of this ring.
+
+        The one product loop: each monomial pair is merged once per ring
+        (spec._merges) and each product is stored in canonical form.
+        """
         merges = self.spec._merges
-        others = other.terms.items()
-        out: dict[TermKey, Rational] = {}
-        for (m1, a1), c1 in self.terms.items():
+        others = terms2.items()
+        for (m1, a1), c1 in terms1.items():
             row = merges.get(m1)
             if row is None:
                 row = merges[m1] = {}
@@ -618,10 +620,10 @@ class GradedPoly:
                     continue
                 mono, sign = merged
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                add_term(out, (mono, a1 + a2), c)
-        return GradedPoly(self.spec, _integral(out))
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                add_term(out, (mono, a1 + a2), -c if sign < 0 else c)
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -642,13 +644,13 @@ class GradedPoly:
         cap = self.spec.degree_cap if cap is None else cap
         return GradedPoly(
             self.spec,
-            {k: c for k, c in self.terms.items() if self._capped_degree(k[0]) <= cap})
+            {k: c for k, c in self.terms.items() if self.spec.degree(k[0]) <= cap})
 
     def degree_part(self, d: int) -> "GradedPoly":
         """Terms whose capped-symbol total degree is exactly d."""
         return GradedPoly(
             self.spec,
-            {k: c for k, c in self.terms.items() if self._capped_degree(k[0]) == d})
+            {k: c for k, c in self.terms.items() if self.spec.degree(k[0]) == d})
 
     def coefficient(self, assignments: dict[str, int]) -> "GradedPoly":
         """Extract the coefficient of prod(sym^exp); other symbols untouched."""

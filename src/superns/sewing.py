@@ -39,7 +39,7 @@ from .nsalg import (
     gen_parity,
     gen_weight,
 )
-from .sparse import add_term
+from .sparse import add_terms
 from .superseries import (
     CoordData,
     InfCoordData,
@@ -203,60 +203,102 @@ def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
     return ParamSpec(symbols + [("c", 0, False), ("h", 0, False)], degree_cap)
 
 
-def _whole(p: GradedPoly) -> GradedPoly:
-    """The filter that keeps every term."""
-    return p
+def _graded(vec: dict, keep) -> dict:
+    """{position: GradedPoly} as a graded vector: (position, capped degree,
+    doubled raising peak, 0 without a budget) -> terms dict."""
+    out: dict = {}
+    for i, q in vec.items():
+        degree = q.spec.degree
+        for key, c in q.terms.items():
+            out.setdefault((i, degree(key[0]), keep[0](key[0]) if keep else 0), {})[key] = c
+    return out
 
 
-def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=_whole) -> dict:
-    """exp(sum coeff*gen) applied to vec, truncated by the parameter cap.
+def _ungraded(spec: ParamSpec, vec: dict) -> dict:
+    """A graded vector back as {position: GradedPoly}."""
+    out: dict = {}
+    for (i, _, _), t in vec.items():
+        if t:
+            out.setdefault(i, {}).update(t)
+    return {i: GradedPoly(spec, t) for i, t in out.items()}
 
-    An odd gen meets the vector's polynomial entries parity-twisted (the
-    Koszul sign of moving it past them).  keep filters each product
-    coeff * entry; the matrix elements of gen have raising peak 0, so
-    their products need no second pass.  Every coeff has capped degree
-    >= 1, so the k-th power of the exponent dies past the cap at
-    k = degree_cap + 1 at the latest; a series still alive then raises
-    instead of being cut.  vec and the result map basis position ->
-    GradedPoly; each gen acts through module.table(gen), whose rows
-    module.row fills on first use.
+
+def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=None) -> dict:
+    """exp(sum coeff*gen) applied to vec {position: GradedPoly}; keep is a
+    trust budget (see _Factorization._keeper) or None."""
+    return _ungraded(module.spec, _exp_graded(module, terms, _graded(vec, keep), degree_cap, keep))
+
+
+def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) -> dict:
+    """exp(sum coeff*gen) applied to a graded vector, truncated by the
+    parameter cap and, given a trust budget keep = (peak2, limit), by it.
+
+    Each coeff is split by (degree, peak) once.  A part of degree dp meets
+    an entry of degree dq only when dp + dq <= degree_cap, and only when
+    their peaks sum within the limit: products over either bound would be
+    dropped, so they are never formed (degrees and peaks add, and peaks are
+    never negative).  The matrix elements of gen have degree 0 and peak 0,
+    so p * q * element lands where p * q does.  An odd gen meets the
+    entries parity-twisted (the Koszul sign of moving it past them).  Every
+    coeff has capped degree >= 1, so the k-th power of the exponent dies
+    past the cap at k = degree_cap + 1 at the latest; a series still alive
+    then raises instead of being cut.  Each gen acts through
+    module.table(gen), whose rows module.row fills on first use.
     """
-    terms = [(g, module.table(g), gen_parity(g), keep(p)) for g, p in terms]
-    cur = vec
-    acc = dict(vec)
+    spec, product = module.spec, module.one._product
+    limit = keep[1] if keep else 0
+    blocks = []  # (gen, table, odd, [((degree, peak), terms)] by degree)
+    for g, p in terms:
+        module.one._check(p)
+        parts: dict = {}
+        for (_, d, pk), t in _graded({0: p}, keep).items():
+            if pk <= limit:
+                parts[(d, pk)] = t
+        if parts:
+            blocks.append((g, module.table(g), gen_parity(g), sorted(parts.items())))
+    cur, acc = vec, dict(vec)
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
-        twisted = None
-        for g, table, odd, p in terms:
-            src = cur
-            if odd:
-                if twisted is None:
-                    twisted = {i: q.parity_twist() for i, q in cur.items()}
-                src = twisted
-            for i, q in src.items():
-                pre = keep(p * q)
-                if not pre:
-                    continue
-                row = table[i]
-                if row is None:
-                    row = module.row(g, i)
-                for j, r in row.items():
-                    add_term(nxt, j, pre * r)
-        if k > 1:
-            inv_k = Fraction(1, k)
-            nxt = {i: q * inv_k for i, q in nxt.items()}
-        cur = nxt
+        for (i, dq, pq), qt in cur.items():
+            twisted = None
+            for g, table, odd, parts in blocks:
+                for (dp, pp), pt in parts:
+                    if dp + dq > degree_cap:
+                        break
+                    if pp + pq > limit:
+                        continue
+                    if odd and twisted is None:
+                        twisted = {key: -c if spec.odd(key[0]) else c for key, c in qt.items()}
+                    pre = product({}, pt, twisted if odd else qt)
+                    if not pre:
+                        continue
+                    # a row is built only when a product reaches it
+                    row = table[i]
+                    if row is None:
+                        row = module.row(g, i)
+                    for j, r in row.items():
+                        product(nxt.setdefault((j, dp + dq, pp + pq), {}), pre, r.terms)
+        cur = {key: t for key, t in nxt.items() if t}
         if not cur:
             return acc
-        for i, q in cur.items():
-            add_term(acc, i, q)
+        for key, t in cur.items():
+            if k > 1:  # 1/k in place, keeping the coefficient form
+                for kk, c in t.items():
+                    if type(c) is int:
+                        t[kk] = Fraction(c, k) if c % k else c // k
+                    else:
+                        c = c / k
+                        t[kk] = c.numerator if c.denominator == 1 else c
+            acc[key] = add_terms(acc[key], t) if key in acc else t
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
 def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
-    """Multiply each component by alpha0^(-level), the reduced diagonal."""
-    spec, levels = module.spec, module.levels
-    return {i: q * GradedPoly.alpha(spec, -int(2 * levels[i])) for i, q in vec.items()}
+    """Multiply each component of a graded vector by alpha0^(-level), the
+    reduced diagonal."""
+    levels = module.levels
+    return {(i, d, pk): {(m, a - int(2 * levels[i])): c for (m, a), c in t.items()}
+            for (i, d, pk), t in vec.items()}
 
 
 class _Factorization:
@@ -278,29 +320,30 @@ class _Factorization:
         self._peak2 = functools.cache(lambda mono: sum(doubled[i] * e for i, e in mono))
 
     def _keeper(self, level):
-        """trusted(., level) as a function; no filter for level None.
+        """The trust budget of a column of this level: (peak2, limit), which
+        keeps a monomial m when peak2(m) <= limit; None for level None.
 
         Peaks add up under multiplication and are never negative, so a term
         over the column's budget only feeds terms over it: dropping it early
         leaves every certified coefficient of lhs and rhs unchanged.
         """
         if level is None:
-            return _whole
-        limit, peak2 = math.floor(2 * (self.W - level)), self._peak2
-        return lambda p: GradedPoly(
-            p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
+            return None
+        return self._peak2, math.floor(2 * (self.W - level))
 
     def trusted(self, p: GradedPoly, level) -> GradedPoly:
         """The terms of p certified at a column of this level: level + peak <= W."""
-        return self._keeper(level)(p)
+        peak2, limit = self._keeper(level)
+        return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
 
     def lhs(self, vec: dict, level=None) -> dict:
         """The left side on vec; given a level, only its certified terms."""
+        module, D = self.module, self.D
         keep = self._keeper(level)
-        out = _exp_apply(self.module, self.raise_terms, vec, self.D, keep)
-        out = _alpha_reduce(self.module, out)
-        out = _exp_apply(self.module, self.low_terms, out, self.D, keep)
-        return out
+        out = _exp_graded(module, self.raise_terms, _graded(vec, keep), D, keep)
+        out = _alpha_reduce(module, out)
+        out = _exp_graded(module, self.low_terms, out, D, keep)
+        return _ungraded(self.spec, out)
 
     def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
         """The ansatz side on vec; given a level, only its certified terms."""
@@ -311,11 +354,11 @@ class _Factorization:
             if k and p:
                 gen = L(int(k)) if k.denominator == 1 else G(k)
                 (low if k > 0 else raise_).append((gen, p))
-        out = _exp_apply(module, [(C_GEN, gamma)], vec, D, keep)
+        out = _exp_graded(module, [(C_GEN, gamma)], _graded(vec, keep), D, keep)
         out = _alpha_reduce(module, out)
-        out = _exp_apply(module, [(L(0), psi[Fraction(0)])], out, D, keep)
-        out = _exp_apply(module, low, out, D, keep)
-        return _exp_apply(module, raise_, out, D, keep)
+        out = _exp_graded(module, [(L(0), psi[Fraction(0)])], out, D, keep)
+        out = _exp_graded(module, low, out, D, keep)
+        return _ungraded(self.spec, _exp_graded(module, raise_, out, D, keep))
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:

@@ -335,6 +335,15 @@ def test_equal_scalars_are_equal_and_hash_alike():
     assert all(v.terms == {0: 2} and type(v.terms[0]) is int for v in values)
 
 
+def test_a_real_qqi_hashes_like_its_rational():
+    """QQi on the real axis equals its rational, so it must hash alike."""
+    assert hash(QQi(2)) == hash(2) and len({QQi(2), 2}) == 1
+    half = Fraction(1, 2)
+    assert hash(QQi(half)) == hash(half) and len({QQi(half), half}) == 1
+    assert len({QQi(half, 1), QQi(Fraction(2, 4), 1)}) == 1
+    assert len({QQi(half, 1), half}) == 2
+
+
 def test_i_squared_stores_the_int_minus_one():
     i = scalar(QQi(0, 1), 3)
     assert (i * i).terms == {0: -1} and type((i * i).terms[0]) is int

@@ -103,6 +103,24 @@ def test_one_soul_series():
             assert id(node) in inside, node.lineno
 
 
+def test_one_graded_product_loop():
+    """GradedPoly._product is the one loop that multiplies graded terms: it
+    alone calls _mul_mono, so the merge memo is the one place two monomials
+    merge.  No helper re-normalizes a finished product (grassmann._integral)
+    and sewing keeps no pass-through filter (_whole)."""
+    for name in ALLOWED:
+        tree = _tree(name)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_integral", "_whole"}, name
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_product", "_mul_mono"):
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_mul_mono":
+                assert id(node) in allowed, (name, node.lineno)
+
+
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
 SOLVER = {"_exp_apply", "_alpha_reduce", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}

@@ -120,6 +120,42 @@ def test_pure_raising_inputs_reflect():
     assert out.psi[-HALF] == -GradedPoly.symbol(spec, "N1") * GradedPoly.alpha(spec, -1)
 
 
+def sl2_closed_form(spec, D, sign=-1):
+    """Psi of the sl2 problem A = B = {1}, M = N = {} from its Gauss
+    decomposition, with x = A1*B1*alpha0^(-1): Psi_-1 = -B1*alpha0^(-1)/(1 - x),
+    Psi_1 = -A1*(1 - x) and Psi_0 = -2 log(1 - x), as series in x up to the
+    degree cap.  sign=+1 plants the wrong Psi_1 = -A1*(1 + x)."""
+    A1, B1 = GradedPoly.symbol(spec, "A1"), GradedPoly.symbol(spec, "B1")
+    alpha_inv = GradedPoly.alpha(spec, -2)
+    x = A1 * B1 * alpha_inv
+    one = GradedPoly.scalar(spec, 1)
+    geometric, log, xn = one, GradedPoly(spec), one
+    for n in range(1, D + 1):
+        xn = xn * x
+        geometric = geometric + xn
+        log = log + xn * Fraction(1, n)
+    return {Fraction(-1): -B1 * alpha_inv * geometric,
+            Fraction(1): -A1 * (one + x * sign),
+            Fraction(0): log * 2}
+
+
+@pytest.mark.parametrize("D, W", [(3, 5), (4, 4), (5, 6)])
+def test_sl2_solve_matches_the_gauss_decomposition(D, W):
+    """An oracle that shares nothing with the exponential kernel: each slot
+    of the solve is the closed form, certified at the slot's column level;
+    every other slot and gamma vanish (sl2 has no central term)."""
+    series = sw_solve([1], [], [1], [], D, W)
+    fact = _Factorization([1], [], [1], [], D, W)
+    want = sl2_closed_form(series.spec, D)
+    for k, p in want.items():
+        assert series.psi[k] and fact.trusted(p, max(k, 0)) == series.psi[k], k
+    assert not any(p for k, p in series.psi.items() if k not in want)
+    assert not series.gamma
+    # negative control: the planted Psi_1 differs from the solve
+    planted = sl2_closed_form(series.spec, D, sign=1)[Fraction(1)]
+    assert fact.trusted(planted, 1) != series.psi[Fraction(1)]
+
+
 def test_gamma_multiplies_c_only():
     out = sw_solve([2, 3], [1], [2], [2], D=3, W=5)
     for k, p in out.psi.items():
@@ -358,7 +394,9 @@ def test_position_keyed_exponentials_match_the_word_keyed_action(problem):
     block is the exponential series built from the word-keyed act of a fresh
     module, read through position.  The lowering block also acts on the
     raising block's image, whose odd entries make the parity twist count
-    (each block of the family has one odd symbol, which squares to zero)."""
+    (each block of the family has one odd symbol, which squares to zero).
+    Given the column's trust budget, each of the three is the certified part
+    of the reference."""
     D, W = 3, 4
     fact = _Factorization(*problem, D, W)
     module = fact.module
@@ -370,16 +408,74 @@ def test_position_keyed_exponentials_match_the_word_keyed_action(problem):
 
     for terms in (fact.raise_terms, fact.low_terms):
         assert any(gen_parity(g) for g, _ in terms)
+
+    def certified_part(vec, lvl):
+        return {w: t for w, p in by_position(vec).items() if (t := certified(p, lvl, W))}
+
     for col, word in enumerate(module.basis):
+        lvl = module.levels[col]
+        keep = fact._keeper(lvl)
         want_up = exp_reference(fresh, fact.raise_terms, {word: fresh.one}, D)
         got_up = _exp_apply(module, fact.raise_terms, {col: module.one}, D)
         assert got_up == by_position(want_up), word
+        pruned_up = _exp_apply(module, fact.raise_terms, {col: module.one}, D, keep)
+        assert {w: p.terms for w, p in pruned_up.items()} == certified_part(want_up, lvl)
         want = exp_reference(fresh, fact.low_terms, {word: fresh.one}, D)
         got = _exp_apply(module, fact.low_terms, {col: module.one}, D)
         assert got == by_position(want), word
+        pruned = _exp_apply(module, fact.low_terms, {col: module.one}, D, keep)
+        assert {w: p.terms for w, p in pruned.items()} == certified_part(want, lvl)
         want = exp_reference(fresh, fact.low_terms, want_up, D)
         got = _exp_apply(module, fact.low_terms, got_up, D)
         assert got == by_position(want), word
+        pruned = _exp_apply(module, fact.low_terms, pruned_up, D, keep)
+        assert {w: p.terms for w, p in pruned.items()} == certified_part(want, lvl)
+
+
+def capped_degree(spec, mono):
+    return sum(e for i, e in mono if spec.capped[i])
+
+
+def test_exponentials_merge_no_pair_over_the_degree_cap():
+    """The kernel never forms a product the degree cap kills: after both
+    sides run on every column, with and without the column's budget, the
+    ring's merge memo holds no monomial pair whose capped degrees sum over
+    D."""
+    problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    fact = _Factorization(*problem, D, W)
+    for col, lvl in enumerate(fact.module.levels):
+        for level in (lvl, None):
+            fact.lhs({col: fact.module.one}, level)
+            fact.rhs(series.psi, series.gamma, {col: fact.module.one}, level)
+    spec = fact.spec
+    pairs = [(m1, m2) for m1, row in spec._merges.items() for m2 in row]
+    assert len(pairs) > 100
+    over = [(m1, m2) for m1, m2 in pairs
+            if capped_degree(spec, m1) + capped_degree(spec, m2) > D]
+    assert not over, f"{len(over)} of {len(pairs)} merged pairs are over the cap"
+
+
+def test_both_sides_keep_canonical_coefficients():
+    """Every coefficient the solve and both sides produce is an int or a
+    non-integral Fraction, never Fraction(n, 1): the 1/k of the exponential
+    and each product keep the ring's canonical form."""
+    problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
+
+    def canonical(p):
+        return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for c in p.terms.values())
+
+    series = sw_solve(*problem, D=D, W=W)
+    assert all(canonical(p) for p in series.psi.values()) and canonical(series.gamma)
+    fact = _Factorization(*problem, D, W)
+    seen = set()
+    for col in range(len(fact.module.basis)):
+        vec = {col: fact.module.one}
+        for side in (fact.lhs(vec), fact.rhs(series.psi, series.gamma, vec)):
+            assert all(canonical(p) for p in side.values()), col
+            seen |= {type(c) for p in side.values() for c in p.terms.values()}
+    assert seen == {int, Fraction}
 
 
 # D = 3 problems of the randomized test's family whose W = 4 and W = 5 solves
