@@ -16,7 +16,9 @@ parameter monomial's raising peak is the weight its symbols can lift a
 state by: each power of B_j or N_j adds the weight of its raising
 generator, every other symbol adds 0.  A coefficient read from a column
 of level l is kept only on monomials with l + peak <= W, and the
-consistency check trusts exactly the same monomials.
+consistency check trusts exactly the same monomials.  The series holds
+its solve's _Factorization, so the check reuses its module, whose rows are
+built when a vector entry first reaches them.
 """
 
 from __future__ import annotations
@@ -172,16 +174,15 @@ class SewingSeries:
     psi maps slot index k to its series: integer k for the even family,
     half-odd k for the odd one, 0 for the diagonal; negative k is the
     raising block.  Every stored coefficient is restricted to parameter
-    monomials certifiable at the weight cap.
+    monomials certifiable at the weight cap.  fact is the _Factorization
+    the solve built, module and all, which the consistency check reuses.
     """
 
-    def __init__(self, spec: ParamSpec, psi: dict, gamma: GradedPoly,
-                 degree_cap: int, weight_cap):
-        self.spec = spec
+    def __init__(self, fact: "_Factorization", psi: dict, gamma: GradedPoly):
+        self.fact = fact
+        self.spec = fact.spec
         self.psi = psi
         self.gamma = gamma
-        self.degree_cap = degree_cap
-        self.weight_cap = Fraction(weight_cap)
 
 
 def _families(A_sup, M_sup, B_sup, N_sup) -> list:
@@ -218,8 +219,7 @@ def _ungraded(spec: ParamSpec, vec: dict) -> dict:
     """A graded vector back as {position: GradedPoly}."""
     out: dict = {}
     for (i, _, _), t in vec.items():
-        if t:
-            out.setdefault(i, {}).update(t)
+        out.setdefault(i, {}).update(t)
     return {i: GradedPoly(spec, t) for i, t in out.items()}
 
 
@@ -243,7 +243,9 @@ def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) ->
     coeff has capped degree >= 1, so the k-th power of the exponent dies
     past the cap at k = degree_cap + 1 at the latest; a series still alive
     then raises instead of being cut.  Each gen acts through
-    module.table(gen), whose rows module.row fills on first use.
+    module.table(gen), whose rows module.row fills on first use: when an
+    entry reaches the row, before any product, so an empty row costs none.
+    Parts emptied by cancellation are dropped from the result.
     """
     spec, product = module.spec, module.one._product
     limit = keep[1] if keep else 0
@@ -262,25 +264,28 @@ def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) ->
         for (i, dq, pq), qt in cur.items():
             twisted = None
             for g, table, odd, parts in blocks:
+                row = None
                 for (dp, pp), pt in parts:
                     if dp + dq > degree_cap:
                         break
                     if pp + pq > limit:
                         continue
+                    if row is None:
+                        row = table[i]
+                        if row is None:
+                            row = module.row(g, i)
+                    if not row:
+                        break
                     if odd and twisted is None:
                         twisted = {key: -c if spec.odd(key[0]) else c for key, c in qt.items()}
                     pre = product({}, pt, twisted if odd else qt)
                     if not pre:
                         continue
-                    # a row is built only when a product reaches it
-                    row = table[i]
-                    if row is None:
-                        row = module.row(g, i)
                     for j, r in row.items():
                         product(nxt.setdefault((j, dp + dq, pp + pq), {}), pre, r.terms)
         cur = {key: t for key, t in nxt.items() if t}
         if not cur:
-            return acc
+            return {key: t for key, t in acc.items() if t}
         for key, t in cur.items():
             if k > 1:  # 1/k in place, keeping the coefficient form
                 for kk, c in t.items():
@@ -336,29 +341,50 @@ class _Factorization:
         peak2, limit = self._keeper(level)
         return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
 
-    def lhs(self, vec: dict, level=None) -> dict:
-        """The left side on vec; given a level, only its certified terms."""
+    def lhs(self, vec: dict, level=None, graded=False) -> dict:
+        """The left side on vec; given a level, only its certified terms;
+        graded, as the graded vector the stages build."""
         module, D = self.module, self.D
         keep = self._keeper(level)
         out = _exp_graded(module, self.raise_terms, _graded(vec, keep), D, keep)
         out = _alpha_reduce(module, out)
         out = _exp_graded(module, self.low_terms, out, D, keep)
-        return _ungraded(self.spec, out)
+        return out if graded else _ungraded(self.spec, out)
 
-    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
-        """The ansatz side on vec; given a level, only its certified terms."""
-        module, D = self.module, self.D
+    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None, graded=False) -> dict:
+        """The ansatz side on vec, as lhs."""
         keep = self._keeper(level)
+        out = self._ansatz(psi, gamma, _graded(vec, keep), self.D, keep)
+        return out if graded else _ungraded(self.spec, out)
+
+    def _ansatz(self, psi: dict, gamma: GradedPoly, vec: dict, cap: int, keep=None,
+                raising=True) -> dict:
+        """The ansatz stages on a graded vector, cut at capped degree cap.
+
+        Degrees add, so the parts of degree <= cap are those of the full
+        side.  Without raising the last exponential is left out: each of its
+        generators strictly lifts the level, so it changes no coordinate at
+        position 0.
+        """
+        module = self.module
         low, raise_ = [], []
         for k, p in psi.items():
             if k and p:
                 gen = L(int(k)) if k.denominator == 1 else G(k)
                 (low if k > 0 else raise_).append((gen, p))
-        out = _exp_graded(module, [(C_GEN, gamma)], _graded(vec, keep), D, keep)
+        out = _exp_graded(module, [(C_GEN, gamma)], vec, cap, keep)
         out = _alpha_reduce(module, out)
-        out = _exp_graded(module, [(L(0), psi[Fraction(0)])], out, D, keep)
-        out = _exp_graded(module, low, out, D, keep)
-        return _ungraded(self.spec, _exp_graded(module, raise_, out, D, keep))
+        out = _exp_graded(module, [(L(0), psi[Fraction(0)])], out, cap, keep)
+        out = _exp_graded(module, low, out, cap, keep)
+        return _exp_graded(module, raise_, out, cap, keep) if raising else out
+
+    def agrees(self, psi: dict, gamma: GradedPoly, col: int) -> bool:
+        """Whether both sides agree on the certified terms of basis column
+        col.  Both hold certified terms only (see _keeper), so they are
+        compared as graded vectors, whose grading is a function of the
+        monomial."""
+        vec, lvl = {col: self.module.one}, self.module.levels[col]
+        return self.lhs(vec, lvl, graded=True) == self.rhs(psi, gamma, vec, lvl, graded=True)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -367,7 +393,9 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     A_sup/M_sup/B_sup/N_sup are the index supports (j >= 1) of the four
     formal families.  Returns the unique (Psi, Gamma) with every
     coefficient restricted to the parameter monomials certifiable at
-    weight cap W.
+    weight cap W.  Step d reads degree d only, so it builds the ansatz
+    side cut at degree d; a lowering slot reads position 0 only, so its
+    column skips the raising exponential.
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
@@ -379,20 +407,24 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     for k in cols:
         psi[k] = psi[-k] = zero
     gamma = zero
+
+    def read(lhs, rhs, i):  # lhs - rhs at position i, degree d (no budget: peak 0)
+        return GradedPoly(spec, lhs.get((i, d, 0), {})) - GradedPoly(spec, rhs.get((i, d, 0), {}))
+
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
-    lhs_hw = fact.lhs(hw)
-    lhs_cols = {k: fact.lhs({i: module.one}) for k, i in cols.items()}
+    lhs_hw = fact.lhs(hw, graded=True)
+    lhs_cols = {k: fact.lhs({i: module.one}, graded=True) for k, i in cols.items()}
     for d in range(1, fact.D + 1):
-        rhs_hw = fact.rhs(psi, gamma, hw)
+        rhs_hw = fact._ansatz(psi, gamma, _graded(hw, None), d)
         # raising slots from the highest-weight column
         for k, i in cols.items():
-            res = (lhs_hw.get(i, zero) - rhs_hw.get(i, zero)).degree_part(d)
+            res = read(lhs_hw, rhs_hw, i)
             if res:
                 _assert_ch_free(res)
                 psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
-        res = (lhs_hw.get(0, zero) - rhs_hw.get(0, zero)).degree_part(d)
+        res = read(lhs_hw, rhs_hw, 0)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
@@ -405,8 +437,8 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from singly-raised columns
         for k, i in cols.items():
-            rhs_col = fact.rhs(psi, gamma, {i: module.one})
-            res = (lhs_cols[k].get(0, zero) - rhs_col.get(0, zero)).degree_part(d)
+            rhs_col = fact._ansatz(psi, gamma, _graded({i: module.one}, None), d, raising=False)
+            res = read(lhs_cols[k], rhs_col, 0)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
                 if k.denominator == 1:
@@ -416,7 +448,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                 # undo the alpha0^(-k) the reduced diagonal put on the column
                 sol = sol * GradedPoly.alpha(spec, int(2 * k))
                 psi[k] = psi[k] + fact.trusted(sol, k)
-    return SewingSeries(spec, psi, gamma, fact.D, fact.W)
+    return SewingSeries(fact, psi, gamma)
 
 
 def _assert_ch_free(p: GradedPoly):
@@ -433,24 +465,15 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
 
     For each basis column of level l, a parameter monomial is certified
     when l plus its raising peak stays within the weight cap; both sides
-    are compared there exactly, on all output coordinates.  Columns and
-    both sides are vectors keyed by basis position.  Terms that cannot
-    feed a certified monomial are dropped while the sides are built (see
-    _Factorization._keeper).
+    are compared there exactly, on all output coordinates
+    (_Factorization.agrees).  The check runs on the series' own module:
+    supports that name another ring raise SewingError.
     """
-    fact = _Factorization(A_sup, M_sup, B_sup, N_sup,
-                          series.degree_cap, series.weight_cap)
-    module = fact.module
-    zero = GradedPoly(fact.spec)
-    for col, lvl in enumerate(module.levels):
-        vec = {col: module.one}
-        lhs = fact.lhs(vec, lvl)
-        rhs = fact.rhs(series.psi, series.gamma, vec, lvl)
-        for i in set(lhs) | set(rhs):
-            diff = lhs.get(i, zero) - rhs.get(i, zero)
-            if fact.trusted(diff, lvl):
-                return False
-    return True
+    fact = series.fact
+    if solver_spec(A_sup, M_sup, B_sup, N_sup, fact.D) != fact.spec:
+        raise SewingError("the supports name another ring than the series'")
+    return all(fact.agrees(series.psi, series.gamma, col)
+               for col in range(len(fact.module.basis)))
 
 
 def sw_gamma2(A_sup, M_sup, B_sup, N_sup, D: int = 3) -> GradedPoly:

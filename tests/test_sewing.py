@@ -14,6 +14,8 @@ from superns.sewing import (
     SewingError,
     _exp_apply,
     _Factorization,
+    _graded,
+    _ungraded,
     sk_J,
     sk_permute,
     solver_spec,
@@ -225,6 +227,36 @@ def test_pruned_sides_keep_every_certified_coefficient():
         assert pruned_terms < full_terms, problem
 
 
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS)
+def test_the_solve_reads_match_the_full_ansatz_side(problem):
+    """Oracle for the solve's two shortcuts, on the solved series and every
+    basis column: cut at degree d, the ansatz side keeps every term of
+    degree <= d of the full rhs; without its raising exponential it keeps
+    position 0.  Negative control: a cut at d - 1 misses degree-d terms."""
+    D, W = 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    fact, psi, gamma = series.fact, series.psi, series.gamma
+    zero = GradedPoly(fact.spec)
+
+    def ansatz(vec, cap, raising=True):
+        return _ungraded(fact.spec, fact._ansatz(psi, gamma, _graded(vec, None), cap,
+                                                 raising=raising))
+
+    def upto(side, d):
+        return {i: t for i, p in side.items() if (t := p.truncate(d))}
+
+    missed = set()
+    for col in range(len(fact.module.basis)):
+        vec = {col: fact.module.one}
+        full = fact.rhs(psi, gamma, vec)
+        for d in range(1, D + 1):
+            assert ansatz(vec, d) == upto(full, d), (col, d)
+            assert ansatz(vec, d, raising=False).get(0, zero) == full.get(0, zero).truncate(d)
+            if upto(ansatz(vec, d - 1), d) != upto(full, d):
+                missed.add(d)
+    assert missed == set(range(1, D + 1))
+
+
 def diag_exp_reference(module, vec, series, weight_shift, degree_cap):
     """exp(series * L(0)) (weight_shift) or exp(series * c) applied to vec,
     a vector keyed by basis position.
@@ -286,6 +318,51 @@ def test_planted_certified_error_fails_the_check():
     assert planted >= 2
 
 
+def column_verdict_reference(fact, series, col):
+    """The check's verdict on one column as it was before the graded
+    compare: no term of lhs - rhs survives trusted, on any coordinate."""
+    lvl = fact.module.levels[col]
+    vec = {col: fact.module.one}
+    lhs, rhs = fact.lhs(vec, lvl), fact.rhs(series.psi, series.gamma, vec, lvl)
+    zero = GradedPoly(fact.spec)
+    return not any(fact.trusted(lhs.get(i, zero) - rhs.get(i, zero), lvl)
+                   for i in set(lhs) | set(rhs))
+
+
+def test_the_graded_verdict_agrees_with_the_trusted_difference():
+    """On every column, the graded verdict is the per-coordinate
+    trusted(lhs - rhs) verdict: on the solved series, which both accept; on
+    a certified term planted in a raising slot, a lowering slot, psi0 and
+    gamma, which both reject; and on an uncertified term (B2^3 has raising
+    peak 6 > W), which both accept."""
+    problem = ([1, 2], [1], [1, 2], [1])
+    series = sw_solve(*problem, D=3, W=4)
+    fact, spec = series.fact, series.spec
+
+    def plant(p, key=None):
+        key = key if key is not None else min(p.terms)  # every stored term is certified
+        terms = dict(p.terms)
+        add_term(terms, key, 1)
+        return GradedPoly(spec, terms)
+
+    uncertified = (((spec.index["B2"], 3),), 0)
+    good_psi, good_gamma = dict(series.psi), series.gamma
+    cases = [(k, plant(good_psi[k]), False) for k in (-2, 1, 0)]
+    cases += [("gamma", plant(good_gamma), False), (-1, plant(good_psi[-1], uncertified), True)]
+    for slot, p, accepted in [(None, None, True)] + cases:
+        series.psi, series.gamma = dict(good_psi), good_gamma
+        if slot == "gamma":
+            series.gamma = p
+        elif slot is not None:
+            series.psi[slot] = p
+        verdicts = [column_verdict_reference(fact, series, col)
+                    for col in range(len(fact.module.basis))]
+        assert verdicts == [fact.agrees(series.psi, series.gamma, col)
+                            for col in range(len(fact.module.basis))], slot
+        assert all(verdicts) is accepted, slot
+        assert sw_consistency_check(series, *problem) is accepted, slot
+
+
 def test_exp_series_outliving_the_cap_raises():
     fact = _Factorization([1], [], [1], [], 2, 5)
     hw = {0: fact.module.one}  # the highest-weight vector, by basis position
@@ -326,8 +403,9 @@ def _record_factorizations(monkeypatch, record):
 
 
 def test_solve_and_check_free_their_modules_without_the_collector(monkeypatch):
-    """A module and its memos and tables die by reference counting alone,
-    as soon as the solve or check that built them returns."""
+    """The solve and the check build one _Factorization between them.  The
+    series holds it, and it dies with its module, memos and tables by
+    reference counting alone, at del series."""
     refs = []
     _record_factorizations(
         monkeypatch, lambda fact: refs.append((weakref.ref(fact), weakref.ref(fact.module))))
@@ -336,10 +414,26 @@ def test_solve_and_check_free_their_modules_without_the_collector(monkeypatch):
     try:
         series = sw_solve(*problem, D=3, W=4)
         assert sw_consistency_check(series, *problem)
-        assert len(refs) == 2
-        assert all(f() is None and m() is None for f, m in refs)
+        assert len(refs) == 1
+        (fact, module), = refs
+        assert series.fact is fact() and series.fact.module is module()
+        del series
+        assert fact() is None and module() is None
     finally:
         gc.enable()
+
+
+def test_a_check_against_another_ring_raises():
+    """The check runs on the series' own module: supports naming another
+    ring than the series' raise instead of building a second one."""
+    problem = ([1, 2], [1], [2], [1])
+    series = sw_solve(*problem, D=2, W=3)
+    assert sw_consistency_check(series, *problem)
+    assert sw_consistency_check(series, [2, 1], [1], [2], [1])  # supports are sets
+    for other in (([1], [1], [2], [1]), ([1, 2], [], [2], [1]), ([1, 2], [1], [2, 3], [1]),
+                  ([1, 2], [1], [2], [2])):
+        with pytest.raises(SewingError, match="another ring"):
+            sw_consistency_check(series, *other)
 
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
@@ -479,9 +573,15 @@ def test_both_sides_keep_canonical_coefficients():
 
 
 # D = 3 problems of the randomized test's family whose W = 4 and W = 5 solves
-# both pass (the known defect needs 3 in both A and B)
+# both pass: 93 of the 144 (the known defect stops the rest, at W = 4 also
+# without 3 in A).  Four fixed ones, then eight drawn by random.Random(20240901)
+# from the other 89.
 TRUNCATION_PROBLEMS = [([1], [1], [1], [1]), ([1, 2], [1], [1, 2], [1]),
-                       ([2], [2], [1, 2], [2]), ([1, 3], [1], [2], [1])]
+                       ([2], [2], [1, 2], [2]), ([1, 3], [1], [2], [1]),
+                       ([1, 3], [1], [1], [2]), ([1, 2], [1], [1, 3], [2]),
+                       ([2, 3], [1], [1], [2]), ([1, 3], [1], [1], [1]),
+                       ([2, 3], [2], [1, 2], [1]), ([2], [2], [1, 2], [1]),
+                       ([3], [1], [2], [1]), ([1, 3], [1], [1, 2], [1])]
 
 
 @pytest.mark.parametrize("problem", TRUNCATION_PROBLEMS)
@@ -490,7 +590,7 @@ def test_raising_the_weight_cap_keeps_every_certified_coefficient(problem):
     W = 4 solution, slot by slot and on gamma."""
     D = 3
     small, big = sw_solve(*problem, D=D, W=4), sw_solve(*problem, D=D, W=5)
-    fact = _Factorization(*problem, D, 4)
+    fact = small.fact
     zero = GradedPoly(fact.spec)
     assert set(small.psi) <= set(big.psi)
     for k in big.psi:
