@@ -341,21 +341,19 @@ class _Factorization:
         peak2, limit = self._keeper(level)
         return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
 
-    def lhs(self, vec: dict, level=None, graded=False) -> dict:
-        """The left side on vec; given a level, only its certified terms;
-        graded, as the graded vector the stages build."""
+    def lhs(self, vec: dict, level=None) -> dict:
+        """The left side on vec {position: GradedPoly}, as a graded vector;
+        given a level, only its certified terms."""
         module, D = self.module, self.D
         keep = self._keeper(level)
         out = _exp_graded(module, self.raise_terms, _graded(vec, keep), D, keep)
         out = _alpha_reduce(module, out)
-        out = _exp_graded(module, self.low_terms, out, D, keep)
-        return out if graded else _ungraded(self.spec, out)
+        return _exp_graded(module, self.low_terms, out, D, keep)
 
-    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None, graded=False) -> dict:
+    def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
         """The ansatz side on vec, as lhs."""
         keep = self._keeper(level)
-        out = self._ansatz(psi, gamma, _graded(vec, keep), self.D, keep)
-        return out if graded else _ungraded(self.spec, out)
+        return self._ansatz(psi, gamma, _graded(vec, keep), self.D, keep)
 
     def _ansatz(self, psi: dict, gamma: GradedPoly, vec: dict, cap: int, keep=None,
                 raising=True) -> dict:
@@ -384,7 +382,7 @@ class _Factorization:
         compared as graded vectors, whose grading is a function of the
         monomial."""
         vec, lvl = {col: self.module.one}, self.module.levels[col]
-        return self.lhs(vec, lvl, graded=True) == self.rhs(psi, gamma, vec, lvl, graded=True)
+        return self.lhs(vec, lvl) == self.rhs(psi, gamma, vec, lvl)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -408,23 +406,23 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
         psi[k] = psi[-k] = zero
     gamma = zero
 
-    def read(lhs, rhs, i):  # lhs - rhs at position i, degree d (no budget: peak 0)
+    def read(lhs, rhs, i, d):  # lhs - rhs at position i, degree d (no budget: peak 0)
         return GradedPoly(spec, lhs.get((i, d, 0), {})) - GradedPoly(spec, rhs.get((i, d, 0), {}))
 
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
-    lhs_hw = fact.lhs(hw, graded=True)
-    lhs_cols = {k: fact.lhs({i: module.one}, graded=True) for k, i in cols.items()}
+    lhs_hw = fact.lhs(hw)
+    lhs_cols = {k: fact.lhs({i: module.one}) for k, i in cols.items()}
     for d in range(1, fact.D + 1):
         rhs_hw = fact._ansatz(psi, gamma, _graded(hw, None), d)
         # raising slots from the highest-weight column
         for k, i in cols.items():
-            res = read(lhs_hw, rhs_hw, i)
+            res = read(lhs_hw, rhs_hw, i, d)
             if res:
                 _assert_ch_free(res)
                 psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
-        res = read(lhs_hw, rhs_hw, 0)
+        res = read(lhs_hw, rhs_hw, 0, d)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
@@ -438,7 +436,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
         # lowering slots from singly-raised columns
         for k, i in cols.items():
             rhs_col = fact._ansatz(psi, gamma, _graded({i: module.one}, None), d, raising=False)
-            res = read(lhs_cols[k], rhs_col, 0)
+            res = read(lhs_cols[k], rhs_col, 0, d)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
                 if k.denominator == 1:

@@ -217,6 +217,7 @@ def test_pruned_sides_keep_every_certified_coefficient():
             pairs = ((fact.lhs(vec), fact.lhs(vec, lvl)),
                      (fact.rhs(series.psi, series.gamma, vec),
                       fact.rhs(series.psi, series.gamma, vec, lvl)))
+            pairs = [(_ungraded(fact.spec, f), _ungraded(fact.spec, p)) for f, p in pairs]
             for full, pruned in pairs:
                 for w in set(full) | set(pruned):
                     f, p = full.get(w, zero), pruned.get(w, zero)
@@ -248,7 +249,7 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
     missed = set()
     for col in range(len(fact.module.basis)):
         vec = {col: fact.module.one}
-        full = fact.rhs(psi, gamma, vec)
+        full = _ungraded(fact.spec, fact.rhs(psi, gamma, vec))
         for d in range(1, D + 1):
             assert ansatz(vec, d) == upto(full, d), (col, d)
             assert ansatz(vec, d, raising=False).get(0, zero) == full.get(0, zero).truncate(d)
@@ -323,7 +324,8 @@ def column_verdict_reference(fact, series, col):
     compare: no term of lhs - rhs survives trusted, on any coordinate."""
     lvl = fact.module.levels[col]
     vec = {col: fact.module.one}
-    lhs, rhs = fact.lhs(vec, lvl), fact.rhs(series.psi, series.gamma, vec, lvl)
+    lhs = _ungraded(fact.spec, fact.lhs(vec, lvl))
+    rhs = _ungraded(fact.spec, fact.rhs(series.psi, series.gamma, vec, lvl))
     zero = GradedPoly(fact.spec)
     return not any(fact.trusted(lhs.get(i, zero) - rhs.get(i, zero), lvl)
                    for i in set(lhs) | set(rhs))
@@ -567,6 +569,7 @@ def test_both_sides_keep_canonical_coefficients():
     for col in range(len(fact.module.basis)):
         vec = {col: fact.module.one}
         for side in (fact.lhs(vec), fact.rhs(series.psi, series.gamma, vec)):
+            side = _ungraded(fact.spec, side)
             assert all(canonical(p) for p in side.values()), col
             seen |= {type(c) for p in side.values() for c in p.terms.values()}
     assert seen == {int, Fraction}
