@@ -1,23 +1,21 @@
-"""The Neveu-Schwarz Lie superalgebra and its truncated representations.
+"""The Neveu-Schwarz Lie superalgebra and its weight-truncated Verma modules.
 
 Generators are tagged tuples: ("L", n) with integer n, ("G", r) with
 half-odd-integer r (a Fraction), and ("c",).  Coefficients live in a
 GradedPoly ring so the central charge and highest weight can stay formal.
+ns_bracket is the superbracket on NSExpression; VermaModule.apply_gen is
+the action on a basis word, which the sewing solver reads by basis
+position through VermaModule.row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import GradedPoly, GrassmannElement, ParamSpec
+from .grassmann import GradedPoly, ParamSpec
 from .sparse import add_scaled, add_terms
-from .superseries import DiffOp, SFun
 
 HALF = Fraction(1, 2)
-
-
-class CapError(ValueError):
-    pass
 
 
 def L(n):
@@ -154,144 +152,12 @@ def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
 
 
 # ----------------------------------------------------------------------
-# the differential-operator representation on the span of theta^m z^n;
-# the operators themselves (DiffOp) live in superseries, next to the
-# flows that exponentiate them
-# ----------------------------------------------------------------------
-
-
-def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
-                              t=1, s=1) -> bool:
-    """Check [op1, op2] = target on the basis monomials theta^e z^k, |k| <= 5.
-
-    The target expression must have numeric coefficients and no central
-    term (the representation has c = 0).
-    """
-    ops = []
-    for g, p in target.terms.items():
-        if g == C_GEN:
-            continue  # the representation has c = 0
-        coeff = p.terms.get(((), 0), 0)
-        if len(p.terms) > (1 if coeff else 0):
-            raise ValueError("target must be numeric")
-        ops.append((coeff, DiffOp(g[0], g[1], t, s)))
-    sign = -1 if (op1.parity() and op2.parity()) else 1
-    for k in range(-5, 6):
-        for e in (0, 1):
-            F = SFun(0, {(k, e): GrassmannElement.scalar(0, 1)})
-            lhs = op1.apply(op2.apply(F)) - op2.apply(op1.apply(F)).scale_left(sign)
-            rhs = SFun.zero(0)
-            for coeff, op in ops:
-                rhs = rhs + op.apply(F).scale_left(coeff)
-            if lhs != rhs:
-                return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# enveloping algebra words and PBW normal ordering
-# ----------------------------------------------------------------------
-
-
-class EnvelopingElement:
-    """Combination of PBW-ordered generator words with GradedPoly coefficients.
-
-    Words whose raising or lowering weight exceeds weight_cap are dropped
-    and the drop is counted, never silent.
-    """
-
-    __slots__ = ("spec", "weight_cap", "terms", "dropped")
-
-    def __init__(self, spec: ParamSpec, weight_cap, terms=None, dropped: int = 0):
-        self.spec = spec
-        self.weight_cap = Fraction(weight_cap)
-        self.terms = {}
-        self.dropped = dropped
-        if terms:
-            for w, p in terms.items():
-                if not p:
-                    continue
-                if self._exceeds(w):
-                    self.dropped += 1
-                    continue
-                self.terms[w] = p
-
-    def _exceeds(self, word) -> bool:
-        up = sum((-gen_weight(g) for g in word if gen_weight(g) < 0), Fraction(0))
-        down = sum((gen_weight(g) for g in word if gen_weight(g) > 0), Fraction(0))
-        return max(up, down) > self.weight_cap
-
-    def __add__(self, other):
-        return EnvelopingElement(self.spec, self.weight_cap,
-                                 add_terms(self.terms, other.terms),
-                                 self.dropped + other.dropped)
-
-    def __eq__(self, other):
-        return isinstance(other, EnvelopingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({p!r})*{'.'.join(map(str, w))  or '1'}"
-                          for w, p in self.terms.items())
-
-
-def ns_normal_order(word, coeff, spec: ParamSpec, weight_cap=Fraction(10 ** 6)) -> EnvelopingElement:
-    """Rewrite a generator word to PBW order by repeated bracket insertion.
-
-    word is a tuple of generators, coeff a GradedPoly (or scalar).  Equal
-    odd generators square to the bracket half, L(2r).
-    """
-    if not isinstance(coeff, GradedPoly):
-        coeff = GradedPoly.scalar(spec, coeff)
-    pending = [(tuple(word), coeff)]
-    done = EnvelopingElement(spec, weight_cap)
-    while pending:
-        w, p = pending.pop()
-        if not p:
-            continue
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            ra, rb = gen_rank(a), gen_rank(b)
-            if ra > rb or (ra == rb and a[0] == "G"):
-                head, tail = w[:i], w[i + 2:]
-                if a == b:
-                    # G(r)G(r) = L(2r): half the symmetric bracket, never central
-                    pending.append((head + (L(int(2 * a[1])),) + tail, p))
-                    break
-                sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
-                pending.append((head + (b, a) + tail, p * sign))
-                br = _basis_bracket(spec, a, b)
-                for g, q in br.terms.items():
-                    pending.append((head + (g,) + tail, p * q))
-                break
-        else:  # no pair out of order: w is a PBW word
-            done = done + EnvelopingElement(spec, weight_cap, {w: p})
-    return done
-
-
-# ----------------------------------------------------------------------
 # weight-truncated Verma modules
 # ----------------------------------------------------------------------
 
 
 def word_level(word) -> Fraction:
     return sum((gen_weight(g) for g in word), Fraction(0))
-
-
-def word_max_raise(word) -> Fraction:
-    """Highest intermediate weight gain when the word acts right-to-left.
-
-    A column of level l is acted on exactly by the truncated module iff
-    l + word_max_raise(word) stays within the weight cap.
-    """
-    running = Fraction(0)
-    peak = Fraction(0)
-    for g in reversed(word):
-        running += gen_weight(g)
-        if running > peak:
-            peak = running
-    return peak
 
 
 class VermaModule:
@@ -301,8 +167,8 @@ class VermaModule:
     highest-weight vector, sorted by (level, word), so the highest-weight
     vector is position 0; position maps a basis word to its index and
     levels[i] is the level of basis[i].  apply_gen computes the action of
-    any generator on a word by bracket recursion and memoizes it; act and
-    act_word apply it to word-keyed vectors (word -> GradedPoly).  table(g)
+    any generator on a word by bracket recursion and memoizes it; act
+    applies it to a word-keyed vector (word -> GradedPoly).  table(g)
     is the action of g by basis position, the form the sewing solver uses:
     a list whose row i is None until row(g, i) fills it, then maps position
     -> GradedPoly.  row is the one place a word becomes a position.  Tables
@@ -412,25 +278,3 @@ class VermaModule:
         for w, p in vec.items():
             add_scaled(out, self.apply_gen(g, w), p)
         return out
-
-    def act_word(self, gens, vec: dict) -> dict:
-        for g in reversed(gens):
-            vec = self.act(g, vec)
-        return vec
-
-    def highest_weight_vector(self) -> dict:
-        return {(): self.one}
-
-
-def ns_verma_act(X: EnvelopingElement, M: VermaModule) -> dict:
-    """Matrix of X on the weight-truncated basis: maps column word to the
-    image vector (word -> GradedPoly)."""
-    if X.spec != M.spec:
-        raise CapError("enveloping element and module use different rings")
-    out = {}
-    for col in M.basis:
-        img: dict = {}
-        for word, p in X.terms.items():
-            add_scaled(img, M.act_word(word, {col: M.one}), p)
-        out[col] = img
-    return out

@@ -65,10 +65,10 @@ class SewingError(ValueError):
 class ModuliElement:
     """A point of the moduli space of superspheres with 1 + n tubes.
 
-    punctures holds the n - 1 movable punctures (z_i, theta_i); the last
-    puncture sits at zero and the negatively oriented one at infinity.
-    infinity carries the coordinate data there, local the data at each of
-    the n positively oriented punctures.
+    punctures holds the n - 1 movable punctures (z_i, theta_i), none when
+    n is 0; the last puncture sits at zero and the negatively oriented one
+    at infinity.  infinity carries the coordinate data there, local the
+    data at each of the n positively oriented punctures.
     """
 
     def __init__(self, L_gen: int, n: int, punctures, infinity: InfCoordData,
@@ -81,8 +81,9 @@ class ModuliElement:
         self.branch = branch
         if n < 0:
             raise SewingError("puncture count must be nonnegative")
-        if n > 0 and len(self.punctures) != n - 1:
-            raise SewingError(f"expected {n - 1} movable punctures, got {len(self.punctures)}")
+        movable = max(n - 1, 0)
+        if len(self.punctures) != movable:
+            raise SewingError(f"expected {movable} movable punctures, got {len(self.punctures)}")
         if len(self.local) != n:
             raise SewingError(f"expected {n} local coordinates, got {len(self.local)}")
         if n == 0 and not infinity.sk0_constraint:
@@ -213,20 +214,6 @@ def _graded(vec: dict, keep) -> dict:
         for key, c in q.terms.items():
             out.setdefault((i, degree(key[0]), keep[0](key[0]) if keep else 0), {})[key] = c
     return out
-
-
-def _ungraded(spec: ParamSpec, vec: dict) -> dict:
-    """A graded vector back as {position: GradedPoly}."""
-    out: dict = {}
-    for (i, _, _), t in vec.items():
-        out.setdefault(i, {}).update(t)
-    return {i: GradedPoly(spec, t) for i, t in out.items()}
-
-
-def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=None) -> dict:
-    """exp(sum coeff*gen) applied to vec {position: GradedPoly}; keep is a
-    trust budget (see _Factorization._keeper) or None."""
-    return _ungraded(module.spec, _exp_graded(module, terms, _graded(vec, keep), degree_cap, keep))
 
 
 def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) -> dict:

@@ -1,9 +1,9 @@
 """The sparse-coefficient core shared by every ring in superns.
 
 Grassmann elements, graded polynomials, superfunction components,
-Neveu-Schwarz expressions, enveloping-algebra words and module vectors
-are all dicts that map a key (a generator mask, a monomial, a z-order, a
-word, a basis index) to a coefficient.  They share one invariant:
+Neveu-Schwarz expressions and module vectors are all dicts that map a key
+(a generator mask, a monomial, a z-order, a generator, a word, a basis
+index) to a coefficient.  They share one invariant:
 
     a ``terms`` dict never stores a zero coefficient.
 

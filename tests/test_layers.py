@@ -1,7 +1,8 @@
 """The package's layer order, read from each module's import statements.
 
 sparse is the bottom; grassmann holds the coefficient rings on it;
-superseries, nsalg and sewing stack on those; vosa works on plain int
+superseries and nsalg each stand on those two alone, and sewing stacks on
+all of them; vosa works on plain int
 and Fraction dicts and so uses nothing but sparse, which keeps it an
 independent control for the ring kernels.
 """
@@ -20,7 +21,7 @@ ALLOWED = {
     "sparse": set(),
     "grassmann": {"sparse"},
     "superseries": {"sparse", "grassmann"},
-    "nsalg": {"sparse", "grassmann", "superseries"},
+    "nsalg": {"sparse", "grassmann"},
     "sewing": {"sparse", "grassmann", "superseries", "nsalg"},
     "vosa": {"sparse"},
 }
@@ -122,7 +123,7 @@ def test_one_graded_product_loop():
 
 
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
-SOLVER = {"_exp_apply", "_alpha_reduce", "_Factorization", "sw_solve",
+SOLVER = {"_exp_graded", "_alpha_reduce", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}
 GAUSSIAN = {"QQi", "as_qqi"}
 

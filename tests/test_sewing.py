@@ -12,10 +12,9 @@ from superns.nsalg import C_GEN, L, VermaModule, gen_parity, word_level
 from superns.sewing import (
     ModuliElement,
     SewingError,
-    _exp_apply,
+    _exp_graded,
     _Factorization,
     _graded,
-    _ungraded,
     sk_J,
     sk_permute,
     solver_spec,
@@ -57,6 +56,20 @@ def simple_moduli(n=2, z1=2):
     punctures = [(scalar(z1 + k), gen(k + 1)) for k in range(n - 1)]
     return ModuliElement(L_GEN, n, punctures, InfCoordData(L_GEN),
                          [trivial_local() for _ in range(n)])
+
+
+def _ungraded(spec: ParamSpec, vec: dict) -> dict:
+    """A graded vector back as {position: GradedPoly}."""
+    out: dict = {}
+    for (i, _, _), t in vec.items():
+        out.setdefault(i, {}).update(t)
+    return {i: GradedPoly(spec, t) for i, t in out.items()}
+
+
+def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=None) -> dict:
+    """exp(sum coeff*gen) applied to vec {position: GradedPoly}; keep is a
+    trust budget (see _Factorization._keeper) or None."""
+    return _ungraded(module.spec, _exp_graded(module, terms, _graded(vec, keep), degree_cap, keep))
 
 
 # -- solver: trivial and closed-form cases --------------------------------
@@ -724,6 +737,14 @@ def test_moduli_rejects_coincident_bodies():
     with pytest.raises(SewingError):
         ModuliElement(L_GEN, 3, [(scalar(2), gen(1)), (scalar(2), gen(2))],
                       InfCoordData(L_GEN), [trivial_local()] * 3)
+
+
+def test_moduli_with_one_tube_has_no_movable_puncture():
+    inf = InfCoordData(L_GEN, sk0_constraint=True)
+    Q = ModuliElement(L_GEN, 0, [], inf, [])
+    assert sk_J(Q) == ModuliElement(L_GEN, 0, [], inf, [], branch=-1)
+    with pytest.raises(SewingError):
+        ModuliElement(L_GEN, 0, [(scalar(1), gen(1))], inf, [])
 
 
 def test_permutation_identity_and_involution():
