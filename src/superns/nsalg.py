@@ -3,6 +3,7 @@
 Generators are tagged tuples: ("L", n) with integer n, ("G", r) with
 half-odd-integer r (a Fraction), and ("c",).  Coefficients live in a
 GradedPoly ring so the central charge and highest weight can stay formal.
+bracket_constants is the bracket table, with rational structure constants;
 ns_bracket is the superbracket on NSExpression; VermaModule.apply_gen is
 the action on a basis word, which the sewing solver reads by basis
 position through VermaModule.row.
@@ -103,33 +104,35 @@ class NSExpression:
                                                             key=lambda t: gen_rank(t[0])))
 
 
-def _basis_bracket(spec: ParamSpec, a, b) -> NSExpression:
+def bracket_constants(a, b) -> dict:
+    """The superbracket [a, b] of two basis generators as {generator:
+    rational}: the one bracket table, which NSExpression, the Verma action
+    and the sewing solver's adjoint action all read."""
     if a[0] == "c" or b[0] == "c":
-        return NSExpression(spec)
+        return {}
     if a[0] == "L" and b[0] == "L":
         m, n = a[1], b[1]
-        out = NSExpression.single(spec, L(m + n), m - n) if m != n else NSExpression(spec)
-        if m + n == 0:
-            cc = Fraction(m ** 3 - m, 12)
-            if cc:
-                out = out + NSExpression.single(spec, C_GEN, cc)
+        out = {L(m + n): m - n} if m != n else {}
+        if m + n == 0 and (cc := Fraction(m ** 3 - m, 12)):
+            out[C_GEN] = cc
         return out
     if a[0] == "G" and b[0] == "L":
         r, n = a[1], b[1]
         coeff = r - Fraction(n, 2)
-        if coeff:
-            return NSExpression.single(spec, G(r + n), coeff)
-        return NSExpression(spec)
+        return {G(r + n): coeff} if coeff else {}
     if a[0] == "L" and b[0] == "G":
-        return -_basis_bracket(spec, b, a)
+        return {g: -v for g, v in bracket_constants(b, a).items()}
     # G with G: symmetric bracket
     r, s = a[1], b[1]
-    out = NSExpression.single(spec, L(r + s), 2)
-    if r + s == 0:
-        cc = (r * r - Fraction(1, 4)) / 3
-        if cc:
-            out = out + NSExpression.single(spec, C_GEN, cc)
+    out = {L(r + s): 2}
+    if r + s == 0 and (cc := (r * r - Fraction(1, 4)) / 3):
+        out[C_GEN] = cc
     return out
+
+
+def _basis_bracket(spec: ParamSpec, a, b) -> NSExpression:
+    return NSExpression(spec, {g: GradedPoly.scalar(spec, v)
+                               for g, v in bracket_constants(a, b).items()})
 
 
 def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
@@ -167,8 +170,7 @@ class VermaModule:
     highest-weight vector, sorted by (level, word), so the highest-weight
     vector is position 0; position maps a basis word to its index and
     levels[i] is the level of basis[i].  apply_gen computes the action of
-    any generator on a word by bracket recursion and memoizes it; act
-    applies it to a word-keyed vector (word -> GradedPoly).  table(g)
+    any generator on a word by bracket recursion and memoizes it.  table(g)
     is the action of g by basis position, the form the sewing solver uses:
     a list whose row i is None until row(g, i) fills it, then maps position
     -> GradedPoly.  row is the one place a word becomes a position.  Tables
@@ -248,8 +250,7 @@ class VermaModule:
                 inner = self.apply_gen(g, rest)
                 for w2, p in inner.items():
                     add_scaled(acc, self.apply_gen(b, w2), p if sign > 0 else -p)
-                br = _basis_bracket(self.spec, g, b)
-                for g2, q in br.terms.items():
+                for g2, q in bracket_constants(g, b).items():
                     add_scaled(acc, self.apply_gen(g2, rest), q)
                 out = acc
         self._memo[key] = out
@@ -272,9 +273,3 @@ class VermaModule:
             r = t[i] = {position[w]: p
                         for w, p in self.apply_gen(g, self.basis[i]).items()}
         return r
-
-    def act(self, g, vec: dict) -> dict:
-        out: dict = {}
-        for w, p in vec.items():
-            add_scaled(out, self.apply_gen(g, w), p)
-        return out

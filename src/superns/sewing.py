@@ -15,10 +15,22 @@ weight.  Raising a state past the weight cap loses information.  A
 parameter monomial's raising peak is the weight its symbols can lift a
 state by: each power of B_j or N_j adds the weight of its raising
 generator, every other symbol adds 0.  A coefficient read from a column
-of level l is kept only on monomials with l + peak <= W, and the
-consistency check trusts exactly the same monomials.  The series holds
+of level l is kept only on monomials with l + peak <= W.  The series holds
 its solve's _Factorization, so the check reuses its module, whose rows are
 built when a vector entry first reaches them.
+
+The consistency check certifies the series on generators, the algebraic
+half of Huang's reading of sewing as conjugation in the Virasoro/NS group.
+Besides the highest-weight column it compares, for each raising generator
+g of level <= W, Ad(g) = X g X^-1 of the left side X with that of the
+ansatz, each a nested exp(ad Z) run by the same kernel over the adjoint
+action.  A term m X(n) of Ad(g) is visible when
+2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)); only visible terms are
+compared.  This is sound because X e_(g w) = Ad_X(g) X e_w on every PBW
+column, and a lowering X(n) kills every state below level n, so an
+invisible term reaches no certified coefficient of column g w.  Terms
+over the limit may be dropped as soon as they are formed, because
+peak + max(n, 0) never decreases under a bracket with an exponent term.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from .nsalg import (
     G,
     L,
     VermaModule,
+    bracket_constants,
     gen_parity,
     gen_weight,
 )
@@ -216,35 +229,39 @@ def _graded(vec: dict, keep) -> dict:
     return out
 
 
-def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) -> dict:
+def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     """exp(sum coeff*gen) applied to a graded vector, truncated by the
-    parameter cap and, given a trust budget keep = (peak2, limit), by it.
+    parameter cap and, given a trust budget keep = (peak2, limit, lift), by
+    it.  action is the Verma module or the adjoint action (_Adjoint): both
+    give the rows of a generator by position.
 
     Each coeff is split by (degree, peak) once.  A part of degree dp meets
     an entry of degree dq only when dp + dq <= degree_cap, and only when
     their peaks sum within the limit: products over either bound would be
     dropped, so they are never formed (degrees and peaks add, and peaks are
-    never negative).  The matrix elements of gen have degree 0 and peak 0,
-    so p * q * element lands where p * q does.  An odd gen meets the
-    entries parity-twisted (the Koszul sign of moving it past them).  Every
-    coeff has capped degree >= 1, so the k-th power of the exponent dies
-    past the cap at k = degree_cap + 1 at the latest; a series still alive
-    then raises instead of being cut.  Each gen acts through
-    module.table(gen), whose rows module.row fills on first use: when an
-    entry reaches the row, before any product, so an empty row costs none.
-    Parts emptied by cancellation are dropped from the result.
+    never negative).  Given a lift, an output at position j is kept only
+    when its peak plus lift[j] is within the limit too.  The matrix
+    elements of gen have degree 0 and peak 0, so p * q * element lands
+    where p * q does.  An odd gen meets the entries parity-twisted (the
+    Koszul sign of moving it past them).  Every coeff has capped degree
+    >= 1, so the k-th power of the exponent dies past the cap at
+    k = degree_cap + 1 at the latest; a series still alive then raises
+    instead of being cut.  Each gen acts through action.table(gen), whose
+    rows action.row fills on first use: when an entry reaches the row,
+    before any product, so an empty row costs none.  Parts emptied by
+    cancellation are dropped from the result.
     """
-    spec, product = module.spec, module.one._product
-    limit = keep[1] if keep else 0
+    spec, product = action.spec, action.one._product
+    limit, lift = (keep[1], keep[2]) if keep else (0, None)
     blocks = []  # (gen, table, odd, [((degree, peak), terms)] by degree)
     for g, p in terms:
-        module.one._check(p)
+        action.one._check(p)
         parts: dict = {}
         for (_, d, pk), t in _graded({0: p}, keep).items():
             if pk <= limit:
                 parts[(d, pk)] = t
         if parts:
-            blocks.append((g, module.table(g), gen_parity(g), sorted(parts.items())))
+            blocks.append((g, action.table(g), gen_parity(g), sorted(parts.items())))
     cur, acc = vec, dict(vec)
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
@@ -255,12 +272,13 @@ def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) ->
                 for (dp, pp), pt in parts:
                     if dp + dq > degree_cap:
                         break
-                    if pp + pq > limit:
+                    pk = pp + pq
+                    if pk > limit:
                         continue
                     if row is None:
                         row = table[i]
                         if row is None:
-                            row = module.row(g, i)
+                            row = action.row(g, i)
                     if not row:
                         break
                     if odd and twisted is None:
@@ -269,7 +287,8 @@ def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) ->
                     if not pre:
                         continue
                     for j, r in row.items():
-                        product(nxt.setdefault((j, dp + dq, pp + pq), {}), pre, r.terms)
+                        if lift is None or pk + lift[j] <= limit:
+                            product(nxt.setdefault((j, dp + dq, pk), {}), pre, r.terms)
         cur = {key: t for key, t in nxt.items() if t}
         if not cur:
             return {key: t for key, t in acc.items() if t}
@@ -285,12 +304,65 @@ def _exp_graded(module: VermaModule, terms, vec: dict, degree_cap: int, keep) ->
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
-def _alpha_reduce(module: VermaModule, vec: dict) -> dict:
+def _alpha_reduce(action, vec: dict) -> dict:
     """Multiply each component of a graded vector by alpha0^(-level), the
-    reduced diagonal."""
-    levels = module.levels
+    reduced diagonal: conjugation by it takes X(n), of level -n, to
+    alpha0^n X(n)."""
+    levels = action.levels
     return {(i, d, pk): {(m, a - int(2 * levels[i])): c for (m, a), c in t.items()}
             for (i, d, pk), t in vec.items()}
+
+
+class _Rows(dict):
+    """An adjoint table: row i is None until _Adjoint.row fills it."""
+
+    def __missing__(self, i):
+        return None
+
+
+class _Adjoint:
+    """The NS algebra acting on itself by the superbracket, in the form
+    _exp_graded reads.
+
+    X(n) sits at position 2n, an int, and c at C_GEN: positions are hashed
+    on every product, and Fraction hashes are slow.  table(g)[i] is None
+    until row(g, i) fills it with [g, X] for the X at position i, the
+    structure constants of nsalg.bracket_constants as ring scalars.
+    levels[i] is the level -n of X(n), so _alpha_reduce takes X(n) to
+    alpha0^n X(n), and lift[i] is 2 max(n, 0): a lowering X(n) kills every
+    state below level n.  place is the one place a generator becomes a
+    position.
+    """
+
+    def __init__(self, spec: ParamSpec):
+        self.spec = spec
+        self.one = GradedPoly.scalar(spec, 1)
+        self._gens = {C_GEN: C_GEN}
+        self.levels = {C_GEN: 0}
+        self.lift = {C_GEN: 0}
+        self._tables: dict = {}
+
+    def place(self, g):
+        if g == C_GEN:
+            return C_GEN
+        j = int(2 * g[1])
+        if j not in self._gens:
+            self._gens[j] = g
+            self.levels[j] = gen_weight(g)
+            self.lift[j] = max(j, 0)
+        return j
+
+    def table(self, g) -> _Rows:
+        t = self._tables.get(g)
+        if t is None:
+            t = self._tables[g] = _Rows()
+        return t
+
+    def row(self, g, i) -> dict:
+        spec = self.spec
+        r = self.table(g)[i] = {self.place(h): GradedPoly.scalar(spec, v)
+                                for h, v in bracket_constants(g, self._gens[i]).items()}
+        return r
 
 
 class _Factorization:
@@ -303,6 +375,7 @@ class _Factorization:
         self.W = Fraction(W)
         self.module = VermaModule(spec, GradedPoly.symbol(spec, "c"),
                                   GradedPoly.symbol(spec, "h"), self.W)
+        self.adjoint = _Adjoint(spec)
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
         self.low_terms = [t for t in terms if t[0][1] > 0]
         self.raise_terms = [t for t in terms if t[0][1] < 0]
@@ -311,9 +384,12 @@ class _Factorization:
         doubled = [int(2 * max(0, gen_weight(g))) for _, g in families] + [0, 0]
         self._peak2 = functools.cache(lambda mono: sum(doubled[i] * e for i, e in mono))
 
-    def _keeper(self, level):
-        """The trust budget of a column of this level: (peak2, limit), which
-        keeps a monomial m when peak2(m) <= limit; None for level None.
+    def _keeper(self, level, lift=None):
+        """The trust budget of a column of this level: (peak2, limit, lift),
+        which keeps a monomial m when peak2(m) <= limit; None for level None.
+        Given the adjoint lift, the budget of the conjugates of a generator
+        of this level: a term m X at position j is visible when
+        peak2(m) + lift[j] <= limit.
 
         Peaks add up under multiplication and are never negative, so a term
         over the column's budget only feeds terms over it: dropping it early
@@ -321,28 +397,32 @@ class _Factorization:
         """
         if level is None:
             return None
-        return self._peak2, math.floor(2 * (self.W - level))
+        return self._peak2, math.floor(2 * (self.W - level)), lift
 
     def trusted(self, p: GradedPoly, level) -> GradedPoly:
         """The terms of p certified at a column of this level: level + peak <= W."""
-        peak2, limit = self._keeper(level)
+        peak2, limit, _ = self._keeper(level)
         return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
 
     def lhs(self, vec: dict, level=None) -> dict:
         """The left side on vec {position: GradedPoly}, as a graded vector;
         given a level, only its certified terms."""
-        module, D = self.module, self.D
         keep = self._keeper(level)
-        out = _exp_graded(module, self.raise_terms, _graded(vec, keep), D, keep)
-        out = _alpha_reduce(module, out)
-        return _exp_graded(module, self.low_terms, out, D, keep)
+        return self._left(self.module, _graded(vec, keep), keep)
+
+    def _left(self, action, vec: dict, keep) -> dict:
+        """The left side's stages on a graded vector: raising exponential,
+        reduced diagonal, lowering exponential."""
+        out = _exp_graded(action, self.raise_terms, vec, self.D, keep)
+        out = _alpha_reduce(action, out)
+        return _exp_graded(action, self.low_terms, out, self.D, keep)
 
     def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
         """The ansatz side on vec, as lhs."""
         keep = self._keeper(level)
-        return self._ansatz(psi, gamma, _graded(vec, keep), self.D, keep)
+        return self._ansatz(self.module, psi, gamma, _graded(vec, keep), self.D, keep)
 
-    def _ansatz(self, psi: dict, gamma: GradedPoly, vec: dict, cap: int, keep=None,
+    def _ansatz(self, action, psi: dict, gamma: GradedPoly, vec: dict, cap: int, keep=None,
                 raising=True) -> dict:
         """The ansatz stages on a graded vector, cut at capped degree cap.
 
@@ -351,25 +431,30 @@ class _Factorization:
         generators strictly lifts the level, so it changes no coordinate at
         position 0.
         """
-        module = self.module
         low, raise_ = [], []
         for k, p in psi.items():
             if k and p:
                 gen = L(int(k)) if k.denominator == 1 else G(k)
                 (low if k > 0 else raise_).append((gen, p))
-        out = _exp_graded(module, [(C_GEN, gamma)], vec, cap, keep)
-        out = _alpha_reduce(module, out)
-        out = _exp_graded(module, [(L(0), psi[Fraction(0)])], out, cap, keep)
-        out = _exp_graded(module, low, out, cap, keep)
-        return _exp_graded(module, raise_, out, cap, keep) if raising else out
+        out = _exp_graded(action, [(C_GEN, gamma)], vec, cap, keep)
+        out = _alpha_reduce(action, out)
+        out = _exp_graded(action, [(L(0), psi[Fraction(0)])], out, cap, keep)
+        out = _exp_graded(action, low, out, cap, keep)
+        return _exp_graded(action, raise_, out, cap, keep) if raising else out
 
-    def agrees(self, psi: dict, gamma: GradedPoly, col: int) -> bool:
-        """Whether both sides agree on the certified terms of basis column
-        col.  Both hold certified terms only (see _keeper), so they are
-        compared as graded vectors, whose grading is a function of the
-        monomial."""
-        vec, lvl = {col: self.module.one}, self.module.levels[col]
-        return self.lhs(vec, lvl) == self.rhs(psi, gamma, vec, lvl)
+    def conjugates(self, psi: dict, gamma: GradedPoly, g) -> tuple:
+        """The visible terms of Ad(g) = X g X^-1 for the left side X and
+        for the ansatz, as graded vectors over the adjoint action.
+
+        Each side runs its stages on g as nested exp(ad Z), as lhs and rhs
+        run them on a column; Gamma c is central, so its stage is the
+        identity.
+        """
+        adj = self.adjoint
+        keep = self._keeper(gen_weight(g), adj.lift)
+        vec = _graded({adj.place(g): adj.one}, keep)
+        return (self._left(adj, vec, keep),
+                self._ansatz(adj, psi, gamma, vec, self.D, keep))
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -401,7 +486,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     lhs_hw = fact.lhs(hw)
     lhs_cols = {k: fact.lhs({i: module.one}) for k, i in cols.items()}
     for d in range(1, fact.D + 1):
-        rhs_hw = fact._ansatz(psi, gamma, _graded(hw, None), d)
+        rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
         # raising slots from the highest-weight column
         for k, i in cols.items():
             res = read(lhs_hw, rhs_hw, i, d)
@@ -422,7 +507,8 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from singly-raised columns
         for k, i in cols.items():
-            rhs_col = fact._ansatz(psi, gamma, _graded({i: module.one}, None), d, raising=False)
+            rhs_col = fact._ansatz(module, psi, gamma, _graded({i: module.one}, None), d,
+                                   raising=False)
             res = read(lhs_cols[k], rhs_col, 0, d)
             if res:
                 h_lin = res.coefficient({"h": 1, "c": 0})
@@ -448,17 +534,34 @@ def _assert_ch_free(p: GradedPoly):
 def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bool:
     """Back-substitute: both sides must agree on every certified monomial.
 
-    For each basis column of level l, a parameter monomial is certified
-    when l plus its raising peak stays within the weight cap; both sides
-    are compared there exactly, on all output coordinates
-    (_Factorization.agrees).  The check runs on the series' own module:
-    supports that name another ring raise SewingError.
+    A certificate on generators, not on columns.  First both sides must
+    agree on the certified terms of the highest-weight column.  Then, for
+    each raising generator g that starts a basis word, the visible terms of
+    Ad(g) = X g X^-1 of the left side and of the ansatz (conjugates) must
+    be equal.  A term m X(n) of Ad(g) is visible when
+    2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)).
+
+    Sound: on every PBW column X e_(g w) = Ad_X(g) X e_w.  A certified entry
+    of X e_w that m X(n) meets within the budget of column g w sits at
+    level <= W - level(g) - peak(m), and a lowering X(n) kills every state
+    below level n, so invisible terms reach no certified coefficient; by
+    induction on the word both sides agree on every column.  Terms over
+    the limit are dropped as soon as they are formed: peak + max(n, 0)
+    never decreases under a bracket with an exponent term, since each
+    raising symbol's peak pays for the weight it lowers n by.  The same
+    monotonicity puts every term the solve left out of Psi (raising and
+    diagonal terms of peak > W, lowering psi_k terms of peak > W - k)
+    outside the rule, so true solutions pass.  The check runs on the
+    series' own module: supports that name another ring raise SewingError.
     """
-    fact = series.fact
+    fact, psi, gamma = series.fact, series.psi, series.gamma
     if solver_spec(A_sup, M_sup, B_sup, N_sup, fact.D) != fact.spec:
         raise SewingError("the supports name another ring than the series'")
-    return all(fact.agrees(series.psi, series.gamma, col)
-               for col in range(len(fact.module.basis)))
+    hw = {0: fact.module.one}
+    if fact.lhs(hw, 0) != fact.rhs(psi, gamma, hw, 0):
+        return False
+    return all(left == right for left, right in
+               (fact.conjugates(psi, gamma, w[0]) for w in fact.module.basis if len(w) == 1))
 
 
 def sw_gamma2(A_sup, M_sup, B_sup, N_sup, D: int = 3) -> GradedPoly:

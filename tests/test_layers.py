@@ -123,7 +123,7 @@ def test_one_graded_product_loop():
 
 
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
-SOLVER = {"_exp_graded", "_alpha_reduce", "_Factorization", "sw_solve",
+SOLVER = {"_exp_graded", "_alpha_reduce", "_Adjoint", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}
 GAUSSIAN = {"QQi", "as_qqi"}
 

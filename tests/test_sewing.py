@@ -8,7 +8,17 @@ from fractions import Fraction
 import pytest
 
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi, as_qqi
-from superns.nsalg import C_GEN, L, VermaModule, gen_parity, word_level
+from superns.nsalg import (
+    C_GEN,
+    G,
+    L,
+    NSExpression,
+    VermaModule,
+    gen_parity,
+    gen_weight,
+    ns_bracket,
+    word_level,
+)
 from superns.sewing import (
     ModuliElement,
     SewingError,
@@ -253,8 +263,8 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
     zero = GradedPoly(fact.spec)
 
     def ansatz(vec, cap, raising=True):
-        return _ungraded(fact.spec, fact._ansatz(psi, gamma, _graded(vec, None), cap,
-                                                 raising=raising))
+        return _ungraded(fact.spec, fact._ansatz(fact.module, psi, gamma, _graded(vec, None),
+                                                 cap, raising=raising))
 
     def upto(side, d):
         return {i: t for i, p in side.items() if (t := p.truncate(d))}
@@ -332,6 +342,22 @@ def test_planted_certified_error_fails_the_check():
     assert planted >= 2
 
 
+def column_agrees(fact, series, col) -> bool:
+    """The column check on one basis column: both sides agree on its
+    certified terms.  Both hold certified terms only (see _keeper), so they
+    are compared as graded vectors, whose grading is a function of the
+    monomial."""
+    vec, lvl = {col: fact.module.one}, fact.module.levels[col]
+    return fact.lhs(vec, lvl) == fact.rhs(series.psi, series.gamma, vec, lvl)
+
+
+def column_check(series) -> bool:
+    """The reference verdict: both sides rebuilt and compared on every
+    basis column."""
+    return all(column_agrees(series.fact, series, col)
+               for col in range(len(series.fact.module.basis)))
+
+
 def column_verdict_reference(fact, series, col):
     """The check's verdict on one column as it was before the graded
     compare: no term of lhs - rhs survives trusted, on any coordinate."""
@@ -346,10 +372,11 @@ def column_verdict_reference(fact, series, col):
 
 def test_the_graded_verdict_agrees_with_the_trusted_difference():
     """On every column, the graded verdict is the per-coordinate
-    trusted(lhs - rhs) verdict: on the solved series, which both accept; on
-    a certified term planted in a raising slot, a lowering slot, psi0 and
-    gamma, which both reject; and on an uncertified term (B2^3 has raising
-    peak 6 > W), which both accept."""
+    trusted(lhs - rhs) verdict, and the generator certificate gives the
+    same verdict as the two: on the solved series, which all accept; on a
+    certified term planted in a raising slot, a lowering slot, psi0 and
+    gamma, which all reject; and on an uncertified term (B2^3 has raising
+    peak 6 > W), which all accept."""
     problem = ([1, 2], [1], [1, 2], [1])
     series = sw_solve(*problem, D=3, W=4)
     fact, spec = series.fact, series.spec
@@ -372,10 +399,185 @@ def test_the_graded_verdict_agrees_with_the_trusted_difference():
             series.psi[slot] = p
         verdicts = [column_verdict_reference(fact, series, col)
                     for col in range(len(fact.module.basis))]
-        assert verdicts == [fact.agrees(series.psi, series.gamma, col)
+        assert verdicts == [column_agrees(fact, series, col)
                             for col in range(len(fact.module.basis))], slot
         assert all(verdicts) is accepted, slot
         assert sw_consistency_check(series, *problem) is accepted, slot
+
+
+# the randomized test's family: A and B draw one or two of 1, 2, 3, and M
+# and N one of 1, 2; the 36 problems with 3 in both A and B raise (the known
+# defect of the raising read)
+FAMILY = [(list(A), list(M), list(B), list(N))
+          for A in ([1], [2], [3], [1, 2], [1, 3], [2, 3]) for M in ([1], [2])
+          for B in ([1], [2], [3], [1, 2], [1, 3], [2, 3]) for N in ([1], [2])]
+SOLVABLE = [p for p in FAMILY if not (3 in p[0] and 3 in p[2])]
+
+
+def planted_series(rng, series):
+    """(slot, kind, poly) perturbations of every psi slot and of gamma: a
+    coefficient of one of its own keys moved by one, a key of another slot
+    added, and a random monomial of the slot's parity added."""
+    spec = series.spec
+    slots = sorted(series.psi) + ["gamma"]
+
+    def of(slot):
+        return series.gamma if slot == "gamma" else series.psi[slot]
+
+    def plus(p, key):
+        terms = dict(p.terms)
+        add_term(terms, key, 1)
+        return GradedPoly(spec, terms)
+
+    capped = [i for i, c in enumerate(spec.capped) if c]
+    out = []
+    for slot in slots:
+        p = of(slot)
+        if p:
+            out.append((slot, "own", plus(p, rng.choice(sorted(p.terms)))))
+        others = sorted(k for other in slots if other != slot for k in of(other).terms)
+        if others:
+            out.append((slot, "other", plus(p, rng.choice(others))))
+        odd = slot != "gamma" and slot.denominator == 2
+        while True:
+            mono: dict = {}
+            for i in rng.choices(capped, k=rng.randint(1, spec.degree_cap)):
+                mono[i] = mono.get(i, 0) + 1
+            mono = tuple(sorted(mono.items()))
+            if all(e == 1 for i, e in mono if spec.parity[i]) and spec.odd(mono) == odd:
+                break
+        out.append((slot, "random", plus(p, (mono, rng.randint(-8, 2)))))
+    return out
+
+
+@pytest.mark.parametrize("D, W, problems", [(3, 4, PRUNE_PROBLEMS),
+                                            (3, 5, random.Random(SEED).sample(SOLVABLE, 2))])
+def test_the_generator_certificate_matches_the_column_check(D, W, problems):
+    """The check on generators gives the column reference's verdict on the
+    solved series and on seeded perturbations planted in every psi slot
+    and in gamma; both accept some of them (uncertified terms) and reject
+    others."""
+    rng = random.Random(SEED)
+    tally = {True: 0, False: 0}
+    for problem in problems:
+        series = sw_solve(*problem, D=D, W=W)
+        assert column_check(series) and sw_consistency_check(series, *problem), problem
+        good_psi, good_gamma = dict(series.psi), series.gamma
+        for slot, kind, p in planted_series(rng, series):
+            series.psi, series.gamma = dict(good_psi), good_gamma
+            if slot == "gamma":
+                series.gamma = p
+            else:
+                series.psi[slot] = p
+            verdict = column_check(series)
+            assert sw_consistency_check(series, *problem) is verdict, (problem, slot, kind)
+            tally[verdict] += 1
+    assert tally[True] and tally[False], tally
+
+
+class _NoLift(dict):
+    """An adjoint lift that records 0 for every position: the visibility
+    rule without its max(n, 0) term."""
+
+    def __setitem__(self, j, v):
+        super().__setitem__(j, 0)
+
+
+def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
+    """Negative control: dropping max(n, 0) from the rule compares lowering
+    terms of Ad(g) that no certified coefficient sees, and the check then
+    rejects a correct solve."""
+    problem = ([3], [2], [2], [1])
+    series = sw_solve(*problem, D=3, W=4)
+    assert column_check(series) and sw_consistency_check(series, *problem)
+    series.fact.adjoint.lift = _NoLift({j: 0 for j in series.fact.adjoint.lift})
+    assert not sw_consistency_check(series, *problem)
+
+
+def ad_exp_reference(terms, X, degree_cap):
+    """exp(ad Z) X = sum_k (ad Z)^k X / k! for Z = sum coeff*gen, an
+    NSExpression series through ns_bracket."""
+    Z = NSExpression(X.spec, dict(terms))
+    out = cur = X
+    for k in range(1, degree_cap + 2):
+        cur = ns_bracket(Z, cur).scaled(Fraction(1, k))
+        if not cur.terms:
+            return out
+        out = out + cur
+    raise AssertionError("reference series outlived the cap")
+
+
+def alpha_reference(X):
+    """Conjugation by the reduced diagonal: X(n) -> alpha0^n X(n)."""
+    spec = X.spec
+    return NSExpression(spec, {g: p * GradedPoly.alpha(spec, -int(2 * gen_weight(g)))
+                               for g, p in X.terms.items()})
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_conjugates_match_the_bracket_series(problem):
+    """On every raising generator g that starts a basis word, both sides of
+    conjugates are the visible terms of Ad(g) built in the Lie superalgebra
+    with ns_bracket, stage by stage and without early drops: m X(n) with
+    2 peak(m) + 2 max(n, 0) <= 2 (W - level(g))."""
+    D, W = 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    fact, psi, spec = series.fact, series.psi, series.spec
+    slots = {k: p for k, p in psi.items() if k and p}
+
+    def gen(k):
+        return L(int(k)) if k.denominator == 1 else G(k)
+
+    def visible(X, level):
+        out = {}
+        for g, p in X.terms.items():
+            lift = max(-gen_weight(g), 0) if g != C_GEN else 0
+            t = certified(p, level + lift, W)
+            if t:
+                out[fact.adjoint.place(g)] = t
+        return out
+
+    gens = [w[0] for w in fact.module.basis if len(w) == 1]
+    assert len(gens) == 8
+    for g in gens:
+        X = NSExpression.single(spec, g)
+        left = ad_exp_reference(fact.low_terms, alpha_reference(
+            ad_exp_reference(fact.raise_terms, X, D)), D)
+        right = ad_exp_reference([(L(0), psi[Fraction(0)])], alpha_reference(X), D)
+        right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k > 0], right, D)
+        right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k < 0], right, D)
+        got = [{i: p.terms for i, p in _ungraded(spec, side).items()}
+               for side in fact.conjugates(psi, series.gamma, g)]
+        level = -g[1]
+        assert got == [visible(left, level), visible(right, level)], g
+        assert got[0] == got[1]
+
+
+def test_the_5_8_solve_is_certified_on_generators(monkeypatch):
+    """At (D, W) = (5, 8), where the column check rebuilt both sides on 315
+    columns, the check on generators accepts the solve after comparing the
+    conjugates of each of the 16 raising generators of level <= 8, and
+    rejects a certified error planted in a lowering slot."""
+    problem = ([1, 2], [1], [1, 2], [1])
+    series = sw_solve(*problem, D=5, W=8)
+    assert len(series.fact.module.basis) == 315
+    assert sum(len(p.terms) for p in series.psi.values()) + len(series.gamma.terms) == 147
+    conjugated = []
+    conjugates = _Factorization.conjugates
+
+    def recording(self, psi, gamma, g):
+        conjugated.append(g)
+        return conjugates(self, psi, gamma, g)
+
+    monkeypatch.setattr(_Factorization, "conjugates", recording)
+    assert sw_consistency_check(series, *problem)
+    assert sorted(conjugated) == sorted([L(-j) for j in range(1, 9)]
+                                        + [G(HALF - j) for j in range(1, 9)])
+    good = series.psi[Fraction(2)]
+    terms = dict(good.terms)
+    add_term(terms, min(terms), 1)  # certified at level 2, as every psi[2] term is
+    series.psi[Fraction(2)] = GradedPoly(series.spec, terms)
+    assert not sw_consistency_check(series, *problem)
 
 
 def test_exp_series_outliving_the_cap_raises():
@@ -480,15 +682,16 @@ def test_position_tables_hold_the_generator_action(monkeypatch, problem):
 
 def exp_reference(module, terms, vec, degree_cap):
     """exp(sum coeff*gen) on a word-keyed vec as sum_k X^k vec / k!, each X
-    applied through VermaModule.act; an odd gen meets the entries
-    parity-twisted."""
+    applied word by word through VermaModule.apply_gen; an odd gen meets the
+    entries parity-twisted."""
     out, cur = dict(vec), vec
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
         for g, p in terms:
-            src = {w: p * (q.parity_twist() if gen_parity(g) else q) for w, q in cur.items()}
-            for w, q in module.act(g, src).items():
-                add_term(nxt, w, q * Fraction(1, k))
+            for w0, q0 in cur.items():
+                coeff = p * (q0.parity_twist() if gen_parity(g) else q0) * Fraction(1, k)
+                for w, q in module.apply_gen(g, w0).items():
+                    add_term(nxt, w, q * coeff)
         if not nxt:
             return out
         for w, q in nxt.items():
