@@ -9,22 +9,23 @@ into the ansatz
     exp(sum Psi_(-k) X(-k)) exp(sum Psi_k X(k)) exp(Psi_0 L(0)) a0^(-L(0)) exp(Gamma c),
 
 four exponentials around the reduced diagonal (X(k) is L(k) or G(k)),
-degree by degree in the formal families, by matching matrix elements on a
-weight-truncated Verma module with formal central charge and highest
-weight.  Raising a state past the weight cap loses information.  A
-parameter monomial's raising peak is the weight its symbols can lift a
-state by: each power of B_j or N_j adds the weight of its raising
-generator, every other symbol adds 0.  A coefficient read from a column
-of level l is kept only on monomials with l + peak <= W.  The series holds
-its solve's _Factorization, so the check reuses its module, whose rows are
-built when a vector entry first reaches them.
+degree by degree in the formal families.  Raising a state past the
+weight cap loses information.  A parameter monomial's raising peak is the
+weight its symbols can lift a state by: each power of B_j or N_j adds the
+weight of its raising generator, every other symbol adds 0.  A
+coefficient read from a column of level l is kept only on monomials with
+l + peak <= W.
 
-The consistency check certifies the series on generators, the algebraic
-half of Huang's reading of sewing as conjugation in the Virasoro/NS group.
-Besides the highest-weight column it compares, for each raising generator
-g of level <= W, Ad(g) = X g X^-1 of the left side X with that of the
-ansatz, each a nested exp(ad Z) run by the same kernel over the adjoint
-action.  A term m X(n) of Ad(g) is visible when
+Both solve and check read the sides in two forms, the algebraic half of
+Huang's reading of sewing as conjugation in the Virasoro/NS group: the
+highest-weight column of a weight-truncated Verma module with formal
+central charge and highest weight, and, for each raising generator g of
+level <= W, Ad(g) = X g X^-1 of the left side X and of the ansatz, each a
+nested exp(ad Z) run by the same kernel over the adjoint action.  The
+column gives the raising slots, Psi_0 and Gamma; the L(0) coordinate of
+Ad(g) gives the lowering slot of g's partner.  The series holds its
+solve's _Factorization, so the check reuses its module and the left
+conjugates.  A term m X(n) of Ad(g) is visible when
 2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)); only visible terms are
 compared.  This is sound because X e_(g w) = Ad_X(g) X e_w on every PBW
 column, and a lowering X(n) kills every state below level n, so an
@@ -376,6 +377,7 @@ class _Factorization:
         self.module = VermaModule(spec, GradedPoly.symbol(spec, "c"),
                                   GradedPoly.symbol(spec, "h"), self.W)
         self.adjoint = _Adjoint(spec)
+        self.lefts: dict = {}  # g -> its left conjugate: solve and check share it
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
         self.low_terms = [t for t in terms if t[0][1] > 0]
         self.raise_terms = [t for t in terms if t[0][1] < 0]
@@ -422,15 +424,10 @@ class _Factorization:
         keep = self._keeper(level)
         return self._ansatz(self.module, psi, gamma, _graded(vec, keep), self.D, keep)
 
-    def _ansatz(self, action, psi: dict, gamma: GradedPoly, vec: dict, cap: int, keep=None,
-                raising=True) -> dict:
-        """The ansatz stages on a graded vector, cut at capped degree cap.
-
-        Degrees add, so the parts of degree <= cap are those of the full
-        side.  Without raising the last exponential is left out: each of its
-        generators strictly lifts the level, so it changes no coordinate at
-        position 0.
-        """
+    def _ansatz(self, action, psi: dict, gamma: GradedPoly, vec: dict, cap: int,
+                keep=None) -> dict:
+        """The ansatz stages on a graded vector, cut at capped degree cap;
+        degrees add, so its parts are the full side's of degree <= cap."""
         low, raise_ = [], []
         for k, p in psi.items():
             if k and p:
@@ -440,21 +437,25 @@ class _Factorization:
         out = _alpha_reduce(action, out)
         out = _exp_graded(action, [(L(0), psi[Fraction(0)])], out, cap, keep)
         out = _exp_graded(action, low, out, cap, keep)
-        return _exp_graded(action, raise_, out, cap, keep) if raising else out
+        return _exp_graded(action, raise_, out, cap, keep)
 
-    def conjugates(self, psi: dict, gamma: GradedPoly, g) -> tuple:
+    def conjugates(self, psi: dict, gamma: GradedPoly, g, cap=None) -> tuple:
         """The visible terms of Ad(g) = X g X^-1 for the left side X and
-        for the ansatz, as graded vectors over the adjoint action.
+        for the ansatz cut at capped degree cap (D by default), as graded
+        vectors over the adjoint action.
 
         Each side runs its stages on g as nested exp(ad Z), as lhs and rhs
         run them on a column; Gamma c is central, so its stage is the
-        identity.
+        identity.  The left one does not depend on Psi: it is built once
+        per g, at full D, and kept in lefts.
         """
         adj = self.adjoint
         keep = self._keeper(gen_weight(g), adj.lift)
         vec = _graded({adj.place(g): adj.one}, keep)
-        return (self._left(adj, vec, keep),
-                self._ansatz(adj, psi, gamma, vec, self.D, keep))
+        if g not in self.lefts:
+            self.lefts[g] = self._left(adj, vec, keep)
+        cap = self.D if cap is None else cap
+        return self.lefts[g], self._ansatz(adj, psi, gamma, vec, cap, keep)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -463,32 +464,37 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     A_sup/M_sup/B_sup/N_sup are the index supports (j >= 1) of the four
     formal families.  Returns the unique (Psi, Gamma) with every
     coefficient restricted to the parameter monomials certifiable at
-    weight cap W.  Step d reads degree d only, so it builds the ansatz
-    side cut at degree d; a lowering slot reads position 0 only, so its
-    column skips the raising exponential.
+    weight cap W.  Step d reads degree d only, off the ansatz cut at
+    degree d: the raising slots, Psi_0 and Gamma off the highest-weight
+    column, and each lowering slot psi_k off L(0) in the conjugates of its
+    raising partner g of level k.  Of the degree-d terms only
+    [psi_k X(k), g] lands there, as 2k (g = L(-k)) or 2 (g = G(-k)) times
+    psi_k alpha0^(-k) L(0); an L(0) term is visible exactly when it is
+    certified at level k, so the read needs no trust filter.
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
     zero = GradedPoly(spec)
-    # the slot k of each one-letter column (g,), by basis position: psi[-k]
-    # multiplies g, psi[k] its lowering partner
-    cols = {gen_weight(w[0]): i for i, w in enumerate(module.basis) if len(w) == 1}
+    # the raising generator g of each one-letter column, and its position,
+    # by level k: psi[-k] multiplies g, psi[k] its lowering partner
+    cols = {gen_weight(w[0]): (i, w[0]) for i, w in enumerate(module.basis) if len(w) == 1}
     psi: dict = {Fraction(0): zero}
     for k in cols:
         psi[k] = psi[-k] = zero
     gamma = zero
 
-    def read(lhs, rhs, i, d):  # lhs - rhs at position i, degree d (no budget: peak 0)
-        return GradedPoly(spec, lhs.get((i, d, 0), {})) - GradedPoly(spec, rhs.get((i, d, 0), {}))
+    def read(lhs, rhs, i, d):  # lhs - rhs at position i, degree d, over every peak
+        lhs, rhs = ({m: c for (j, dj, _), t in side.items() if (j, dj) == (i, d)
+                     for m, c in t.items()} for side in (lhs, rhs))
+        return GradedPoly(spec, lhs) - GradedPoly(spec, rhs)
 
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
     lhs_hw = fact.lhs(hw)
-    lhs_cols = {k: fact.lhs({i: module.one}) for k, i in cols.items()}
     for d in range(1, fact.D + 1):
         rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
         # raising slots from the highest-weight column
-        for k, i in cols.items():
+        for k, (i, _) in cols.items():
             res = read(lhs_hw, rhs_hw, i, d)
             if res:
                 _assert_ch_free(res)
@@ -505,20 +511,13 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
             if leftover:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
-        # lowering slots from singly-raised columns
-        for k, i in cols.items():
-            rhs_col = fact._ansatz(module, psi, gamma, _graded({i: module.one}, None), d,
-                                   raising=False)
-            res = read(lhs_cols[k], rhs_col, 0, d)
+        # lowering slots from L(0), at adjoint position 0
+        for k, (_, g) in cols.items():
+            res = read(*fact.conjugates(psi, gamma, g, d), 0, d)
             if res:
-                h_lin = res.coefficient({"h": 1, "c": 0})
-                if k.denominator == 1:
-                    sol = h_lin * Fraction(1, 2 * int(k))
-                else:
-                    sol = h_lin * HALF
-                # undo the alpha0^(-k) the reduced diagonal put on the column
-                sol = sol * GradedPoly.alpha(spec, int(2 * k))
-                psi[k] = psi[k] + fact.trusted(sol, k)
+                res = res * (Fraction(1, 2 * int(k)) if k.denominator == 1 else HALF)
+                # undo the alpha0^(-k) the reduced diagonal put on g
+                psi[k] = psi[k] + res * GradedPoly.alpha(spec, int(2 * k))
     return SewingSeries(fact, psi, gamma)
 
 
@@ -537,8 +536,8 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
     A certificate on generators, not on columns.  First both sides must
     agree on the certified terms of the highest-weight column.  Then, for
     each raising generator g that starts a basis word, the visible terms of
-    Ad(g) = X g X^-1 of the left side and of the ansatz (conjugates) must
-    be equal.  A term m X(n) of Ad(g) is visible when
+    Ad(g) = X g X^-1 of the left side (as the solve built it) and of the
+    ansatz (conjugates) must be equal.  A term m X(n) of Ad(g) is visible when
     2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)).
 
     Sound: on every PBW column X e_(g w) = Ad_X(g) X e_w.  A certified entry

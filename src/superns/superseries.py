@@ -588,40 +588,28 @@ def _clean(d):
 class DiffOp:
     """One of the displayed superderivations on the span of theta^e z^k.
 
-    kind "L" with integer index n, or "G" with half-odd index r = n + 1/2;
-    t and s parametrize the realization (t integer for G, s nonzero).  L(n)
-    moves both sectors by n.  G(r) moves theta-free orders into the theta
-    sector by n - t + 1 and theta orders out of it by n + t.
+    kind "L" with integer index n, or "G" with half-odd index r = n + 1/2,
+    in the paper's realization.  L(n) moves both sectors by n.  G(r) moves
+    theta-free orders into the theta sector by n and theta orders out of
+    it by n + 1.
     """
 
-    def __init__(self, kind: str, index, t=1, s=1):
+    def __init__(self, kind: str, index):
         self.kind = kind
-        self.t = Fraction(t)
-        self.s = s
-        if not self.s:
-            raise ValueError("s must be nonzero")
         # apply's per-operator constants: the order shifts out of the
-        # theta-free and out of the theta sector, and the coefficient
-        # factors; G with s = 1 (the flows' case) needs no scalar factors,
-        # since negation is far cheaper than a product per term
+        # theta-free and out of the theta sector
         if self.kind == "G":
             r = Fraction(index)
             if r.denominator != 2:
                 raise ValueError("G index must be half-odd")
-            if self.t.denominator != 1:
-                raise ValueError("non-integer t leaves the Laurent span")
             self.n = int(r - HALF)
-            self._shift0 = self.n - int(self.t) + 1
-            self._shift1 = self.n + int(self.t)
-            unit = self.s == 1
-            self._s_inv = None if unit else Fraction(1) / self.s
-            self._neg_s = None if unit else -self.s
+            self._shift0, self._shift1 = self.n, self.n + 1
         elif self.kind == "L":
             self.n = int(index)
             if self.n != index:
                 raise ValueError(f"L index must be an integer, got {index}")
             self._shift0 = self._shift1 = self.n
-            self._half = Fraction(self.n - 1, 2) + self.t
+            self._half = Fraction(self.n + 1, 2)
         else:
             raise ValueError(f"kind must be 'L' or 'G', got {kind!r}")
 
@@ -641,12 +629,11 @@ class DiffOp:
                 elif k:
                     add_term(out, (k + s0, 0), c * (-k))
         else:
-            s_inv, neg_s = self._s_inv, self._neg_s
             for (k, e), c in F.terms.items():
                 if e:
-                    add_term(out, (k + s1, 0), -c if neg_s is None else c * neg_s)
+                    add_term(out, (k + s1, 0), -c)
                 elif k:
-                    add_term(out, (k + s0, 1), c * (k if s_inv is None else s_inv * k))
+                    add_term(out, (k + s0, 1), c * k)
         lo = None if F.lo is None else F.lo + max(s0, s1)
         hi = None if F.hi is None else F.hi + min(s0, s1)
         return SFun(F.L, out, lo, hi)

@@ -97,10 +97,9 @@ def test_graded_antisymmetry():
 # -- differential operator representation ------------------------------
 
 
-def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
-                              t=1, s=1) -> bool:
+def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression) -> bool:
     """Check [op1, op2] = target on the basis monomials theta^e z^k, |k| <= 5,
-    with the target's operators realized at (t, s).
+    with the target's operators realized as DiffOp.
 
     The target expression must have numeric coefficients; its central term
     is skipped, as the representation has c = 0.
@@ -112,7 +111,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
         coeff = p.terms.get(((), 0), 0)
         if len(p.terms) > (1 if coeff else 0):
             raise ValueError("target must be numeric")
-        ops.append((coeff, DiffOp(g[0], g[1], t, s)))
+        ops.append((coeff, DiffOp(g[0], g[1])))
     sign = -1 if (op1.parity() and op2.parity()) else 1
     for k in range(-5, 6):
         for e in (0, 1):
@@ -127,7 +126,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression,
 
 
 def test_diffop_L_minus_one_on_z():
-    op = DiffOp("L", -1, 1, 1)
+    op = DiffOp("L", -1)
     F = SFun(0, {(1, 0): GrassmannElement.scalar(0, 1)})
     out = op.apply(F)
     assert out.coeff(0, 0) == GrassmannElement.scalar(0, -1)
@@ -135,35 +134,25 @@ def test_diffop_L_minus_one_on_z():
 
 
 def test_diffop_G_minus_half_actions():
-    op = DiffOp("G", -HALF, 1, 1)
+    op = DiffOp("G", -HALF)
     theta = SFun(0, {(0, 1): GrassmannElement.scalar(0, 1)})
     assert op.apply(theta).coeff(0, 0) == GrassmannElement.scalar(0, -1)
     z = SFun(0, {(1, 0): GrassmannElement.scalar(0, 1)})
     assert op.apply(z).coeff(0, 1) == GrassmannElement.scalar(0, 1)
 
 
-@pytest.mark.parametrize("s", [1, -1])
-def test_representation_c_zero(s):
+def test_representation_c_zero():
     rng = range(-3, 4)
     for m, n in itertools.product(rng, repeat=2):
         op1, op2 = DiffOp("L", m), DiffOp("L", n)
         target = ns_bracket(single(L(m)), single(L(n)))
-        assert diffop_commutator_matches(op1, op2, target, 1, s)
-        opG = DiffOp("G", m + HALF, 1, s)
+        assert diffop_commutator_matches(op1, op2, target)
+        opG = DiffOp("G", m + HALF)
         target = ns_bracket(single(G(m + HALF)), single(L(n)))
-        assert diffop_commutator_matches(opG, op2, target, 1, s)
-        opG2 = DiffOp("G", n - HALF, 1, s)
+        assert diffop_commutator_matches(opG, op2, target)
+        opG2 = DiffOp("G", n - HALF)
         target = ns_bracket(single(G(m + HALF)), single(G(n - HALF)))
-        assert diffop_commutator_matches(opG, opG2, target, 1, s)
-
-
-def test_minus_s_negates_G():
-    for k in range(-3, 4):
-        for e in (0, 1):
-            F = SFun(0, {(k, e): GrassmannElement.scalar(0, 1)})
-            plus = DiffOp("G", Fraction(3, 2), 1, 1).apply(F)
-            minus = DiffOp("G", Fraction(3, 2), 1, -1).apply(F)
-            assert minus == -plus
+        assert diffop_commutator_matches(opG, opG2, target)
 
 
 # -- PBW normal ordering: the oracle for the Verma action --------------------

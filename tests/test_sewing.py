@@ -253,18 +253,17 @@ def test_pruned_sides_keep_every_certified_coefficient():
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS)
 def test_the_solve_reads_match_the_full_ansatz_side(problem):
-    """Oracle for the solve's two shortcuts, on the solved series and every
-    basis column: cut at degree d, the ansatz side keeps every term of
-    degree <= d of the full rhs; without its raising exponential it keeps
-    position 0.  Negative control: a cut at d - 1 misses degree-d terms."""
+    """Oracle for the solve's degree cut, on the solved series: cut at
+    degree d, the ansatz side keeps every term of degree <= d of the full
+    rhs on every basis column, and of the full ansatz conjugate on every
+    raising generator.  Negative control: a cut at d - 1 misses degree-d
+    terms."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact, psi, gamma = series.fact, series.psi, series.gamma
-    zero = GradedPoly(fact.spec)
 
-    def ansatz(vec, cap, raising=True):
-        return _ungraded(fact.spec, fact._ansatz(fact.module, psi, gamma, _graded(vec, None),
-                                                 cap, raising=raising))
+    def ansatz(vec, cap):
+        return _ungraded(fact.spec, fact._ansatz(fact.module, psi, gamma, _graded(vec, None), cap))
 
     def upto(side, d):
         return {i: t for i, p in side.items() if (t := p.truncate(d))}
@@ -275,8 +274,19 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
         full = _ungraded(fact.spec, fact.rhs(psi, gamma, vec))
         for d in range(1, D + 1):
             assert ansatz(vec, d) == upto(full, d), (col, d)
-            assert ansatz(vec, d, raising=False).get(0, zero) == full.get(0, zero).truncate(d)
             if upto(ansatz(vec, d - 1), d) != upto(full, d):
+                missed.add(d)
+    assert missed == set(range(1, D + 1))
+
+    def graded_upto(side, d):
+        return {key: t for key, t in side.items() if key[1] <= d}
+
+    missed = set()
+    for g in (w[0] for w in fact.module.basis if len(w) == 1):
+        full = fact.conjugates(psi, gamma, g)[1]
+        for d in range(1, D + 1):
+            assert fact.conjugates(psi, gamma, g, d)[1] == graded_upto(full, d), (g, d)
+            if graded_upto(fact.conjugates(psi, gamma, g, d - 1)[1], d) != graded_upto(full, d):
                 missed.add(d)
     assert missed == set(range(1, D + 1))
 
@@ -491,7 +501,51 @@ def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
     series = sw_solve(*problem, D=3, W=4)
     assert column_check(series) and sw_consistency_check(series, *problem)
     series.fact.adjoint.lift = _NoLift({j: 0 for j in series.fact.adjoint.lift})
+    series.fact.lefts.clear()  # both sides rebuilt under the rule without the lift
     assert not sw_consistency_check(series, *problem)
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_the_solve_leaves_the_full_left_conjugates(problem):
+    """For every raising generator, the left conjugate the solve keeps for
+    the check is a fresh build of _left at full D, not one cut at the
+    degree of the step that first asked for it.  Negative control: each
+    left conjugate with a degree-D term differs from its cut at D - 1."""
+    D, W = 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    gens = [w[0] for w in series.fact.module.basis if len(w) == 1]
+    assert sorted(series.fact.lefts) == sorted(gens)
+    fresh = _Factorization(*problem, D, W)
+    adj, cut = fresh.adjoint, 0
+    for g in gens:
+        keep = fresh._keeper(gen_weight(g), adj.lift)
+        want = fresh._left(adj, _graded({adj.place(g): adj.one}, keep), keep)
+        assert series.fact.lefts[g] == want, g
+        if any(key[1] == D for key in want):
+            cut += 1
+            assert series.fact.lefts[g] != {key: t for key, t in want.items() if key[1] < D}
+    assert cut
+
+
+@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
+def test_the_module_answers_only_the_highest_weight_column(problem):
+    """After the solve and the check, every filled row of the series'
+    module is one that lhs and rhs on the highest-weight column fill on a
+    fresh _Factorization: the lowering slots and the generator check read
+    the adjoint action, never another module column."""
+    D, W = 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    assert sw_consistency_check(series, *problem)
+    fresh = _Factorization(*problem, D, W)
+    hw = {0: fresh.module.one}
+    fresh.lhs(hw)
+    fresh.rhs(series.psi, series.gamma, hw)
+
+    def filled(module):
+        return {(g, i) for g, table in module._tables.items()
+                for i, row in enumerate(table) if row is not None}
+
+    assert filled(series.fact.module) and filled(series.fact.module) <= filled(fresh.module)
 
 
 def ad_exp_reference(terms, X, degree_cap):

@@ -101,16 +101,15 @@ _TERM = st.tuples(st.integers(-6, 6), st.integers(0, 1), st.integers(0, 3),
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from("LG"), st.integers(-3, 3), st.integers(-2, 3),
-       st.sampled_from([1, -1, 2, Fraction(1, 3)]), st.lists(_TERM, max_size=14),
+@given(st.sampled_from("LG"), st.integers(-3, 3), st.lists(_TERM, max_size=14),
        st.integers(-6, 6), st.integers(0, 9))
-def test_diffop_window_is_exact(kind, n, t, s, raw, lo, width):
+def test_diffop_window_is_exact(kind, n, raw, lo, width):
     """Cutting F to a window and then applying the operator agrees with
     applying it to the uncut F at every order of the reported window."""
     F_full = SFun.zero(2)
     for k, e, mask, p, q in raw:
         F_full = F_full + SFun(2, {(k, e): GrassmannElement(2, {mask: QQi(Fraction(p, q))})})
-    op = DiffOp(kind, n if kind == "L" else n + Fraction(1, 2), t, s)
+    op = DiffOp(kind, n if kind == "L" else n + Fraction(1, 2))
     got = op.apply(F_full.with_window(lo, lo + width))
     want = op.apply(F_full)
     for k in {k for k, _ in got.terms} | {k for k, _ in want.terms}:
