@@ -19,13 +19,13 @@ l + peak <= W.
 Both solve and check read the sides in two forms, the algebraic half of
 Huang's reading of sewing as conjugation in the Virasoro/NS group: the
 highest-weight column of a weight-truncated Verma module with formal
-central charge and highest weight, and, for each raising generator g of
-level <= W, Ad(g) = X g X^-1 of the left side X and of the ansatz, each a
-nested exp(ad Z) run by the same kernel over the adjoint action.  The
-column gives the raising slots, Psi_0 and Gamma; the L(0) coordinate of
-Ad(g) gives the lowering slot of g's partner.  The series holds its
-solve's _Factorization, so the check reuses its module and the left
-conjugates.  A term m X(n) of Ad(g) is visible when
+central charge and highest weight, and conjugates Ad(g) = X g X^-1 of the
+left side X and of the ansatz, each a nested exp(ad Z) run by the same
+kernel over the adjoint action.  The column gives the raising slots,
+Psi_0 and Gamma; the X(k) coordinates of Ad(L(0)) give every lowering
+slot; the check compares Ad(g) for each raising generator g of level
+<= W.  The series holds its solve's _Factorization, so the check reuses
+its module.  A term m X(n) of Ad(g) is visible when
 2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)); only visible terms are
 compared.  This is sound because X e_(g w) = Ad_X(g) X e_w on every PBW
 column, and a lowering X(n) kills every state below level n, so an
@@ -377,7 +377,7 @@ class _Factorization:
         self.module = VermaModule(spec, GradedPoly.symbol(spec, "c"),
                                   GradedPoly.symbol(spec, "h"), self.W)
         self.adjoint = _Adjoint(spec)
-        self.lefts: dict = {}  # g -> its left conjugate: solve and check share it
+        self.lefts: dict = {}  # g -> its left conjugate, built once at full D
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
         self.low_terms = [t for t in terms if t[0][1] > 0]
         self.raise_terms = [t for t in terms if t[0][1] < 0]
@@ -447,7 +447,8 @@ class _Factorization:
         Each side runs its stages on g as nested exp(ad Z), as lhs and rhs
         run them on a column; Gamma c is central, so its stage is the
         identity.  The left one does not depend on Psi: it is built once
-        per g, at full D, and kept in lefts.
+        per g, at full D, and kept in lefts, so the solve's D reads of
+        Ad(L(0)) share one.
         """
         adj = self.adjoint
         keep = self._keeper(gen_weight(g), adj.lift)
@@ -466,18 +467,17 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     coefficient restricted to the parameter monomials certifiable at
     weight cap W.  Step d reads degree d only, off the ansatz cut at
     degree d: the raising slots, Psi_0 and Gamma off the highest-weight
-    column, and each lowering slot psi_k off L(0) in the conjugates of its
-    raising partner g of level k.  Of the degree-d terms only
-    [psi_k X(k), g] lands there, as 2k (g = L(-k)) or 2 (g = G(-k)) times
-    psi_k alpha0^(-k) L(0); an L(0) term is visible exactly when it is
+    column, and every lowering slot psi_k off the X(k) coordinate of
+    Ad(L(0)).  There psi_k enters degree d only as [psi_k X(k), L(0)] =
+    k psi_k X(k), since the diagonal stages commute with L(0) and further
+    brackets raise the degree; m X(k) is visible exactly when it is
     certified at level k, so the read needs no trust filter.
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
     zero = GradedPoly(spec)
-    # the raising generator g of each one-letter column, and its position,
-    # by level k: psi[-k] multiplies g, psi[k] its lowering partner
-    cols = {gen_weight(w[0]): (i, w[0]) for i, w in enumerate(module.basis) if len(w) == 1}
+    # the one-letter columns by level k: column i holds the letter psi[-k] scales
+    cols = {gen_weight(w[0]): i for i, w in enumerate(module.basis) if len(w) == 1}
     psi: dict = {Fraction(0): zero}
     for k in cols:
         psi[k] = psi[-k] = zero
@@ -494,7 +494,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     for d in range(1, fact.D + 1):
         rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
         # raising slots from the highest-weight column
-        for k, (i, _) in cols.items():
+        for k, i in cols.items():
             res = read(lhs_hw, rhs_hw, i, d)
             if res:
                 _assert_ch_free(res)
@@ -511,13 +511,12 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
             if leftover:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
-        # lowering slots from L(0), at adjoint position 0
-        for k, (_, g) in cols.items():
-            res = read(*fact.conjugates(psi, gamma, g, d), 0, d)
+        # lowering slots from Ad(L(0)): X(k) sits at adjoint position 2k
+        left, right = fact.conjugates(psi, gamma, L(0), d)
+        for k in cols:
+            res = read(left, right, int(2 * k), d)
             if res:
-                res = res * (Fraction(1, 2 * int(k)) if k.denominator == 1 else HALF)
-                # undo the alpha0^(-k) the reduced diagonal put on g
-                psi[k] = psi[k] + res * GradedPoly.alpha(spec, int(2 * k))
+                psi[k] = psi[k] + res * (1 / k)
     return SewingSeries(fact, psi, gamma)
 
 
@@ -536,8 +535,8 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
     A certificate on generators, not on columns.  First both sides must
     agree on the certified terms of the highest-weight column.  Then, for
     each raising generator g that starts a basis word, the visible terms of
-    Ad(g) = X g X^-1 of the left side (as the solve built it) and of the
-    ansatz (conjugates) must be equal.  A term m X(n) of Ad(g) is visible when
+    Ad(g) = X g X^-1 of the left side and of the ansatz (conjugates) must
+    be equal.  A term m X(n) of Ad(g) is visible when
     2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)).
 
     Sound: on every PBW column X e_(g w) = Ad_X(g) X e_w.  A certified entry

@@ -19,6 +19,7 @@ from superns.nsalg import (
     ns_bracket,
     word_level,
 )
+from superns import sewing
 from superns.sewing import (
     ModuliElement,
     SewingError,
@@ -505,26 +506,32 @@ def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
     assert not sw_consistency_check(series, *problem)
 
 
-@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
-def test_the_solve_leaves_the_full_left_conjugates(problem):
-    """For every raising generator, the left conjugate the solve keeps for
-    the check is a fresh build of _left at full D, not one cut at the
-    degree of the step that first asked for it.  Negative control: each
-    left conjugate with a degree-D term differs from its cut at D - 1."""
+@pytest.mark.parametrize("problem, top_parts", zip(PRUNE_PROBLEMS[:2], (24, 7)),
+                         ids=["problem0", "problem1"])
+def test_every_kept_left_conjugate_is_a_fresh_full_build(problem, top_parts):
+    """The solve keeps one left conjugate, of L(0), and it is a fresh build
+    of _left at full D, not one cut at the degree of the step that first
+    asked for it.  The check adds one per raising generator of level <= W,
+    each a fresh full build too.  Negative control: L(0)'s has degree-D
+    parts, so it differs from its cut at D - 1."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
-    gens = [w[0] for w in series.fact.module.basis if len(w) == 1]
-    assert sorted(series.fact.lefts) == sorted(gens)
     fresh = _Factorization(*problem, D, W)
-    adj, cut = fresh.adjoint, 0
-    for g in gens:
+    adj = fresh.adjoint
+
+    def build(g):
         keep = fresh._keeper(gen_weight(g), adj.lift)
-        want = fresh._left(adj, _graded({adj.place(g): adj.one}, keep), keep)
-        assert series.fact.lefts[g] == want, g
-        if any(key[1] == D for key in want):
-            cut += 1
-            assert series.fact.lefts[g] != {key: t for key, t in want.items() if key[1] < D}
-    assert cut
+        return fresh._left(adj, _graded({adj.place(g): adj.one}, keep), keep)
+
+    want = build(L(0))
+    assert list(series.fact.lefts) == [L(0)] and series.fact.lefts[L(0)] == want
+    assert sum(key[1] == D for key in want) == top_parts
+    assert want != {key: t for key, t in want.items() if key[1] < D}
+    assert sw_consistency_check(series, *problem)
+    gens = [L(-j) for j in range(1, W + 1)] + [G(HALF - j) for j in range(1, W + 1)]
+    assert sorted(series.fact.lefts) == sorted(gens + [L(0)])
+    for g in gens:
+        assert series.fact.lefts[g] == build(g), g
 
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
@@ -570,10 +577,11 @@ def alpha_reference(X):
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
 def test_conjugates_match_the_bracket_series(problem):
-    """On every raising generator g that starts a basis word, both sides of
-    conjugates are the visible terms of Ad(g) built in the Lie superalgebra
-    with ns_bracket, stage by stage and without early drops: m X(n) with
-    2 peak(m) + 2 max(n, 0) <= 2 (W - level(g))."""
+    """On every raising generator g that starts a basis word, and on the
+    L(0) the solve reads, both sides of conjugates are the visible terms of
+    Ad(g) built in the Lie superalgebra with ns_bracket, stage by stage and
+    without early drops: m X(n) with 2 peak(m) + 2 max(n, 0) <=
+    2 (W - level(g))."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact, psi, spec = series.fact, series.psi, series.spec
@@ -593,7 +601,7 @@ def test_conjugates_match_the_bracket_series(problem):
 
     gens = [w[0] for w in fact.module.basis if len(w) == 1]
     assert len(gens) == 8
-    for g in gens:
+    for g in gens + [L(0)]:
         X = NSExpression.single(spec, g)
         left = ad_exp_reference(fact.low_terms, alpha_reference(
             ad_exp_reference(fact.raise_terms, X, D)), D)
@@ -611,22 +619,26 @@ def test_the_5_8_solve_is_certified_on_generators(monkeypatch):
     """At (D, W) = (5, 8), where the column check rebuilt both sides on 315
     columns, the check on generators accepts the solve after comparing the
     conjugates of each of the 16 raising generators of level <= 8, and
-    rejects a certified error planted in a lowering slot."""
+    rejects a certified error planted in a lowering slot.  The solve
+    conjugates L(0) alone, once per degree, cut at that degree."""
     problem = ([1, 2], [1], [1, 2], [1])
-    series = sw_solve(*problem, D=5, W=8)
-    assert len(series.fact.module.basis) == 315
-    assert sum(len(p.terms) for p in series.psi.values()) + len(series.gamma.terms) == 147
     conjugated = []
     conjugates = _Factorization.conjugates
 
-    def recording(self, psi, gamma, g):
-        conjugated.append(g)
-        return conjugates(self, psi, gamma, g)
+    def recording(self, psi, gamma, g, cap=None):
+        conjugated.append((g, cap))
+        return conjugates(self, psi, gamma, g, cap)
 
     monkeypatch.setattr(_Factorization, "conjugates", recording)
+    series = sw_solve(*problem, D=5, W=8)
+    assert conjugated == [(L(0), d) for d in range(1, 6)]
+    assert len(series.fact.module.basis) == 315
+    assert sum(len(p.terms) for p in series.psi.values()) + len(series.gamma.terms) == 147
+    conjugated.clear()
     assert sw_consistency_check(series, *problem)
-    assert sorted(conjugated) == sorted([L(-j) for j in range(1, 9)]
-                                        + [G(HALF - j) for j in range(1, 9)])
+    assert sorted(g for g, _ in conjugated) == sorted([L(-j) for j in range(1, 9)]
+                                                      + [G(HALF - j) for j in range(1, 9)])
+    assert {cap for _, cap in conjugated} == {None}
     good = series.psi[Fraction(2)]
     terms = dict(good.terms)
     add_term(terms, min(terms), 1)  # certified at level 2, as every psi[2] term is
@@ -845,19 +857,20 @@ def test_both_sides_keep_canonical_coefficients():
     assert seen == {int, Fraction}
 
 
-# D = 3 problems of the randomized test's family whose W = 4 and W = 5 solves
-# both pass: 93 of the 144 (the known defect stops the rest, at W = 4 also
-# without 3 in A).  Four fixed ones, then eight drawn by random.Random(20240901)
-# from the other 89.
-TRUNCATION_PROBLEMS = [([1], [1], [1], [1]), ([1, 2], [1], [1, 2], [1]),
-                       ([2], [2], [1, 2], [2]), ([1, 3], [1], [2], [1]),
-                       ([1, 3], [1], [1], [2]), ([1, 2], [1], [1, 3], [2]),
-                       ([2, 3], [1], [1], [2]), ([1, 3], [1], [1], [1]),
-                       ([2, 3], [2], [1, 2], [1]), ([2], [2], [1, 2], [1]),
-                       ([3], [1], [2], [1]), ([1, 3], [1], [1, 2], [1])]
+def raises_the_known_defect_at_w4(problem) -> bool:
+    """At (D, W) = (3, 4) the raising read of these problems meets a (c, h)
+    term of a degree-3 monomial over the cap, B3 with A3, with A2 B2 or
+    with M2 N2, and raises; at W = 5 only those with 3 in A and B do."""
+    A, M, B, N = problem
+    return 3 in B and (3 in A or (2 in A and 2 in B) or M == N == [2])
 
 
-@pytest.mark.parametrize("problem", TRUNCATION_PROBLEMS)
+# the 93 problems of the family whose D = 3 solves at W = 4 and W = 5 both
+# pass; the other 51 join once the known defect is fixed
+WEIGHT_PROBLEMS = [p for p in FAMILY if not raises_the_known_defect_at_w4(p)]
+
+
+@pytest.mark.parametrize("problem", WEIGHT_PROBLEMS)
 def test_raising_the_weight_cap_keeps_every_certified_coefficient(problem):
     """Metamorphic: the part of the W = 5 solution certified at W = 4 is the
     W = 4 solution, slot by slot and on gamma."""
@@ -916,6 +929,49 @@ def test_t_series_stabilizes_exactly():
             {"A2": A[2], "M1": M[1], "B2": B[2], "N1": N[1]},
             alpha_value=a0)
         assert sums[-1] == direct
+
+
+def t_series_closed_form(local, inf, odd_first=False):
+    """Gamma's degree-2 part at t = 1 on Grassmann values:
+    sum (j^3 - j)/12 A_j B_j a0^(-j) + sum (j^2 - j)/3 N_j M_j a0^(1/2 - j).
+    odd_first writes M_j N_j instead, the wrong order for odd values."""
+    a0 = local.a0
+    total = GrassmannElement(L_GEN)
+    for j in sorted(set(local.A) & set(inf.B)):
+        total = total + local.A[j] * inf.B[j] * a0 ** -j * Fraction(j ** 3 - j, 12)
+    for j in sorted(set(local.M) & set(inf.N)):
+        odd = local.M[j] * inf.N[j] if odd_first else inf.N[j] * local.M[j]
+        total = total + odd * a0 ** (HALF - j) * Fraction(j * j - j, 3)
+    return total
+
+
+# a0 is a perfect square: alpha0^(1/2 - j) takes its exact root
+@pytest.mark.parametrize("a0, even, odd", [(1, 1, Fraction(-2, 3)),
+                                           (4, Fraction(1, 16), Fraction(-1, 12))],
+                         ids=["a0=1", "a0=4"])
+def test_t_series_sums_to_the_closed_form_gamma(monkeypatch, a0, even, odd):
+    """At D = 2 the last partial sum is Gamma's closed form evaluated on the
+    coordinate data, z1 z2 z4 z5 and z3 z6 with the parametrized factors.
+    Negative controls: the closed form with M_j N_j for N_j M_j, and the
+    sum over a solve with one Gamma coefficient moved, both differ."""
+    local = CoordData(L_GEN, scalar(a0), {2: gen(1) * gen(2) * 2}, {2: gen(3)})
+    inf = InfCoordData(L_GEN, {2: gen(4) * gen(5)}, {2: gen(6)})
+    last = sw_t_series(local, inf, 4, D=2)[-1]
+    assert last == t_series_closed_form(local, inf)
+    assert last == gen(1) * gen(2) * gen(4) * gen(5) * even + gen(3) * gen(6) * odd
+    assert last != t_series_closed_form(local, inf, odd_first=True)
+    solve = sewing.sw_solve
+
+    def planted(*args):
+        series = solve(*args)
+        spec = series.spec
+        series.gamma = series.gamma + (GradedPoly.symbol(spec, "A2")
+                                       * GradedPoly.symbol(spec, "B2")
+                                       * GradedPoly.alpha(spec, -4))
+        return series
+
+    monkeypatch.setattr(sewing, "sw_solve", planted)
+    assert sw_t_series(local, inf, 4, D=2)[-1] != last
 
 
 # -- boundary map -----------------------------------------------------------
