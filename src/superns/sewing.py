@@ -19,19 +19,14 @@ l + peak <= W.
 Both solve and check read the sides in two forms, the algebraic half of
 Huang's reading of sewing as conjugation in the Virasoro/NS group: the
 highest-weight column of a weight-truncated Verma module with formal
-central charge and highest weight, and conjugates Ad(g) = X g X^-1 of the
-left side X and of the ansatz, each a nested exp(ad Z) run by the same
-kernel over the adjoint action.  The column gives the raising slots,
-Psi_0 and Gamma; the X(k) coordinates of Ad(L(0)) give every lowering
-slot; the check compares Ad(g) for each raising generator g of level
-<= W.  The series holds its solve's _Factorization, so the check reuses
-its module.  A term m X(n) of Ad(g) is visible when
-2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)); only visible terms are
-compared.  This is sound because X e_(g w) = Ad_X(g) X e_w on every PBW
-column, and a lowering X(n) kills every state below level n, so an
-invisible term reaches no certified coefficient of column g w.  Terms
-over the limit may be dropped as soon as they are formed, because
-peak + max(n, 0) never decreases under a bracket with an exponent term.
+central charge and highest weight, and the conjugate Ad(L(0)) =
+X L(0) X^-1 of the left side X and of the ansatz, each a nested
+exp(ad Z) run by the same kernel over the adjoint action.  The column
+gives the raising slots, Psi_0 and Gamma; the X(k) coordinates of
+Ad(L(0)) give every lowering slot.  The check compares both forms again
+at full degree, which certifies every column (see sw_consistency_check),
+on the module and left conjugate of the solve's _Factorization, which
+the series holds.
 """
 
 from __future__ import annotations
@@ -377,7 +372,7 @@ class _Factorization:
         self.module = VermaModule(spec, GradedPoly.symbol(spec, "c"),
                                   GradedPoly.symbol(spec, "h"), self.W)
         self.adjoint = _Adjoint(spec)
-        self.lefts: dict = {}  # g -> its left conjugate, built once at full D
+        self.left_conjugate = None  # Ad(L(0)) of the left side, built once at full D
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
         self.low_terms = [t for t in terms if t[0][1] > 0]
         self.raise_terms = [t for t in terms if t[0][1] < 0]
@@ -389,8 +384,8 @@ class _Factorization:
     def _keeper(self, level, lift=None):
         """The trust budget of a column of this level: (peak2, limit, lift),
         which keeps a monomial m when peak2(m) <= limit; None for level None.
-        Given the adjoint lift, the budget of the conjugates of a generator
-        of this level: a term m X at position j is visible when
+        Given the adjoint lift, the budget of a conjugate Ad(g) of a
+        generator g of this level: a term m X at position j is visible when
         peak2(m) + lift[j] <= limit.
 
         Peaks add up under multiplication and are never negative, so a term
@@ -439,24 +434,23 @@ class _Factorization:
         out = _exp_graded(action, low, out, cap, keep)
         return _exp_graded(action, raise_, out, cap, keep)
 
-    def conjugates(self, psi: dict, gamma: GradedPoly, g, cap=None) -> tuple:
-        """The visible terms of Ad(g) = X g X^-1 for the left side X and
-        for the ansatz cut at capped degree cap (D by default), as graded
-        vectors over the adjoint action.
+    def conjugates(self, psi: dict, gamma: GradedPoly, cap: int) -> tuple:
+        """The visible terms of Ad(L(0)) = X L(0) X^-1 for the left side X
+        and for the ansatz cut at capped degree cap, as graded vectors over
+        the adjoint action.
 
-        Each side runs its stages on g as nested exp(ad Z), as lhs and rhs
-        run them on a column; Gamma c is central, so its stage is the
-        identity.  The left one does not depend on Psi: it is built once
-        per g, at full D, and kept in lefts, so the solve's D reads of
-        Ad(L(0)) share one.
+        Each side runs its stages on L(0) as nested exp(ad Z), as lhs and
+        rhs run them on a column; Gamma c is central, so its stage is the
+        identity.  The left one does not depend on Psi: it is built once,
+        at full D, and kept in left_conjugate, so the solve's D reads and
+        the check share one.
         """
         adj = self.adjoint
-        keep = self._keeper(gen_weight(g), adj.lift)
-        vec = _graded({adj.place(g): adj.one}, keep)
-        if g not in self.lefts:
-            self.lefts[g] = self._left(adj, vec, keep)
-        cap = self.D if cap is None else cap
-        return self.lefts[g], self._ansatz(adj, psi, gamma, vec, cap, keep)
+        keep = self._keeper(0, adj.lift)
+        vec = _graded({adj.place(L(0)): adj.one}, keep)
+        if self.left_conjugate is None:
+            self.left_conjugate = self._left(adj, vec, keep)
+        return self.left_conjugate, self._ansatz(adj, psi, gamma, vec, cap, keep)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -512,7 +506,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from Ad(L(0)): X(k) sits at adjoint position 2k
-        left, right = fact.conjugates(psi, gamma, L(0), d)
+        left, right = fact.conjugates(psi, gamma, d)
         for k in cols:
             res = read(left, right, int(2 * k), d)
             if res:
@@ -532,25 +526,30 @@ def _assert_ch_free(p: GradedPoly):
 def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bool:
     """Back-substitute: both sides must agree on every certified monomial.
 
-    A certificate on generators, not on columns.  First both sides must
-    agree on the certified terms of the highest-weight column.  Then, for
-    each raising generator g that starts a basis word, the visible terms of
-    Ad(g) = X g X^-1 of the left side and of the ansatz (conjugates) must
-    be equal.  A term m X(n) of Ad(g) is visible when
-    2 peak(m) + 2 max(n, 0) <= 2 (W - level(g)).
+    A certificate on one conjugate: both sides must agree on the certified
+    terms of the highest-weight column, and on the visible terms of
+    Ad(L(0)) (conjugates, at full D), m X(n) with peak(m) + max(n, 0) <= W.
 
-    Sound: on every PBW column X e_(g w) = Ad_X(g) X e_w.  A certified entry
-    of X e_w that m X(n) meets within the budget of column g w sits at
-    level <= W - level(g) - peak(m), and a lowering X(n) kills every state
-    below level n, so invisible terms reach no certified coefficient; by
-    induction on the word both sides agree on every column.  Terms over
-    the limit are dropped as soon as they are formed: peak + max(n, 0)
-    never decreases under a bracket with an exponent term, since each
-    raising symbol's peak pays for the weight it lowers n by.  The same
-    monotonicity puts every term the solve left out of Psi (raising and
-    diagonal terms of peak > W, lowering psi_k terms of peak > W - k)
-    outside the rule, so true solutions pass.  The check runs on the
-    series' own module: supports that name another ring raise SewingError.
+    Sound, in truncated form, with X the left side and Y the ansatz.  Grade
+    m X(n) by peak(m) + n.  X's exponent terms have grade >= 0 and brackets
+    add grades, so every raising term m X(n) of Ad_X(L(0)) has
+    peak(m) >= -n: no visible coordinate lies beyond level W.  A slot term
+    of Y of negative grade would show, at its lowest degree, as a visible
+    term of Ad_Y(L(0)) that X lacks.  So once the conjugates agree, both
+    sides live in the grade >= 0 algebra, where the invisible terms span an
+    ideal J (each side drops them as soon as they are formed), and
+    Z = Y^-1 X has Ad_Z L(0) = L(0) mod J.  ad L(0) acts on X(n) by -n, so
+    its centralizer is span{L(0), c}, and by induction on degree
+    log Z = a L(0) + b c mod J.  On a column of level l, J reaches only
+    terms of peak > W - l, since a lowering X(n) kills every state below
+    level n, so Z scales the column's certified terms by
+    e^(a (h + l) + b c).  On the highest-weight column that is 1, and h
+    and c are formal, so a and b have no term of peak <= W: every
+    certified column coefficient agrees.  The terms the solve left out of
+    Psi (raising and diagonal terms of peak > W, lowering psi_k terms of
+    peak > W - k) lie in J, so true solutions pass.
+    The check runs on the series' own module: supports that name another
+    ring raise SewingError.
     """
     fact, psi, gamma = series.fact, series.psi, series.gamma
     if solver_spec(A_sup, M_sup, B_sup, N_sup, fact.D) != fact.spec:
@@ -558,8 +557,8 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
     hw = {0: fact.module.one}
     if fact.lhs(hw, 0) != fact.rhs(psi, gamma, hw, 0):
         return False
-    return all(left == right for left, right in
-               (fact.conjugates(psi, gamma, w[0]) for w in fact.module.basis if len(w) == 1))
+    left, right = fact.conjugates(psi, gamma, fact.D)
+    return left == right
 
 
 def sw_gamma2(A_sup, M_sup, B_sup, N_sup, D: int = 3) -> GradedPoly:

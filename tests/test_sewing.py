@@ -256,9 +256,8 @@ def test_pruned_sides_keep_every_certified_coefficient():
 def test_the_solve_reads_match_the_full_ansatz_side(problem):
     """Oracle for the solve's degree cut, on the solved series: cut at
     degree d, the ansatz side keeps every term of degree <= d of the full
-    rhs on every basis column, and of the full ansatz conjugate on every
-    raising generator.  Negative control: a cut at d - 1 misses degree-d
-    terms."""
+    rhs on every basis column, and of the full ansatz conjugate of L(0).
+    Negative control: a cut at d - 1 misses degree-d terms."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact, psi, gamma = series.fact, series.psi, series.gamma
@@ -283,12 +282,11 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
         return {key: t for key, t in side.items() if key[1] <= d}
 
     missed = set()
-    for g in (w[0] for w in fact.module.basis if len(w) == 1):
-        full = fact.conjugates(psi, gamma, g)[1]
-        for d in range(1, D + 1):
-            assert fact.conjugates(psi, gamma, g, d)[1] == graded_upto(full, d), (g, d)
-            if graded_upto(fact.conjugates(psi, gamma, g, d - 1)[1], d) != graded_upto(full, d):
-                missed.add(d)
+    full = fact.conjugates(psi, gamma, D)[1]
+    for d in range(1, D + 1):
+        assert fact.conjugates(psi, gamma, d)[1] == graded_upto(full, d), d
+        if graded_upto(fact.conjugates(psi, gamma, d - 1)[1], d) != graded_upto(full, d):
+            missed.add(d)
     assert missed == set(range(1, D + 1))
 
 
@@ -369,6 +367,30 @@ def column_check(series) -> bool:
                for col in range(len(series.fact.module.basis)))
 
 
+def generator_conjugates(fact, psi, gamma, g) -> tuple:
+    """The visible terms of Ad(g) for the left side and for the ansatz at
+    full D, for any generator g, built as conjugates builds Ad(L(0)):
+    through _left and _ansatz over the adjoint action, at the budget of
+    g's level."""
+    adj = fact.adjoint
+    keep = fact._keeper(gen_weight(g), adj.lift)
+    vec = _graded({adj.place(g): adj.one}, keep)
+    return fact._left(adj, vec, keep), fact._ansatz(adj, psi, gamma, vec, fact.D, keep)
+
+
+def generator_check(series) -> bool:
+    """The second reference verdict, a certificate on generators: the
+    certified terms of the highest-weight column, then the visible terms of
+    Ad(g) for each raising generator g that starts a basis word.  It holds
+    because X e_(g w) = Ad_X(g) X e_w on every PBW column, by induction on
+    the word."""
+    fact, psi, gamma = series.fact, series.psi, series.gamma
+    hw = {0: fact.module.one}
+    return fact.lhs(hw, 0) == fact.rhs(psi, gamma, hw, 0) and all(
+        left == right for left, right in (generator_conjugates(fact, psi, gamma, w[0])
+                                          for w in fact.module.basis if len(w) == 1))
+
+
 def column_verdict_reference(fact, series, col):
     """The check's verdict on one column as it was before the graded
     compare: no term of lhs - rhs survives trusted, on any coordinate."""
@@ -383,8 +405,8 @@ def column_verdict_reference(fact, series, col):
 
 def test_the_graded_verdict_agrees_with_the_trusted_difference():
     """On every column, the graded verdict is the per-coordinate
-    trusted(lhs - rhs) verdict, and the generator certificate gives the
-    same verdict as the two: on the solved series, which all accept; on a
+    trusted(lhs - rhs) verdict, and the check on Ad(L(0)) gives the same
+    verdict as the two: on the solved series, which all accept; on a
     certified term planted in a raising slot, a lowering slot, psi0 and
     gamma, which all reject; and on an uncertified term (B2^3 has raising
     peak 6 > W), which all accept."""
@@ -461,29 +483,75 @@ def planted_series(rng, series):
     return out
 
 
+def with_plants(series, good_psi, good_gamma, plants):
+    """Set the series to the solve with each (slot, kind, poly) plant in
+    its slot."""
+    series.psi, series.gamma = dict(good_psi), good_gamma
+    for slot, _, p in plants:
+        if slot == "gamma":
+            series.gamma = p
+        else:
+            series.psi[slot] = p
+
+
+def multi_slot_plants(rng, plants, count):
+    """count draws of 2 to 4 plants, each in a slot of its own."""
+    by_slot: dict = {}
+    for plant in plants:
+        by_slot.setdefault(plant[0], []).append(plant)
+    slots = list(by_slot)
+    return [[rng.choice(by_slot[slot]) for slot in rng.sample(slots, rng.randint(2, 4))]
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("D, W, problems", [(3, 4, PRUNE_PROBLEMS),
                                             (3, 5, random.Random(SEED).sample(SOLVABLE, 2))])
 def test_the_generator_certificate_matches_the_column_check(D, W, problems):
-    """The check on generators gives the column reference's verdict on the
-    solved series and on seeded perturbations planted in every psi slot
-    and in gamma; both accept some of them (uncertified terms) and reject
-    others."""
-    rng = random.Random(SEED)
+    """The check on Ad(L(0)), the check on every raising generator and the
+    column reference give one verdict: on the solved series, on seeded
+    perturbations planted in every psi slot and in gamma, and on 2 to 4 of
+    those planted at once in distinct slots.  All accept some of them
+    (uncertified terms) and reject others."""
+    rng, multi_rng = random.Random(SEED), random.Random(1729)
     tally = {True: 0, False: 0}
     for problem in problems:
         series = sw_solve(*problem, D=D, W=W)
-        assert column_check(series) and sw_consistency_check(series, *problem), problem
+        assert column_check(series) and generator_check(series), problem
+        assert sw_consistency_check(series, *problem), problem
         good_psi, good_gamma = dict(series.psi), series.gamma
-        for slot, kind, p in planted_series(rng, series):
-            series.psi, series.gamma = dict(good_psi), good_gamma
-            if slot == "gamma":
-                series.gamma = p
-            else:
-                series.psi[slot] = p
+        plants = planted_series(rng, series)
+        for planted in [[plant] for plant in plants] + multi_slot_plants(multi_rng, plants, 8):
+            with_plants(series, good_psi, good_gamma, planted)
             verdict = column_check(series)
-            assert sw_consistency_check(series, *problem) is verdict, (problem, slot, kind)
+            assert generator_check(series) is verdict, (problem, planted)
+            assert sw_consistency_check(series, *problem) is verdict, (problem, planted)
             tally[verdict] += 1
     assert tally[True] and tally[False], tally
+
+
+@pytest.mark.parametrize("slot, column_rejects, conjugate_rejects",
+                         [(Fraction(0), True, False), ("gamma", True, False),
+                          (Fraction(1), False, True), (HALF, False, True),
+                          (Fraction(-1), True, True), (-HALF, True, True)],
+                         ids=["psi0", "gamma", "psi1", "psi1/2", "psi-1", "psi-1/2"])
+def test_each_half_of_the_check_rejects_its_own_plants(slot, column_rejects, conjugate_rejects):
+    """Negative control for each half of the check, with a certified term
+    planted in one slot.  Psi_0 and Gamma commute with L(0), so only the
+    highest-weight column sees them; a lowering slot kills the
+    highest-weight vector, so only Ad(L(0)) sees it; a raising slot shows
+    in both.  Neither half can be dropped."""
+    problem = ([1, 2], [1], [1, 2], [1])
+    series = sw_solve(*problem, D=3, W=4)
+    fact = series.fact
+    good = series.gamma if slot == "gamma" else series.psi[slot]
+    terms = dict(good.terms)
+    add_term(terms, min(terms), 1)  # every stored term is certified at the slot's level
+    with_plants(series, series.psi, series.gamma, [(slot, "own", GradedPoly(series.spec, terms))])
+    hw = {0: fact.module.one}
+    assert (fact.lhs(hw, 0) != fact.rhs(series.psi, series.gamma, hw, 0)) is column_rejects
+    left, right = fact.conjugates(series.psi, series.gamma, fact.D)
+    assert (left != right) is conjugate_rejects
+    assert not sw_consistency_check(series, *problem) and not column_check(series)
 
 
 class _NoLift(dict):
@@ -496,13 +564,13 @@ class _NoLift(dict):
 
 def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
     """Negative control: dropping max(n, 0) from the rule compares lowering
-    terms of Ad(g) that no certified coefficient sees, and the check then
-    rejects a correct solve."""
+    terms of Ad(L(0)) that no certified coefficient sees, and the check
+    then rejects a correct solve."""
     problem = ([3], [2], [2], [1])
     series = sw_solve(*problem, D=3, W=4)
     assert column_check(series) and sw_consistency_check(series, *problem)
     series.fact.adjoint.lift = _NoLift({j: 0 for j in series.fact.adjoint.lift})
-    series.fact.lefts.clear()  # both sides rebuilt under the rule without the lift
+    series.fact.left_conjugate = None  # both sides rebuilt under the rule without the lift
     assert not sw_consistency_check(series, *problem)
 
 
@@ -511,34 +579,26 @@ def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
 def test_every_kept_left_conjugate_is_a_fresh_full_build(problem, top_parts):
     """The solve keeps one left conjugate, of L(0), and it is a fresh build
     of _left at full D, not one cut at the degree of the step that first
-    asked for it.  The check adds one per raising generator of level <= W,
-    each a fresh full build too.  Negative control: L(0)'s has degree-D
-    parts, so it differs from its cut at D - 1."""
+    asked for it.  The check reuses that same one, unchanged.
+    Negative control: L(0)'s has degree-D parts, so it differs from its cut
+    at D - 1."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fresh = _Factorization(*problem, D, W)
-    adj = fresh.adjoint
-
-    def build(g):
-        keep = fresh._keeper(gen_weight(g), adj.lift)
-        return fresh._left(adj, _graded({adj.place(g): adj.one}, keep), keep)
-
-    want = build(L(0))
-    assert list(series.fact.lefts) == [L(0)] and series.fact.lefts[L(0)] == want
+    want = generator_conjugates(fresh, series.psi, series.gamma, L(0))[0]
+    kept = series.fact.left_conjugate
+    assert kept == want
     assert sum(key[1] == D for key in want) == top_parts
     assert want != {key: t for key, t in want.items() if key[1] < D}
     assert sw_consistency_check(series, *problem)
-    gens = [L(-j) for j in range(1, W + 1)] + [G(HALF - j) for j in range(1, W + 1)]
-    assert sorted(series.fact.lefts) == sorted(gens + [L(0)])
-    for g in gens:
-        assert series.fact.lefts[g] == build(g), g
+    assert series.fact.left_conjugate is kept and kept == want
 
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
 def test_the_module_answers_only_the_highest_weight_column(problem):
     """After the solve and the check, every filled row of the series'
     module is one that lhs and rhs on the highest-weight column fill on a
-    fresh _Factorization: the lowering slots and the generator check read
+    fresh _Factorization: the lowering slots and the check's Ad(L(0)) read
     the adjoint action, never another module column."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
@@ -577,11 +637,11 @@ def alpha_reference(X):
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
 def test_conjugates_match_the_bracket_series(problem):
-    """On every raising generator g that starts a basis word, and on the
-    L(0) the solve reads, both sides of conjugates are the visible terms of
-    Ad(g) built in the Lie superalgebra with ns_bracket, stage by stage and
-    without early drops: m X(n) with 2 peak(m) + 2 max(n, 0) <=
-    2 (W - level(g))."""
+    """On the L(0) that the solve and the check read (conjugates), and on
+    every raising generator g that starts a basis word (the test-side
+    generator_conjugates), both sides are the visible terms of Ad(g) built
+    in the Lie superalgebra with ns_bracket, stage by stage and without
+    early drops: m X(n) with 2 peak(m) + 2 max(n, 0) <= 2 (W - level(g))."""
     D, W = 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact, psi, spec = series.fact, series.psi, series.spec
@@ -608,8 +668,9 @@ def test_conjugates_match_the_bracket_series(problem):
         right = ad_exp_reference([(L(0), psi[Fraction(0)])], alpha_reference(X), D)
         right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k > 0], right, D)
         right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k < 0], right, D)
-        got = [{i: p.terms for i, p in _ungraded(spec, side).items()}
-               for side in fact.conjugates(psi, series.gamma, g)]
+        sides = (fact.conjugates(psi, series.gamma, D) if g == L(0)
+                 else generator_conjugates(fact, psi, series.gamma, g))
+        got = [{i: p.terms for i, p in _ungraded(spec, side).items()} for side in sides]
         level = -g[1]
         assert got == [visible(left, level), visible(right, level)], g
         assert got[0] == got[1]
@@ -617,28 +678,25 @@ def test_conjugates_match_the_bracket_series(problem):
 
 def test_the_5_8_solve_is_certified_on_generators(monkeypatch):
     """At (D, W) = (5, 8), where the column check rebuilt both sides on 315
-    columns, the check on generators accepts the solve after comparing the
-    conjugates of each of the 16 raising generators of level <= 8, and
-    rejects a certified error planted in a lowering slot.  The solve
-    conjugates L(0) alone, once per degree, cut at that degree."""
+    columns, the check accepts the solve after one conjugates call, of
+    L(0) at full D, and rejects a certified error planted in a lowering
+    slot.  The solve conjugates L(0) once per degree, cut at that degree."""
     problem = ([1, 2], [1], [1, 2], [1])
-    conjugated = []
+    caps = []
     conjugates = _Factorization.conjugates
 
-    def recording(self, psi, gamma, g, cap=None):
-        conjugated.append((g, cap))
-        return conjugates(self, psi, gamma, g, cap)
+    def recording(self, psi, gamma, cap):
+        caps.append(cap)
+        return conjugates(self, psi, gamma, cap)
 
     monkeypatch.setattr(_Factorization, "conjugates", recording)
     series = sw_solve(*problem, D=5, W=8)
-    assert conjugated == [(L(0), d) for d in range(1, 6)]
+    assert caps == [1, 2, 3, 4, 5]
     assert len(series.fact.module.basis) == 315
     assert sum(len(p.terms) for p in series.psi.values()) + len(series.gamma.terms) == 147
-    conjugated.clear()
+    caps.clear()
     assert sw_consistency_check(series, *problem)
-    assert sorted(g for g, _ in conjugated) == sorted([L(-j) for j in range(1, 9)]
-                                                      + [G(HALF - j) for j in range(1, 9)])
-    assert {cap for _, cap in conjugated} == {None}
+    assert caps == [5]
     good = series.psi[Fraction(2)]
     terms = dict(good.terms)
     add_term(terms, min(terms), 1)  # certified at level 2, as every psi[2] term is
@@ -883,6 +941,34 @@ def test_raising_the_weight_cap_keeps_every_certified_coefficient(problem):
         level = k if k > 0 else 0
         assert fact.trusted(big.psi[k], level) == small.psi.get(k, zero), k
     assert fact.trusted(big.gamma, 0) == small.gamma
+
+
+@pytest.mark.parametrize("W, problems", [(4, WEIGHT_PROBLEMS), (5, SOLVABLE)],
+                         ids=["W=4", "W=5"])
+def test_every_raising_term_of_the_conjugates_pays_for_its_level(W, problems):
+    """The lemma of the check's proof, on every family problem that solves
+    at (3, W): on both sides of Ad(L(0)), each graded part at adjoint
+    position j < 0, a raising X(j/2), has doubled peak >= -j.  So no visible
+    coordinate lies beyond level W.  Negative control: A1 planted in
+    psi_-1, a slot term of negative grade, breaks the lemma on the ansatz
+    side, and the check rejects it."""
+    D, raising = 3, 0
+
+    def short(side):  # the (position, doubled peak) of raising parts below the lemma
+        return [(j, pk) for j, _, pk in side if j != C_GEN and j < 0 and pk < -j]
+
+    for problem in problems:
+        series = sw_solve(*problem, D=D, W=W)
+        for side in series.fact.conjugates(series.psi, series.gamma, D):
+            assert not short(side), problem
+            raising += sum(1 for j, _, _ in side if j != C_GEN and j < 0)
+    assert raising
+    problem = ([1, 2], [1], [1, 2], [1])
+    series = sw_solve(*problem, D=D, W=W)
+    series.psi[Fraction(-1)] = series.psi[Fraction(-1)] + GradedPoly.symbol(series.spec, "A1")
+    left, right = series.fact.conjugates(series.psi, series.gamma, D)
+    assert not short(left) and short(right)
+    assert not sw_consistency_check(series, *problem)
 
 
 # W = 4 problems of the family that solve at D = 3 and D = 4 (the known defect
