@@ -1,8 +1,9 @@
 """The Neveu-Schwarz Lie superalgebra and its weight-truncated Verma modules.
 
-Generators are tagged tuples: ("L", n) with integer n, ("G", r) with
-half-odd-integer r (a Fraction), and ("c",).  Coefficients live in a
-GradedPoly ring so the central charge and highest weight can stay formal.
+A generator is the int of its doubled index: L(n) is 2n and G(r) is 2r, so
+g & 1 is its parity and -g/2 its L(0)-weight shift; the central element c
+is the sentinel C_GEN.  gen_name prints a generator.  Coefficients live in
+a GradedPoly ring so the central charge and highest weight can stay formal.
 bracket_constants is the bracket table, with rational structure constants;
 ns_bracket is the superbracket on NSExpression; VermaModule.apply_gen is
 the action on a basis word, which the sewing solver reads by basis
@@ -16,48 +17,47 @@ from fractions import Fraction
 from .grassmann import GradedPoly, ParamSpec
 from .sparse import add_scaled, add_terms
 
-HALF = Fraction(1, 2)
 
-
-def L(n):
+def L(n) -> int:
     i = int(n)
     if i != n:
         raise ValueError(f"L index must be an integer, got {n}")
-    return ("L", i)
+    return 2 * i
 
 
-def G(r):
+def G(r) -> int:
     r = Fraction(r)
     if r.denominator != 2:
         raise ValueError(f"G index must be half-odd, got {r}")
-    return ("G", r)
+    return r.numerator
 
 
-C_GEN = ("c",)
+C_GEN = "c"
 
 
 def gen_parity(g) -> int:
-    return 1 if g[0] == "G" else 0
+    return 0 if g == C_GEN else g & 1
 
 
 def gen_weight(g) -> Fraction:
     """L(0)-eigenvalue shift: L(-j) raises by j, G(-r) by r."""
-    if g[0] == "c":
-        return Fraction(0)
-    return Fraction(-g[1])
+    return Fraction(0 if g == C_GEN else -g, 2)
 
 
 def gen_rank(g):
     """Total PBW order: raising block (G then L, magnitude decreasing),
     diagonal L(0) and c, lowering block mirrored."""
-    if g[0] == "c":
-        return (1, 1, Fraction(0))
-    idx = Fraction(g[1])
-    if idx < 0:
-        return (0, 0 if g[0] == "G" else 1, idx)
-    if idx == 0:
-        return (1, 0, Fraction(0))
-    return (2, 0 if g[0] == "L" else 1, idx)
+    if g == C_GEN:
+        return (1, 1, 0)
+    if g < 0:
+        return (0, 1 - (g & 1), g)
+    return (2, g & 1, g) if g else (1, 0, 0)
+
+
+def gen_name(g) -> str:
+    if g == C_GEN:
+        return "c"
+    return f"G({Fraction(g, 2)})" if g & 1 else f"L({g // 2})"
 
 
 class NSExpression:
@@ -100,32 +100,32 @@ class NSExpression:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({p!r})*{g}" for g, p in sorted(self.terms.items(),
-                                                            key=lambda t: gen_rank(t[0])))
+        return " + ".join(f"({p!r})*{gen_name(g)}" for g, p in sorted(
+            self.terms.items(), key=lambda t: gen_rank(t[0])))
 
 
 def bracket_constants(a, b) -> dict:
     """The superbracket [a, b] of two basis generators as {generator:
     rational}: the one bracket table, which NSExpression, the Verma action
     and the sewing solver's adjoint action all read."""
-    if a[0] == "c" or b[0] == "c":
+    if a == C_GEN or b == C_GEN:
         return {}
-    if a[0] == "L" and b[0] == "L":
-        m, n = a[1], b[1]
-        out = {L(m + n): m - n} if m != n else {}
-        if m + n == 0 and (cc := Fraction(m ** 3 - m, 12)):
+    if not a & 1 and not b & 1:
+        # [L(m), L(n)] = (m - n) L(m + n) + (m^3 - m)/12 c, the last at m + n = 0
+        m, n = a // 2, b // 2
+        out = {a + b: m - n} if m != n else {}
+        if a + b == 0 and (cc := Fraction(m ** 3 - m, 12)):
             out[C_GEN] = cc
         return out
-    if a[0] == "G" and b[0] == "L":
-        r, n = a[1], b[1]
-        coeff = r - Fraction(n, 2)
-        return {G(r + n): coeff} if coeff else {}
-    if a[0] == "L" and b[0] == "G":
+    if not a & 1:
         return {g: -v for g, v in bracket_constants(b, a).items()}
-    # G with G: symmetric bracket
-    r, s = a[1], b[1]
-    out = {L(r + s): 2}
-    if r + s == 0 and (cc := (r * r - Fraction(1, 4)) / 3):
+    if not b & 1:
+        # [G(r), L(n)] = (r - n/2) G(r + n)
+        coeff = Fraction(2 * a - b, 4)
+        return {a + b: coeff} if coeff else {}
+    # [G(r), G(s)] = 2 L(r + s) + (r^2 - 1/4)/3 c, the last at r + s = 0
+    out = {a + b: 2}
+    if a + b == 0 and (cc := Fraction(a * a - 1, 12)):
         out[C_GEN] = cc
     return out
 
@@ -160,7 +160,7 @@ def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
 
 
 def word_level(word) -> Fraction:
-    return sum((gen_weight(g) for g in word), Fraction(0))
+    return Fraction(-sum(word), 2)
 
 
 class VermaModule:
@@ -169,8 +169,10 @@ class VermaModule:
     Basis: PBW raising words of level <= weight_cap applied to the
     highest-weight vector, sorted by (level, word), so the highest-weight
     vector is position 0; position maps a basis word to its index and
-    levels[i] is the level of basis[i].  apply_gen computes the action of
-    any generator on a word by bracket recursion and memoizes it.  table(g)
+    levels2[i] is twice the level of basis[i], an int as the generators
+    are.  apply_gen computes the action of any generator on a word by
+    bracket recursion and memoizes it; a raising generator that extends a
+    PBW word keeps it exactly when the result is a basis word.  table(g)
     is the action of g by basis position, the form the sewing solver uses:
     a list whose row i is None until row(g, i) fills it, then maps position
     -> GradedPoly.  row is the one place a word becomes a position.  Tables
@@ -186,73 +188,51 @@ class VermaModule:
         self.cap = Fraction(weight_cap)
         self.one = GradedPoly.scalar(spec, 1)
         self._memo: dict = {}
-        self.basis = self._enumerate_basis()
-        self.position = {w: i for i, w in enumerate(self.basis)}
-        self.levels = [word_level(w) for w in self.basis]
-        self._tables: dict = {}
-
-    def _raising_gens(self):
-        gens = []
-        j = 1
-        while j <= self.cap:
-            gens.append(L(-j))
-            j += 1
-        r = HALF
-        while r <= self.cap:
-            gens.append(G(-r))
-            r += 1
-        return sorted(gens, key=gen_rank)
-
-    def _enumerate_basis(self):
-        # an explicit stack: a closure that calls itself would be a reference
-        # cycle holding the module until the cyclic collector runs
-        gens = self._raising_gens()
-        out = []
-        stack = [((), Fraction(0), 0)]
+        # the raising generators in PBW order, each word's doubled level on
+        # the stack beside it; an explicit stack, as a closure that calls
+        # itself would be a reference cycle holding the module until the
+        # cyclic collector runs
+        cap2 = int(2 * self.cap)
+        gens = sorted(range(-1, -cap2 - 1, -1), key=gen_rank)
+        words = []
+        stack = [(0, (), 0)]
         while stack:
-            word, level, start = stack.pop()
-            out.append(word)
+            level2, word, start = stack.pop()
+            words.append((level2, word))
             for i in range(start, len(gens)):
                 g = gens[i]
-                lv = level + gen_weight(g)
-                if lv <= self.cap:
-                    stack.append((word + (g,), lv, i if g[0] == "L" else i + 1))
-        return sorted(out, key=lambda w: (word_level(w), w))
+                if level2 - g <= cap2:
+                    stack.append((level2 - g, word + (g,), i + (g & 1)))
+        words.sort()
+        self.levels2 = [level2 for level2, _ in words]
+        self.basis = [word for _, word in words]
+        self.position = {w: i for i, w in enumerate(self.basis)}
+        self._tables: dict = {}
 
     def apply_gen(self, g, word) -> dict:
         key = (g, word)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out: dict = {}
         if g == C_GEN:
             out = {word: self.c_value}
+        elif g < 0 and (not word or gen_rank(g) <= gen_rank(word[0])):
+            if word and g == word[0] and g & 1:
+                # odd square: G(r) G(r) rest = L(2r) rest
+                out = self.apply_gen(2 * g, word[1:])
+            else:
+                new = (g,) + word
+                out = {new: self.one} if new in self.position else {}
         elif not word:
-            kind, idx = g[0], g[1]
-            if idx > 0:
-                out = {}
-            elif kind == "L" and idx == 0:
-                out = {(): self.h_value}
-            elif word_level((g,)) <= self.cap:
-                out = {(g,): self.one}
+            out = {(): self.h_value} if g == 0 else {}
         else:
             b, rest = word[0], word[1:]
-            if gen_weight(g) > 0 and gen_rank(g) <= gen_rank(b):
-                if g == b and g[0] == "G":
-                    # odd square: g g rest = L(2r) rest
-                    out = self.apply_gen(L(int(2 * g[1])), rest)
-                else:
-                    new = (g,) + word
-                    out = {new: self.one} if word_level(new) <= self.cap else {}
-            else:
-                sign = -1 if (gen_parity(g) and gen_parity(b)) else 1
-                acc: dict = {}
-                inner = self.apply_gen(g, rest)
-                for w2, p in inner.items():
-                    add_scaled(acc, self.apply_gen(b, w2), p if sign > 0 else -p)
-                for g2, q in bracket_constants(g, b).items():
-                    add_scaled(acc, self.apply_gen(g2, rest), q)
-                out = acc
+            odd = g & 1 and b & 1
+            out = {}
+            for w2, p in self.apply_gen(g, rest).items():
+                add_scaled(out, self.apply_gen(b, w2), -p if odd else p)
+            for g2, q in bracket_constants(g, b).items():
+                add_scaled(out, self.apply_gen(g2, rest), q)
         self._memo[key] = out
         return out
 

@@ -303,9 +303,9 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
 def _alpha_reduce(action, vec: dict) -> dict:
     """Multiply each component of a graded vector by alpha0^(-level), the
     reduced diagonal: conjugation by it takes X(n), of level -n, to
-    alpha0^n X(n)."""
-    levels = action.levels
-    return {(i, d, pk): {(m, a - int(2 * levels[i])): c for (m, a), c in t.items()}
+    alpha0^n X(n).  action.levels2 gives each position's doubled level."""
+    levels2 = action.levels2
+    return {(i, d, pk): {(m, a - levels2[i]): c for (m, a), c in t.items()}
             for (i, d, pk), t in vec.items()}
 
 
@@ -316,37 +316,39 @@ class _Rows(dict):
         return None
 
 
+class _ByPosition(dict):
+    """An attribute of each adjoint position j, rule(j) computed on first
+    read and kept; c, at C_GEN, has 0."""
+
+    def __init__(self, rule):
+        super().__init__({C_GEN: 0})
+        self.rule = rule
+
+    def __missing__(self, j):
+        v = self[j] = self.rule(j)
+        return v
+
+
 class _Adjoint:
     """The NS algebra acting on itself by the superbracket, in the form
     _exp_graded reads.
 
-    X(n) sits at position 2n, an int, and c at C_GEN: positions are hashed
-    on every product, and Fraction hashes are slow.  table(g)[i] is None
-    until row(g, i) fills it with [g, X] for the X at position i, the
-    structure constants of nsalg.bracket_constants as ring scalars.
-    levels[i] is the level -n of X(n), so _alpha_reduce takes X(n) to
-    alpha0^n X(n), and lift[i] is 2 max(n, 0): a lowering X(n) kills every
-    state below level n.  place is the one place a generator becomes a
-    position.
+    A generator is its own position: nsalg's int doubled index, X(n) at 2n,
+    and c at C_GEN.  That is the k2 of vosa.jacobi_check, which the layer
+    rule keeps vosa from importing.  table(g)[j] is None until row(g, j)
+    fills it with [g, X] for the X at position j, the structure constants
+    of nsalg.bracket_constants as ring scalars.  levels2[j] is -j, the
+    doubled level of X(j/2), so _alpha_reduce takes X(n) to alpha0^n X(n),
+    and lift[j] is max(j, 0): a lowering X(n) kills every state below
+    level n.
     """
 
     def __init__(self, spec: ParamSpec):
         self.spec = spec
         self.one = GradedPoly.scalar(spec, 1)
-        self._gens = {C_GEN: C_GEN}
-        self.levels = {C_GEN: 0}
-        self.lift = {C_GEN: 0}
+        self.levels2 = _ByPosition(lambda j: -j)
+        self.lift = _ByPosition(lambda j: max(j, 0))
         self._tables: dict = {}
-
-    def place(self, g):
-        if g == C_GEN:
-            return C_GEN
-        j = int(2 * g[1])
-        if j not in self._gens:
-            self._gens[j] = g
-            self.levels[j] = gen_weight(g)
-            self.lift[j] = max(j, 0)
-        return j
 
     def table(self, g) -> _Rows:
         t = self._tables.get(g)
@@ -354,10 +356,10 @@ class _Adjoint:
             t = self._tables[g] = _Rows()
         return t
 
-    def row(self, g, i) -> dict:
+    def row(self, g, j) -> dict:
         spec = self.spec
-        r = self.table(g)[i] = {self.place(h): GradedPoly.scalar(spec, v)
-                                for h, v in bracket_constants(g, self._gens[i]).items()}
+        r = self.table(g)[j] = {h: GradedPoly.scalar(spec, v)
+                                for h, v in bracket_constants(g, j).items()}
         return r
 
 
@@ -374,11 +376,11 @@ class _Factorization:
         self.adjoint = _Adjoint(spec)
         self.left_conjugate = None  # Ad(L(0)) of the left side, built once at full D
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
-        self.low_terms = [t for t in terms if t[0][1] > 0]
-        self.raise_terms = [t for t in terms if t[0][1] < 0]
+        self.low_terms = [(g, p) for g, p in terms if g > 0]
+        self.raise_terms = [(g, p) for g, p in terms if g < 0]
         # twice each symbol's raising peak (c and h come last, with 0); the
         # memo of monomial peaks is this ring's alone
-        doubled = [int(2 * max(0, gen_weight(g))) for _, g in families] + [0, 0]
+        doubled = [max(0, -g) for _, g in families] + [0, 0]
         self._peak2 = functools.cache(lambda mono: sum(doubled[i] * e for i, e in mono))
 
     def _keeper(self, level, lift=None):
@@ -426,8 +428,7 @@ class _Factorization:
         low, raise_ = [], []
         for k, p in psi.items():
             if k and p:
-                gen = L(int(k)) if k.denominator == 1 else G(k)
-                (low if k > 0 else raise_).append((gen, p))
+                (low if k > 0 else raise_).append((int(2 * k), p))
         out = _exp_graded(action, [(C_GEN, gamma)], vec, cap, keep)
         out = _alpha_reduce(action, out)
         out = _exp_graded(action, [(L(0), psi[Fraction(0)])], out, cap, keep)
@@ -447,7 +448,7 @@ class _Factorization:
         """
         adj = self.adjoint
         keep = self._keeper(0, adj.lift)
-        vec = _graded({adj.place(L(0)): adj.one}, keep)
+        vec = _graded({L(0): adj.one}, keep)
         if self.left_conjugate is None:
             self.left_conjugate = self._left(adj, vec, keep)
         return self.left_conjugate, self._ansatz(adj, psi, gamma, vec, cap, keep)

@@ -12,6 +12,7 @@ from superns.nsalg import (
     NSExpression,
     VermaModule,
     _basis_bracket,
+    gen_name,
     gen_parity,
     gen_rank,
     gen_weight,
@@ -82,7 +83,7 @@ def test_super_jacobi_identity():
         m2 = ns_bracket(B, ns_bracket(A, C))
         if pa and pb:
             m2 = -m2
-        assert lhs == m1 + m2, (a, b, c)
+        assert lhs == m1 + m2, tuple(map(gen_name, (a, b, c)))
 
 
 def test_graded_antisymmetry():
@@ -91,7 +92,7 @@ def test_graded_antisymmetry():
         ab = ns_bracket(single(a), single(b))
         ba = ns_bracket(single(b), single(a))
         sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
-        assert ab == ba.scaled(-sign)
+        assert ab == ba.scaled(-sign), (gen_name(a), gen_name(b))
 
 
 # -- differential operator representation ------------------------------
@@ -111,7 +112,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression) ->
         coeff = p.terms.get(((), 0), 0)
         if len(p.terms) > (1 if coeff else 0):
             raise ValueError("target must be numeric")
-        ops.append((coeff, DiffOp(g[0], g[1])))
+        ops.append((coeff, DiffOp("G" if gen_parity(g) else "L", Fraction(g, 2))))
     sign = -1 if (op1.parity() and op2.parity()) else 1
     for k in range(-5, 6):
         for e in (0, 1):
@@ -173,11 +174,11 @@ def normal_order(word, coeff=1) -> dict:
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
             ra, rb = gen_rank(a), gen_rank(b)
-            if ra > rb or (ra == rb and a[0] == "G"):
+            if ra > rb or (ra == rb and gen_parity(a)):
                 head, tail = w[:i], w[i + 2:]
                 if a == b:
                     # G(r)G(r) = L(2r): half the symmetric bracket, never central
-                    pending.append((head + (L(int(2 * a[1])),) + tail, p))
+                    pending.append((head + (2 * a,) + tail, p))
                     break
                 sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
                 pending.append((head + (b, a) + tail, p * sign))
@@ -227,9 +228,26 @@ def test_L_rejects_a_non_integral_index(n):
         L(n)
 
 
-def test_L_accepts_integral_fractions():
-    assert L(Fraction(4, 2)) == L(2) == ("L", 2)
-    assert type(L(Fraction(-3))[1]) is int
+def test_a_generator_is_its_doubled_index():
+    """The encoding contract: L(n) is the int 2n, G(r) the int 2r, parity
+    is the low bit and the weight shift -g/2; gen_rank is the PBW order."""
+    assert L(Fraction(4, 2)) == L(2) == 4
+    assert type(L(Fraction(4, 2))) is int and type(G(Fraction(3, 2))) is int
+    assert G(-HALF) == -1 and G(Fraction(3, 2)) == 3
+    assert [gen_parity(g) for g in (L(0), L(-3), G(-Fraction(5, 2)), C_GEN)] == [0, 0, 1, 0]
+    assert ([gen_weight(g) for g in (L(0), L(-3), G(-Fraction(5, 2)), C_GEN)]
+            == [0, 3, Fraction(5, 2), 0])
+    modes = sorted([L(n) for n in range(-2, 3)] + [G(r) for r in (-1.5, -0.5, 0.5, 1.5)]
+                   + [C_GEN], key=gen_rank)
+    assert [gen_name(g) for g in modes] == ["G(-3/2)", "G(-1/2)", "L(-2)", "L(-1)", "L(0)",
+                                            "c", "L(1)", "L(2)", "G(1/2)", "G(3/2)"]
+    assert modes == [G(-1.5), G(-0.5), L(-2), L(-1), L(0), C_GEN, L(1), L(2), G(0.5), G(1.5)]
+
+
+def test_expressions_print_their_generators():
+    X = single(L(-2), 3) + single(G(HALF)) + single(C_GEN, Fraction(1, 2))
+    text = repr(X)
+    assert text.index("*L(-2)") < text.index("*c") < text.index("*G(1/2)")
 
 
 # -- Verma modules --------------------------------------------------------
@@ -357,12 +375,12 @@ def test_verma_act_preserved_by_normal_order():
 
 # -- the NS Kac determinant as an oracle for the Verma action ----------------
 
-KAC_LEVELS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2))
+KAC_LEVELS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
 
 
 def _dagger(g):
-    """L(n)^dagger = L(-n), G(r)^dagger = G(-r)."""
-    return L(-g[1]) if g[0] == "L" else G(-g[1])
+    """L(n)^dagger = L(-n), G(r)^dagger = G(-r): the doubled index negates."""
+    return -g
 
 
 def _ns_partitions(level) -> int:
@@ -428,7 +446,8 @@ def test_shapovalov_determinant_matches_the_kac_formula(t):
         ratio, h = _kac_ratio(t, level)
         assert _is_nonzero_constant(ratio, h), (t, level, ratio)
         constants[level] = ratio
-    assert constants == {HALF: 2, Fraction(1): 2, Fraction(3, 2): 8, Fraction(2): 128}
+    assert constants == {HALF: 2, Fraction(1): 2, Fraction(3, 2): 8, Fraction(2): 128,
+                         Fraction(5, 2): 1024, Fraction(3): 73728}
 
 
 def test_kac_oracle_sees_a_wrong_odd_central_term(monkeypatch):
@@ -441,11 +460,11 @@ def test_kac_oracle_sees_a_wrong_odd_central_term(monkeypatch):
 
     def skewed(a, b):
         out = bracket(a, b)
-        if a[0] == b[0] == "G" and C_GEN in out:
+        if gen_parity(a) and gen_parity(b) and C_GEN in out:
             out = {**out, C_GEN: out[C_GEN] * Fraction(3, 2)}
         return out
 
     monkeypatch.setattr(nsalg, "bracket_constants", skewed)
     verdicts = {level: _is_nonzero_constant(*_kac_ratio(3, level)) for level in KAC_LEVELS}
-    assert verdicts == {HALF: True, Fraction(1): True,
-                        Fraction(3, 2): False, Fraction(2): False}
+    assert verdicts == {HALF: True, Fraction(1): True, Fraction(3, 2): False,
+                        Fraction(2): False, Fraction(5, 2): False, Fraction(3): False}

@@ -10,10 +10,10 @@ import pytest
 from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec, QQi, as_qqi
 from superns.nsalg import (
     C_GEN,
-    G,
     L,
     NSExpression,
     VermaModule,
+    gen_name,
     gen_parity,
     gen_weight,
     ns_bracket,
@@ -224,6 +224,11 @@ def raise_peak(spec, mono):
     return peak
 
 
+def levels(module) -> list:
+    """The level of each basis word, from the module's doubled levels."""
+    return [Fraction(level2, 2) for level2 in module.levels2]
+
+
 def certified(p, level, W):
     """The terms of p at level + raising peak <= W, peaks recomputed."""
     return {k: c for k, c in p.terms.items() if level + raise_peak(p.spec, k[0]) <= W}
@@ -236,7 +241,7 @@ def test_pruned_sides_keep_every_certified_coefficient():
         fact = _Factorization(*problem, D, W)
         zero = GradedPoly(fact.spec)
         full_terms = pruned_terms = 0
-        for col, lvl in enumerate(fact.module.levels):
+        for col, lvl in enumerate(levels(fact.module)):
             vec = {col: fact.module.one}
             pairs = ((fact.lhs(vec), fact.lhs(vec, lvl)),
                      (fact.rhs(series.psi, series.gamma, vec),
@@ -302,7 +307,8 @@ def diag_exp_reference(module, vec, series, weight_shift, degree_cap):
     out = {}
     for w, q in vec.items():
         if weight_shift:
-            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, module.levels[w])
+            level = Fraction(module.levels2[w], 2)
+            eig = GradedPoly.symbol(spec, "h") + GradedPoly.scalar(spec, level)
         else:
             eig = GradedPoly.symbol(spec, "c")
         x = series * eig
@@ -322,14 +328,14 @@ def test_diagonal_exponentials_match_the_closed_form(problem):
     module = fact.module
     psi0, gamma = series.psi[Fraction(0)], series.gamma
     assert psi0 and gamma
-    for col, lvl in enumerate(module.levels):
+    for col, lvl in enumerate(levels(module)):
         vec = {col: module.one}
         for gen, coeff, weight_shift in ((C_GEN, gamma, False), (L(0), psi0, True)):
             want = diag_exp_reference(module, vec, coeff, weight_shift, D)
-            assert _exp_apply(module, [(gen, coeff)], vec, D) == want, (col, gen)
+            assert _exp_apply(module, [(gen, coeff)], vec, D) == want, (col, gen_name(gen))
             pruned = _exp_apply(module, [(gen, coeff)], vec, D, fact._keeper(lvl))
             assert ({w: p.terms for w, p in pruned.items()}
-                    == {w: certified(p, lvl, W) for w, p in want.items()}), (col, gen)
+                    == {w: certified(p, lvl, W) for w, p in want.items()}), (col, gen_name(gen))
 
 
 def test_planted_certified_error_fails_the_check():
@@ -356,7 +362,7 @@ def column_agrees(fact, series, col) -> bool:
     certified terms.  Both hold certified terms only (see _keeper), so they
     are compared as graded vectors, whose grading is a function of the
     monomial."""
-    vec, lvl = {col: fact.module.one}, fact.module.levels[col]
+    vec, lvl = {col: fact.module.one}, levels(fact.module)[col]
     return fact.lhs(vec, lvl) == fact.rhs(series.psi, series.gamma, vec, lvl)
 
 
@@ -374,7 +380,7 @@ def generator_conjugates(fact, psi, gamma, g) -> tuple:
     g's level."""
     adj = fact.adjoint
     keep = fact._keeper(gen_weight(g), adj.lift)
-    vec = _graded({adj.place(g): adj.one}, keep)
+    vec = _graded({g: adj.one}, keep)
     return fact._left(adj, vec, keep), fact._ansatz(adj, psi, gamma, vec, fact.D, keep)
 
 
@@ -394,7 +400,7 @@ def generator_check(series) -> bool:
 def column_verdict_reference(fact, series, col):
     """The check's verdict on one column as it was before the graded
     compare: no term of lhs - rhs survives trusted, on any coordinate."""
-    lvl = fact.module.levels[col]
+    lvl = levels(fact.module)[col]
     vec = {col: fact.module.one}
     lhs = _ungraded(fact.spec, fact.lhs(vec, lvl))
     rhs = _ungraded(fact.spec, fact.rhs(series.psi, series.gamma, vec, lvl))
@@ -555,11 +561,11 @@ def test_each_half_of_the_check_rejects_its_own_plants(slot, column_rejects, con
 
 
 class _NoLift(dict):
-    """An adjoint lift that records 0 for every position: the visibility
-    rule without its max(n, 0) term."""
+    """An adjoint lift that reads 0 at every position: the visibility rule
+    without its max(n, 0) term."""
 
-    def __setitem__(self, j, v):
-        super().__setitem__(j, 0)
+    def __missing__(self, j):
+        return 0
 
 
 def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
@@ -569,7 +575,7 @@ def test_a_visibility_rule_without_the_lowering_lift_rejects_a_true_solution():
     problem = ([3], [2], [2], [1])
     series = sw_solve(*problem, D=3, W=4)
     assert column_check(series) and sw_consistency_check(series, *problem)
-    series.fact.adjoint.lift = _NoLift({j: 0 for j in series.fact.adjoint.lift})
+    series.fact.adjoint.lift = _NoLift()
     series.fact.left_conjugate = None  # both sides rebuilt under the rule without the lift
     assert not sw_consistency_check(series, *problem)
 
@@ -647,16 +653,13 @@ def test_conjugates_match_the_bracket_series(problem):
     fact, psi, spec = series.fact, series.psi, series.spec
     slots = {k: p for k, p in psi.items() if k and p}
 
-    def gen(k):
-        return L(int(k)) if k.denominator == 1 else G(k)
-
     def visible(X, level):
         out = {}
         for g, p in X.terms.items():
             lift = max(-gen_weight(g), 0) if g != C_GEN else 0
             t = certified(p, level + lift, W)
             if t:
-                out[fact.adjoint.place(g)] = t
+                out[g] = t
         return out
 
     gens = [w[0] for w in fact.module.basis if len(w) == 1]
@@ -666,13 +669,13 @@ def test_conjugates_match_the_bracket_series(problem):
         left = ad_exp_reference(fact.low_terms, alpha_reference(
             ad_exp_reference(fact.raise_terms, X, D)), D)
         right = ad_exp_reference([(L(0), psi[Fraction(0)])], alpha_reference(X), D)
-        right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k > 0], right, D)
-        right = ad_exp_reference([(gen(k), p) for k, p in slots.items() if k < 0], right, D)
+        right = ad_exp_reference([(int(2 * k), p) for k, p in slots.items() if k > 0], right, D)
+        right = ad_exp_reference([(int(2 * k), p) for k, p in slots.items() if k < 0], right, D)
         sides = (fact.conjugates(psi, series.gamma, D) if g == L(0)
                  else generator_conjugates(fact, psi, series.gamma, g))
         got = [{i: p.terms for i, p in _ungraded(spec, side).items()} for side in sides]
-        level = -g[1]
-        assert got == [visible(left, level), visible(right, level)], g
+        level = gen_weight(g)
+        assert got == [visible(left, level), visible(right, level)], gen_name(g)
         assert got[0] == got[1]
 
 
@@ -791,7 +794,7 @@ def test_position_tables_hold_the_generator_action(monkeypatch, problem):
         fresh = VermaModule(fact.spec, module.c_value, module.h_value, W)
         assert fresh.basis == module.basis
         assert [module.position[w] for w in module.basis] == list(range(len(module.basis)))
-        assert module.levels == [word_level(w) for w in module.basis]
+        assert levels(module) == [word_level(w) for w in module.basis]
         filled = 0
         for g, table in module._tables.items():
             assert len(table) == len(module.basis)
@@ -849,7 +852,7 @@ def test_position_keyed_exponentials_match_the_word_keyed_action(problem):
         return {w: t for w, p in by_position(vec).items() if (t := certified(p, lvl, W))}
 
     for col, word in enumerate(module.basis):
-        lvl = module.levels[col]
+        lvl = levels(module)[col]
         keep = fact._keeper(lvl)
         want_up = exp_reference(fresh, fact.raise_terms, {word: fresh.one}, D)
         got_up = _exp_apply(module, fact.raise_terms, {col: module.one}, D)
@@ -880,7 +883,7 @@ def test_exponentials_merge_no_pair_over_the_degree_cap():
     problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact = _Factorization(*problem, D, W)
-    for col, lvl in enumerate(fact.module.levels):
+    for col, lvl in enumerate(levels(fact.module)):
         for level in (lvl, None):
             fact.lhs({col: fact.module.one}, level)
             fact.rhs(series.psi, series.gamma, {col: fact.module.one}, level)
