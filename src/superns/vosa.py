@@ -8,8 +8,8 @@ identities independently, so construction and verification stay separate
 routes.
 
 Conventions: a vertex operator is written sum v_n x^(-n-1) plus
-phi sum v_(n-1/2) x^(-n-1); modes are keyed by n in (1/2)Z with integer
-keys in the x sector and half-odd keys in the phi sector.  The binomial
+phi sum v_(n-1/2) x^(-n-1); a mode n in (1/2)Z is keyed by the doubled int
+k2 = 2n, even in the x sector and odd in the phi sector.  The binomial
 (x - y)^n always expands in nonnegative powers of the second variable.
 """
 
@@ -138,17 +138,19 @@ class FockSpace:
 class VertexData:
     """A weight-truncated vertex operator superalgebra with odd variables.
 
-    modes are served through mode_apply: integer keys read the x sector,
-    half-odd keys the phi sector (populated as the modes of the
-    G(-1/2)-image, the odd-variable dressing of the underlying structure).
-    Overrides support automorphisms and mutation tests without copying
-    the recursion caches.  Mode columns have int coefficients.
+    Modes are keyed by the doubled int k2 = 2k from the override dict to
+    mode_apply_vec: even k2 reads the x sector, odd k2 the phi sector
+    (populated as the modes of the G(-1/2)-image, the odd-variable dressing
+    of the underlying structure).  mode_col, mode_apply, with_override,
+    G_apply and L_apply take k itself and convert it once.  Overrides
+    support automorphisms and mutation tests without copying the recursion
+    caches.  Mode columns have int coefficients.
 
     Cache rule: copies share only _xmode_cache, the x-sector recursion,
     which depends on the Fock space alone.  _gimg_cache (G(-1/2) images)
-    and _phi_cache (half-odd mode_col columns) read tau and start empty in
+    and _phi_cache (the columns at odd k2) read tau and start empty in
     each copy.  Neither holds an override: _x_col, which builds both, reads
-    the recursion alone, and mode_col reads overrides first.
+    the recursion alone, and _k2_col reads overrides first.
     """
 
     def __init__(self, space: FockSpace, tau_vec: dict, central_charge=None,
@@ -235,20 +237,23 @@ class VertexData:
     # -- public mode application --------------------------------------------
 
     def mode_col(self, v_idx: int, k, col: int) -> dict:
-        """One column of the mode matrix of a basis state, overrides applied.
+        """One column of the mode matrix of a basis state at the key k in
+        (1/2)Z, an int or a Fraction: 1, Fraction(1) and Fraction(2, 2) all
+        read the doubled key 2."""
+        return self._k2_col(v_idx, int(2 * k), col)
 
-        k is an int or a Fraction, read as given: equal keys hash alike, so
-        an override stored at Fraction(1) is read at 1 as well."""
+    def _k2_col(self, v_idx: int, k2: int, col: int) -> dict:
+        """The mode column at the doubled key k2, overrides applied."""
         if self._overrides:
-            ov = self._overrides.get((v_idx, k, col))
+            ov = self._overrides.get((v_idx, k2, col))
             if ov is not None:
                 return ov
-        if k.denominator == 1:
-            return self._xmode_col(v_idx, k.numerator, col)
+        if not k2 & 1:
+            return self._xmode_col(v_idx, k2 >> 1, col)
         if not self.has_odd:
             return {}
         # the phi mode k is the x mode k + 1/2 of the G(-1/2) image
-        key = (v_idx, (k.numerator + 1) // 2, col)
+        key = (v_idx, (k2 + 1) >> 1, col)
         hit = self._phi_cache.get(key)
         if hit is None:
             hit = self._phi_cache[key] = self._x_col(self._g_minus_half_image(v_idx),
@@ -269,46 +274,46 @@ class VertexData:
             hit = self._gimg_cache[v_idx] = self._x_col(self.tau, 0, v_idx)
         return hit
 
-    def mode_apply_vec(self, v_vec: dict, k, vec: dict) -> dict:
-        """Mode of a vector v applied to a vector, linear in both slots."""
-        k = Fraction(k)
+    def mode_apply_vec(self, v_vec: dict, k2: int, vec: dict) -> dict:
+        """Mode k2 / 2 of a vector v applied to a vector, linear in both
+        slots; k2 is the doubled int key."""
+        col_of = self._k2_col
         out: dict = {}
         for v_idx, cv in v_vec.items():
             for col, cw in vec.items():
-                add_scaled(out, self.mode_col(v_idx, k, col), cv * cw)
+                add_scaled(out, col_of(v_idx, k2, col), cv * cw)
         return out
 
     def mode_apply(self, v_idx: int, k, vec: dict) -> dict:
-        return self.mode_apply_vec({v_idx: 1}, k, vec)
+        return self.mode_apply_vec({v_idx: 1}, int(2 * k), vec)
 
     # -- Neveu-Schwarz modes from tau ----------------------------------------
 
     def G_apply(self, r, vec: dict) -> dict:
-        r = Fraction(r)
-        if r.denominator != 2:
+        if Fraction(r).denominator != 2:
             raise ValueError("G index must be half-odd")
-        return self.mode_apply_vec(self.tau, r + HALF, vec)
+        return self.mode_apply_vec(self.tau, int(2 * r) + 1, vec)
 
     def L_apply(self, n: int, vec: dict) -> dict:
+        return scaled(self._L2_apply(int(2 * n), vec), HALF)
+
+    def _L2_apply(self, n2: int, vec: dict) -> dict:
+        """2L(n) applied to vec, n2 = 2n: int columns give int coefficients."""
+        g, tau = self.mode_apply_vec, self.tau
         if self.has_odd:
-            out = self.mode_apply_vec(self.tau, Fraction(n) + HALF, vec)
-            return scaled(out, HALF)
+            return g(tau, n2 + 1, vec)
         # without odd variables: 2L(n) = {G(-1/2), G(n+1/2)}, never central
-        a = self.G_apply(-HALF, self.G_apply(n + HALF, vec))
-        b = self.G_apply(n + HALF, self.G_apply(-HALF, vec))
-        return scaled(add_terms(a, b), HALF)
+        return add_terms(g(tau, 0, g(tau, n2 + 2, vec)), g(tau, n2 + 2, g(tau, 0, vec)))
 
     def compute_central_charge(self) -> Fraction:
-        """Read c from [L(2), L(-2)] = 4 L(0) + c/2 on the vacuum."""
-        vac = {self.vacuum_index(): 1}
-        up = self.L_apply(-2, vac)
-        down = self.L_apply(2, up)
-        val = down.get(self.vacuum_index(), Fraction(0))
-        return 2 * val
+        """Read c from [2L(2), 2L(-2)] = 16 L(0) + 2c on the vacuum."""
+        vac = self.vacuum_index()
+        down = self._L2_apply(4, self._L2_apply(-4, {vac: 1}))
+        return Fraction(down.get(vac, 0), 2)
 
     def with_override(self, v_idx: int, k, col: int, column: dict) -> "VertexData":
         out = self.copy()
-        out._overrides[(v_idx, Fraction(k), col)] = dict(column)
+        out._overrides[(v_idx, int(2 * k), col)] = dict(column)
         return out
 
 
@@ -388,11 +393,10 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     local kernel ordered() runs both.
 
     All arithmetic on indices is on integers: a mode key k in (1/2)Z is
-    carried as the doubled int k2 = 2k (the memos below are keyed by it, and
-    it becomes Fraction(k2, 2) only when a mode is applied, which is where
-    the Fraction-keyed overrides are read), weights and the cap are doubled
-    for the soundness test, and the signed binomials (-1)^k C(n, k) are
-    ints.
+    carried as the doubled int k2 = 2k from the memos below through
+    mode_apply_vec to the override and column reads, weights and the cap
+    are doubled for the soundness test, and the signed binomials
+    (-1)^k C(n, k) are ints.
     """
     cap2 = int(2 * V.space.cap)
     eu, ev = V.sign(u), V.sign(v)
@@ -401,10 +405,11 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     rng = range(-JACOBI_WINDOW, JACOBI_WINDOW + 1)
     checked = skipped = 0
     failures = []
+    apply = V.mode_apply_vec
 
     @functools.cache
     def inner_uv(kj2):
-        return V.mode_apply(u, Fraction(kj2, 2), {v: 1})
+        return apply({u: 1}, kj2, {v: 1})
 
     for w in V.basis_indices(min(V.space.cap, 2)):
         wt2 = V.space.weights2[w]
@@ -412,17 +417,17 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
 
         @functools.cache
         def on_w(x, kx2):
-            return V.mode_apply(x, Fraction(kx2, 2), wvec)
+            return apply({x: 1}, kx2, wvec)
 
         @functools.cache
         def nested(x, kx2, y, ky2):
             base = on_w(y, ky2)
-            return V.mode_apply(x, Fraction(kx2, 2), base) if base else {}
+            return apply({x: 1}, kx2, base) if base else {}
 
         @functools.cache
         def outer(kj2, km2):
             base = inner_uv(kj2)
-            return V.mode_apply_vec(base, Fraction(km2, 2), wvec) if base else {}
+            return apply(base, km2, wvec) if base else {}
 
         def ordered(acc, x, y, bx, cy, ex, ey, sign, pp_sign):
             """acc += sign times the bin's coefficient of x_(.) y_(.) w under
@@ -529,7 +534,6 @@ def consequence_checks(V: VertexData) -> dict:
         gv = V._g_minus_half_image(v) if gv_ok else None
         lv = V.L_apply(-1, {v: 1}) if lv_ok else None
         for n in range(-3, 4):
-            phi_n = Fraction(n) - HALF
             for w in V.basis_indices():
                 wt = V.weight(w)
                 wvec = {w: 1}
@@ -539,15 +543,15 @@ def consequence_checks(V: VertexData) -> dict:
                            else None)
                 deriv = (scaled(V.mode_apply(v, n - 1, wvec), -n)
                          if lv_ok else None)
-                if bracket is not None and V.mode_apply(v, phi_n, wvec) != bracket:
+                if bracket is not None and V.mode_apply_vec({v: 1}, 2 * n - 1, wvec) != bracket:
                     fail("eq_phi_modes", v, n, w)
-                if deriv is not None and V.mode_apply_vec(lv, n, wvec) != deriv:
+                if deriv is not None and V.mode_apply_vec(lv, 2 * n, wvec) != deriv:
                     fail("eq_x_derivative", v, n, w)
-                if bracket is not None and V.mode_apply_vec(gv, n, wvec) != bracket:
+                if bracket is not None and V.mode_apply_vec(gv, 2 * n, wvec) != bracket:
                     fail("eq_g_bracket", v, n, w)
                 # odd part of the phi axiom: d/dx of the x sector equals the
                 # phi modes of the G(-1/2) image
-                if deriv is not None and V.mode_apply_vec(gv, phi_n, wvec) != deriv:
+                if deriv is not None and V.mode_apply_vec(gv, 2 * n - 1, wvec) != deriv:
                     fail("eq_phi_axiom", v, n, w)
     report["passed"] = all(report[k] for k in
                            ("eq_phi_modes", "eq_x_derivative", "eq_g_bracket",
@@ -607,10 +611,16 @@ def ns_modes_check(V: VertexData) -> dict:
     module's own central charge, for mode indices m, n in [-2, 2].  Columns
     are restricted so that both operator orders stay inside the weight cap.
 
-    L(n) and G(r) act through their basis columns, each computed once per
-    call; the memo lives only in this call, because copies of V share
-    their caches and may carry other overrides.  Indices are doubled ints
-    k2 = 2k: even k2 is L(k2/2), odd k2 is G(k2/2)."""
+    Indices are doubled ints k2 = 2k: odd k2 is G(k2/2) and even k2 is
+    2L(k2/2), so every column has int coefficients and each relation is
+    checked scaled by 4 (LL), 2 (GL) or 1 (GG), the central terms at
+    m + n = 0 and r + s = 0 only:
+        [2L(m), 2L(n)] = 2(m - n) 2L(m+n) + (m^3 - m)/3 c,
+        [G(r), 2L(n)] = (2r - n) G(r+n),
+        {G(r), G(s)} = 2L(r+s) + (4r^2 - 1)/12 c.
+    Basis columns and each composite op(s) op(t) on one are computed once
+    per call; the memos live only in this call, because copies of V share
+    their caches and may carry other overrides."""
     cap2, weights2 = int(2 * V.space.cap), V.space.weights2
     lift2 = int(2 * _column_lift(V))
     cc = V.cc if V.cc is not None else V.compute_central_charge()
@@ -619,8 +629,8 @@ def ns_modes_check(V: VertexData) -> dict:
     @functools.cache
     def column(k2, i):
         if k2 & 1:
-            return V.G_apply(Fraction(k2, 2), {i: 1})
-        return V.L_apply(k2 // 2, {i: 1})
+            return V.mode_apply_vec(V.tau, k2 + 1, {i: 1})
+        return V._L2_apply(k2, {i: 1})
 
     def op(k2, vec):
         out: dict = {}
@@ -628,43 +638,32 @@ def ns_modes_check(V: VertexData) -> dict:
             add_scaled(out, column(k2, i), ci)
         return out
 
-    def safe_columns(s2, t2):
+    @functools.cache
+    def pair(s2, t2, w):
+        return op(s2, column(t2, w))
+
+    def check(name, s2, t2, sign, rhs_k2, coeff, central):
         # both operator orders applied; raising intermediates must fit
         top2 = cap2 - max(0, -s2, -t2, -s2 - t2) - lift2
-        return [w for w in V.basis_indices() if weights2[w] <= top2]
-
-    def record(name, s2, t2, w):
-        report["passed"] = False
-        if len(report["witnesses"]) < 8:
-            report["witnesses"].append((name, Fraction(s2, 2), Fraction(t2, 2), w))
+        for w in V.basis_indices():
+            if weights2[w] > top2:
+                continue
+            lhs = dict(pair(s2, t2, w))
+            add_scaled(lhs, pair(t2, s2, w), sign)
+            rhs = scaled(column(rhs_k2, w), coeff)
+            if central:
+                add_scaled(rhs, {w: 1}, central)
+            if lhs != rhs:
+                report["passed"] = False
+                if len(report["witnesses"]) < 8:
+                    report["witnesses"].append((name, Fraction(s2, 2), Fraction(t2, 2), w))
 
     for m in range(-2, 3):
         for n in range(-2, 3):
             m2, n2 = 2 * m, 2 * n
-            for w in safe_columns(m2, n2):
-                wvec = {w: 1}
-                lhs = op(m2, op(n2, wvec))
-                add_scaled(lhs, op(n2, op(m2, wvec)), -1)
-                rhs = scaled(op(m2 + n2, wvec), m - n)
-                if m + n == 0:
-                    add_scaled(rhs, wvec, Fraction(m ** 3 - m, 12) * cc)
-                if lhs != rhs:
-                    record("LL", m2, n2, w)
-            r2 = m2 + 1
-            for w in safe_columns(r2, n2):
-                wvec = {w: 1}
-                lhs = op(r2, op(n2, wvec))
-                add_scaled(lhs, op(n2, op(r2, wvec)), -1)
-                rhs = scaled(op(r2 + n2, wvec), Fraction(r2 - n, 2))
-                if lhs != rhs:
-                    record("GL", r2, n2, w)
-            s2 = n2 - 1
-            for w in safe_columns(r2, s2):
-                wvec = {w: 1}
-                lhs = add_terms(op(r2, op(s2, wvec)), op(s2, op(r2, wvec)))
-                rhs = scaled(op(m2 + n2, wvec), 2)
-                if m + n == 0:
-                    add_scaled(rhs, wvec, Fraction(m * m + m, 3) * cc)
-                if lhs != rhs:
-                    record("GG", r2, s2, w)
+            r2, s2 = m2 + 1, n2 - 1
+            c0 = cc if m + n == 0 else 0
+            check("LL", m2, n2, -1, m2 + n2, 2 * (m - n), Fraction(m ** 3 - m, 3) * c0)
+            check("GL", r2, n2, -1, r2 + n2, r2 - n, 0)
+            check("GG", r2, s2, 1, m2 + n2, 1, Fraction(m * m + m, 3) * c0)
     return report

@@ -183,14 +183,17 @@ def test_solver_vectors_never_pass_through_words():
         assert "position" not in reads, node.name
 
 
-# the free mode actions and the x-sector recursion, which run on ints
+# the free mode actions, the x-sector recursion and the doubled-key mode
+# path from the column read to 2L(n), which run on ints
 INTEGRAL = {"FockSpace": {"boson_act", "fermion_act"},
-            "VertexData": {"_xmode_col", "_product_mode_col"}}
+            "VertexData": {"_xmode_col", "_product_mode_col", "_k2_col",
+                           "mode_apply_vec", "_L2_apply"}}
 
 
 def test_vosa_mode_layer_builds_no_fraction():
-    """No Fraction is built in the free mode actions or in the field-product
-    recursion of the x sector: their coefficients are ints."""
+    """No Fraction is built in the free mode actions, in the field-product
+    recursion of the x sector or on the doubled-key mode path: their keys
+    and coefficients are ints."""
     found = set()
     for cls in _tree("vosa").body:
         if isinstance(cls, ast.ClassDef) and cls.name in INTEGRAL:

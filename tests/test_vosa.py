@@ -2,6 +2,8 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superns.sparse import add_term, binom
 from superns.vosa import (
@@ -78,15 +80,17 @@ def test_jacobi_table_of_all_small_pairs(V):
 
 
 def recording_reads(X):
-    """Record every (state, key, column) that X's mode_col serves."""
+    """Record every (state, doubled key k2, column) that X's column read
+    serves; every mode applied goes through that read."""
     reads = set()
-    mode_col = X.mode_col
+    k2_col = X._k2_col
 
-    def record(v_idx, k, col):
-        reads.add((v_idx, Fraction(k), col))
-        return mode_col(v_idx, k, col)
+    def record(v_idx, k2, col):
+        assert type(k2) is int
+        reads.add((v_idx, k2, col))
+        return k2_col(v_idx, k2, col)
 
-    X.mode_col = record
+    X._k2_col = record
     return reads
 
 
@@ -101,7 +105,7 @@ def test_planted_mode_column_of_u_fails_jacobi(V, key):
     bad = V.with_override(tau, key, col, column)
     reads = recording_reads(bad)
     report = jacobi_check(bad, tau, tau)
-    assert (tau, key, col) in reads
+    assert (tau, int(2 * key), col) in reads
     assert not report["passed"] and report["failures"]
     if key.denominator == 2:
         assert any(f["monomial"][3] or f["monomial"][4] for f in report["failures"])
@@ -148,12 +152,17 @@ def test_fock_space_leaves_no_reference_cycles():
 def test_mode_layer_is_integral():
     """After both checkers on a fresh V at cap 7/2, every coefficient of the
     x-sector recursion is an int, and so is every free mode action on every
-    basis state."""
+    basis state and every G(r) and 2L(n) column, the columns ns_modes_check
+    works on."""
     X = fixture_boson_fermion(Fraction(7, 2))
     tau = tau_index(X)
     assert ns_modes_check(X)["passed"]
     assert jacobi_check(X, tau, tau)["passed"]
     coeffs = [c for col in X._xmode_cache.values() for c in col.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    ns_cols = [X._L2_apply(k2, {i: 1}) if k2 % 2 == 0 else X.G_apply(Fraction(k2, 2), {i: 1})
+               for k2 in range(-8, 9) for i in X.basis_indices()]
+    coeffs = [c for col in ns_cols for c in col.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
     space, acts = X.space, []
     for i in range(len(space.states)):
@@ -209,19 +218,38 @@ def test_jacobi_bin_coefficients_match_the_delta_table():
     assert delta_table("direct", W) == want
 
 
-@pytest.mark.parametrize("key", [1, Fraction(1)], ids=["int", "Fraction"])
+ONE = [1, Fraction(1), Fraction(2, 2)]
+
+
+@pytest.mark.parametrize("key", ONE, ids=["int", "Fraction", "Fraction_2_2"])
 def test_override_is_read_with_either_key_type(V, key):
-    """mode_col does not normalize its key: an override planted at 1 is read
-    at Fraction(1) and the other way round, by mode_col and by mode_apply."""
+    """with_override, mode_col and mode_apply all key by the doubled int 2k:
+    an override planted at 1, Fraction(1) or Fraction(2, 2) is read at
+    each of them, by mode_col and by mode_apply."""
     tau = tau_index(V)
     col = V.space.index[((1,), ())]
     column = dict(V.mode_col(tau, 1, col))
     add_term(column, col, 1)
     bad = V.with_override(tau, key, col, column)
     assert V.mode_col(tau, 1, col) != column
-    for read in (1, Fraction(1)):
+    assert list(bad._overrides) == [(tau, 2, col)]
+    for read in ONE:
         assert bad.mode_col(tau, read, col) == column
         assert bad.mode_apply(tau, read, {col: 1}) == column
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k2=st.integers(-8, 8))
+def test_mode_col_reads_the_doubled_key(V, data, k2):
+    """For every basis v and column, mode_col at k = k2/2 serves the column
+    at the doubled key k2, whether k is given as an int or as a Fraction."""
+    v = data.draw(st.sampled_from(V.basis_indices()), label="v")
+    col = data.draw(st.sampled_from(V.basis_indices()), label="col")
+    want = V._k2_col(v, k2, col)
+    assert V.mode_col(v, Fraction(k2, 2), col) == want
+    assert V.mode_apply(v, Fraction(k2, 2), {col: 1}) == want
+    if k2 % 2 == 0:
+        assert V.mode_col(v, k2 // 2, col) == want
 
 
 def test_planted_mode_column_fails_every_consequence_identity(V):
@@ -273,6 +301,28 @@ def test_planted_G_column_without_odd_variables_is_caught(V):
     report = ns_modes_check(bad)
     assert not report["passed"]
     assert "LL" in [wit[0] for wit in report["witnesses"]]
+
+
+# HEAD's witnesses for a wrong central charge at cap 7/2: the central term
+# enters only at m + n = 0, first in LL at (-2, 2), then in GG at (-3/2, 3/2)
+WRONG_C_WITNESSES = ([("LL", Fraction(-2), Fraction(2), w) for w in range(5)]
+                     + [("GG", Fraction(-3, 2), Fraction(3, 2), w) for w in range(3)])
+
+
+@pytest.mark.parametrize("cc", [Fraction(1), Fraction(3, 2) + Fraction(1, 12)],
+                         ids=["one", "off_by_1_12"])
+def test_wrong_central_charge_fails_ns_modes_check(cc):
+    """Negative control for the central term, which the checker carries
+    scaled by 4 in LL and by 1 in GG: any other c than the module's fails,
+    at the same witnesses as the unscaled relations."""
+    X = fixture_boson_fermion(Fraction(7, 2))
+    assert ns_modes_check(X)["passed"]
+    X = fixture_boson_fermion(Fraction(7, 2))
+    X.cc = cc
+    report = ns_modes_check(X)
+    assert not report["passed"]
+    assert report["central_charge"] == cc
+    assert report["witnesses"] == WRONG_C_WITNESSES
 
 
 def test_ns_modes_check_memo_does_not_leak_between_calls():
