@@ -586,42 +586,35 @@ def _clean(d):
 
 
 class DiffOp:
-    """One of the displayed superderivations on the span of theta^e z^k.
+    """One of the displayed superderivations on the span of theta^e z^k,
+    named by nsalg's generator encoding: the int g = 2n is L(n) for even g
+    and G(n) for odd g, so a sewing family's generator drives it directly.
 
-    kind "L" with integer index n, or "G" with half-odd index r = n + 1/2,
-    in the paper's realization.  L(n) moves both sectors by n.  G(r) moves
-    theta-free orders into the theta sector by n and theta orders out of
-    it by n + 1.
+    L(n) moves both sectors by n.  G(r) is odd and exchanges the sectors:
+    theta-free orders go into the theta sector by r - 1/2 and theta orders
+    out of it by r + 1/2, because theta itself has weight 1/2; hence two
+    shifts, g >> 1 and (g + 1) >> 1, which are equal for L.
     """
 
-    def __init__(self, kind: str, index):
-        self.kind = kind
+    def __init__(self, g: int):
+        if type(g) is not int:
+            raise ValueError(f"generator must be an int doubled index, got {g!r}")
+        self.g = g
         # apply's per-operator constants: the order shifts out of the
-        # theta-free and out of the theta sector
-        if self.kind == "G":
-            r = Fraction(index)
-            if r.denominator != 2:
-                raise ValueError("G index must be half-odd")
-            self.n = int(r - HALF)
-            self._shift0, self._shift1 = self.n, self.n + 1
-        elif self.kind == "L":
-            self.n = int(index)
-            if self.n != index:
-                raise ValueError(f"L index must be an integer, got {index}")
-            self._shift0 = self._shift1 = self.n
-            self._half = Fraction(self.n + 1, 2)
-        else:
-            raise ValueError(f"kind must be 'L' or 'G', got {kind!r}")
+        # theta-free and out of the theta sector, and L(n)'s theta-sector
+        # offset (n + 1)/2
+        self._shift0, self._shift1 = g >> 1, (g + 1) >> 1
+        self._half = Fraction(g + 2, 4)
 
     def parity(self) -> int:
-        return 1 if self.kind == "G" else 0
+        return self.g & 1
 
     def apply(self, F: SFun) -> SFun:
         """The derivation applied to F, exact on F's window moved by the
         shifts: the low edge by the larger, the high edge by the smaller."""
         out = {}
         s0, s1 = self._shift0, self._shift1
-        if self.kind == "L":
+        if not self.g & 1:
             half = self._half
             for (k, e), c in F.terms.items():
                 if e:
@@ -682,10 +675,10 @@ def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     terms = []
     for j, v in sorted(c.A.items()):
         if v:
-            terms.append((DiffOp("L", j), v))
+            terms.append((DiffOp(2 * j), v))
     for j, v in sorted(c.M.items()):
         if v:
-            terms.append((DiffOp("G", j - HALF), v))
+            terms.append((DiffOp(2 * j - 1), v))
     H = _apply_flow(base, terms, (None, hi))   # flows only raise orders: exact below
     if c.branch < 0:
         H = H.negate_theta_output()
@@ -706,10 +699,10 @@ def ss_exp_infinity(c: InfCoordData, window: tuple[int, int] = DEFAULT_WINDOW) -
     terms = []
     for j, v in sorted(c.B.items()):
         if v:
-            terms.append((DiffOp("L", -j), -v))
+            terms.append((DiffOp(-2 * j), -v))
     for j, v in sorted(c.N.items()):
         if v:
-            terms.append((DiffOp("G", HALF - j), -v))
+            terms.append((DiffOp(1 - 2 * j), -v))
     return _apply_flow(base, terms, (lo, None))   # flows only lower orders: exact above
 
 

@@ -9,7 +9,8 @@ routes.
 
 Conventions: a vertex operator is written sum v_n x^(-n-1) plus
 phi sum v_(n-1/2) x^(-n-1); a mode n in (1/2)Z is keyed by the doubled int
-k2 = 2n, even in the x sector and odd in the phi sector.  The binomial
+k2 = 2n, even in the x sector and odd in the phi sector, and a Fock state's
+fermion part r by the odd int 2r.  The binomial
 (x - y)^n always expands in nonnegative powers of the second variable.
 """
 
@@ -22,6 +23,14 @@ from fractions import Fraction
 from .sparse import add_scaled, add_terms, binom, scaled
 
 HALF = Fraction(1, 2)
+
+
+def _k2(k) -> int:
+    """The doubled int key 2k of a mode index k in (1/2)Z; any other k
+    raises ValueError instead of being read at a truncated key."""
+    if (k2 := int(2 * k)) != 2 * k:
+        raise ValueError(f"mode index {k!r} is not in (1/2)Z")
+    return k2
 
 
 @functools.cache
@@ -37,57 +46,46 @@ def signed_binom(n: int, k: int) -> int:
 
 
 class FockSpace:
-    """Basis states (boson partition, fermion half-odd parts), weight capped.
+    """Basis states (boson partition, doubled fermion parts), weight capped.
 
-    Boson parts are positive integers in weakly decreasing order; fermion
-    parts are distinct half-odd fractions in decreasing order.  The state
-    is the corresponding product of creation modes on the vacuum, fermions
-    leftmost-largest.
+    Boson parts are positive integers in weakly decreasing order; a fermion
+    part r is stored as the odd int 2r, the parts distinct and decreasing.
+    The state is the corresponding product of creation modes on the vacuum,
+    fermions leftmost-largest.  weights2 and cap2 are the doubled weights
+    and cap; weights is derived from weights2.
     """
 
     def __init__(self, weight_cap):
         self.cap = Fraction(weight_cap)
-        self.states = []
-        bosons = self._boson_partitions(self.cap)
-        fermions = self._fermion_subsets(self.cap)
-        for f in fermions:
-            wf = sum(f, Fraction(0))
-            for b in bosons:
-                if sum(b) + wf <= self.cap:
-                    self.states.append((b, f))
-        self.states.sort(key=lambda s: (sum(s[0]) + sum(s[1], Fraction(0)), s))
+        self.cap2 = cap2 = int(2 * self.cap)
+        bosons = self._boson_partitions(cap2 >> 1)
+        self.states = sorted(((b, f) for f in self._fermion_subsets(cap2) for b in bosons
+                              if 2 * sum(b) + sum(f) <= cap2),
+                             key=lambda s: (2 * sum(s[0]) + sum(s[1]), s))
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.weights = [sum(b) + sum(f, Fraction(0)) for b, f in self.states]
-        self.weights2 = [int(2 * w) for w in self.weights]
+        self.weights2 = [2 * sum(b) + sum(f) for b, f in self.states]
+        self.weights = [Fraction(w2, 2) for w2 in self.weights2]
         self.signs = [len(f) & 1 for _, f in self.states]
         self._acts: dict = {}
 
     @staticmethod
-    def _boson_partitions(cap):
+    def _boson_partitions(cap: int):
         # an explicit stack: a closure that calls itself would be a reference
         # cycle left for the cyclic collector after every call
         out = []
-        stack = [((), int(cap), cap)]
+        stack = [((), cap, cap)]
         while stack:
             prefix, largest, left = stack.pop()
             out.append(prefix)
-            for part in range(min(largest, int(left)), 0, -1):
+            for part in range(min(largest, left), 0, -1):
                 stack.append((prefix + (part,), part, left - part))
         return out
 
     @staticmethod
-    def _fermion_subsets(cap):
-        parts = []
-        r = HALF
-        while r <= cap:
-            parts.append(r)
-            r += 1
-        out = []
-        for size in range(len(parts) + 1):
-            for combo in itertools.combinations(parts, size):
-                if sum(combo, Fraction(0)) <= cap:
-                    out.append(tuple(sorted(combo, reverse=True)))
-        return out
+    def _fermion_subsets(cap2: int):
+        parts = range(1, cap2 + 1, 2)
+        return [combo[::-1] for size in range(len(parts) + 1)
+                for combo in itertools.combinations(parts, size) if sum(combo) <= cap2]
 
     def vacuum(self) -> int:
         return self.index[((), ())]
@@ -118,18 +116,18 @@ class FockSpace:
         key = (odd, m, idx)
         hit = self._acts.get(key)
         if hit is None:
-            hit = self._acts[key] = (self.fermion_act(m + HALF, idx) if odd
+            hit = self._acts[key] = (self.fermion_act(2 * m + 1, idx) if odd
                                      else self.boson_act(m, idx))
         return hit
 
-    def fermion_act(self, r: Fraction, idx: int) -> dict:
-        """psi_r on a basis state; {psi_r, psi_s} = delta_{r+s,0}."""
+    def fermion_act(self, r2: int, idx: int) -> dict:
+        """psi_r on a basis state, r2 = 2r odd; {psi_r, psi_s} = delta_{r+s,0}."""
         b, f = self.states[idx]
-        create = r < 0
-        part = -r if create else r
+        create = r2 < 0
+        part = -r2 if create else r2
         if (part in f) == create:  # a part is created if absent, removed if present
             return {}
-        nf = tuple(sorted(f + (part,), reverse=True)) if create else tuple(x for x in f if x != r)
+        nf = tuple(sorted(f + (part,), reverse=True)) if create else tuple(x for x in f if x != r2)
         tgt = self.index.get((b, nf))
         bigger = sum(1 for s in f if s > part)
         return {} if tgt is None else {tgt: -1 if bigger & 1 else 1}
@@ -142,9 +140,10 @@ class VertexData:
     mode_apply_vec: even k2 reads the x sector, odd k2 the phi sector
     (populated as the modes of the G(-1/2)-image, the odd-variable dressing
     of the underlying structure).  mode_col, mode_apply, with_override,
-    G_apply and L_apply take k itself and convert it once.  Overrides
-    support automorphisms and mutation tests without copying the recursion
-    caches.  Mode columns have int coefficients.
+    G_apply and L_apply take k itself and convert it once with _k2, which
+    rejects a k outside (1/2)Z.  Overrides support automorphisms and
+    mutation tests without copying the recursion caches.  Mode columns have
+    int coefficients.
 
     Cache rule: copies share only _xmode_cache, the x-sector recursion,
     which depends on the Fock space alone.  _gimg_cache (G(-1/2) images)
@@ -207,9 +206,9 @@ class VertexData:
             rest = space.index[(b[1:], f)]
             out = self._product_mode_col(0, -k, rest, n, col)
         else:
-            r = f[0]
+            # peel psi_(-r): v = psi_(-r) v', the field's x mode -(r + 1/2)
             rest = space.index[(b, f[1:])]
-            out = self._product_mode_col(1, -int(r + HALF), rest, n, col)
+            out = self._product_mode_col(1, -((f[0] + 1) >> 1), rest, n, col)
         self._xmode_cache[key] = out
         return out
 
@@ -240,7 +239,7 @@ class VertexData:
         """One column of the mode matrix of a basis state at the key k in
         (1/2)Z, an int or a Fraction: 1, Fraction(1) and Fraction(2, 2) all
         read the doubled key 2."""
-        return self._k2_col(v_idx, int(2 * k), col)
+        return self._k2_col(v_idx, _k2(k), col)
 
     def _k2_col(self, v_idx: int, k2: int, col: int) -> dict:
         """The mode column at the doubled key k2, overrides applied."""
@@ -285,17 +284,21 @@ class VertexData:
         return out
 
     def mode_apply(self, v_idx: int, k, vec: dict) -> dict:
-        return self.mode_apply_vec({v_idx: 1}, int(2 * k), vec)
+        return self.mode_apply_vec({v_idx: 1}, _k2(k), vec)
 
     # -- Neveu-Schwarz modes from tau ----------------------------------------
 
     def G_apply(self, r, vec: dict) -> dict:
-        if Fraction(r).denominator != 2:
+        r2 = _k2(r)
+        if not r2 & 1:
             raise ValueError("G index must be half-odd")
-        return self.mode_apply_vec(self.tau, int(2 * r) + 1, vec)
+        return self.mode_apply_vec(self.tau, r2 + 1, vec)
 
     def L_apply(self, n: int, vec: dict) -> dict:
-        return scaled(self._L2_apply(int(2 * n), vec), HALF)
+        n2 = _k2(n)
+        if n2 & 1:
+            raise ValueError("L index must be an integer")
+        return scaled(self._L2_apply(n2, vec), HALF)
 
     def _L2_apply(self, n2: int, vec: dict) -> dict:
         """2L(n) applied to vec, n2 = 2n: int columns give int coefficients."""
@@ -313,7 +316,7 @@ class VertexData:
 
     def with_override(self, v_idx: int, k, col: int, column: dict) -> "VertexData":
         out = self.copy()
-        out._overrides[(v_idx, int(2 * k), col)] = dict(column)
+        out._overrides[(v_idx, _k2(k), col)] = dict(column)
         return out
 
 
@@ -327,7 +330,7 @@ def fixture_boson_fermion(weight_cap) -> VertexData:
     if cap < 2:
         raise ValueError("weight cap too small to hold the superconformal vector")
     space = FockSpace(cap)
-    tau_idx = space.index[((1,), (HALF,))]
+    tau_idx = space.index[((1,), (1,))]
     V = VertexData(space, {tau_idx: 1}, None, has_odd=True)
     V.cc = V.compute_central_charge()
     return V
@@ -398,7 +401,7 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     are doubled for the soundness test, and the signed binomials
     (-1)^k C(n, k) are ints.
     """
-    cap2 = int(2 * V.space.cap)
+    cap2 = V.space.cap2
     eu, ev = V.sign(u), V.sign(v)
     wtu2, wtv2 = V.space.weights2[u], V.space.weights2[v]
     wt2_of = {u: wtu2, v: wtv2}
@@ -518,7 +521,7 @@ def consequence_checks(V: VertexData) -> dict:
     Each identity is checked matrix-exactly on columns whose intermediate
     vectors stay inside the cap, so the assertions are complete where made.
     """
-    cap = V.space.cap
+    cap2, weights2 = V.space.cap2, V.space.weights2
     report = {"eq_phi_modes": True, "eq_x_derivative": True,
               "eq_g_bracket": True, "eq_phi_axiom": True, "witnesses": []}
 
@@ -528,18 +531,18 @@ def consequence_checks(V: VertexData) -> dict:
             report["witnesses"].append((name, v, n, w))
 
     for v in V.basis_indices():
-        wtv = V.weight(v)
-        gv_ok = wtv + HALF <= cap
-        lv_ok = wtv + 1 <= cap  # implies gv_ok
+        wtv2 = weights2[v]
+        gv_ok = wtv2 + 1 <= cap2
+        lv_ok = wtv2 + 2 <= cap2  # implies gv_ok
         gv = V._g_minus_half_image(v) if gv_ok else None
         lv = V.L_apply(-1, {v: 1}) if lv_ok else None
         for n in range(-3, 4):
             for w in V.basis_indices():
-                wt = V.weight(w)
+                wt2 = weights2[w]
                 wvec = {w: 1}
                 # [G(-1/2), v_n] w and -n v_(n-1) w each serve two identities
                 bracket = (_bracket_g_half(V, v, n, wvec)
-                           if gv_ok and wt + HALF <= cap and wt + wtv - n - 1 <= cap
+                           if gv_ok and wt2 + 1 <= cap2 and wt2 + wtv2 - 2 * n - 2 <= cap2
                            else None)
                 deriv = (scaled(V.mode_apply(v, n - 1, wvec), -n)
                          if lv_ok else None)
@@ -575,7 +578,7 @@ def vacuum_checks(V: VertexData) -> dict:
             report["vacuum_field"] = False
             report["witnesses"].append(("vacuum_field", -HALF, col))
     for v in V.basis_indices():
-        for k in range(int(2 * V.space.cap) + 2):
+        for k in range(V.space.cap2 + 2):
             for key in (k, k - HALF):
                 if V.mode_col(v, key, vac):
                     report["creation"] = False
@@ -588,18 +591,21 @@ def vacuum_checks(V: VertexData) -> dict:
     return report
 
 
-def _column_lift(V: VertexData):
-    """Extra weight an L_apply passes through: without odd variables
+def _column_lift(V: VertexData) -> int:
+    """Extra doubled weight an L_apply passes through: without odd variables
     2L(n) = {G(-1/2), G(n+1/2)} lifts its input by 1/2 on the way."""
-    return Fraction(0) if V.has_odd else HALF
+    return 0 if V.has_odd else 1
 
 
 def grading_check(V: VertexData) -> dict:
-    """L(0) acts by the weight on every column whose intermediates fit."""
+    """2L(0) acts by the doubled weight on every column whose intermediates
+    fit; a witness carries the 2L(0) column."""
     report = {"passed": True, "witnesses": []}
-    for w in V.basis_indices(V.space.cap - _column_lift(V)):
-        got = V.L_apply(0, {w: 1})
-        want = {w: V.weight(w)} if V.weight(w) else {}
+    for w, wt2 in enumerate(V.space.weights2):
+        if wt2 + _column_lift(V) > V.space.cap2:
+            continue
+        got = V._L2_apply(0, {w: 1})
+        want = {w: wt2} if wt2 else {}
         if got != want:
             report["passed"] = False
             report["witnesses"].append(("weight", w, got))
@@ -621,8 +627,8 @@ def ns_modes_check(V: VertexData) -> dict:
     Basis columns and each composite op(s) op(t) on one are computed once
     per call; the memos live only in this call, because copies of V share
     their caches and may carry other overrides."""
-    cap2, weights2 = int(2 * V.space.cap), V.space.weights2
-    lift2 = int(2 * _column_lift(V))
+    cap2, weights2 = V.space.cap2, V.space.weights2
+    lift2 = _column_lift(V)
     cc = V.cc if V.cc is not None else V.compute_central_charge()
     report = {"passed": True, "witnesses": [], "central_charge": cc}
 

@@ -2,9 +2,9 @@
 
 sparse is the bottom; grassmann holds the coefficient rings on it;
 superseries and nsalg each stand on those two alone, and sewing stacks on
-all of them; vosa works on plain int
-and Fraction dicts and so uses nothing but sparse, which keeps it an
-independent control for the ring kernels.
+all of them; vosa works on int-keyed dicts of int coefficients (Fraction
+only where a mode or the central charge is halved) and so uses nothing
+but sparse, which keeps it an independent control for the ring kernels.
 """
 
 import ast
@@ -183,17 +183,18 @@ def test_solver_vectors_never_pass_through_words():
         assert "position" not in reads, node.name
 
 
-# the free mode actions, the x-sector recursion and the doubled-key mode
-# path from the column read to 2L(n), which run on ints
-INTEGRAL = {"FockSpace": {"boson_act", "fermion_act"},
+# the Fock basis of doubled fermion parts, the free mode actions, the
+# x-sector recursion and the doubled-key mode path from the column read to
+# 2L(n), which run on ints
+INTEGRAL = {"FockSpace": {"_fermion_subsets", "boson_act", "gen_act", "fermion_act"},
             "VertexData": {"_xmode_col", "_product_mode_col", "_k2_col",
                            "mode_apply_vec", "_L2_apply"}}
 
 
 def test_vosa_mode_layer_builds_no_fraction():
-    """No Fraction is built in the free mode actions, in the field-product
-    recursion of the x sector or on the doubled-key mode path: their keys
-    and coefficients are ints."""
+    """No Fraction is built in the Fock basis's fermion parts, the free mode
+    actions, the field-product recursion of the x sector or on the
+    doubled-key mode path: their keys and coefficients are ints."""
     found = set()
     for cls in _tree("vosa").body:
         if isinstance(cls, ast.ClassDef) and cls.name in INTEGRAL:
@@ -204,3 +205,17 @@ def test_vosa_mode_layer_builds_no_fraction():
                              if isinstance(n, ast.Call) and "Fraction" in _names(n.func)]
                     assert not calls, (node.name, calls)
     assert found == set().union(*INTEGRAL.values())
+
+
+def test_diffop_takes_nsalg_generators():
+    """Every DiffOp built in the package is named by an int generator of
+    nsalg's encoding, never by a kind string."""
+    calls = [(name, node) for name in ALLOWED for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Call) and "DiffOp" in _names(node.func)]
+    assert calls
+    for name, node in calls:
+        args = node.args + [k.value for k in node.keywords]
+        assert len(args) == 1, (name, node.lineno)
+        strings = [n for a in args for n in ast.walk(a)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert not strings, (name, node.lineno)

@@ -112,7 +112,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression) ->
         coeff = p.terms.get(((), 0), 0)
         if len(p.terms) > (1 if coeff else 0):
             raise ValueError("target must be numeric")
-        ops.append((coeff, DiffOp("G" if gen_parity(g) else "L", Fraction(g, 2))))
+        ops.append((coeff, DiffOp(g)))
     sign = -1 if (op1.parity() and op2.parity()) else 1
     for k in range(-5, 6):
         for e in (0, 1):
@@ -127,7 +127,7 @@ def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression) ->
 
 
 def test_diffop_L_minus_one_on_z():
-    op = DiffOp("L", -1)
+    op = DiffOp(L(-1))
     F = SFun(0, {(1, 0): GrassmannElement.scalar(0, 1)})
     out = op.apply(F)
     assert out.coeff(0, 0) == GrassmannElement.scalar(0, -1)
@@ -135,7 +135,7 @@ def test_diffop_L_minus_one_on_z():
 
 
 def test_diffop_G_minus_half_actions():
-    op = DiffOp("G", -HALF)
+    op = DiffOp(G(-HALF))
     theta = SFun(0, {(0, 1): GrassmannElement.scalar(0, 1)})
     assert op.apply(theta).coeff(0, 0) == GrassmannElement.scalar(0, -1)
     z = SFun(0, {(1, 0): GrassmannElement.scalar(0, 1)})
@@ -143,17 +143,12 @@ def test_diffop_G_minus_half_actions():
 
 
 def test_representation_c_zero():
-    rng = range(-3, 4)
-    for m, n in itertools.product(rng, repeat=2):
-        op1, op2 = DiffOp("L", m), DiffOp("L", n)
-        target = ns_bracket(single(L(m)), single(L(n)))
-        assert diffop_commutator_matches(op1, op2, target)
-        opG = DiffOp("G", m + HALF)
-        target = ns_bracket(single(G(m + HALF)), single(L(n)))
-        assert diffop_commutator_matches(opG, op2, target)
-        opG2 = DiffOp("G", n - HALF)
-        target = ns_bracket(single(G(m + HALF)), single(G(n - HALF)))
-        assert diffop_commutator_matches(opG, opG2, target)
+    """The superderivations represent the bracket table at c = 0: for every
+    pair of generators a, b of doubled index in [-7, 7] (L-L, L-G, G-L and
+    G-G), [DiffOp(a), DiffOp(b)] realizes ns_bracket(a, b)."""
+    for a, b in itertools.product(range(-7, 8), repeat=2):
+        target = ns_bracket(single(a), single(b))
+        assert diffop_commutator_matches(DiffOp(a), DiffOp(b), target), (a, b)
 
 
 # -- PBW normal ordering: the oracle for the Verma action --------------------

@@ -39,8 +39,11 @@ from superns.sewing import (
 from superns.sparse import add_term
 from superns.superseries import (
     CoordData,
+    DiffOp,
     InfCoordData,
+    SFun,
     SuperSeries,
+    _apply_flow,
     ss_compose,
     ss_exp_zero,
     ss_is_superconformal,
@@ -1061,6 +1064,103 @@ def test_t_series_sums_to_the_closed_form_gamma(monkeypatch, a0, even, odd):
 
     monkeypatch.setattr(sewing, "sw_solve", planted)
     assert sw_t_series(local, inf, 4, D=2)[-1] != last
+
+
+# -- the factorization on the superconformal flows ---------------------------
+
+# (problem, D, W): no problem has more than D symbols, so under square-zero
+# values every surviving monomial has degree <= D
+FLOW_PROBLEMS = [(([1, 2], [], [1], []), 3, 6), (([1], [1], [1], [1]), 4, 6),
+                 (([2], [1], [1, 2], [1]), 5, 8)]
+FLOW_ROOT = 2  # the square root of a0 = 4, so a0^(-L(0)) stays rational
+FLOW_ORDERS = range(-6, 10)
+
+
+def flow_values(problem) -> tuple:
+    """(generator count, families, values): square-zero Grassmann values on
+    distinct generators, one for an odd symbol and a product of two for an
+    even one, each scaled by its own rational, so a monomial with a repeated
+    symbol vanishes and the others stay apart."""
+    families = sewing._families(*problem)
+    size = sum(2 - gen_parity(g) for _, g in families)
+    values, nxt = {}, 1
+    for i, (name, g) in enumerate(families):
+        value = GrassmannElement.scalar(size, Fraction(i + 2, 3))
+        for _ in range(2 - gen_parity(g)):
+            value = value * GrassmannElement.generator(size, nxt)
+            nxt += 1
+        values[name] = value
+    return size, families, values
+
+
+def a0_scaled(H: SuperSeries) -> SuperSeries:
+    """a0^(-L(0)) on both components: theta^e z^n gains a0^(n + e/2)."""
+    def scale(F):
+        return SFun(F.L, {(n, e): c * Fraction(FLOW_ROOT) ** (2 * n + e)
+                          for (n, e), c in F.terms.items()})
+    return SuperSeries(H.L, scale(H.ev), scale(H.od))
+
+
+def flow(H: SuperSeries, terms) -> SuperSeries:
+    """exp(sum v DiffOp(g)) on H over (g, v) pairs; the values are nilpotent,
+    so the series ends without a window."""
+    return _apply_flow(H, [(DiffOp(g), v) for g, v in terms if v], (None, None))
+
+
+def flow_sides(problem, psi: dict) -> tuple:
+    """Both sides of the factorization as operators on the identity map,
+    rightmost factor first, in the superderivation representation, where c
+    acts as 0 and exp(Gamma c) drops out.  The left side's generators are
+    sewing's own families; the ansatz slot k is DiffOp(2k)."""
+    size, families, values = flow_values(problem)
+    ident = SuperSeries.identity(size)
+    left = flow(ident, [(g, -values[name]) for name, g in families if g < 0])
+    left = flow(a0_scaled(left), [(g, -values[name]) for name, g in families if g > 0])
+    a0 = GrassmannElement.scalar(size, FLOW_ROOT ** 2)
+    slots = {k: p.substitute(values, a0) for k, p in psi.items()}
+    right = flow(a0_scaled(ident), [(L(0), slots[0])])
+    right = flow(right, [(int(2 * k), v) for k, v in slots.items() if k > 0])
+    right = flow(right, [(int(2 * k), v) for k, v in slots.items() if k < 0])
+    return left, right
+
+
+def flow_mismatches(left: SuperSeries, right: SuperSeries) -> list:
+    """(component, n, e) of every coefficient of theta^e z^n, n in -6..9,
+    where the sides differ; both sides must lie inside those orders."""
+    out = []
+    for part in ("ev", "od"):
+        F, H = getattr(left, part), getattr(right, part)
+        assert {n for n, _ in F.terms} | {n for n, _ in H.terms} <= set(FLOW_ORDERS)
+        out += [(part, n, e) for n in FLOW_ORDERS for e in (0, 1)
+                if F.coeff(n, e) != H.coeff(n, e)]
+    return out
+
+
+@pytest.mark.parametrize("problem, D, W", FLOW_PROBLEMS)
+def test_the_solve_factorizes_the_superconformal_flows(problem, D, W):
+    """Geometric oracle: the factorization holds in every representation of
+    the NS algebra, so the solved Psi must factor the flows of
+    superseries.DiffOp, which share no bracket table with the solver.  The
+    comparison is not vacuous: both sides move the identity map."""
+    left, right = flow_sides(problem, sw_solve(*problem, D, W).psi)
+    assert flow_mismatches(left, right) == []
+    assert left.ev != SuperSeries.identity(left.L).ev
+
+
+@pytest.mark.parametrize("plant", ["negate_psi_half", "add_A1_B1_to_psi_minus_1"])
+def test_the_flow_oracle_rejects_a_planted_psi(plant):
+    """Negative controls, each on the ansatz side only.  Flipping every odd
+    coefficient on both sides would not do: G -> -G is an automorphism."""
+    problem, D, W = FLOW_PROBLEMS[1]
+    series = sw_solve(*problem, D, W)
+    psi = dict(series.psi)
+    if plant == "negate_psi_half":
+        assert psi[HALF]
+        psi[HALF] = -psi[HALF]
+    else:
+        A1, B1 = (GradedPoly.symbol(series.spec, name) for name in ("A1", "B1"))
+        psi[Fraction(-1)] = psi[Fraction(-1)] + A1 * B1
+    assert flow_mismatches(*flow_sides(problem, psi))
 
 
 # -- boundary map -----------------------------------------------------------

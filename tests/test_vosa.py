@@ -1,4 +1,5 @@
 import gc
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,7 @@ JACOBI_TABLE = {
 def test_jacobi_table_of_all_small_pairs(V):
     small = V.basis_indices(Fraction(3, 2))
     assert [V.space.states[i] for i in small] == [
-        ((), ()), ((), (HALF,)), ((1,), ()), ((), (Fraction(3, 2),)), ((1,), (HALF,))]
+        ((), ()), ((), (1,)), ((1,), ()), ((), (3,)), ((1,), (1,))]
     got = {}
     for u in small:
         for v in small:
@@ -133,10 +134,26 @@ def test_jacobi_mutation_score(V):
     assert survivors == JACOBI_SURVIVORS
 
 
+def test_fock_states_keep_the_half_odd_order():
+    """A fermion part r is stored as 2r, and r -> 2r is monotone: index for
+    index, the states of FockSpace(7/2) are the states with half-odd parts
+    of weight <= 7/2, sorted by (weight, state), with every part doubled, and
+    weights is their weight."""
+    cap = Fraction(7, 2)
+    halves = [Fraction(r2, 2) for r2 in range(1, 8, 2)]
+    partitions = [(), (1,), (1, 1), (1, 1, 1), (2,), (2, 1), (3,)]
+    old = [(b, f[::-1]) for b in partitions for size in range(len(halves) + 1)
+           for f in itertools.combinations(halves, size) if sum(b) + sum(f) <= cap]
+    old.sort(key=lambda s: (sum(s[0]) + sum(s[1]), s))
+    space = FockSpace(cap)
+    assert space.states == [(b, tuple(int(2 * r) for r in f)) for b, f in old]
+    assert space.weights == [sum(b) + sum(f) for b, f in old]
+
+
 def test_fock_space_leaves_no_reference_cycles():
     """Building the basis leaves nothing for the cyclic collector, so a run
     that builds many spaces does not wait on it."""
-    assert sorted(FockSpace._boson_partitions(Fraction(7, 2))) == [
+    assert sorted(FockSpace._boson_partitions(3)) == [
         (), (1,), (1, 1), (1, 1, 1), (2,), (2, 1), (3,)]
     enabled = gc.isenabled()
     gc.disable()
@@ -167,7 +184,7 @@ def test_mode_layer_is_integral():
     space, acts = X.space, []
     for i in range(len(space.states)):
         for m in range(-4, 5):
-            acts += [space.boson_act(m, i), space.fermion_act(m + HALF, i)]
+            acts += [space.boson_act(m, i), space.fermion_act(2 * m + 1, i)]
     coeffs = [c for act in acts for c in act.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
 
@@ -225,7 +242,9 @@ ONE = [1, Fraction(1), Fraction(2, 2)]
 def test_override_is_read_with_either_key_type(V, key):
     """with_override, mode_col and mode_apply all key by the doubled int 2k:
     an override planted at 1, Fraction(1) or Fraction(2, 2) is read at
-    each of them, by mode_col and by mode_apply."""
+    each of them, by mode_col and by mode_apply.  A key outside (1/2)Z
+    (1/4, 1/3, 0.25) raises in all five converters, and L_apply and G_apply
+    also reject a key of the other kind."""
     tau = tau_index(V)
     col = V.space.index[((1,), ())]
     column = dict(V.mode_col(tau, 1, col))
@@ -236,13 +255,27 @@ def test_override_is_read_with_either_key_type(V, key):
     for read in ONE:
         assert bad.mode_col(tau, read, col) == column
         assert bad.mode_apply(tau, read, {col: 1}) == column
+    # a key outside (1/2)Z is rejected by every converter, not truncated
+    for off in (Fraction(1, 4), Fraction(1, 3), 0.25):
+        for convert in (lambda: bad.mode_col(tau, off, col),
+                        lambda: bad.mode_apply(tau, off, {col: 1}),
+                        lambda: bad.with_override(tau, off, col, column),
+                        lambda: bad.G_apply(off, {col: 1}),
+                        lambda: bad.L_apply(off, {col: 1})):
+            with pytest.raises(ValueError):
+                convert()
+    with pytest.raises(ValueError):
+        bad.L_apply(HALF, {col: 1})
+    with pytest.raises(ValueError):
+        bad.G_apply(key, {col: 1})
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), k2=st.integers(-8, 8))
 def test_mode_col_reads_the_doubled_key(V, data, k2):
     """For every basis v and column, mode_col at k = k2/2 serves the column
-    at the doubled key k2, whether k is given as an int or as a Fraction."""
+    at the doubled key k2, whether k is given as an int or as a Fraction;
+    k2/2 + 1/4 and k2/2 + 1/3 raise."""
     v = data.draw(st.sampled_from(V.basis_indices()), label="v")
     col = data.draw(st.sampled_from(V.basis_indices()), label="col")
     want = V._k2_col(v, k2, col)
@@ -250,6 +283,9 @@ def test_mode_col_reads_the_doubled_key(V, data, k2):
     assert V.mode_apply(v, Fraction(k2, 2), {col: 1}) == want
     if k2 % 2 == 0:
         assert V.mode_col(v, k2 // 2, col) == want
+    for off in (Fraction(1, 4), Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            V.mode_col(v, Fraction(k2, 2) + off, col)
 
 
 def test_planted_mode_column_fails_every_consequence_identity(V):
