@@ -6,8 +6,8 @@ is the sentinel C_GEN.  gen_name prints a generator.  Coefficients live in
 a GradedPoly ring so the central charge and highest weight can stay formal.
 bracket_constants is the bracket table, with rational structure constants;
 ns_bracket is the superbracket on NSExpression; VermaModule.apply_gen is
-the action on a basis word, which the sewing solver reads by basis
-position through VermaModule.row.
+the action on a basis position, kept in one memo, which the sewing solver
+reads as its rows.
 """
 
 from __future__ import annotations
@@ -170,14 +170,14 @@ class VermaModule:
     highest-weight vector, sorted by (level, word), so the highest-weight
     vector is position 0; position maps a basis word to its index and
     levels2[i] is twice the level of basis[i], an int as the generators
-    are.  apply_gen computes the action of any generator on a word by
-    bracket recursion and memoizes it; a raising generator that extends a
-    PBW word keeps it exactly when the result is a basis word.  table(g)
-    is the action of g by basis position, the form the sewing solver uses:
-    a list whose row i is None until row(g, i) fills it, then maps position
-    -> GradedPoly.  row is the one place a word becomes a position.  Tables
-    hold only positions and ring elements, never the module, so a module is
-    freed by reference counting alone.
+    are.  The module acts by position: apply_gen(g, i) is the action of any
+    generator on basis[i] as {position: GradedPoly}, computed by bracket
+    recursion and kept in the one memo, which the sewing solver reads as
+    its rows.  A suffix of a PBW basis word is a basis word, so the
+    recursion meets positions only; a raising generator that extends a word
+    keeps it exactly when the result is a basis word.  The memo holds only
+    positions and ring elements, never the module, so a module is freed by
+    reference counting alone.
     """
 
     def __init__(self, spec: ParamSpec, c_value: GradedPoly, h_value: GradedPoly,
@@ -207,49 +207,33 @@ class VermaModule:
         self.levels2 = [level2 for level2, _ in words]
         self.basis = [word for _, word in words]
         self.position = {w: i for i, w in enumerate(self.basis)}
-        self._tables: dict = {}
 
-    def apply_gen(self, g, word) -> dict:
-        key = (g, word)
+    def apply_gen(self, g, i: int) -> dict:
+        """g on basis[i] as {position: GradedPoly}, memoized; no value is
+        zero, so h = 0 or c = 0 gives an empty row."""
+        key = (g, i)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        word, position = self.basis[i], self.position
         if g == C_GEN:
-            out = {word: self.c_value}
+            out = {i: self.c_value} if self.c_value else {}
         elif g < 0 and (not word or gen_rank(g) <= gen_rank(word[0])):
             if word and g == word[0] and g & 1:
                 # odd square: G(r) G(r) rest = L(2r) rest
-                out = self.apply_gen(2 * g, word[1:])
+                out = self.apply_gen(2 * g, position[word[1:]])
             else:
-                new = (g,) + word
-                out = {new: self.one} if new in self.position else {}
+                j = position.get((g,) + word)
+                out = {} if j is None else {j: self.one}
         elif not word:
-            out = {(): self.h_value} if g == 0 else {}
+            out = {i: self.h_value} if g == 0 and self.h_value else {}
         else:
-            b, rest = word[0], word[1:]
+            b, rest = word[0], position[word[1:]]
             odd = g & 1 and b & 1
             out = {}
-            for w2, p in self.apply_gen(g, rest).items():
-                add_scaled(out, self.apply_gen(b, w2), -p if odd else p)
+            for j, p in self.apply_gen(g, rest).items():
+                add_scaled(out, self.apply_gen(b, j), -p if odd else p)
             for g2, q in bracket_constants(g, b).items():
                 add_scaled(out, self.apply_gen(g2, rest), q)
         self._memo[key] = out
         return out
-
-    def table(self, g) -> list:
-        """The action of g by basis position; rows are filled by row()."""
-        t = self._tables.get(g)
-        if t is None:
-            t = self._tables[g] = [None] * len(self.basis)
-        return t
-
-    def row(self, g, i: int) -> dict:
-        """table(g)[i]: apply_gen(g, basis[i]) keyed by position, filled on
-        first use."""
-        t = self.table(g)
-        r = t[i]
-        if r is None:
-            position = self.position
-            r = t[i] = {position[w]: p
-                        for w, p in self.apply_gen(g, self.basis[i]).items()}
-        return r

@@ -43,7 +43,6 @@ from .grassmann import (
 )
 from .nsalg import (
     C_GEN,
-    G,
     L,
     VermaModule,
     bracket_constants,
@@ -58,8 +57,6 @@ from .superseries import (
     ss_compose,
     ss_invert,
 )
-
-HALF = Fraction(1, 2)
 
 
 class SewingError(ValueError):
@@ -199,13 +196,14 @@ def _families(A_sup, M_sup, B_sup, N_sup) -> list:
     """(name, generator) of each formal symbol, in the ring's order.
 
     A_j and M_j multiply the lowering L(j) and G(j - 1/2), B_j and N_j the
-    raising L(-j) and G(-j + 1/2); a symbol has its generator's parity and,
-    per power, max(0, weight of its generator) as raising peak.
+    raising L(-j) and G(-j + 1/2), each named by its doubled index as in
+    nsalg; a symbol has its generator's parity and, per power,
+    max(0, weight of its generator) as raising peak.
     """
-    return ([(f"A{j}", L(j)) for j in sorted(A_sup)]
-            + [(f"M{j}", G(j - HALF)) for j in sorted(M_sup)]
-            + [(f"B{j}", L(-j)) for j in sorted(B_sup)]
-            + [(f"N{j}", G(HALF - j)) for j in sorted(N_sup)])
+    return ([(f"A{j}", 2 * j) for j in sorted(A_sup)]
+            + [(f"M{j}", 2 * j - 1) for j in sorted(M_sup)]
+            + [(f"B{j}", -2 * j) for j in sorted(B_sup)]
+            + [(f"N{j}", 1 - 2 * j) for j in sorted(N_sup)])
 
 
 def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
@@ -228,8 +226,9 @@ def _graded(vec: dict, keep) -> dict:
 def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     """exp(sum coeff*gen) applied to a graded vector, truncated by the
     parameter cap and, given a trust budget keep = (peak2, limit, lift), by
-    it.  action is the Verma module or the adjoint action (_Adjoint): both
-    give the rows of a generator by position.
+    it.  action is the Verma module or the adjoint action (_Adjoint): each
+    acts by position through a memoized apply_gen(gen, i) -> {position:
+    GradedPoly}.
 
     Each coeff is split by (degree, peak) once.  A part of degree dp meets
     an entry of degree dq only when dp + dq <= degree_cap, and only when
@@ -242,14 +241,14 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     Koszul sign of moving it past them).  Every coeff has capped degree
     >= 1, so the k-th power of the exponent dies past the cap at
     k = degree_cap + 1 at the latest; a series still alive then raises
-    instead of being cut.  Each gen acts through action.table(gen), whose
-    rows action.row fills on first use: when an entry reaches the row,
-    before any product, so an empty row costs none.  Parts emptied by
-    cancellation are dropped from the result.
+    instead of being cut.  An entry at position i fetches the row
+    action.apply_gen(gen, i) when a part first reaches it, before any
+    product, so an empty row costs none.  Parts emptied by cancellation are
+    dropped from the result.
     """
     spec, product = action.spec, action.one._product
     limit, lift = (keep[1], keep[2]) if keep else (0, None)
-    blocks = []  # (gen, table, odd, [((degree, peak), terms)] by degree)
+    blocks = []  # (gen, odd, [((degree, peak), terms)] by degree)
     for g, p in terms:
         action.one._check(p)
         parts: dict = {}
@@ -257,13 +256,13 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
             if pk <= limit:
                 parts[(d, pk)] = t
         if parts:
-            blocks.append((g, action.table(g), gen_parity(g), sorted(parts.items())))
+            blocks.append((g, gen_parity(g), sorted(parts.items())))
     cur, acc = vec, dict(vec)
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
         for (i, dq, pq), qt in cur.items():
             twisted = None
-            for g, table, odd, parts in blocks:
+            for g, odd, parts in blocks:
                 row = None
                 for (dp, pp), pt in parts:
                     if dp + dq > degree_cap:
@@ -272,9 +271,7 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
                     if pk > limit:
                         continue
                     if row is None:
-                        row = table[i]
-                        if row is None:
-                            row = action.row(g, i)
+                        row = action.apply_gen(g, i)
                     if not row:
                         break
                     if odd and twisted is None:
@@ -309,13 +306,6 @@ def _alpha_reduce(action, vec: dict) -> dict:
             for (i, d, pk), t in vec.items()}
 
 
-class _Rows(dict):
-    """An adjoint table: row i is None until _Adjoint.row fills it."""
-
-    def __missing__(self, i):
-        return None
-
-
 class _ByPosition(dict):
     """An attribute of each adjoint position j, rule(j) computed on first
     read and kept; c, at C_GEN, has 0."""
@@ -335,9 +325,9 @@ class _Adjoint:
 
     A generator is its own position: nsalg's int doubled index, X(n) at 2n,
     and c at C_GEN.  That is the k2 of vosa.jacobi_check, which the layer
-    rule keeps vosa from importing.  table(g)[j] is None until row(g, j)
-    fills it with [g, X] for the X at position j, the structure constants
-    of nsalg.bracket_constants as ring scalars.  levels2[j] is -j, the
+    rule keeps vosa from importing.  apply_gen(g, j) is [g, X] for the X at
+    position j, the structure constants of nsalg.bracket_constants as ring
+    scalars, memoized as the Verma module's rows are.  levels2[j] is -j, the
     doubled level of X(j/2), so _alpha_reduce takes X(n) to alpha0^n X(n),
     and lift[j] is max(j, 0): a lowering X(n) kills every state below
     level n.
@@ -348,18 +338,15 @@ class _Adjoint:
         self.one = GradedPoly.scalar(spec, 1)
         self.levels2 = _ByPosition(lambda j: -j)
         self.lift = _ByPosition(lambda j: max(j, 0))
-        self._tables: dict = {}
+        self._memo: dict = {}
 
-    def table(self, g) -> _Rows:
-        t = self._tables.get(g)
-        if t is None:
-            t = self._tables[g] = _Rows()
-        return t
-
-    def row(self, g, j) -> dict:
-        spec = self.spec
-        r = self.table(g)[j] = {h: GradedPoly.scalar(spec, v)
-                                for h, v in bracket_constants(g, j).items()}
+    def apply_gen(self, g, j) -> dict:
+        key = (g, j)
+        r = self._memo.get(key)
+        if r is None:
+            spec = self.spec
+            r = self._memo[key] = {h: GradedPoly.scalar(spec, v)
+                                   for h, v in bracket_constants(g, j).items()}
         return r
 
 

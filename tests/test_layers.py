@@ -173,9 +173,9 @@ def test_series_name_i_only_in_the_inversion():
 
 
 def test_solver_vectors_never_pass_through_words():
-    """The solver keys vectors by basis position from end to end; the one
-    word -> position boundary is VermaModule.row, so no solver function reads
-    the module's position map."""
+    """The solver keys vectors by basis position from end to end, and the
+    Verma module acts by position too: no word -> position boundary remains
+    at action time, and no solver function reads the module's position map."""
     solver = _solver_nodes()
     assert {node.name for node in solver} == SOLVER
     for node in solver:

@@ -37,3 +37,21 @@ def test_install_wraps_every_patch_point_and_uninstall_restores_it():
         tracer.uninstall()
     for owner, attr, orig in saved:
         assert owner.__dict__[attr] is orig, (owner, attr)
+
+
+def test_apply_gen_misses_count_the_module_memo():
+    """The tracer counts a miss when apply_gen's (generator, position) key is
+    not yet in the module's memo, so over one solve and its check, which
+    share one module, the misses are exactly the memo's rows; the calls
+    also count every row the kernel reads back."""
+    tracer = load_layertrace().Tracer()
+    problem = ([1, 2], [1], [2], [1])
+    try:
+        tracer.install()
+        series = sewing.sw_solve(*problem, D=2, W=3)
+        assert sewing.sw_consistency_check(series, *problem)
+    finally:
+        tracer.uninstall()
+    misses = tracer.counts["nsalg.VermaModule.apply_gen.misses"]
+    assert misses == len(series.fact.module._memo) > 0
+    assert tracer.counts["nsalg.VermaModule.apply_gen.calls"] > misses

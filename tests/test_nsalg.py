@@ -12,6 +12,7 @@ from superns.nsalg import (
     NSExpression,
     VermaModule,
     _basis_bracket,
+    bracket_constants,
     gen_name,
     gen_parity,
     gen_rank,
@@ -254,10 +255,11 @@ def formal_verma(cap=4):
 
 def act(M, g, vec: dict) -> dict:
     """g applied to a word-keyed vector (word -> GradedPoly) through
-    apply_gen."""
+    apply_gen, which acts by basis position."""
     out: dict = {}
     for w, p in vec.items():
-        add_scaled(out, M.apply_gen(g, w), p)
+        for j, q in M.apply_gen(g, M.position[w]).items():
+            add_term(out, M.basis[j], q * p)
     return out
 
 
@@ -366,6 +368,82 @@ def test_verma_act_preserved_by_normal_order():
         assert cols, w
         for col in cols:
             assert md[col] == mo[col], (w, col)
+
+
+# -- the position-keyed action as a representation --------------------------
+
+# every generator of doubled index -4..4, and c
+REP_GENS = list(range(-4, 5)) + [C_GEN]
+
+
+def act_at(M, g, vec: dict) -> dict:
+    """g applied to a position-keyed vector through apply_gen."""
+    out: dict = {}
+    for i, p in vec.items():
+        add_scaled(out, M.apply_gen(g, i), p)
+    return out
+
+
+def representation_failures(M) -> tuple:
+    """Check a(b.v) - (-1)^(|a||b|) b(a.v) = sum [a, b]_g g.v for every
+    pair a, b of REP_GENS and every basis vector v that the truncated
+    module sees completely: its level plus the highest intermediate lift
+    max(0, w(a), w(b), w(a) + w(b)) stays within the cap.  Returns (number
+    of checks, failing (a, b, position) triples)."""
+    checks, failures = 0, []
+    for a, b in itertools.product(REP_GENS, repeat=2):
+        wa, wb = gen_weight(a), gen_weight(b)
+        margin = max(0, wa, wb, wa + wb)
+        sign = -1 if gen_parity(a) and gen_parity(b) else 1
+        for i, level2 in enumerate(M.levels2):
+            if Fraction(level2, 2) + margin > M.cap:
+                continue
+            v = {i: M.one}
+            lhs = act_at(M, a, act_at(M, b, v))
+            add_scaled(lhs, act_at(M, b, act_at(M, a, v)), -sign)
+            rhs: dict = {}
+            for g, q in bracket_constants(a, b).items():
+                add_scaled(rhs, act_at(M, g, v), q)
+            checks += 1
+            if lhs != rhs:
+                failures.append((a, b, i))
+    return checks, failures
+
+
+def test_position_keyed_action_is_a_representation():
+    """Independent of how apply_gen recurses: at formal c and h and cap 3,
+    the action by basis position represents the bracket table on every
+    vector it sees completely."""
+    M = formal_verma(3)
+    checks, failures = representation_failures(M)
+    assert checks > 900 and not failures
+
+
+def test_representation_check_sees_a_scaled_row():
+    """Negative control: one memo row, L(-1) on the highest-weight vector,
+    scaled by 2 makes [L(1), L(-1)] = 2 L(0) fail there."""
+    M = formal_verma(3)
+    assert not representation_failures(M)[1]
+    key = (L(-1), 0)
+    M._memo[key] = {j: p * 2 for j, p in M._memo[key].items()}
+    assert (L(1), L(-1), 0) in representation_failures(M)[1]
+
+
+@pytest.mark.parametrize("formal_c", [False, True])
+def test_verma_rows_store_no_zero_at_h_zero(formal_c):
+    """sparse's invariant holds in the module's memo: at h = 0, with c = 0
+    or formal, no row that the generators of doubled index -4..4 and c
+    fill on any position holds a zero coefficient; the diagonal rows on
+    the highest-weight vector are empty where their value is 0."""
+    zero = GradedPoly(SPEC)
+    M = VermaModule(SPEC, c_poly() if formal_c else zero, zero, 3)
+    for g in REP_GENS:
+        for i in range(len(M.basis)):
+            M.apply_gen(g, i)
+    assert all(p for row in M._memo.values() for p in row.values())
+    assert M.apply_gen(L(0), 0) == {}
+    assert M.apply_gen(C_GEN, 0) == ({0: c_poly()} if formal_c else {})
+    assert M.apply_gen(L(0), 1) == {1: GradedPoly.scalar(SPEC, HALF)}
 
 
 # -- the NS Kac determinant as an oracle for the Verma action ----------------

@@ -617,11 +617,8 @@ def test_the_module_answers_only_the_highest_weight_column(problem):
     fresh.lhs(hw)
     fresh.rhs(series.psi, series.gamma, hw)
 
-    def filled(module):
-        return {(g, i) for g, table in module._tables.items()
-                for i, row in enumerate(table) if row is not None}
-
-    assert filled(series.fact.module) and filled(series.fact.module) <= filled(fresh.module)
+    filled = set(series.fact.module._memo)
+    assert filled and filled <= set(fresh.module._memo)
 
 
 def ad_exp_reference(terms, X, degree_cap):
@@ -785,8 +782,8 @@ def test_a_check_against_another_ring_raises():
 
 @pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
 def test_position_tables_hold_the_generator_action(monkeypatch, problem):
-    """Every filled row of every table is apply_gen of its basis word, read
-    through position, as a fresh module computes it."""
+    """Every row in the memo of every module the solve and the check built
+    is the row a fresh module computes on its own, in its own order."""
     D, W = 3, 4
     facts = []
     _record_factorizations(monkeypatch, facts.append)
@@ -798,30 +795,25 @@ def test_position_tables_hold_the_generator_action(monkeypatch, problem):
         assert fresh.basis == module.basis
         assert [module.position[w] for w in module.basis] == list(range(len(module.basis)))
         assert levels(module) == [word_level(w) for w in module.basis]
-        filled = 0
-        for g, table in module._tables.items():
-            assert len(table) == len(module.basis)
-            for i, row in enumerate(table):
-                if row is None:
-                    continue
-                want = fresh.apply_gen(g, module.basis[i])
-                assert row == {module.position[w]: p for w, p in want.items()}, (g, i)
-                filled += 1
-        assert filled > 0
+        assert module._memo
+        for (g, i), row in reversed(module._memo.items()):
+            assert 0 <= i < len(module.basis)
+            assert row == fresh.apply_gen(g, i), (g, i)
 
 
 def exp_reference(module, terms, vec, degree_cap):
     """exp(sum coeff*gen) on a word-keyed vec as sum_k X^k vec / k!, each X
-    applied word by word through VermaModule.apply_gen; an odd gen meets the
-    entries parity-twisted."""
+    applied word by word through VermaModule.apply_gen on the word's
+    position, with whole GradedPoly products and no degree or budget split;
+    an odd gen meets the entries parity-twisted."""
     out, cur = dict(vec), vec
     for k in range(1, degree_cap + 2):
         nxt: dict = {}
         for g, p in terms:
             for w0, q0 in cur.items():
                 coeff = p * (q0.parity_twist() if gen_parity(g) else q0) * Fraction(1, k)
-                for w, q in module.apply_gen(g, w0).items():
-                    add_term(nxt, w, q * coeff)
+                for j, q in module.apply_gen(g, module.position[w0]).items():
+                    add_term(nxt, module.basis[j], q * coeff)
         if not nxt:
             return out
         for w, q in nxt.items():
