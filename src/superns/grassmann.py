@@ -631,7 +631,11 @@ class GradedPoly:
         return NotImplemented
 
     def __eq__(self, other):
+        """A scalar outside the ring (a QQi off the real axis) is unequal."""
         if isinstance(other, (int, Fraction, QQi)):
+            other = as_rational(other)
+            if type(other) is QQi:
+                return False
             other = GradedPoly.scalar(self.spec, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented

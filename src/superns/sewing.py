@@ -465,24 +465,30 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
         psi[k] = psi[-k] = zero
     gamma = zero
 
-    def read(lhs, rhs, i, d):  # lhs - rhs at position i, degree d, over every peak
-        lhs, rhs = ({m: c for (j, dj, _), t in side.items() if (j, dj) == (i, d)
-                     for m, c in t.items()} for side in (lhs, rhs))
-        return GradedPoly(spec, lhs) - GradedPoly(spec, rhs)
+    def at_degree(side, d):  # the degree-d terms by position, over every peak
+        out: dict = {}
+        for (j, dj, _), t in side.items():
+            if dj == d:
+                out.setdefault(j, {}).update(t)
+        return out
+
+    def read(lhs, rhs, i):  # lhs - rhs at position i
+        return GradedPoly(spec, lhs.get(i, {})) - GradedPoly(spec, rhs.get(i, {}))
 
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
     lhs_hw = fact.lhs(hw)
     for d in range(1, fact.D + 1):
         rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
+        lhs_d, rhs_d = at_degree(lhs_hw, d), at_degree(rhs_hw, d)
         # raising slots from the highest-weight column
         for k, i in cols.items():
-            res = read(lhs_hw, rhs_hw, i, d)
+            res = read(lhs_d, rhs_d, i)
             if res:
                 _assert_ch_free(res)
                 psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
-        res = read(lhs_hw, rhs_hw, 0, d)
+        res = read(lhs_d, rhs_d, 0)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
@@ -494,9 +500,9 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
         # lowering slots from Ad(L(0)): X(k) sits at adjoint position 2k
-        left, right = fact.conjugates(psi, gamma, d)
+        left, right = (at_degree(side, d) for side in fact.conjugates(psi, gamma, d))
         for k in cols:
-            res = read(left, right, int(2 * k), d)
+            res = read(left, right, int(2 * k))
             if res:
                 psi[k] = psi[k] + res * (1 / k)
     return SewingSeries(fact, psi, gamma)

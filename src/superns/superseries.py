@@ -10,7 +10,9 @@ parametrize superconformal maps vanishing at zero and at infinity.
 Window convention: every SFun is exact on [lo, hi] (None meaning
 unbounded); coefficients outside that range are unknown, not zero.
 Operations compute the largest window they can guarantee and raise
-TruncationError when it becomes empty.
+TruncationError when it becomes empty.  SFun.power cuts its result at
+clip_hi only when it dropped a term above it, and raises on a series
+with a low edge.
 """
 
 from __future__ import annotations
@@ -240,9 +242,14 @@ class SFun:
         leading invertible term, self**n = ck**n z^(kn) (1 + u)^n for
         u = (self - ck z^k) / (ck z^k): every Grassmann power, ck**n and the
         ck**-1 in u, is the one GrassmannElement power, so a half-odd n
-        takes the principal root of ck's body.  The expansion in u
-        terminates by window clipping (orders grow) and by nilpotency (soul
-        and odd coefficients).
+        takes the principal root of ck's body.  (1 + u)^n is summed as
+        sum_p C(n, p) u^p with u^p = u^(p-1) * u, so the products carry the
+        windows; the zero u^p that ends the sum is summed too, so an unknown
+        high tail of self bounds the result.  Only a theta-free term of u at
+        positive order with a nonzero body makes the sum endless; then
+        clip_hi is required, terms of u^p above clip_hi - kn + _reach_down(u)
+        are dropped, and the result is cut at clip_hi exactly when one was.
+        A series with a low edge raises.
         """
         n = Fraction(n)
         if n.denominator == 1 and n >= 0:
@@ -250,55 +257,36 @@ class SFun:
             for _ in range(int(n)):
                 out = out * self
             return out
+        if self.lo is not None:
+            raise TruncationError("power of a series with a low edge")
         k = self.leading_invertible_order()
         ck = self.terms[(k, 0)]
-        lead = ck ** n
         kn = k * n
         if kn.denominator != 1:
             raise DomainError("odd leading order under a half-integer power")
         kn = int(kn)
         rest = SFun(self.L, {key: c for key, c in self.terms.items() if key != (k, 0)},
-                    self.lo, self.hi)
+                    None, self.hi)
         u = rest.scale_left(ck ** -1).shift(-k)
-        rhi = None if clip_hi is None else clip_hi - kn
-        u0 = SFun(self.L, {key: c for key, c in u.terms.items() if key[0] <= 0}, u.lo, u.hi)
-        up = SFun(self.L, {key: c for key, c in u.terms.items() if key[0] > 0}, u.lo, u.hi)
-        # (1 + u0 + up)^n = sum_p C(n,p) u0^p (1+up)^(n-p); the u0 series
-        # terminates by nilpotency, the up series by order growth.
-        up_pows = [SFun.const(self.L, 1)]
-        cut = False
-        if not up.is_zero():
-            if rhi is None:
+        top = None
+        if any(m > 0 and not e and c.body() for (m, e), c in u.terms.items()):
+            if clip_hi is None:
                 raise TruncationError("unbounded expansion needs a window")
-            max_up = max(0, rhi + _reach_down(u0, self.L))
-            while len(up_pows) <= max_up:
-                p = up_pows[-1] * up
-                if p.is_zero():
-                    break
-                up_pows.append(p)
-            else:
-                cut = True
-        acc = SFun.zero(self.L)
-        u0_pow = SFun.const(self.L, 1)
+            top = clip_hi - kn + _reach_down(u)
+        acc = up = SFun.const(self.L, 1)
+        cut = False
         p = 0
-        while True:
-            cp = binom(n, p)
-            if cp != 0 or p == 0:
-                inner = SFun.zero(self.L)
-                for m, upm in enumerate(up_pows):
-                    cm = binom(n - p, m)
-                    if cm:
-                        inner = inner + upm.scale_left(cm)
-                acc = acc + (u0_pow * inner).scale_left(cp)
+        while not up.is_zero():
             p += 1
-            u0_pow = u0_pow * u0
-            if u0_pow.is_zero():
-                break
-            if p > 2 * self.L + 4:
-                raise TruncationError(f"nilpotent part of the power still nonzero at order {p}")
-        out = acc.shift(kn).scale_left(lead)
-        hi = _min_hi(out.hi, clip_hi) if cut else out.hi
-        return SFun(self.L, out.terms, out.lo, hi)
+            up = up * u
+            if top is not None and any(m > top for m, _ in up.terms):
+                cut = True
+                up = SFun(self.L, {key: c for key, c in up.terms.items() if key[0] <= top},
+                          None, up.hi)
+            acc = acc + up.scale_left(binom(n, p))
+        if cut:
+            acc = acc.with_window(None, clip_hi - kn)
+        return acc.shift(kn).scale_left(ck ** n)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -326,13 +314,15 @@ class SFun:
         return total
 
 
-def _reach_down(u0: SFun, L: int) -> int:
-    """How far repeated powers of u0's terms below order 0, all nilpotent,
-    can reach below order 0."""
-    if u0.is_zero():
-        return 0
-    d = max(0, -min(n for n, _ in u0.terms))
-    return d * (L + 1)
+def _reach_down(u: SFun) -> int:
+    """How far below order 0 a product of u's terms can reach.
+
+    u is a series scaled to leading term 1 at order 0 (SFun.power's u), so
+    its terms below order 0 are nilpotent: a nonzero product holds at most
+    L + 1 of them (L souls and one theta), each at least d below order 0.
+    """
+    d = max(0, -min((m for m, _ in u.terms), default=0))
+    return d * (u.L + 1)
 
 
 class SuperSeries:
@@ -391,7 +381,9 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
     Only the high edge clip[1] is applied: it caps the z-orders of the
     negative powers of H2.ev (SFun.power's clip_hi).  The low edge
     clip[0] is not read, so terms below it are computed and kept;
-    clip=(lo, hi) gives the same result as clip=(None, hi).
+    clip=(lo, hi) gives the same result as clip=(None, hi).  H1's unknown
+    tails bound the result through _reach_down of H2.ev shifted to order
+    0, whose terms below 0 are those of SFun.power's u.
     """
     hi = clip[1] if clip is not None else None
     Z, T = H2.ev, H2.od
@@ -407,7 +399,7 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
                 zpows[m] = zpows[m - 1] * Z
         return zpows[n]
 
-    reach = _reach_down(Z.shift(-k), H1.L)
+    reach = _reach_down(Z.shift(-k))
     umax = max(0, max((n - k for (n, e) in Z.terms), default=0))
 
     def subst(C: SFun) -> SFun:

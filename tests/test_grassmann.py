@@ -596,3 +596,16 @@ def test_graded_poly_scalars_must_be_rational():
     assert p.terms == {((), 0): 2} and type(p.terms[((), 0)]) is int
     half = GradedPoly.symbol(spec, "A1", QQi(Fraction(1, 2)))
     assert type((half * 2).terms[(((0, 1),), 0)]) is int
+
+
+def test_graded_poly_is_unequal_to_a_scalar_outside_the_ring():
+    """As for GrassmannElement, == with a non-real QQi is False, not an
+    error; a QQi on the real axis still compares by value."""
+    spec = sewing_spec()
+    for p in (GradedPoly(spec), GradedPoly.scalar(spec, 1), GradedPoly.symbol(spec, "A1")):
+        for z in (QQi(0, 1), QQi(1, 1)):
+            assert not p == z and p != z
+            assert not z == p and z != p
+            assert (p == z) == (scalar(1) == z)
+    assert GradedPoly.scalar(spec, 2) == QQi(2) and not GradedPoly.scalar(spec, 2) != QQi(2)
+    assert GradedPoly(spec) == QQi(0) and GradedPoly.scalar(spec, 2) != QQi(3)

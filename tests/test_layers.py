@@ -80,8 +80,9 @@ def test_one_accumulator_and_one_binom():
 def test_one_soul_series():
     """The body/soul power series lives in GrassmannElement.__pow__ alone:
     no inverse or sqrt beside it, no zpow or SFun.sqrt in superseries, no
-    delta-function tables in vosa (they are a test oracle), and no
-    binomial coefficient elsewhere in grassmann."""
+    delta-function tables in vosa (they are a test oracle), no binomial
+    coefficient elsewhere in grassmann, and SFun.power sums its series in
+    u with one binomial call, not a double sum over a split of u."""
     tree = _tree("grassmann")
     element = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement")
@@ -93,8 +94,10 @@ def test_one_soul_series():
     assert "zpow" not in defined
     sfun = next(node for node in _tree("superseries").body
                 if isinstance(node, ast.ClassDef) and node.name == "SFun")
-    sfun_methods = {node.name for node in sfun.body if isinstance(node, ast.FunctionDef)}
+    sfun_methods = {node.name: node for node in sfun.body if isinstance(node, ast.FunctionDef)}
     assert "power" in sfun_methods and "sqrt" not in sfun_methods
+    assert sum(1 for node in ast.walk(sfun_methods["power"])
+               if isinstance(node, ast.Call) and "binom" in _names(node.func)) == 1
     vosa = {node.name for node in ast.walk(_tree("vosa"))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {"DeltaSeries", "delta_expand"} & vosa

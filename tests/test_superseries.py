@@ -144,6 +144,123 @@ def test_power_runs_the_nilpotent_part_out():
     assert f.power(-HALF) * root == one
 
 
+# -- powers of series with souls, on the window they report ------------------
+
+LS = 4  # Grassmann generators of the drawn series: at most two even souls multiply
+
+
+@st.composite
+def soul_series(draw, endless):
+    """f = c z^k + even souls and odd theta terms around k; when endless, a
+    theta-free term with a body above k makes (1 + u)^n an infinite series,
+    otherwise every term but the leading one is nilpotent."""
+    k = draw(st.sampled_from([-2, 0, 2]))
+    lead = GrassmannElement.scalar(LS, draw(st.sampled_from([1, 4, Fraction(9, 4)])))
+    f = SFun(LS, {(k, 0): lead})
+    pair = st.lists(st.integers(1, LS), min_size=2, max_size=2, unique=True)
+    odd = st.lists(st.integers(1, LS), min_size=1, max_size=3, unique=True).filter(
+        lambda ix: len(ix) % 2)
+    coeff = st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])
+    for m, ix, c in draw(st.lists(st.tuples(st.integers(k - 2, k + 4), pair, coeff),
+                                  max_size=3)):
+        f = f + SFun(LS, {(m, 0): GrassmannElement.monomial(LS, sorted(ix), c)})
+    for m, ix, c in draw(st.lists(st.tuples(st.integers(k - 2, k + 4), odd, coeff),
+                                  max_size=3)):
+        f = f + SFun(LS, {(m, 1): GrassmannElement.monomial(LS, sorted(ix), c)})
+    if endless:
+        for m, c in draw(st.lists(st.tuples(st.integers(k + 1, k + 3), coeff),
+                                  min_size=1, max_size=2)):
+            f = f + SFun(LS, {(m, 0): GrassmannElement.scalar(LS, c)})
+    return f
+
+
+def equal_on_window(got: SFun, want: SFun) -> bool:
+    """got and want agree at every order of got's window."""
+    orders = {m for m, _ in got.terms} | {m for m, _ in want.terms}
+    return all(got.coeff(m, e) == want.coeff(m, e) for m in orders for e in (0, 1)
+               if (got.lo is None or got.lo <= m) and (got.hi is None or m <= got.hi))
+
+
+def power_laws_hold(f: SFun, clip) -> bool:
+    """f^(-n) f^n = 1 for n = 1, 2, 3, (f^½)² = f and f^(-½) f^½ = 1, each
+    on the window of its left side."""
+    one = SFun.const(f.L, 1)
+    laws = [(f.power(-n, clip) * f.power(n), one) for n in (1, 2, 3)]
+    root = f.power(HALF, clip)
+    laws += [(root * root, f), (f.power(-HALF, clip) * root, one)]
+    return all(equal_on_window(got, want) for got, want in laws)
+
+
+def test_power_window_ends_where_the_input_is_unknown():
+    """4z^-2 known through order -1 agrees with 4z^-2 + 8z, whose -½ power
+    is ½z - ½z^4: the ½z of 4z^-2 is exact only through order 2."""
+    f = SFun(2, {(-2, 0): GrassmannElement.scalar(2, 4)}, hi=-1)
+    got = f.power(-HALF, 5)
+    assert got.terms == {(1, 0): GrassmannElement.scalar(2, HALF)}
+    assert got.hi is not None and got.hi <= 2
+
+
+def test_power_refuses_a_low_edge():
+    f = SFun.z_power(L, 2, scalar(4)).with_window(-3, None)
+    for n in (-1, HALF):
+        with pytest.raises(TruncationError):
+            f.power(n, 6)
+
+
+def test_endless_power_needs_a_clip():
+    f = SFun.z_power(L, 0, scalar(1)) + SFun.z_power(L, 1, scalar(1))
+    with pytest.raises(TruncationError):
+        f.power(-1)
+    assert f.power(-1, 3).hi == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(soul_series), st.integers(0, 6),
+       st.sampled_from([None, 3, 6, 10]), st.sampled_from([-2, -1, -HALF, HALF]))
+def test_power_of_a_cut_series_is_exact_on_its_window(f, h, clip, n):
+    """Cutting f at a high edge and then taking the power agrees with the
+    power of the uncut f at every order of the reported window, which the
+    unknown tail bounds."""
+    k = f.leading_invertible_order()
+    cut = f.with_window(None, k + h)
+    try:
+        got = cut.power(n, clip)
+    except TruncationError:
+        assert clip is None
+        return
+    assert got.hi is not None
+    assert equal_on_window(got, f.power(n, 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(soul_series(endless=False))
+def test_power_laws_with_a_nilpotent_tail_need_no_clip(f):
+    assert power_laws_hold(f, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(soul_series(endless=True), st.sampled_from([3, 6]))
+def test_power_laws_on_the_clipped_window(f, clip):
+    assert power_laws_hold(f, clip)
+
+
+@pytest.mark.parametrize("clip", [None, 6])
+def test_power_laws_catch_a_wrong_binomial(monkeypatch, clip):
+    """Negative control: C(n, 2) off by one breaks the laws."""
+    import superns.superseries as ss
+
+    f = (SFun(LS, {(0, 0): GrassmannElement.scalar(LS, 4)})
+         + SFun(LS, {(1, 0): GrassmannElement.monomial(LS, [1, 2], 1)})
+         + SFun(LS, {(2, 0): GrassmannElement.monomial(LS, [3, 4], 1)})
+         + SFun(LS, {(1, 1): GrassmannElement.monomial(LS, [1], 1)}))
+    if clip is not None:
+        f = f + SFun(LS, {(1, 0): GrassmannElement.scalar(LS, 2)})
+    assert power_laws_hold(f, clip)
+    binom = ss.binom
+    monkeypatch.setattr(ss, "binom", lambda n, p: binom(n, p) + (p == 2))
+    assert not power_laws_hold(f, clip)
+
+
 def test_compose_with_identity():
     rng = random.Random(SEED)
     H = ss_exp_zero(random_coord_data(rng), (-12, 12))
