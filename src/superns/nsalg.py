@@ -4,10 +4,12 @@ A generator is the int of its doubled index: L(n) is 2n and G(r) is 2r, so
 g & 1 is its parity and -g/2 its L(0)-weight shift; the central element c
 is the sentinel C_GEN.  gen_name prints a generator.  Coefficients live in
 a GradedPoly ring so the central charge and highest weight can stay formal.
-bracket_constants is the bracket table, with rational structure constants;
-ns_bracket is the superbracket on NSExpression; VermaModule.apply_gen is
-the action on a basis position, kept in one memo, which the sewing solver
-reads as its rows.
+An algebra element is a plain sparse dict {generator: GradedPoly} (the
+invariant of superns.sparse: no zero value), so sums and multiples are
+sparse.add_terms and sparse.scaled.  bracket_constants is the bracket
+table, with rational structure constants; ns_bracket is the superbracket
+of two such dicts; VermaModule.apply_gen is the action on a basis
+position, kept in one memo, which the sewing solver reads as its rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .grassmann import GradedPoly, ParamSpec
-from .sparse import add_scaled, add_terms
+from .sparse import add_scaled
 
 
 def L(n) -> int:
@@ -60,54 +62,10 @@ def gen_name(g) -> str:
     return f"G({Fraction(g, 2)})" if g & 1 else f"L({g // 2})"
 
 
-class NSExpression:
-    """Finite combination of basis generators with GradedPoly coefficients.
-
-    terms stores no zero coefficient (the invariant of superns.sparse).
-    """
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: ParamSpec, terms=None):
-        self.spec = spec
-        self.terms = {}
-        if terms:
-            for g, p in terms.items():
-                if p:
-                    self.terms[g] = p
-
-    @classmethod
-    def single(cls, spec: ParamSpec, g, coeff=1) -> "NSExpression":
-        p = coeff if isinstance(coeff, GradedPoly) else GradedPoly.scalar(spec, coeff)
-        return cls(spec, {g: p})
-
-    def __add__(self, other):
-        return NSExpression(self.spec, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return NSExpression(self.spec, {g: -p for g, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, coeff) -> "NSExpression":
-        p = coeff if isinstance(coeff, GradedPoly) else GradedPoly.scalar(self.spec, coeff)
-        return NSExpression(self.spec, {g: p * q for g, q in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, NSExpression) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({p!r})*{gen_name(g)}" for g, p in sorted(
-            self.terms.items(), key=lambda t: gen_rank(t[0])))
-
-
 def bracket_constants(a, b) -> dict:
     """The superbracket [a, b] of two basis generators as {generator:
-    rational}: the one bracket table, which NSExpression, the Verma action
-    and the sewing solver's adjoint action all read."""
+    rational}, no zero stored: the one bracket table, which ns_bracket, the
+    Verma action and the sewing solver's adjoint action all read."""
     if a == C_GEN or b == C_GEN:
         return {}
     if not a & 1 and not b & 1:
@@ -130,27 +88,19 @@ def bracket_constants(a, b) -> dict:
     return out
 
 
-def _basis_bracket(spec: ParamSpec, a, b) -> NSExpression:
-    return NSExpression(spec, {g: GradedPoly.scalar(spec, v)
-                               for g, v in bracket_constants(a, b).items()})
-
-
-def ns_bracket(X: NSExpression, Y: NSExpression) -> NSExpression:
-    """Bilinear superbracket; odd coefficients pick up Koszul signs when
-    they move past odd generators."""
-    spec = X.spec
-    out = NSExpression(spec)
-    for a, p in X.terms.items():
-        for b, q in Y.terms.items():
+def ns_bracket(X: dict, Y: dict) -> dict:
+    """The bilinear superbracket of two algebra elements {generator:
+    GradedPoly}; an odd coefficient of Y picks up a Koszul sign as it moves
+    past an odd generator of X.  Raises ValueError on a coefficient of
+    mixed parity."""
+    out: dict = {}
+    for a, p in X.items():
+        for b, q in Y.items():
             qp = q.parity()
             if qp is None:
                 raise ValueError("coefficient of mixed parity in bracket")
-            sign = -1 if (qp and gen_parity(a)) else 1
-            coeff = p * q
-            if sign < 0:
-                coeff = -coeff
-            br = _basis_bracket(spec, a, b)
-            out = out + br.scaled(coeff)
+            add_scaled(out, bracket_constants(a, b),
+                       -(p * q) if qp and gen_parity(a) else p * q)
     return out
 
 

@@ -159,14 +159,20 @@ class SFun:
     # -- product ---------------------------------------------------------
 
     def _support_bounds(self):
-        """(smin, smax) as floats: orders where terms may exist."""
+        """(smin, smax) as floats: orders where terms may exist.
+
+        With no terms the unknown tail bounds them: a high edge leaves
+        terms possible from hi + 1 up, a low edge from lo - 1 down.
+        """
         inf = float("inf")
         if self.lo is None:
-            smin = min((n for n, _ in self.terms), default=inf)
+            smin = min((n for n, _ in self.terms),
+                       default=inf if self.hi is None else self.hi + 1)
         else:
             smin = -inf
         if self.hi is None:
-            smax = max((n for n, _ in self.terms), default=-inf)
+            smax = max((n for n, _ in self.terms),
+                       default=-inf if self.lo is None else self.lo - 1)
         else:
             smax = inf
         return smin, smax
@@ -488,20 +494,8 @@ def ss_from_components(f: SFun, psi: SFun, branch: int = 1,
     r = S.power(HALF, window[1])
     if branch <= 0:
         r = -r
-    ev = f + _attach_theta(psi * r)
-    od = psi + _attach_theta(r)
-    H = SuperSeries(L, ev, od)
-    return H
-
-
-def _attach_theta(g: SFun) -> SFun:
-    """Reinterpret a theta-free function g as theta*g."""
-    out = {}
-    for (n, e), c in g.terms.items():
-        if e:
-            raise ValueError("argument already carries theta")
-        out[(n, 1)] = c
-    return SFun(g.L, out, g.lo, g.hi)
+    theta = SFun.theta_term(L, 0)
+    return SuperSeries(L, f + theta * (psi * r), psi + theta * r)
 
 
 # -- coordinate data ----------------------------------------------------

@@ -337,7 +337,7 @@ def fixture_boson_fermion(weight_cap) -> VertexData:
 
 
 # ----------------------------------------------------------------------
-# functors between the flavors and the sign automorphisms
+# functors between the flavors and the sign automorphism
 # ----------------------------------------------------------------------
 
 
@@ -356,18 +356,15 @@ def convert_F2(V: VertexData) -> VertexData:
     return out
 
 
-def automorphism_J(V: VertexData, flavor: str = "with") -> VertexData:
-    """The sign automorphisms: both negate tau.
+def automorphism_J(V: VertexData) -> VertexData:
+    """The sign automorphism: negate tau, keeping V's flavor.
 
     With odd variables the phi modes are the modes of the tau-derived
     odd-derivation image, so negating tau flips exactly them and fixes the
     x sector; without odd variables only tau changes.
     """
-    if flavor not in ("with", "without"):
-        raise ValueError("flavor must be 'with' or 'without'")
     out = V.copy()
     out.tau = scaled(V.tau, -1)
-    out.has_odd = flavor == "with"
     return out
 
 

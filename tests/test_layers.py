@@ -64,17 +64,24 @@ def test_one_accumulator_and_one_binom():
     for name in ALLOWED:
         tree = _tree(name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        shared = defined & {"add_term", "add_terms", "add_scaled", "binom", "_vec_add",
-                            "vec_sum", "vec_scale"}
-        # a ring class may have a scaled method (NSExpression.scaled); a
-        # module-level dict scaler is sparse's alone
-        shared |= {node.name for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "scaled"}
+        # no ring class has a scaled method either: a multiple is sparse.scaled
+        shared = defined & {"add_term", "add_terms", "add_scaled", "scaled", "binom",
+                            "_vec_add", "vec_sum", "vec_scale"}
         assert not shared or name == "sparse", (name, shared)
     # vosa accumulates only through add_scaled, never term by term
     imported = {a.name for node in ast.walk(_tree("vosa"))
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "add_scaled" in imported and "add_term" not in imported
+
+
+def test_ns_elements_are_plain_dicts():
+    """A Neveu-Schwarz algebra element is a sparse dict {generator:
+    GradedPoly}, with no wrapper class: VermaModule is the only class nsalg
+    defines, and nsalg takes only add_scaled from sparse."""
+    tree = _tree("nsalg")
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["VermaModule"]
+    assert [a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            and node.module == "sparse" for a in node.names] == ["add_scaled"]
 
 
 def test_one_soul_series():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,7 @@ from superns.nsalg import (
     C_GEN,
     G,
     L,
-    NSExpression,
     VermaModule,
-    _basis_bracket,
     bracket_constants,
     gen_name,
     gen_parity,
@@ -20,7 +19,7 @@ from superns.nsalg import (
     ns_bracket,
     word_level,
 )
-from superns.sparse import add_scaled, add_term
+from superns.sparse import add_scaled, add_term, add_terms, scaled
 from superns.superseries import DiffOp, SFun
 
 SPEC = ParamSpec([("c", 0, False), ("h", 0, False)], 4)
@@ -28,7 +27,9 @@ HALF = Fraction(1, 2)
 
 
 def single(g, coeff=1):
-    return NSExpression.single(SPEC, g, coeff)
+    """The algebra element coeff * g as {generator: GradedPoly}."""
+    p = coeff if isinstance(coeff, GradedPoly) else GradedPoly.scalar(SPEC, coeff)
+    return {g: p} if p else {}
 
 
 def c_poly():
@@ -46,7 +47,7 @@ def test_bracket_L1_Lm1():
 
 def test_bracket_L2_Lm2_central_term():
     out = ns_bracket(single(L(2)), single(L(-2)))
-    assert out == single(L(0), 4) + single(C_GEN, Fraction(1, 2))
+    assert out == add_terms(single(L(0), 4), single(C_GEN, Fraction(1, 2)))
 
 
 def test_bracket_G_half_G_minus_half():
@@ -61,7 +62,7 @@ def test_bracket_G_L_relation():
 
 
 def test_bracket_central_element_vanishes():
-    assert ns_bracket(single(C_GEN), single(L(3))) == NSExpression(SPEC)
+    assert ns_bracket(single(C_GEN), single(L(3))) == {}
 
 
 def _all_gens(rng):
@@ -72,19 +73,15 @@ def _all_gens(rng):
 
 def test_super_jacobi_identity():
     gens = _all_gens(range(-4, 5))
-    import random
-
     rnd = random.Random(7)
     triples = [tuple(rnd.choice(gens) for _ in range(3)) for _ in range(120)]
     for a, b, c in triples:
         A, B, C = single(a), single(b), single(c)
-        pa, pb, pc = gen_parity(a), gen_parity(b), gen_parity(c)
         lhs = ns_bracket(A, ns_bracket(B, C))
         m1 = ns_bracket(ns_bracket(A, B), C)
         m2 = ns_bracket(B, ns_bracket(A, C))
-        if pa and pb:
-            m2 = -m2
-        assert lhs == m1 + m2, tuple(map(gen_name, (a, b, c)))
+        sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
+        assert lhs == add_terms(m1, scaled(m2, sign)), tuple(map(gen_name, (a, b, c)))
 
 
 def test_graded_antisymmetry():
@@ -93,38 +90,68 @@ def test_graded_antisymmetry():
         ab = ns_bracket(single(a), single(b))
         ba = ns_bracket(single(b), single(a))
         sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
-        assert ab == ba.scaled(-sign), (gen_name(a), gen_name(b))
+        assert ab == scaled(ba, -sign), (gen_name(a), gen_name(b))
 
 
 # -- differential operator representation ------------------------------
 
 
-def diffop_commutator_matches(op1: DiffOp, op2: DiffOp, target: NSExpression) -> bool:
-    """Check [op1, op2] = target on the basis monomials theta^e z^k, |k| <= 5,
-    with the target's operators realized as DiffOp.
+# odd symbols for the coefficients of odd generators, realized as the
+# generators of a Grassmann algebra
+ODD = ParamSpec([(f"e{i}", 1, False) for i in range(1, 5)], 4)
+GRASS = {f"e{i}": GrassmannElement.generator(4, i) for i in range(1, 5)}
 
-    The target expression must have numeric coefficients; its central term
-    is skipped, as the representation has c = 0.
-    """
-    ops = []
-    for g, p in target.terms.items():
-        if g == C_GEN:
-            continue
-        coeff = p.terms.get(((), 0), 0)
-        if len(p.terms) > (1 if coeff else 0):
-            raise ValueError("target must be numeric")
-        ops.append((coeff, DiffOp(g)))
-    sign = -1 if (op1.parity() and op2.parity()) else 1
+
+def realize(X: dict) -> list:
+    """An algebra element over ODD as [(Grassmann coefficient, DiffOp)],
+    its central term skipped, as the representation has c = 0."""
+    return [(p.substitute(GRASS), DiffOp(g)) for g, p in X.items() if g != C_GEN]
+
+
+def element_parity(X: dict) -> int:
+    (parity,) = {(gen_parity(g) + p.parity()) & 1 for g, p in X.items()}
+    return parity
+
+
+def diffop_commutator_matches(X: dict, Y: dict, target: dict) -> bool:
+    """Check the supercommutator [X, Y] = target on the basis monomials
+    theta^e z^k, |k| <= 5, for homogeneous elements over ODD: a term p*g
+    acts as F -> p * DiffOp(g)(F), p multiplied in from the left with
+    SFun.scale_left, so an odd p passes an odd DiffOp with a sign."""
+    sign = -1 if (element_parity(X) and element_parity(Y)) else 1
+
+    def act(ops, F):
+        out = SFun.zero(F.L)
+        for coeff, op in ops:
+            out = out + op.apply(F).scale_left(coeff)
+        return out
+
+    x_ops, y_ops, ops = realize(X), realize(Y), realize(target)
     for k in range(-5, 6):
         for e in (0, 1):
-            F = SFun(0, {(k, e): GrassmannElement.scalar(0, 1)})
-            lhs = op1.apply(op2.apply(F)) - op2.apply(op1.apply(F)).scale_left(sign)
-            rhs = SFun.zero(0)
-            for coeff, op in ops:
-                rhs = rhs + op.apply(F).scale_left(coeff)
-            if lhs != rhs:
+            F = SFun(4, {(k, e): GrassmannElement.scalar(4, 1)})
+            lhs = act(x_ops, act(y_ops, F)) - act(y_ops, act(x_ops, F)).scale_left(sign)
+            if lhs != act(ops, F):
                 return False
     return True
+
+
+def even_element(rnd, names) -> dict:
+    """A random even element over ODD: three terms of doubled index in
+    [-7, 7], an odd generator carrying one odd symbol of names, an even one
+    a rational or the product of both symbols."""
+    X: dict = {}
+    for _ in range(3):
+        g = rnd.randrange(-7, 8)
+        c = rnd.choice([1, -2, Fraction(1, 3)])
+        if g & 1:
+            p = GradedPoly.symbol(ODD, rnd.choice(names), c)
+        elif rnd.random() < 0.5:
+            p = GradedPoly.scalar(ODD, c)
+        else:
+            p = GradedPoly.symbol(ODD, names[0], c) * GradedPoly.symbol(ODD, names[1])
+        add_term(X, g, p)
+    return X
 
 
 def test_diffop_L_minus_one_on_z():
@@ -144,12 +171,36 @@ def test_diffop_G_minus_half_actions():
 
 
 def test_representation_c_zero():
-    """The superderivations represent the bracket table at c = 0: for every
-    pair of generators a, b of doubled index in [-7, 7] (L-L, L-G, G-L and
-    G-G), [DiffOp(a), DiffOp(b)] realizes ns_bracket(a, b)."""
+    """The superderivations represent the bracket at c = 0: for every pair
+    of generators a, b of doubled index in [-7, 7] (L-L, L-G, G-L and G-G),
+    [DiffOp(a), DiffOp(b)] realizes ns_bracket(a, b); and for 40 pairs of
+    even elements whose odd generators carry odd symbols, the commutator
+    realizes ns_bracket with its Koszul sign."""
+    one = GradedPoly.scalar(ODD, 1)
     for a, b in itertools.product(range(-7, 8), repeat=2):
-        target = ns_bracket(single(a), single(b))
-        assert diffop_commutator_matches(DiffOp(a), DiffOp(b), target), (a, b)
+        X, Y = {a: one}, {b: one}
+        assert diffop_commutator_matches(X, Y, ns_bracket(X, Y)), (a, b)
+    rnd = random.Random(11)
+    odd_pairs = 0
+    for _ in range(40):
+        X, Y = even_element(rnd, ("e1", "e2")), even_element(rnd, ("e3", "e4"))
+        odd_pairs += any(a & 1 and b & 1 for a in X for b in Y)
+        assert diffop_commutator_matches(X, Y, ns_bracket(X, Y)), (X, Y)
+    assert odd_pairs >= 10
+
+
+def test_representation_sees_a_dropped_koszul_sign():
+    """Negative control: the bracket of two even elements with the sign of
+    an odd coefficient passing an odd generator left out is not realized."""
+    e1, e3 = GradedPoly.symbol(ODD, "e1"), GradedPoly.symbol(ODD, "e3")
+    X, Y = {G(HALF): e1}, {G(-HALF): e3}
+    unsigned: dict = {}
+    for a, p in X.items():
+        for b, q in Y.items():
+            add_scaled(unsigned, bracket_constants(a, b), p * q)
+    assert unsigned == scaled(ns_bracket(X, Y), -1)
+    assert diffop_commutator_matches(X, Y, ns_bracket(X, Y))
+    assert not diffop_commutator_matches(X, Y, unsigned)
 
 
 # -- PBW normal ordering: the oracle for the Verma action --------------------
@@ -178,7 +229,7 @@ def normal_order(word, coeff=1) -> dict:
                     break
                 sign = -1 if (gen_parity(a) and gen_parity(b)) else 1
                 pending.append((head + (b, a) + tail, p * sign))
-                for g, q in _basis_bracket(SPEC, a, b).terms.items():
+                for g, q in bracket_constants(a, b).items():
                     pending.append((head + (g,) + tail, p * q))
                 break
         else:  # no pair out of order: w is a PBW word
@@ -238,12 +289,6 @@ def test_a_generator_is_its_doubled_index():
     assert [gen_name(g) for g in modes] == ["G(-3/2)", "G(-1/2)", "L(-2)", "L(-1)", "L(0)",
                                             "c", "L(1)", "L(2)", "G(1/2)", "G(3/2)"]
     assert modes == [G(-1.5), G(-0.5), L(-2), L(-1), L(0), C_GEN, L(1), L(2), G(0.5), G(1.5)]
-
-
-def test_expressions_print_their_generators():
-    X = single(L(-2), 3) + single(G(HALF)) + single(C_GEN, Fraction(1, 2))
-    text = repr(X)
-    assert text.index("*L(-2)") < text.index("*c") < text.index("*G(1/2)")
 
 
 # -- Verma modules --------------------------------------------------------

@@ -76,6 +76,22 @@ def test_sfun_equality_ignores_windows():
     assert F.with_window(None, 2) != F
 
 
+# -- product ------------------------------------------------------------
+
+
+def test_product_of_series_with_no_known_terms_keeps_a_window():
+    """A series with no terms and a high edge 1 may have terms from order 2
+    up, so the product of two is unknown only from order 4 up: exact on
+    (None, 3].  Mirrored, tails at orders <= -2 leave the product exact on
+    [-3, None)."""
+    P = SFun(L, {}, hi=1) * SFun(L, {}, hi=1)
+    assert (P.lo, P.hi, P.terms) == (None, 3, {})
+    P = SFun(L, {}, lo=-1) * SFun(L, {}, lo=-1)
+    assert (P.lo, P.hi, P.terms) == (-3, None, {})
+    tail = SFun.z_power(L, 2, 3) + SFun.theta_term(L, 2, gen(1))
+    assert min(n for n, _ in (tail * tail).terms) == 4
+
+
 # -- D operator ---------------------------------------------------------
 
 

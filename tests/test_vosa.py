@@ -433,9 +433,13 @@ def test_half_odd_memo_belongs_to_one_copy():
 
 
 def test_J_is_an_involution(V):
-    JJ = automorphism_J(automorphism_J(V))
-    assert (JJ.tau, JJ.has_odd) == (V.tau, V.has_odd)
-    assert mode_columns(JJ) == mode_columns(V)
+    """J keeps the flavor, with or without odd variables, and JJ = 1."""
+    for X in (V, convert_F1(V)):
+        J = automorphism_J(X)
+        assert J.has_odd == X.has_odd
+        JJ = automorphism_J(J)
+        assert (JJ.tau, JJ.has_odd) == (X.tau, X.has_odd)
+        assert mode_columns(JJ) == mode_columns(X)
 
 
 def test_J_passes_the_axiom_checks(V):
@@ -454,7 +458,7 @@ def test_checks_pass_without_odd_variables(cap):
     """Without odd variables L(n) passes through G(-1/2): the checkers'
     columns leave room for that lift."""
     V = fixture_boson_fermion(cap)
-    for X in (convert_F1(V), automorphism_J(V, "without")):
+    for X in (convert_F1(V), automorphism_J(convert_F1(V))):
         assert not X.has_odd
         assert grading_check(X)["passed"]
         assert ns_modes_check(X)["passed"]
