@@ -5,7 +5,10 @@ GrassmannElement lives in the algebra on anticommuting generators z1..zL
 over the Gaussian rationals, because a body can be complex (a square root
 of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
 (bit i-1 set means zi is a factor), so the empty mask holds the body and
-every other mask is soul.
+every other mask is soul.  add_product is the one loop that multiplies
+such terms dicts, out += a * b; GrassmannElement.__mul__ and the
+superfunction products of superseries accumulate through it, the latter
+straight into one mask dict per output coefficient.
 
 One power serves every exponent in ½ℤ: x ** n is the terminating series
 b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
@@ -48,18 +51,19 @@ _FZERO = Fraction(0)
 
 
 class QQi:
-    """A Gaussian rational re + im*i with exact Fraction parts.
+    """A Gaussian rational re + im*i with exact Fraction parts, built from
+    ints and Fractions only (a float part raises TypeError).
 
     A sum whose imaginary part cancels is its real part in as_rational's
     form, so sums in sparse.add_term keep the canonical coefficient form;
-    a product stays a QQi (GrassmannElement normalizes its products).
+    a product stays a QQi (add_product normalizes Grassmann products).
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if isinstance(re, Fraction) else _exact_part(re)
+        self.im = im if isinstance(im, Fraction) else _exact_part(im)
 
     def __add__(self, other):
         if not isinstance(other, (QQi, int, Fraction)):
@@ -163,6 +167,14 @@ class QQi:
         return QQi(a, b)
 
 
+def _exact_part(x) -> Fraction:
+    """An int part of a QQi as a Fraction; anything else, a float above
+    all, is refused rather than read as its binary value."""
+    if not isinstance(x, int):
+        raise TypeError(f"a QQi part is an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
+
+
 Rational = int | Fraction
 Scalar = int | Fraction | QQi
 
@@ -229,15 +241,34 @@ def _merge_sign(a: int, b: int) -> int:
 
     Counts pairs (i in a, j in b) with i > j; each is one transposition.
     """
-    sign = 1
-    bb = b
-    while bb:
-        low = bb & -bb
-        # generators of a strictly above this bit of b
-        if bin(a & ~(low | (low - 1))).count("1") & 1:
-            sign = -sign
-        bb ^= low
-    return sign
+    n = 0
+    while b:
+        low = b & -b
+        n += (a & -(low << 1)).bit_count()  # generators of a above this bit of b
+        b ^= low
+    return -1 if n & 1 else 1
+
+
+def add_product(out: dict, a: dict, b: dict) -> None:
+    """out += a * b in place, for Grassmann terms dicts {mask: coeff}.
+
+    The one loop that multiplies Grassmann monomials: a pair of masks that
+    share a generator gives nothing, any other pair its coefficient product
+    in as_rational's form with the Koszul sign of _merge_sign, accumulated
+    through add_term.  Products of elements and of superfunction
+    coefficients (superseries.SFun) both accumulate here, so a sum of many
+    products never builds an element per product.
+    """
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue
+            c = ca * cb
+            if type(c) is not int:
+                c = as_rational(c)
+            if ma and _merge_sign(ma, mb) < 0:
+                c = -c
+            add_term(out, ma | mb, c)
 
 
 def _scaled(terms: dict, v) -> dict:
@@ -308,14 +339,14 @@ class GrassmannElement:
         """0 for even (the zero element included), 1 for odd, None for mixed."""
         if not self.terms:
             return 0
-        ps = {bin(m).count("1") & 1 for m in self.terms}
+        ps = {m.bit_count() & 1 for m in self.terms}
         return ps.pop() if len(ps) == 1 else None
 
     def parity_twist(self) -> "GrassmannElement":
         """even part minus odd part (the sign picked up passing one odd symbol)."""
         return GrassmannElement(
             self.L,
-            {m: (c if bin(m).count("1") % 2 == 0 else -c) for m, c in self.terms.items()})
+            {m: -c if m.bit_count() & 1 else c for m, c in self.terms.items()})
 
     # -- ring operations ----------------------------------------------
 
@@ -347,16 +378,7 @@ class GrassmannElement:
             return GrassmannElement(self.L, _scaled(self.terms, v) if v else {})
         self._check(other)
         out: dict[int, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                c = ca * cb
-                if type(c) is not int:
-                    c = as_rational(c)
-                if _merge_sign(ma, mb) < 0:
-                    c = -c
-                add_term(out, ma | mb, c)
+        add_product(out, self.terms, other.terms)
         return GrassmannElement(self.L, out)
 
     def __rmul__(self, other):

@@ -13,13 +13,20 @@ Operations compute the largest window they can guarantee and raise
 TruncationError when it becomes empty.  SFun.power cuts its result at
 clip_hi only when it dropped a term above it, and raises on a series
 with a low edge.
+
+Products accumulate on Grassmann mask dicts: SFun.__mul__, scale_left and
+ss_compose's substitution sum every contribution to an output coefficient
+in one {mask: coeff} dict (grassmann.add_product, add_term) and build one
+GrassmannElement per nonzero output.  Sums, products and left scales of
+series on different numbers of Grassmann generators raise
+DimensionMismatch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import GrassmannElement, NotInvertible, QQi
+from .grassmann import DimensionMismatch, GrassmannElement, NotInvertible, QQi, add_product
 from .sparse import add_term, add_terms, binom
 
 HALF = Fraction(1, 2)
@@ -133,7 +140,12 @@ class SFun:
     def with_window(self, lo, hi) -> "SFun":
         return SFun(self.L, self.terms, _max_lo(self.lo, lo), _min_hi(self.hi, hi))
 
+    def _check(self, L: int):
+        if self.L != L:
+            raise DimensionMismatch(f"generator counts differ: {self.L} vs {L}")
+
     def __add__(self, other: "SFun") -> "SFun":
+        self._check(other.L)
         return SFun(self.L, add_terms(self.terms, other.terms),
                     _max_lo(self.lo, other.lo), _min_hi(self.hi, other.hi))
 
@@ -144,11 +156,18 @@ class SFun:
         return self + (-other)
 
     def scale_left(self, s) -> "SFun":
-        """Multiply by a GrassmannElement or scalar written to the left of theta."""
+        """Multiply by a GrassmannElement or scalar written to the left of
+        theta: s passes theta as its parity twist, formed once."""
         if not isinstance(s, GrassmannElement):
             s = GrassmannElement.scalar(self.L, s)
-        st = s.parity_twist()
-        out = {(n, e): (st if e else s) * c for (n, e), c in self.terms.items()}
+        self._check(s.L)
+        a, at = s.terms, s.parity_twist().terms
+        out = {}
+        for (n, e), c in self.terms.items():
+            v = {}
+            add_product(v, at if e else a, c.terms)
+            if v:
+                out[(n, e)] = GrassmannElement(self.L, v)
         return SFun(self.L, out, self.lo, self.hi)
 
     def shift(self, d: int) -> "SFun":
@@ -178,8 +197,12 @@ class SFun:
         return smin, smax
 
     def __mul__(self, other: "SFun") -> "SFun":
+        """The product, each output coefficient summed in one mask dict by
+        add_product; a theta-free left coefficient passes the right factor's
+        theta as its parity twist, formed once per left term."""
         if not isinstance(other, SFun):
             return NotImplemented
+        self._check(other.L)
         # exactness window from unknown-tail contamination
         inf = float("inf")
         smin_f, smax_f = self._support_bounds()
@@ -192,8 +215,10 @@ class SFun:
             raise TruncationError("product window is empty")
         lo = None if lo_res == -inf else int(lo_res)
         hi = None if hi_res == inf else int(hi_res)
-        out: dict[tuple[int, int], GrassmannElement] = {}
+        acc: dict[tuple[int, int], dict] = {}
         for (n1, e1), c1 in self.terms.items():
+            a = c1.terms
+            at = a if e1 else c1.parity_twist().terms
             for (n2, e2), c2 in other.terms.items():
                 if e1 and e2:
                     continue
@@ -202,12 +227,8 @@ class SFun:
                     continue
                 if hi is not None and n > hi:
                     continue
-                if e1 == 0 and e2 == 1:
-                    v = c1.parity_twist() * c2
-                else:
-                    v = c1 * c2
-                add_term(out, (n, e1 | e2), v)
-        return SFun(self.L, out, lo, hi)
+                add_product(acc.setdefault((n, e1 | e2), {}), at if e2 else a, c2.terms)
+        return _from_masks(self.L, acc, lo, hi)
 
     # -- calculus ---------------------------------------------------------
 
@@ -320,6 +341,12 @@ class SFun:
         return total
 
 
+def _from_masks(L: int, acc: dict, lo, hi) -> SFun:
+    """The SFun on [lo, hi] whose coefficient at each key of acc is the
+    element with that mask dict, one element per nonzero dict."""
+    return SFun(L, {key: GrassmannElement(L, v) for key, v in acc.items() if v}, lo, hi)
+
+
 def _reach_down(u: SFun) -> int:
     """How far below order 0 a product of u's terms can reach.
 
@@ -409,14 +436,18 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
     umax = max(0, max((n - k for (n, e) in Z.terms), default=0))
 
     def subst(C: SFun) -> SFun:
-        acc = SFun.zero(H1.L)
+        acc: dict[tuple[int, int], dict] = {}
+        a = b = None
         for (n, e), c in sorted(C.terms.items()):
             piece = zp(n).scale_left(c)
             if e:
                 piece = T * piece
-            acc = acc + piece
+            a, b = _max_lo(a, piece.lo), _min_hi(b, piece.hi)
+            for key, v in piece.terms.items():
+                out = acc.setdefault(key, {})
+                for m, x in v.terms.items():
+                    add_term(out, m, x)
         # contamination from H1's unknown tails fed through powers of Z
-        a, b = acc.lo, acc.hi
         if k > 0:
             if C.lo is not None:
                 raise TruncationError(
@@ -433,7 +464,7 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
                 b = _min_hi(b, k * (C.lo - 1) - 1 - reach)
         if (a is not None and b is not None and a > b):
             raise TruncationError("composition window is empty")
-        return SFun(H1.L, acc.terms, a, b)
+        return _from_masks(H1.L, acc, a, b)
 
     if k == 0:
         raise TruncationError("composition target has order-zero leading term")

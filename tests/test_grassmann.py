@@ -285,6 +285,17 @@ def test_dimension_mismatch():
         scalar(1, 2) * scalar(1, 3)
 
 
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (0.5, 0), (2.0,), (0, 1.0), ("1/2",)],
+                         ids=["re", "im", "re-with-int-im", "integral-re", "integral-im", "str"])
+def test_qqi_takes_only_exact_parts(parts):
+    """QQi(0.1) would store 3602879701896397/36028797018963968: a float part
+    raises, like as_qqi and GrassmannElement.scalar, and so does anything
+    else that is not an int or a Fraction."""
+    with pytest.raises(TypeError):
+        QQi(*parts)
+    assert QQi(1, Fraction(1, 2)) == QQi(Fraction(1), Fraction(1, 2))
+
+
 # -- the canonical coefficient domain of GrassmannElement --------------------
 
 _GAUSSIAN = st.one_of(st.integers(-3, 3), _SMALL, st.builds(QQi, _SMALL, _SMALL))

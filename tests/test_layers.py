@@ -132,6 +132,38 @@ def test_one_graded_product_loop():
                 assert id(node) in allowed, (name, node.lineno)
 
 
+def _functions(tree, names) -> dict:
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def test_one_grassmann_product_loop():
+    """grassmann.add_product is the one loop that multiplies Grassmann
+    monomials: _merge_sign is called only there and in GradedPoly._mul_mono,
+    and SFun.__mul__ and SFun.scale_left multiply no coefficient themselves,
+    they accumulate through add_product."""
+    owners = set()
+    for name in ALLOWED:
+        tree = _tree(name)
+        inside = {}
+        for fname, fn in _functions(tree, {"add_product", "_mul_mono"}).items():
+            inside |= {id(n): fname for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_merge_sign" in _names(node.func):
+                assert id(node) in inside, (name, node.lineno)
+                owners.add((name, inside[id(node)]))
+    assert owners == {("grassmann", "add_product"), ("grassmann", "_mul_mono")}
+    sfun = next(node for node in _tree("superseries").body
+                if isinstance(node, ast.ClassDef) and node.name == "SFun")
+    methods = _functions(sfun, {"__mul__", "scale_left"})
+    assert set(methods) == {"__mul__", "scale_left"}
+    for fname, fn in methods.items():
+        assert "add_product" in _names(fn), fname
+        products = [n.lineno for n in ast.walk(fn)
+                    if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mult)]
+        assert not products, (fname, products)
+
+
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
 SOLVER = {"_exp_graded", "_alpha_reduce", "_Adjoint", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}

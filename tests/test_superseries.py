@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superns.grassmann import GrassmannElement, QQi, as_qqi
+from superns.grassmann import DimensionMismatch, GrassmannElement, QQi, as_qqi
 from superns.superseries import (
     CoordData,
     DiffOp,
@@ -26,6 +26,7 @@ from superns.superseries import (
     ss_is_superconformal,
 )
 from superns.sparse import add_term
+from test_grassmann import _GAUSSIAN, canonical
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
 L = 6
@@ -90,6 +91,168 @@ def test_product_of_series_with_no_known_terms_keeps_a_window():
     assert (P.lo, P.hi, P.terms) == (-3, None, {})
     tail = SFun.z_power(L, 2, 3) + SFun.theta_term(L, 2, gen(1))
     assert min(n for n, _ in (tail * tail).terms) == 4
+
+
+_RING_SIZE_CASES = {
+    "mul": lambda f, g: f * g,
+    "scale_left": lambda f, g: f.scale_left(g.coeff(0, 0) if g.terms else GrassmannElement(g.L)),
+    "add": lambda f, g: f + g,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RING_SIZE_CASES))
+@pytest.mark.parametrize("left, right", [(True, True), (True, False), (False, True),
+                                         (False, False)],
+                         ids=["both-known", "right-empty", "left-empty", "both-empty"])
+def test_mismatched_ring_sizes_raise(op, left, right):
+    """Series on 2 and on 3 Grassmann generators do not combine, also when
+    either has no terms: z1 on L=2 times z2 on L=3 is no L=2 z1z2."""
+    f = SFun.const(2, GrassmannElement.generator(2, 1)) if left else SFun(2, {})
+    g = SFun.const(3, GrassmannElement.generator(3, 2)) if right else SFun(3, {})
+    with pytest.raises(DimensionMismatch):
+        _RING_SIZE_CASES[op](f, g)
+
+
+# -- the fused product against the per-pair product --------------------------
+
+_COEFF = st.one_of(_GAUSSIAN, st.just(QQi(0, 1)))
+
+
+@st.composite
+def coefficients(draw, n):
+    """An element on n generators summed from monomials of either parity
+    with Gaussian coefficients, the inversion's i among them."""
+    x = GrassmannElement(n)
+    for mask, c in draw(st.dictionaries(st.integers(0, 2 ** n - 1), _COEFF,
+                                        max_size=3)).items():
+        x = x + GrassmannElement.monomial(n, [i + 1 for i in range(n) if mask >> i & 1], c)
+    return x
+
+
+@st.composite
+def windowed(draw, n, edge=None):
+    """A series on n generators with orders -3..3 in both theta sectors and a
+    window with the given edges ("lo", "hi", "both" or None); edge="any"
+    draws it."""
+    if edge == "any":
+        edge = draw(st.sampled_from([None, "lo", "hi", "both"]))
+    lo = draw(st.integers(-4, 1)) if edge in ("lo", "both") else None
+    hi = draw(st.integers(-1, 4)) if edge in ("hi", "both") else None
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    terms = draw(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 1)),
+                                 coefficients(n), max_size=4))
+    return SFun(n, terms, lo, hi)
+
+
+def twist(c: GrassmannElement) -> GrassmannElement:
+    """c with its odd part negated: the sign c picks up passing theta."""
+    return GrassmannElement(c.L, {m: -v if bin(m).count("1") % 2 else v
+                                  for m, v in c.terms.items()})
+
+
+def product_window(f: SFun, g: SFun):
+    """(lo, hi) of f * g: a product is unknown where an unknown tail of one
+    factor meets a possible term of the other."""
+    inf = float("inf")
+
+    def span(F):
+        orders = [n for n, _ in F.terms]
+        low = -inf if F.lo is not None else min(
+            orders, default=inf if F.hi is None else F.hi + 1)
+        high = inf if F.hi is not None else max(
+            orders, default=-inf if F.lo is None else F.lo - 1)
+        return low, high
+
+    (fl, fh), (gl, gh) = span(f), span(g)
+    hi = min(inf if f.hi is None else f.hi + gl, inf if g.hi is None else g.hi + fl)
+    lo = max(-inf if f.lo is None else f.lo + gh, -inf if g.lo is None else g.lo + fh)
+    return (None if lo == -inf else lo), (None if hi == inf else hi)
+
+
+def per_pair_product(f: SFun, g: SFun) -> dict:
+    """The terms of f * g, one GrassmannElement product per term pair,
+    summed with GrassmannElement +, inside product_window(f, g)."""
+    lo, hi = product_window(f, g)
+    out = {}
+    for (n1, e1), c1 in f.terms.items():
+        for (n2, e2), c2 in g.terms.items():
+            n = n1 + n2
+            if (e1 and e2) or (lo is not None and n < lo) or (hi is not None and n > hi):
+                continue
+            key = (n, e1 | e2)
+            v = (twist(c1) if e2 and not e1 else c1) * c2
+            out[key] = out.get(key, GrassmannElement(f.L)) + v
+    return {key: c for key, c in out.items() if c}
+
+
+def fused_matches_per_pair(f: SFun, g: SFun, s: GrassmannElement) -> bool:
+    lo, hi = product_window(f, g)
+    if lo is not None and hi is not None and lo > hi:
+        with pytest.raises(TruncationError):
+            f * g
+        prod_ok = True
+    else:
+        P = f * g
+        prod_ok = (P.terms, P.lo, P.hi) == (per_pair_product(f, g), lo, hi)
+        assert all(canonical(c) for c in P.terms.values())
+    S = f.scale_left(s)
+    want = {(n, e): (twist(s) if e else s) * c for (n, e), c in f.terms.items()}
+    assert all(canonical(c) for c in S.terms.values())
+    scale_ok = (S.terms, S.lo, S.hi) == ({k: c for k, c in want.items() if c}, f.lo, f.hi)
+    return prod_ok and scale_ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(windowed(n, "any"), windowed(n, "any"), coefficients(n))))
+def test_fused_product_matches_the_per_pair_product(fgs):
+    """f * g and f.scale_left(s) sum each output coefficient in one mask
+    dict; they equal the products formed pair by pair, twist included, in
+    terms and window, and keep every coefficient canonical."""
+    assert fused_matches_per_pair(*fgs)
+
+
+def test_per_pair_reference_sees_a_dropped_twist(monkeypatch):
+    """Negative control: with the theta-crossing twist dropped from the
+    series code, an odd left coefficient against a theta term, and an odd
+    scale past theta, no longer match the reference."""
+    f = SFun(L, {(1, 0): gen(1), (0, 1): gen(2)})
+    g = SFun(L, {(2, 1): gen(3)})
+    assert fused_matches_per_pair(f, g, gen(4))
+    monkeypatch.setattr(GrassmannElement, "parity_twist", lambda self: self)
+    P, S = f * g, f.scale_left(gen(4))
+    assert P.terms != per_pair_product(f, g)
+    assert S.coeff(0, 1) != twist(gen(4)) * gen(2)
+
+
+# -- ring laws of series products, on the common window ------------------------
+
+
+def agree_on_common_window(p: SFun, q: SFun) -> bool:
+    """p and q have equal coefficients at every order both windows hold."""
+    lo = max((w for w in (p.lo, q.lo) if w is not None), default=None)
+    hi = min((w for w in (p.hi, q.hi) if w is not None), default=None)
+    orders = {n for n, _ in p.terms} | {n for n, _ in q.terms}
+    return all(p.coeff(n, e) == q.coeff(n, e) for n in orders for e in (0, 1)
+               if (lo is None or lo <= n) and (hi is None or n <= hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.sampled_from([None, "lo", "hi"])).flatmap(
+    lambda ne: st.tuples(*(windowed(*ne) for _ in range(3)),
+                         coefficients(ne[0]), coefficients(ne[0]))))
+def test_series_products_obey_the_ring_laws(fghst):
+    """(fg)h = f(gh), f(g + h) = fg + fh and (g + h)f = gf + hf on the
+    common window of the two sides, for operands that share one kind of
+    window edge (so no product window is empty), and the left scale is an
+    action: f.scale_left(st) = f.scale_left(t).scale_left(s)."""
+    f, g, h, s, t = fghst
+    assert agree_on_common_window((f * g) * h, f * (g * h))
+    assert agree_on_common_window(f * (g + h), f * g + f * h)
+    assert agree_on_common_window((g + h) * f, g * f + h * f)
+    lhs, rhs = f.scale_left(s * t), f.scale_left(t).scale_left(s)
+    assert (lhs.terms, lhs.lo, lhs.hi) == (rhs.terms, rhs.lo, rhs.hi)
 
 
 # -- D operator ---------------------------------------------------------
