@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -896,3 +897,110 @@ def test_inverse_of_a_polynomial_map_with_no_high_edge_stops(monkeypatch):
     g_expr = sympy_poly({n: as_qqi(c.body()).re for (n, e), c in g.terms.items() if e == 0})
     got = SFun(L, {(1, 0): scalar(1)}, g.lo, g.hi)
     assert_matches_sympy(got, sympy_poly(coeffs).subs(Z, g_expr))
+
+
+# -- pinned outputs of the series paths no benchmark workload runs ---------------
+
+PIN_SEED = 29  # fixed, not SUPERNS_SEED: the digests below belong to these inputs
+LP = 4  # generators of the pinned power and product operands
+
+
+def pin_canon(x) -> str:
+    """An outcome as a string that does not depend on dict order: a map as
+    its two components, a series as its window and terms, a raise as its
+    class name.  == ignores windows, so a moved edge shows only here."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, SuperSeries):
+        return pin_canon(x.ev) + "|" + pin_canon(x.od)
+    terms = sorted((n, e, sorted((m, f"({v.re},{v.im})" if isinstance(v, QQi) else str(v))
+                                 for m, v in c.terms.items()))
+                   for (n, e), c in x.terms.items())
+    return f"[{x.lo},{x.hi}]{terms}"
+
+
+def outcome(make) -> str:
+    try:
+        return pin_canon(make())
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def pin_coeff(rng, odd):
+    ix = rng.sample(range(1, LP + 1), rng.choice([1, 3]) if odd else 2)
+    return GrassmannElement.monomial(LP, sorted(ix),
+                                     Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)))
+
+
+def pin_series(rng, lo=None, hi=None, endless=False):
+    """c z^k plus a few soul terms near k, an endless one a body above k,
+    with edges lo, hi taken relative to k."""
+    k = rng.choice([-2, -1, 0, 1, 2])
+    f = SFun(LP, {(k, 0): GrassmannElement.scalar(LP, rng.choice([1, 4, Fraction(9, 4)]))})
+    for _ in range(rng.randint(1, 3)):
+        e = rng.randint(0, 1)
+        f = f + SFun(LP, {(rng.randint(k - 1, k + 3), e): pin_coeff(rng, e)})
+    if endless:
+        f = f + SFun.z_power(LP, k + rng.randint(1, 2),
+                             GrassmannElement.scalar(LP, rng.choice([-1, HALF, 2])))
+    return f.with_window(None if lo is None else k + lo, None if hi is None else k + hi)
+
+
+def pinned_outcomes() -> dict:
+    rng = random.Random(PIN_SEED)
+    out = {}
+    series = [pin_series(rng, hi=rng.choice([None, 1, 3]), endless=rng.random() < 0.5)
+              for _ in range(8)]
+    out["power"] = [outcome(lambda: f.power(n, 6))
+                    for f in series for n in (-2, -1, -HALF, HALF, 3)]
+    Hz = [ss_exp_zero(random_coord_data(rng, jmax=3), (-6, 6)) for _ in range(3)]
+    Hi = [ss_exp_infinity(random_inf_data(rng, jmax=3), (-6, 6)) for _ in range(3)]
+    out["exp"] = [pin_canon(H) for H in Hz + Hi]
+    out["invert"] = [outcome(lambda: ss_invert(H, (-6, 6))) for H in Hi]
+    I = SuperSeries.inversion(L)
+    pairs = list(zip(Hz, Hi)) + list(zip(Hi, Hz))
+    pairs += [(H, K) for H in (Hz[0], Hi[0]) for K in (I, ss_invert(H, (-6, 6)))]
+    pairs += [(K, H) for H, K in pairs[-4:]]
+    out["compose"] = [outcome(lambda: ss_compose(a, b, clip=(-4, 4))) for a, b in pairs]
+    comps = []
+    for _ in range(4):
+        f = SFun.z_power(L, 1, scalar(rng.choice([1, 4])) + soul_even(rng))
+        psi = SFun.zero(L)
+        for n in range(1, 4):
+            f = f + SFun.z_power(L, n + 1, soul_even(rng) * rng.randint(-2, 2))
+            psi = psi + SFun.z_power(L, n - 1, soul_odd(rng))
+        comps.append((f.with_window(None, rng.choice([None, 5])), psi, rng.choice([1, -1])))
+    out["components"] = [outcome(lambda: ss_from_components(f, psi, b, (-6, 6)))
+                         for f, psi, b in comps]
+    edges = [(None, None), (-1, None), (None, 2)]
+    ops = [(pin_series(rng, *rng.choice(edges)), pin_series(rng, *rng.choice(edges)),
+            pin_coeff(rng, rng.randint(0, 1)) + GrassmannElement.scalar(LP, rng.randint(1, 3)))
+           for _ in range(12)]
+    out["product"] = [outcome(lambda: f * g) for f, g, _ in ops]
+    out["scale"] = [outcome(lambda: f.scale_left(s)) for f, _, s in ops]
+    return out
+
+
+PINNED = {
+    "power": "aab6d6702ecb5891",
+    "exp": "2fc521ec8f82046b",
+    "invert": "1f3a8ef117c21f7c",
+    "compose": "2d00ee4d461cfaee",
+    "components": "48d963b44d8471be",
+    "product": "706addcd449fc404",
+    "scale": "16e75a630d8a9203",
+}
+
+
+def test_series_paths_match_their_pinned_digests():
+    """Powers, both flows, the inversion of a map at infinity, composition
+    both ways, maps from components, products and left scales of windowed
+    operands keep their terms, windows and raised classes on fixed inputs.
+    Most outcomes are values, so the digests pin arithmetic, not raises."""
+    out = pinned_outcomes()
+    got = {path: hashlib.sha256("\n".join(v).encode()).hexdigest()[:16]
+           for path, v in out.items()}
+    assert got == PINNED
+    for path, v in out.items():
+        raised = sum(1 for x in v if not x.startswith("["))
+        assert 2 * raised < len(v), (path, raised)
