@@ -6,9 +6,10 @@ over the Gaussian rationals, because a body can be complex (a square root
 of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
 (bit i-1 set means zi is a factor), so the empty mask holds the body and
 every other mask is soul.  add_product is the one loop that multiplies
-such terms dicts, out += a * b; GrassmannElement.__mul__ and the
-superfunction products of superseries accumulate through it, the latter
-straight into one mask dict per output coefficient.
+such terms dicts, out += a * b.  GrassmannElement.__mul__ calls it, and so
+does superseries._sum_left, through which every superfunction product,
+scale, power, composition and flow step sums straight into one mask dict
+per output coefficient.
 
 One power serves every exponent in ½ℤ: x ** n is the terminating series
 b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
@@ -255,8 +256,8 @@ def add_product(out: dict, a: dict, b: dict) -> None:
     The one loop that multiplies Grassmann monomials: a pair of masks that
     share a generator gives nothing, any other pair its coefficient product
     in as_rational's form with the Koszul sign of _merge_sign, accumulated
-    through add_term.  Products of elements and of superfunction
-    coefficients (superseries.SFun) both accumulate here, so a sum of many
+    through add_term.  Products of elements and sums of superfunction
+    products (superseries._sum_left) both accumulate here, so a sum of many
     products never builds an element per product.
     """
     for ma, ca in a.items():

@@ -6,15 +6,20 @@ The central solver rewrites
 
 into the ansatz
 
-    exp(sum Psi_(-k) X(-k)) exp(sum Psi_k X(k)) exp(Psi_0 L(0)) a0^(-L(0)) exp(Gamma c),
+    exp(sum Psi_(-k) X(-k)) exp(sum Psi_k X(k)) exp(Psi_0 L(0)) a0^(-L(0)) exp(Gamma c)
 
-four exponentials around the reduced diagonal (X(k) is L(k) or G(k)),
-degree by degree in the formal families.  Raising a state past the
-weight cap loses information.  A parameter monomial's raising peak is the
-weight its symbols can lift a state by: each power of B_j or N_j adds the
-weight of its raising generator, every other symbol adds 0.  A
-coefficient read from a column of level l is kept only on monomials with
-l + peak <= W.
+(X(k) is L(k) or G(k)), degree by degree in the formal families.  The
+reduced diagonal a0^(-L(0)) is conjugated to the right end of both sides,
+which takes X(n) to a0^n X(n) on its way, so the solver's raising terms
+are a0^-j B_j and a0^(1/2-j) N_j.  There it acts first, on a state of
+level l as a0^-l on both sides alike, so the solver leaves it out: the
+states it reads, the highest-weight vector and L(0), have level 0.
+
+Raising a state past the weight cap loses information.  A parameter
+monomial's raising peak is the weight its symbols can lift a state by:
+each power of B_j or N_j adds the weight of its raising generator, every
+other symbol adds 0.  A coefficient read from a column of level l is kept
+only on monomials with l + peak <= W.
 
 Both solve and check read the sides in two forms, the algebraic half of
 Huang's reading of sewing as conjugation in the Virasoro/NS group: the
@@ -297,15 +302,6 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
-def _alpha_reduce(action, vec: dict) -> dict:
-    """Multiply each component of a graded vector by alpha0^(-level), the
-    reduced diagonal: conjugation by it takes X(n), of level -n, to
-    alpha0^n X(n).  action.levels2 gives each position's doubled level."""
-    levels2 = action.levels2
-    return {(i, d, pk): {(m, a - levels2[i]): c for (m, a), c in t.items()}
-            for (i, d, pk), t in vec.items()}
-
-
 class _ByPosition(dict):
     """An attribute of each adjoint position j, rule(j) computed on first
     read and kept; c, at C_GEN, has 0."""
@@ -327,16 +323,13 @@ class _Adjoint:
     and c at C_GEN.  That is the k2 of vosa.jacobi_check, which the layer
     rule keeps vosa from importing.  apply_gen(g, j) is [g, X] for the X at
     position j, the structure constants of nsalg.bracket_constants as ring
-    scalars, memoized as the Verma module's rows are.  levels2[j] is -j, the
-    doubled level of X(j/2), so _alpha_reduce takes X(n) to alpha0^n X(n),
-    and lift[j] is max(j, 0): a lowering X(n) kills every state below
-    level n.
+    scalars, memoized as the Verma module's rows are.  lift[j] is max(j, 0):
+    a lowering X(n) kills every state below level n.
     """
 
     def __init__(self, spec: ParamSpec):
         self.spec = spec
         self.one = GradedPoly.scalar(spec, 1)
-        self.levels2 = _ByPosition(lambda j: -j)
         self.lift = _ByPosition(lambda j: max(j, 0))
         self._memo: dict = {}
 
@@ -364,7 +357,9 @@ class _Factorization:
         self.left_conjugate = None  # Ad(L(0)) of the left side, built once at full D
         terms = [(g, -GradedPoly.symbol(spec, name)) for name, g in families]
         self.low_terms = [(g, p) for g, p in terms if g > 0]
-        self.raise_terms = [(g, p) for g, p in terms if g < 0]
+        # a0^(-L(0)) moved right of the raising exponential takes X(g/2) to
+        # alpha0^(g/2) X(g/2): B_j -> alpha0^-j B_j, N_j -> alpha0^(1/2-j) N_j
+        self.raise_terms = [(g, p * GradedPoly.alpha(spec, g)) for g, p in terms if g < 0]
         # twice each symbol's raising peak (c and h come last, with 0); the
         # memo of monomial peaks is this ring's alone
         doubled = [max(0, -g) for _, g in families] + [0, 0]
@@ -398,9 +393,9 @@ class _Factorization:
 
     def _left(self, action, vec: dict, keep) -> dict:
         """The left side's stages on a graded vector: raising exponential,
-        reduced diagonal, lowering exponential."""
+        with the reduced diagonal conjugated into its terms, then lowering
+        exponential."""
         out = _exp_graded(action, self.raise_terms, vec, self.D, keep)
-        out = _alpha_reduce(action, out)
         return _exp_graded(action, self.low_terms, out, self.D, keep)
 
     def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
@@ -417,7 +412,6 @@ class _Factorization:
             if k and p:
                 (low if k > 0 else raise_).append((int(2 * k), p))
         out = _exp_graded(action, [(C_GEN, gamma)], vec, cap, keep)
-        out = _alpha_reduce(action, out)
         out = _exp_graded(action, [(L(0), psi[Fraction(0)])], out, cap, keep)
         out = _exp_graded(action, low, out, cap, keep)
         return _exp_graded(action, raise_, out, cap, keep)

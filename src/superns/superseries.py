@@ -14,12 +14,13 @@ TruncationError when it becomes empty.  SFun.power cuts its result at
 clip_hi only when it dropped a term above it, and raises on a series
 with a low edge.
 
-Products accumulate on Grassmann mask dicts: SFun.__mul__, scale_left and
-ss_compose's substitution sum every contribution to an output coefficient
-in one {mask: coeff} dict (grassmann.add_product, add_term) and build one
-GrassmannElement per nonzero output.  Sums, products and left scales of
-series on different numbers of Grassmann generators raise
-DimensionMismatch.
+Every sum of products is one _sum_left call: SFun.__mul__, scale_left,
+SFun.power's binomial sum, ss_compose's substitution and the flows' steps
+list their products as parts c z^n theta^e F, and _sum_left sums every
+contribution to an output coefficient in one {mask: coeff} dict
+(grassmann.add_product) and builds one GrassmannElement per nonzero
+output.  Sums, products and left scales of series on different numbers
+of Grassmann generators raise DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -157,18 +158,10 @@ class SFun:
 
     def scale_left(self, s) -> "SFun":
         """Multiply by a GrassmannElement or scalar written to the left of
-        theta: s passes theta as its parity twist, formed once."""
+        theta: the one part (s, 0, 0, self) of _sum_left, on self's window."""
         if not isinstance(s, GrassmannElement):
             s = GrassmannElement.scalar(self.L, s)
-        self._check(s.L)
-        a, at = s.terms, s.parity_twist().terms
-        out = {}
-        for (n, e), c in self.terms.items():
-            v = {}
-            add_product(v, at if e else a, c.terms)
-            if v:
-                out[(n, e)] = GrassmannElement(self.L, v)
-        return SFun(self.L, out, self.lo, self.hi)
+        return _sum_left(self.L, [(s, 0, 0, self)], self.lo, self.hi)
 
     def shift(self, d: int) -> "SFun":
         lo = None if self.lo is None else self.lo + d
@@ -177,58 +170,15 @@ class SFun:
 
     # -- product ---------------------------------------------------------
 
-    def _support_bounds(self):
-        """(smin, smax) as floats: orders where terms may exist.
-
-        With no terms the unknown tail bounds them: a high edge leaves
-        terms possible from hi + 1 up, a low edge from lo - 1 down.
-        """
-        inf = float("inf")
-        if self.lo is None:
-            smin = min((n for n, _ in self.terms),
-                       default=inf if self.hi is None else self.hi + 1)
-        else:
-            smin = -inf
-        if self.hi is None:
-            smax = max((n for n, _ in self.terms),
-                       default=-inf if self.lo is None else self.lo - 1)
-        else:
-            smax = inf
-        return smin, smax
-
     def __mul__(self, other: "SFun") -> "SFun":
-        """The product, each output coefficient summed in one mask dict by
-        add_product; a theta-free left coefficient passes the right factor's
-        theta as its parity twist, formed once per left term."""
+        """The product on _product_window(self, other): each left term
+        (n, e), c is the part (c, n, e, other) of _sum_left."""
         if not isinstance(other, SFun):
             return NotImplemented
         self._check(other.L)
-        # exactness window from unknown-tail contamination
-        inf = float("inf")
-        smin_f, smax_f = self._support_bounds()
-        smin_g, smax_g = other._support_bounds()
-        hi_res = min(inf if self.hi is None else self.hi + smin_g,
-                     inf if other.hi is None else other.hi + smin_f)
-        lo_res = max(-inf if self.lo is None else self.lo + smax_g,
-                     -inf if other.lo is None else other.lo + smax_f)
-        if lo_res > hi_res:
-            raise TruncationError("product window is empty")
-        lo = None if lo_res == -inf else int(lo_res)
-        hi = None if hi_res == inf else int(hi_res)
-        acc: dict[tuple[int, int], dict] = {}
-        for (n1, e1), c1 in self.terms.items():
-            a = c1.terms
-            at = a if e1 else c1.parity_twist().terms
-            for (n2, e2), c2 in other.terms.items():
-                if e1 and e2:
-                    continue
-                n = n1 + n2
-                if lo is not None and n < lo:
-                    continue
-                if hi is not None and n > hi:
-                    continue
-                add_product(acc.setdefault((n, e1 | e2), {}), at if e2 else a, c2.terms)
-        return _from_masks(self.L, acc, lo, hi)
+        lo, hi = _product_window(self, other)
+        return _sum_left(self.L, [(c, n, e, other) for (n, e), c in self.terms.items()],
+                         lo, hi)
 
     # -- calculus ---------------------------------------------------------
 
@@ -271,8 +221,9 @@ class SFun:
         ck**-1 in u, is the one GrassmannElement power, so a half-odd n
         takes the principal root of ck's body.  (1 + u)^n is summed as
         sum_p C(n, p) u^p with u^p = u^(p-1) * u, so the products carry the
-        windows; the zero u^p that ends the sum is summed too, so an unknown
-        high tail of self bounds the result.  Only a theta-free term of u at
+        windows, in one _sum_left over the parts (ck**n C(n, p), kn, 0, u^p);
+        the high edge of the zero u^p that ends the sum bounds it too, so an
+        unknown high tail of self bounds the result.  Only a theta-free term of u at
         positive order with a nonzero body makes the sum endless; then
         clip_hi is required, terms of u^p above clip_hi - kn + _reach_down(u)
         are dropped, and the result is cut at clip_hi exactly when one was.
@@ -300,20 +251,21 @@ class SFun:
             if clip_hi is None:
                 raise TruncationError("unbounded expansion needs a window")
             top = clip_hi - kn + _reach_down(u)
-        acc = up = SFun.const(self.L, 1)
-        cut = False
+        ckn = ck ** n
+        up = SFun.const(self.L, 1)
+        parts = [(ckn, kn, 0, up)]
+        hi = None  # the high edge of the sum of the u^p, before the shift by kn
         p = 0
         while not up.is_zero():
             p += 1
             up = up * u
             if top is not None and any(m > top for m, _ in up.terms):
-                cut = True
+                hi = _min_hi(hi, clip_hi - kn)
                 up = SFun(self.L, {key: c for key, c in up.terms.items() if key[0] <= top},
                           None, up.hi)
-            acc = acc + up.scale_left(binom(n, p))
-        if cut:
-            acc = acc.with_window(None, clip_hi - kn)
-        return acc.shift(kn).scale_left(ck ** n)
+            hi = _min_hi(hi, up.hi)
+            parts.append((ckn * binom(n, p), kn, 0, up))
+        return _sum_left(self.L, parts, None, None if hi is None else hi + kn)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -341,9 +293,55 @@ class SFun:
         return total
 
 
-def _from_masks(L: int, acc: dict, lo, hi) -> SFun:
-    """The SFun on [lo, hi] whose coefficient at each key of acc is the
-    element with that mask dict, one element per nonzero dict."""
+def _product_window(f: SFun, g: SFun) -> tuple:
+    """(lo, hi) of f * g, None where unbounded: the product is unknown
+    where an unknown tail of one factor meets a possible term of the other.
+    Raises TruncationError when the window is empty."""
+    inf = float("inf")
+
+    def support(F):
+        """(smin, smax) as floats: orders where F's terms may exist.  With
+        no terms the unknown tail bounds them: a high edge leaves terms
+        possible from hi + 1 up, a low edge from lo - 1 down."""
+        smin = -inf if F.lo is not None else min(
+            (n for n, _ in F.terms), default=inf if F.hi is None else F.hi + 1)
+        smax = inf if F.hi is not None else max(
+            (n for n, _ in F.terms), default=-inf if F.lo is None else F.lo - 1)
+        return smin, smax
+
+    (fmin, fmax), (gmin, gmax) = support(f), support(g)
+    hi = min(inf if f.hi is None else f.hi + gmin, inf if g.hi is None else g.hi + fmin)
+    lo = max(-inf if f.lo is None else f.lo + gmax, -inf if g.lo is None else g.lo + fmax)
+    if lo > hi:
+        raise TruncationError("product window is empty")
+    return (None if lo == -inf else int(lo)), (None if hi == inf else int(hi))
+
+
+def _sum_left(L: int, parts, lo, hi) -> SFun:
+    """The SFun on [lo, hi] summing c z^n theta^e F over parts (c, n, e, F),
+    c a GrassmannElement written to the left of theta.
+
+    The one place superseries multiplies coefficients: every contribution
+    to an output coefficient is summed in one {mask: coeff} dict by
+    add_product, and one GrassmannElement is built per nonzero output.  c
+    passes a theta term of F as its parity twist, formed only when F has
+    one; theta^e meets a theta term of F in theta^2 = 0.  A part whose c
+    and F differ in generator count raises DimensionMismatch.
+    """
+    acc: dict = {}
+    for c, n, e, F in parts:
+        F._check(c.L)
+        a, at = c.terms, None
+        for (m, f), x in F.terms.items():
+            if f:
+                if e:
+                    continue
+                if at is None:
+                    at = c.parity_twist().terms
+            m += n
+            if lo is not None and m < lo or hi is not None and m > hi:
+                continue
+            add_product(acc.setdefault((m, e | f), {}), at if f else a, x.terms)
     return SFun(L, {key: GrassmannElement(L, v) for key, v in acc.items() if v}, lo, hi)
 
 
@@ -436,17 +434,20 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
     umax = max(0, max((n - k for (n, e) in Z.terms), default=0))
 
     def subst(C: SFun) -> SFun:
-        acc: dict[tuple[int, int], dict] = {}
+        # theta^e c z^n -> T^e c Z^n; for e = 1 the parts are T's terms
+        # against c Z^n, on the window of that product
+        parts = []
         a = b = None
         for (n, e), c in sorted(C.terms.items()):
-            piece = zp(n).scale_left(c)
+            Zn = zp(n)
             if e:
-                piece = T * piece
-            a, b = _max_lo(a, piece.lo), _min_hi(b, piece.hi)
-            for key, v in piece.terms.items():
-                out = acc.setdefault(key, {})
-                for m, x in v.terms.items():
-                    add_term(out, m, x)
+                Zn = Zn.scale_left(c)
+                window = _product_window(T, Zn)
+                parts += [(t, m, f, Zn) for (m, f), t in T.terms.items()]
+            else:
+                window = Zn.lo, Zn.hi
+                parts.append((c, 0, 0, Zn))
+            a, b = _max_lo(a, window[0]), _min_hi(b, window[1])
         # contamination from H1's unknown tails fed through powers of Z
         if k > 0:
             if C.lo is not None:
@@ -464,7 +465,7 @@ def ss_compose(H1: SuperSeries, H2: SuperSeries,
                 b = _min_hi(b, k * (C.lo - 1) - 1 - reach)
         if (a is not None and b is not None and a > b):
             raise TruncationError("composition window is empty")
-        return _from_masks(H1.L, acc, a, b)
+        return _sum_left(H1.L, parts, a, b)
 
     if k == 0:
         raise TruncationError("composition target has order-zero leading term")
@@ -486,7 +487,6 @@ def ss_invert(H: SuperSeries, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     if k != 1:
         raise NotInvertible(f"leading order {k} is not invertible")
     a = H.ev.coeff(1, 0)
-    p = H.ev.coeff(1, 1)  # theta-coefficient sitting at z^1 does not enter linear part
     b = H.od.coeff(0, 1)
     q0 = H.od.coeff(0, 0)
     # linear part at the origin: zt ~ a z + (theta z ... higher), tht ~ q0 + b theta
@@ -659,17 +659,18 @@ def _apply_flow(H: SuperSeries, terms: list, window) -> SuperSeries:
     """
     lo, hi = window
 
-    def X(F):
-        out = SFun.zero(H.L)
-        for op, coeff in terms:
-            out = out + op.apply(F).scale_left(coeff)
-        return out.with_window(lo, hi)
+    def X(F, w):  # w times the combined derivation of F, on the window
+        parts = [(coeff * w, 0, 0, op.apply(F)) for op, coeff in terms]
+        a, b = lo, hi
+        for *_, G in parts:
+            a, b = _max_lo(a, G.lo), _min_hi(b, G.hi)
+        return _sum_left(H.L, parts, a, b)
 
     cur = (H.ev.with_window(lo, hi), H.od.with_window(lo, hi))
     acc = cur
     for k in range(1, FLOW_MAX_STEPS + 1):
         w = Fraction(1, k)
-        cur = (X(cur[0]).scale_left(w), X(cur[1]).scale_left(w))
+        cur = (X(cur[0], w), X(cur[1], w))
         if cur[0].is_zero() and cur[1].is_zero():
             return SuperSeries(H.L, acc[0], acc[1])
         acc = (acc[0] + cur[0], acc[1] + cur[1])

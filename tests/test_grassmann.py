@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superns import grassmann
 from superns.grassmann import (
     DimensionMismatch,
     GradedPoly,
@@ -542,6 +543,55 @@ def test_specs_with_the_same_symbols_keep_their_own_products(par1, par2, cap1, c
         assert (p * q).terms == naive_product(p, q)
         # the parity memo is per ring too
         assert p.parity_twist().terms == naive_twist(p)
+
+
+def ring_laws_hold(p, q, r) -> bool:
+    """(pq)r = p(qr), p(q + r) = pq + pr and (q + r)p = qp + rp."""
+    return ((p * q) * r == p * (q * r) and p * (q + r) == p * q + p * r
+            and (q + r) * p == q * p + r * p)
+
+
+def supercommute(p, q) -> bool:
+    """pq = (-1)^(|p||q|) qp for homogeneous p and q."""
+    return p * q == (q * p) * (-1 if p.parity() == q.parity() == 1 else 1)
+
+
+def homogeneous(p, odd: int):
+    """The terms of p of parity odd."""
+    return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if p.spec.odd(k[0]) == odd})
+
+
+# a term of at most two letters, so that products often survive the cap
+_SHORT_TERM = st.tuples(
+    st.dictionaries(st.integers(0, NSYM - 1), st.integers(1, 2), max_size=2).map(
+        lambda d: [d.get(i, 0) for i in range(NSYM)]),
+    st.integers(-2, 2), st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARITIES, _CAPPED, st.integers(0, 4), st.lists(_SHORT_TERM, max_size=4),
+       st.lists(_SHORT_TERM, max_size=4), st.lists(_SHORT_TERM, max_size=4))
+def test_graded_poly_ring_laws(parity, capped, cap, raw_p, raw_q, raw_r):
+    """Associativity and both distributive laws under the degree cap, and
+    supercommutativity of the homogeneous parts of p and of q + r."""
+    spec = spec_of(parity, capped, cap)
+    p, q, r = (poly_of(spec, raw) for raw in (raw_p, raw_q, raw_r))
+    assert ring_laws_hold(p, q, r)
+    for a in (0, 1):
+        for b in (0, 1):
+            assert supercommute(homogeneous(p, a), homogeneous(q + r, b))
+
+
+def test_graded_ring_laws_see_a_dropped_koszul_sign(monkeypatch):
+    """Negative control: with _merge_sign +1 from the first product of a
+    fresh ring on (the merge memo is per spec), odd symbols commute.
+    Supercommutativity catches that; associativity alone would not."""
+    monkeypatch.setattr(grassmann, "_merge_sign", lambda a, b: 1)
+    spec = spec_of([1, 1, 1, 0, 0], [True] * NSYM, 4)
+    x = [GradedPoly.symbol(spec, f"x{i}") for i in range(NSYM)]
+    p, q, r = x[0] + x[3], x[1] * x[4] + x[2], x[2] * x[3] - x[0] * x[1]
+    assert ring_laws_hold(p, q, r)
+    assert not supercommute(x[0], x[1])
 
 
 _FRAC = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -139,9 +139,11 @@ def _functions(tree, names) -> dict:
 
 def test_one_grassmann_product_loop():
     """grassmann.add_product is the one loop that multiplies Grassmann
-    monomials: _merge_sign is called only there and in GradedPoly._mul_mono,
-    and SFun.__mul__ and SFun.scale_left multiply no coefficient themselves,
-    they accumulate through add_product."""
+    monomials: _merge_sign is called only there and in GradedPoly._mul_mono.
+    superseries multiplies coefficients in one function: add_product and
+    parity_twist are called inside it alone, SFun.__mul__, scale_left,
+    SFun.power, ss_compose and _apply_flow all sum their products through
+    it, and __mul__ and scale_left multiply nothing themselves."""
     owners = set()
     for name in ALLOWED:
         tree = _tree(name)
@@ -153,19 +155,28 @@ def test_one_grassmann_product_loop():
                 assert id(node) in inside, (name, node.lineno)
                 owners.add((name, inside[id(node)]))
     assert owners == {("grassmann", "add_product"), ("grassmann", "_mul_mono")}
-    sfun = next(node for node in _tree("superseries").body
+    tree = _tree("superseries")
+    kernels = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Call)
+               and _names(n.func) & {"add_product", "parity_twist"}}
+    assert len(kernels) == 1, kernels
+    kernel = kernels.pop()
+    assert "_from_masks" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    sfun = next(node for node in tree.body
                 if isinstance(node, ast.ClassDef) and node.name == "SFun")
-    methods = _functions(sfun, {"__mul__", "scale_left"})
-    assert set(methods) == {"__mul__", "scale_left"}
-    for fname, fn in methods.items():
-        assert "add_product" in _names(fn), fname
-        products = [n.lineno for n in ast.walk(fn)
+    callers = _functions(sfun, {"__mul__", "scale_left", "power"})
+    callers |= _functions(tree, {"ss_compose", "_apply_flow"})
+    assert len(callers) == 5
+    for fname, fn in callers.items():
+        assert kernel in _names(fn), fname
+    for fname in ("__mul__", "scale_left"):
+        products = [n.lineno for n in ast.walk(callers[fname])
                     if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mult)]
         assert not products, (fname, products)
 
 
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly
-SOLVER = {"_exp_graded", "_alpha_reduce", "_Adjoint", "_Factorization", "sw_solve",
+SOLVER = {"_exp_graded", "_Adjoint", "_Factorization", "sw_solve",
           "sw_consistency_check", "sw_gamma2"}
 GAUSSIAN = {"QQi", "as_qqi"}
 

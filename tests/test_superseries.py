@@ -12,6 +12,7 @@ from superns.grassmann import DimensionMismatch, GrassmannElement, QQi, as_qqi
 from superns.superseries import (
     CoordData,
     DiffOp,
+    DomainError,
     InfCoordData,
     SFun,
     ShapeError,
@@ -604,6 +605,14 @@ def test_from_components_always_superconformal():
         assert ok, residual
 
 
+def test_from_components_takes_theta_free_components():
+    f, psi = SFun.z_power(L, 1), SFun.const(L, gen(1))
+    for bad_f, bad_psi in ((f + SFun.theta_term(L, 1, gen(2)), psi),
+                           (f, psi + SFun.theta_term(L, 0))):
+        with pytest.raises(DomainError):
+            ss_from_components(bad_f, bad_psi)
+
+
 # -- exponential flows -----------------------------------------------------
 
 
@@ -795,6 +804,41 @@ def test_evaluate_inversion_at_two():
     assert t.is_zero()
 
 
+def test_evaluate_checks_the_parity_of_its_point():
+    """z must be even and theta odd or zero; a mixed value is neither."""
+    H = SuperSeries.identity(L)
+    for z0, th0 in ((gen(1), gen(2)), (scalar(2) + gen(1), gen(2)),
+                    (scalar(2), gen(1) * gen(2)), (scalar(2), scalar(1) + gen(1))):
+        with pytest.raises(DomainError):
+            ss_evaluate(H, z0, th0)
+    assert ss_evaluate(H, scalar(2), GrassmannElement(L)) == (scalar(2), GrassmannElement(L))
+
+
+def polynomial_map(rng, lead) -> SuperSeries:
+    """A map with no window: even zt = lead z + orders 0..2 with souls and
+    odd coefficients on theta, odd tht = odd souls + theta (1 + even souls)."""
+    ev = (SFun.z_power(L, 1, lead) + SFun.z_power(L, 2, soul_even(rng))
+          + SFun.theta_term(L, 0, soul_odd(rng)) + SFun.theta_term(L, 1, soul_odd(rng)))
+    od = (SFun.const(L, soul_odd(rng)) + SFun.z_power(L, 1, soul_odd(rng))
+          + SFun.theta_term(L, 0, scalar(1) + soul_even(rng))
+          + SFun.theta_term(L, 2, soul_even(rng)))
+    return SuperSeries(L, ev, od)
+
+
+def test_evaluation_commutes_with_composition():
+    """Evaluating H1 o H2 at a point is evaluating H1 at the value of H2
+    there: theta c z^n takes the value theta0 c z0^n on both sides, with
+    theta0 on the left of an odd c."""
+    rng = random.Random(SEED + 13)
+    for _ in range(4):
+        H1 = polynomial_map(rng, scalar(1) + soul_even(rng))
+        H2 = polynomial_map(rng, scalar(rng.choice([2, 3])))
+        z0, th0 = scalar(rng.choice([1, 2, 3])) + soul_even(rng), soul_odd(rng)
+        K = ss_compose(H1, H2)
+        assert (K.ev.lo, K.ev.hi, K.od.lo, K.od.hi) == (None,) * 4
+        assert ss_evaluate(K, z0, th0) == ss_evaluate(H1, *ss_evaluate(H2, z0, th0))
+
+
 def test_evaluate_refuses_a_windowed_series():
     """A windowed series has an unknown tail, so it has no value to give."""
     rng = random.Random(SEED)
@@ -871,6 +915,20 @@ def test_inverse_of_a_soul_free_map_matches_sympy_composition(coeffs):
     f_of_g = sympy_poly(coeffs).subs(Z, g_expr)
     got = SFun(L, {(1, 0): scalar(1)}, g.lo, g.hi)
     assert_matches_sympy(got, f_of_g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(soul_free_coeffs(lead_orders=(1,)))
+def test_from_components_is_exact_through_the_window_edge(coeffs):
+    """With psi = 0 the map is (f, theta r), r*r = f': r matches sympy's
+    sqrt(f') through window[1], where an endless root is cut."""
+    window = (-6, 6)
+    od = ss_from_components(body_series(coeffs), SFun.zero(L), window=window).od
+    assert all(e for _, e in od.terms)
+    endless = any(n > 1 and c for n, c in coeffs.items())
+    assert od.hi == (window[1] if endless else None)
+    r = SFun(L, {(n, 0): c for (n, _), c in od.terms.items()}, od.lo, od.hi)
+    assert_matches_sympy(r, sympy.sqrt(sympy.diff(sympy_poly(coeffs), Z)))
 
 
 def test_inverse_of_a_polynomial_map_with_no_high_edge_stops(monkeypatch):
