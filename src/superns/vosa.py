@@ -26,8 +26,11 @@ HALF = Fraction(1, 2)
 
 
 def _k2(k) -> int:
-    """The doubled int key 2k of a mode index k in (1/2)Z; any other k
-    raises ValueError instead of being read at a truncated key."""
+    """The doubled int key 2k of a mode index k in (1/2)Z, given as an int
+    or a Fraction; any other k, a bool or a float among them, raises
+    ValueError instead of being read at a converted key."""
+    if type(k) is bool or not isinstance(k, (int, Fraction)):
+        raise ValueError(f"mode index {k!r} is not an int or a Fraction")
     if (k2 := int(2 * k)) != 2 * k:
         raise ValueError(f"mode index {k!r} is not in (1/2)Z")
     return k2
@@ -140,8 +143,8 @@ class VertexData:
     mode_apply_vec: even k2 reads the x sector, odd k2 the phi sector
     (populated as the modes of the G(-1/2)-image, the odd-variable dressing
     of the underlying structure).  mode_col, mode_apply, with_override,
-    G_apply and L_apply take k itself and convert it once with _k2, which
-    rejects a k outside (1/2)Z.  Overrides support automorphisms and
+    G_apply and L_apply take k itself, an int or a Fraction, and convert it
+    once with _k2, which rejects a k outside (1/2)Z.  Overrides support automorphisms and
     mutation tests without copying the recursion caches.  Mode columns have
     int coefficients.
 
@@ -192,13 +195,22 @@ class VertexData:
     # -- raw x-sector modes of basis states (field-product recursion) -------
 
     def _xmode_col(self, v_idx: int, n: int, col: int) -> dict:
+        """The column v_(n) col of the x-sector recursion, memoized.
+
+        v_(n) col has doubled weight weights2[v] + weights2[col] - 2n - 2;
+        outside [0, cap2] no basis state has that weight, so the column is
+        {} and the recursion stops there.  That is exact: the free actions
+        are graded, every intermediate of _product_mode_col weighs at most
+        the output, and no override is read here."""
         key = (v_idx, n, col)
         hit = self._xmode_cache.get(key)
         if hit is not None:
             return hit
         space = self.space
         b, f = space.states[v_idx]
-        if not b and not f:
+        if not 0 <= space.weights2[v_idx] + space.weights2[col] - 2 * n - 2 <= space.cap2:
+            out = {}
+        elif not b and not f:
             out = {col: 1} if n == -1 else {}
         elif b:
             # peel alpha_(-k): v = boson_(-k) v'
@@ -215,7 +227,11 @@ class VertexData:
     def _product_mode_col(self, odd: int, p: int, w_idx: int, m: int, col: int) -> dict:
         """(gen_(p) w)_(m) column via the field-product expansion, p < 0, gen
         the boson (odd = 0) or the fermion (odd = 1).  x_(n) kills a state of
-        weight h once n + 1 > wt(x) + h: both sums stop there (doubled ints)."""
+        weight h once n + 1 > wt(x) + h: both sums stop there (doubled ints).
+        Term 1's w_(m+j) col weighs j - p less than the output, and term 2
+        reads w on gen_(j) col, at most col's weight: so an output inside the
+        cap needs no column outside it, and _xmode_col's graded exit loses
+        nothing."""
         space = self.space
         act = space.gen_act
         col2 = space.weights2[col]
@@ -397,6 +413,13 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     mode_apply_vec to the override and column reads, weights and the cap
     are doubled for the soundness test, and the signed binomials
     (-1)^k C(n, k) are ints.
+
+    Each k-sum forms only its nonzero products.  It stops at the last k
+    whose signed binomial is nonzero, and it walks a memoized ascending list
+    of the k whose inner vector (y_(.) w, or u_(.) v in term 3) is nonzero.
+    The lists test the columns actually read, overrides included, not a
+    grading bound, so they skip exactly the products that are zero in any
+    VertexData, and every column read is one the full sums read.
     """
     cap2 = V.space.cap2
     eu, ev = V.sign(u), V.sign(v)
@@ -410,6 +433,11 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     @functools.cache
     def inner_uv(kj2):
         return apply({u: 1}, kj2, {v: 1})
+
+    @functools.cache
+    def live_uv(base2, kb):
+        """The ascending k < kb with u_(base2/2 + k) v nonzero."""
+        return [k for k in range(kb) if inner_uv(base2 + 2 * k)]
 
     for w in V.basis_indices(min(V.space.cap, 2)):
         wt2 = V.space.weights2[w]
@@ -429,24 +457,30 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
             base = inner_uv(kj2)
             return apply(base, km2, wvec) if base else {}
 
+        @functools.cache
+        def live_w(y, base2, kb):
+            """The ascending k < kb with y_(base2/2 + k) w nonzero."""
+            return [k for k in range(kb) if on_w(y, base2 + 2 * k)]
+
         def ordered(acc, x, y, bx, cy, ex, ey, sign, pp_sign):
             """acc += sign times the bin's coefficient of x_(.) y_(.) w under
             the delta expansion: x's modes go with the outer variable pair
             (power bx, phi power ex), y's with the inner one (cy, ey), and
             n = -a - 1 is the current bin's.  The phi1 phi2 part of the
             delta function takes pp_sign in place of sign."""
-            for k in range((wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1):
-                cb = signed_binom(n, k)
-                if cb and (prod := nested(x, 2 * (n - k - bx - 1) - ex,
-                                          y, 2 * (k - cy - 1) - ey)):
-                    add_scaled(acc, prod, cb * sign)
-                if ex and ey and n:
-                    cb = signed_binom(n - 1, k)
-                    if cb and (prod := nested(x, 2 * (n - k - bx - 2), y, 2 * (k - cy - 1))):
-                        add_scaled(acc, prod, -n * cb * pp_sign)
+            kmax = (wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1
+            for k in live_w(y, -2 * cy - 2 - ey, kmax if n < 0 else min(kmax, n + 1)):
+                if prod := nested(x, 2 * (n - k - bx - 1) - ex, y, 2 * (k - cy - 1) - ey):
+                    add_scaled(acc, prod, signed_binom(n, k) * sign)
+            if ex and ey and n:
+                for k in live_w(y, -2 * cy - 2, kmax if n < 1 else min(kmax, n)):
+                    if prod := nested(x, 2 * (n - k - bx - 2), y, 2 * (k - cy - 1)):
+                        add_scaled(acc, prod, -n * signed_binom(n - 1, k) * pp_sign)
 
         for a, b, c in itertools.product(rng, rng, rng):
             n = -a - 1
+            kmax3 = (wtu2 + wtv2 + 2 * a + 4) // 2 + 1
+            kb3 = kmax3 if b >= 0 else min(kmax3, -b)
             for e1, e2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 # every internal vector, including the odd-derivation images
                 # backing the phi modes, must stay inside the weight cap;
@@ -469,22 +503,22 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
                 s2b = -1 if (eu * ev + n) & 1 else 1
                 ordered(acc, v, u, c, b, e2, e1,
                         s2b if e1 and ev else -s2b, s2b)
-                # term 3 (subtracted as the right side)
-                for k in range((wtu2 + wtv2 + 2 * a + 4) // 2 + 1):
-                    j2 = 2 * (k - a - 1)
-                    nn = b + k
-                    mm2 = 2 * (-nn - c - 2)
-                    cb = signed_binom(nn, k)
-                    if not cb:
-                        continue
-                    if prod := outer(j2 - e1, mm2 - e2):
-                        add_scaled(acc, prod, -cb)
-                    if e2 and not e1 and (prod := outer(j2 - 1, mm2)):
-                        add_scaled(acc, prod, cb)
-                    # the phi1 phi2 part at nn + 1, whose signed binomial
-                    # (-1)^k C(nn + 1 - 1, k) is cb again
-                    if e1 and e2 and nn != -1 and (prod := outer(j2, mm2 - 2)):
-                        add_scaled(acc, prod, (nn + 1) * cb)
+                # term 3 (subtracted as the right side); the signed binomial
+                # (-1)^k C(b + k, k) vanishes from k = -b on when b < 0
+                mm2 = 2 * (-b - c - 2)
+                for k in live_uv(-2 * a - 2 - e1, kb3):
+                    if prod := outer(2 * (k - a - 1) - e1, mm2 - 2 * k - e2):
+                        add_scaled(acc, prod, -signed_binom(b + k, k))
+                if e2 and not e1:
+                    for k in live_uv(-2 * a - 3, kb3):
+                        if prod := outer(2 * (k - a) - 3, mm2 - 2 * k):
+                            add_scaled(acc, prod, signed_binom(b + k, k))
+                if e1 and e2:
+                    # the phi1 phi2 part at b + k + 1, whose signed binomial
+                    # (-1)^k C(b + k + 1 - 1, k) is term 3's again
+                    for k in live_uv(-2 * a - 2, kb3):
+                        if b + k != -1 and (prod := outer(2 * (k - a - 1), mm2 - 2 * k - 2)):
+                            add_scaled(acc, prod, (b + k + 1) * signed_binom(b + k, k))
                 checked += 1
                 if acc:
                     if len(failures) < JACOBI_FAILURES:

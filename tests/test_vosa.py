@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from superns.sparse import add_term, binom
 from superns.vosa import (
     FockSpace,
+    VertexData,
     automorphism_J,
     consequence_checks,
     convert_F1,
@@ -68,16 +70,40 @@ JACOBI_TABLE = {
 }
 
 
-def test_jacobi_table_of_all_small_pairs(V):
-    small = V.basis_indices(Fraction(3, 2))
-    assert [V.space.states[i] for i in small] == [
+# the same at cap 7/2, the cap of the vosa_jacobi benchmark workload
+JACOBI_TABLE_7_2 = {
+    (0, 0): (True, 3270, 730), (0, 1): (True, 3010, 990), (0, 2): (True, 2575, 1425),
+    (0, 3): (True, 2003, 1997), (0, 4): (True, 2003, 1997), (1, 0): (True, 3010, 990),
+    (1, 1): (True, 2655, 1345), (1, 2): (True, 2138, 1862), (1, 3): (True, 1642, 2358),
+    (1, 4): (True, 1642, 2358), (2, 0): (True, 2575, 1425), (2, 1): (True, 2138, 1862),
+    (2, 2): (True, 1702, 2298), (2, 3): (True, 1288, 2712), (2, 4): (True, 1288, 2712),
+    (3, 0): (True, 2003, 1997), (3, 1): (True, 1642, 2358), (3, 2): (True, 1288, 2712),
+    (3, 3): (True, 952, 3048), (3, 4): (True, 952, 3048), (4, 0): (True, 2003, 1997),
+    (4, 1): (True, 1642, 2358), (4, 2): (True, 1288, 2712), (4, 3): (True, 952, 3048),
+    (4, 4): (True, 952, 3048),
+}
+
+
+def small_pair_table(X):
+    """(passed, checked, skipped) of jacobi_check(X, u, v) for every pair of
+    states of weight <= 3/2, which are the first five at any cap >= 3/2."""
+    small = X.basis_indices(Fraction(3, 2))
+    assert [X.space.states[i] for i in small] == [
         ((), ()), ((), (1,)), ((1,), ()), ((), (3,)), ((1,), (1,))]
     got = {}
     for u in small:
         for v in small:
-            report = jacobi_check(V, u, v)
+            report = jacobi_check(X, u, v)
             got[u, v] = (report["passed"], report["checked"], report["skipped"])
-    assert got == JACOBI_TABLE
+    return got
+
+
+def test_jacobi_table_of_all_small_pairs(V):
+    assert small_pair_table(V) == JACOBI_TABLE
+
+
+def test_jacobi_table_at_the_benchmark_cap():
+    assert small_pair_table(fixture_boson_fermion(Fraction(7, 2))) == JACOBI_TABLE_7_2
 
 
 def recording_reads(X):
@@ -110,6 +136,27 @@ def test_planted_mode_column_of_u_fails_jacobi(V, key):
     assert not report["passed"] and report["failures"]
     if key.denominator == 2:
         assert any(f["monomial"][3] or f["monomial"][4] for f in report["failures"])
+
+
+# (distinct columns, digest of the sorted (state, k2, column) reads) that
+# jacobi_check(u, v) reads at cap 5/2 when every k-sum runs its full range
+JACOBI_READS = {
+    (4, 4): (336, "b425cdef2b2dd0d4"),  # (tau, tau)
+    (4, 1): (617, "14656d68a87dcae6"),  # (tau, psi(-1/2))
+    (2, 3): (335, "70b3bddfe9e00c71"),  # (alpha(-1), psi(-3/2))
+}
+
+
+@pytest.mark.parametrize("pair", list(JACOBI_READS), ids=str)
+def test_jacobi_reads_the_columns_of_the_full_sums(V, pair):
+    """The k-sums skip only zero products: they read exactly the columns the
+    sums over every k read.  A sum that skips a live k or forms a product
+    the full sums do not form reads another set."""
+    X = V.copy()
+    reads = recording_reads(X)
+    assert jacobi_check(X, *pair)["passed"]
+    digest = hashlib.sha256("\n".join(map(repr, sorted(reads))).encode()).hexdigest()[:16]
+    assert (len(reads), digest) == JACOBI_READS[pair]
 
 
 # the 8 of the 108 mutants below that no asserted bin of jacobi_check(tau, tau)
@@ -164,6 +211,24 @@ def test_fock_space_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_xmode_recursion_does_not_depend_on_the_cap():
+    """Every x-sector column v_(n) col of FockSpace(7/2), n in -8..7, is the
+    cap-9/2 column mapped back by state where its weight fits the cap, and
+    {} above it: the recursion neither loses nor invents a term at the cap."""
+    small = VertexData(FockSpace(Fraction(7, 2)), {})
+    big = VertexData(FockSpace(Fraction(9, 2)), {})
+    lo, hi = small.space, big.space
+    up = [hi.index[s] for s in lo.states]
+    for v, col in itertools.product(range(len(lo.states)), repeat=2):
+        for n in range(-8, 8):
+            got = small._xmode_col(v, n, col)
+            if lo.weights2[v] + lo.weights2[col] - 2 * n - 2 > lo.cap2:
+                assert got == {}, (v, n, col)
+                continue
+            want = big._xmode_col(up[v], n, up[col])
+            assert got == {lo.index[hi.states[i]]: c for i, c in want.items()}, (v, n, col)
 
 
 def test_mode_layer_is_integral():
@@ -268,6 +333,21 @@ def test_override_is_read_with_either_key_type(V, key):
         bad.L_apply(HALF, {col: 1})
     with pytest.raises(ValueError):
         bad.G_apply(key, {col: 1})
+
+
+@pytest.mark.parametrize("key", [True, False, 1.5, 1.0, 2.0], ids=repr)
+def test_mode_key_of_another_type_is_rejected(V, key):
+    """A mode key is an int or a Fraction: a bool is not read as 0 or 1 and
+    a float is not read at its value, by any of the five converters."""
+    tau = tau_index(V)
+    col = V.space.index[((1,), ())]
+    for convert in (lambda: V.mode_col(tau, key, col),
+                    lambda: V.mode_apply(tau, key, {col: 1}),
+                    lambda: V.with_override(tau, key, col, {}),
+                    lambda: V.G_apply(key, {col: 1}),
+                    lambda: V.L_apply(key, {col: 1})):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            convert()
 
 
 @settings(max_examples=300, deadline=None)
