@@ -16,6 +16,7 @@ fermion part r by the odd int 2r.  The binomial
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -30,9 +31,9 @@ def _k2(k) -> int:
     or a Fraction; any other k, a bool or a float among them, raises
     ValueError instead of being read at a converted key."""
     if type(k) is bool or not isinstance(k, (int, Fraction)):
-        raise ValueError(f"mode index {k!r} is not an int or a Fraction")
+        raise ValueError(f"{k!r} is not an int or a Fraction")
     if (k2 := int(2 * k)) != 2 * k:
-        raise ValueError(f"mode index {k!r} is not in (1/2)Z")
+        raise ValueError(f"{k!r} is not in (1/2)Z")
     return k2
 
 
@@ -55,12 +56,17 @@ class FockSpace:
     part r is stored as the odd int 2r, the parts distinct and decreasing.
     The state is the corresponding product of creation modes on the vacuum,
     fermions leftmost-largest.  weights2 and cap2 are the doubled weights
-    and cap; weights is derived from weights2.
+    and cap; weights is derived from weights2.  The cap is an int or a
+    Fraction in (1/2)Z, at least 0; any other cap raises ValueError.
     """
 
     def __init__(self, weight_cap):
-        self.cap = Fraction(weight_cap)
-        self.cap2 = cap2 = int(2 * self.cap)
+        # read like a mode index, so that cap2 is exactly twice cap; a
+        # negative cap would leave no vacuum
+        self.cap2 = cap2 = _k2(weight_cap)
+        if cap2 < 0:
+            raise ValueError(f"weight cap {weight_cap!r} is negative")
+        self.cap = Fraction(cap2, 2)
         bosons = self._boson_partitions(cap2 >> 1)
         self.states = sorted(((b, f) for f in self._fermion_subsets(cap2) for b in bosons
                               if 2 * sum(b) + sum(f) <= cap2),
@@ -342,10 +348,9 @@ def fixture_boson_fermion(weight_cap) -> VertexData:
     The odd weight-3/2 state built from the two creation modes serves as
     tau; the central charge is computed from the bracket, not asserted.
     """
-    cap = Fraction(weight_cap)
-    if cap < 2:
+    space = FockSpace(weight_cap)
+    if space.cap < 2:
         raise ValueError("weight cap too small to hold the superconformal vector")
-    space = FockSpace(cap)
     tau_idx = space.index[((1,), (1,))]
     V = VertexData(space, {tau_idx: 1}, None, has_odd=True)
     V.cc = V.compute_central_charge()
@@ -398,15 +403,20 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     coefficients of x0^a x1^b x2^c in each phi sector.
 
     The inputs w are the basis states of weight <= min(cap, 2); a, b and c
-    run over [-JACOBI_WINDOW, JACOBI_WINDOW], and the check stops at the
-    (JACOBI_FAILURES + 1)-th failing bin, reporting the first
-    JACOBI_FAILURES.  Bins are asserted only where every internal sum
-    provably stays inside the weight cap; the rest are counted as skipped.
+    run over [-JACOBI_WINDOW, JACOBI_WINDOW].  Bins are asserted only where
+    every internal sum provably stays inside the weight cap; the rest are
+    counted as skipped.  That test is one bound on each of a, b and c plus
+    tests on the phi powers, so for each w and (e1, e2) the asserted bins
+    form a box A x B x C: checked is the sum of the box volumes and skipped
+    the rest of the window.
 
     The two left-hand terms are one expansion of
     delta((x1 - x2 - phi1 phi2)/x0) applied to "x_(.) y_(.) w", once with
     (x, y) = (u, v) and once, subtracted, with the roles exchanged; the
-    local kernel ordered() runs both.
+    local kernel ordered() runs both, and uv_sum() runs the right-hand
+    term.  Each walks its k-sum once per box row and adds every nonzero
+    product straight into its bin, so a bin no product reaches costs
+    nothing.
 
     All arithmetic on indices is on integers: a mode key k in (1/2)Z is
     carried as the doubled int k2 = 2k from the memos below through
@@ -416,19 +426,31 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
 
     Each k-sum forms only its nonzero products.  It stops at the last k
     whose signed binomial is nonzero, and it walks a memoized ascending list
-    of the k whose inner vector (y_(.) w, or u_(.) v in term 3) is nonzero.
-    The lists test the columns actually read, overrides included, not a
-    grading bound, so they skip exactly the products that are zero in any
-    VertexData, and every column read is one the full sums read.
+    of the k whose inner vector (y_(.) w, or u_(.) v in term 3) is nonzero,
+    up to the largest cut over the box's rows.  The lists test the columns
+    actually read, overrides included, not a grading bound, so they skip
+    exactly the products that are zero in any VertexData, and every column
+    read is one that the sums over every k of every asserted bin read.
+
+    A bin fails when its sum is nonzero.  Failures are taken in the order
+    w, a, b, c, then (e1, e2) in (0, 0), (1, 0), (0, 1), (1, 1); the check
+    returns at the (JACOBI_FAILURES + 1)-th, reporting the first
+    JACOBI_FAILURES and the bins checked and skipped up to that one in
+    this order.
     """
     cap2 = V.space.cap2
     eu, ev = V.sign(u), V.sign(v)
     wtu2, wtv2 = V.space.weights2[u], V.space.weights2[v]
     wt2_of = {u: wtu2, v: wtv2}
     rng = range(-JACOBI_WINDOW, JACOBI_WINDOW + 1)
+    phis = ((0, 0), (1, 0), (0, 1), (1, 1))
     checked = skipped = 0
     failures = []
     apply = V.mode_apply_vec
+
+    def upto(top2):
+        """The exponents e of the window with 2e <= top2, in ascending order."""
+        return range(-JACOBI_WINDOW, min(JACOBI_WINDOW, top2 // 2) + 1)
 
     @functools.cache
     def inner_uv(kj2):
@@ -462,72 +484,103 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
             """The ascending k < kb with y_(base2/2 + k) w nonzero."""
             return [k for k in range(kb) if on_w(y, base2 + 2 * k)]
 
-        def ordered(acc, x, y, bx, cy, ex, ey, sign, pp_sign):
-            """acc += sign times the bin's coefficient of x_(.) y_(.) w under
-            the delta expansion: x's modes go with the outer variable pair
-            (power bx, phi power ex), y's with the inner one (cy, ey), and
-            n = -a - 1 is the current bin's.  The phi1 phi2 part of the
-            delta function takes pp_sign in place of sign."""
-            kmax = (wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1
-            for k in live_w(y, -2 * cy - 2 - ey, kmax if n < 0 else min(kmax, n + 1)):
-                if prod := nested(x, 2 * (n - k - bx - 1) - ex, y, 2 * (k - cy - 1) - ey):
-                    add_scaled(acc, prod, signed_binom(n, k) * sign)
-            if ex and ey and n:
-                for k in live_w(y, -2 * cy - 2, kmax if n < 1 else min(kmax, n)):
-                    if prod := nested(x, 2 * (n - k - bx - 2), y, 2 * (k - cy - 1)):
-                        add_scaled(acc, prod, -n * signed_binom(n - 1, k) * pp_sign)
+        def ordered(x, y, rows, bxs, cys, ex, ey, swap):
+            """Add f signed_binom(m, k) x_(m-k-bx-1-ex/2) y_(k-cy-1-ey/2) w,
+            for every k below the binomial's cut, into bin (a, bx, cy), or
+            (a, cy, bx) when swap, for each row (a, m, f) and each bx, cy:
+            x's modes go with the outer variable pair (power bx, phi power
+            ex), y's with the inner one (cy, ey).  The delta expansion's
+            main part has m = n = -a - 1; its phi1 phi2 part is the same sum
+            at m = n - 1, with ex = ey = 0."""
+            for cy in cys:
+                kmax = (wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1
+                cut = [(a, m, f, kmax if m < 0 else min(kmax, m + 1)) for a, m, f in rows]
+                base2 = -2 * cy - 2 - ey
+                for k in live_w(y, base2, max(kb for *_, kb in cut)):
+                    ky2 = base2 + 2 * k
+                    for a, m, f, kb in cut:
+                        if k >= kb:
+                            continue
+                        coeff = signed_binom(m, k) * f
+                        kx2 = 2 * (m - k - 1) - ex
+                        for bx in bxs:
+                            if prod := nested(x, kx2 - 2 * bx, y, ky2):
+                                add_scaled(box[(a, cy, bx) if swap else (a, bx, cy)],
+                                           prod, coeff)
 
-        for a, b, c in itertools.product(rng, rng, rng):
-            n = -a - 1
-            kmax3 = (wtu2 + wtv2 + 2 * a + 4) // 2 + 1
-            kb3 = kmax3 if b >= 0 else min(kmax3, -b)
-            for e1, e2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                # every internal vector, including the odd-derivation images
-                # backing the phi modes, must stay inside the weight cap;
-                # the iterate's phi1 - phi2 feeds u's half modes into both
-                # phi sectors, so any phi at all needs the u image
-                sound = (wt2 + wtv2 + 2 * c + e2 <= cap2
-                         and wt2 + wtu2 + 2 * b + e1 <= cap2
-                         and wtu2 + wtv2 + 2 * a + e1 + e2 <= cap2)
-                if e1 or e2:
-                    sound = sound and wtu2 + 1 <= cap2
-                if e2:
-                    sound = sound and wtv2 + 1 <= cap2
-                if not sound:
-                    skipped += 1
-                    continue
-                acc: dict = {}
-                # term 1, then term 2 subtracted
-                ordered(acc, u, v, b, c, e1, e2,
-                        -1 if e2 and (eu + e1) & 1 else 1, 1)
-                s2b = -1 if (eu * ev + n) & 1 else 1
-                ordered(acc, v, u, c, b, e2, e1,
-                        s2b if e1 and ev else -s2b, s2b)
-                # term 3 (subtracted as the right side); the signed binomial
-                # (-1)^k C(b + k, k) vanishes from k = -b on when b < 0
-                mm2 = 2 * (-b - c - 2)
-                for k in live_uv(-2 * a - 2 - e1, kb3):
-                    if prod := outer(2 * (k - a - 1) - e1, mm2 - 2 * k - e2):
-                        add_scaled(acc, prod, -signed_binom(b + k, k))
-                if e2 and not e1:
-                    for k in live_uv(-2 * a - 3, kb3):
-                        if prod := outer(2 * (k - a) - 3, mm2 - 2 * k):
-                            add_scaled(acc, prod, signed_binom(b + k, k))
-                if e1 and e2:
-                    # the phi1 phi2 part at b + k + 1, whose signed binomial
-                    # (-1)^k C(b + k + 1 - 1, k) is term 3's again
-                    for k in live_uv(-2 * a - 2, kb3):
-                        if b + k != -1 and (prod := outer(2 * (k - a - 1), mm2 - 2 * k - 2)):
-                            add_scaled(acc, prod, (b + k + 1) * signed_binom(b + k, k))
-                checked += 1
-                if acc:
-                    if len(failures) < JACOBI_FAILURES:
-                        failures.append({"u": u, "v": v, "input": w,
-                                         "monomial": (a, b, c, e1, e2),
-                                         "residual": dict(acc)})
-                    else:
-                        return {"passed": False, "checked": checked,
-                                "skipped": skipped, "failures": failures}
+        def uv_sum(rows, bs, cs, ej, em, f):
+            """Add f signed_binom(b + k, k) (u_(k-a-1-ej/2) v)_(-b-c-2-k-em/2) w,
+            for every k below the binomial's cut, into bin (a, b, c); f None
+            weighs by b + k + 1 instead, for the phi1 phi2 part."""
+            for a in rows:
+                kmax3 = (wtu2 + wtv2 + 2 * a + 4) // 2 + 1
+                # the signed binomial (-1)^k C(b + k, k) vanishes from k = -b
+                # on when b < 0
+                cut = [(b, kmax3 if b >= 0 else min(kmax3, -b)) for b in bs]
+                base2 = -2 * a - 2 - ej
+                for k in live_uv(base2, max(kb for _, kb in cut)):
+                    kj2 = base2 + 2 * k
+                    for b, kb in cut:
+                        if k >= kb:
+                            continue
+                        coeff = signed_binom(b + k, k) * (b + k + 1 if f is None else f)
+                        if not coeff:  # only the phi1 phi2 part's weight, at b + k = -1
+                            continue
+                        km2 = 2 * (-b - k - 2) - em
+                        for c in cs:
+                            if prod := outer(kj2, km2 - 2 * c):
+                                add_scaled(box[a, b, c], prod, coeff)
+
+        boxes = []
+        failing = {}
+        for ei, (e1, e2) in enumerate(phis):
+            # every internal vector, including the odd-derivation images
+            # backing the phi modes, must stay inside the weight cap; the
+            # iterate's phi1 - phi2 feeds u's half modes into both phi
+            # sectors, so any phi at all needs the u image
+            A = upto(cap2 - wtu2 - wtv2 - e1 - e2)
+            B = upto(cap2 - wt2 - wtu2 - e1)
+            C = upto(cap2 - wt2 - wtv2 - e2)
+            if (e1 or e2) and wtu2 + 1 > cap2 or e2 and wtv2 + 1 > cap2:
+                A = range(0)
+            boxes.append((A, B, C))
+            if not (A and B and C):
+                continue
+            box = collections.defaultdict(dict)
+            # term 1, then term 2 subtracted, each with its phi1 phi2 part
+            ordered(u, v, [(a, -a - 1, -1 if e2 and (eu + e1) & 1 else 1) for a in A],
+                    B, C, e1, e2, False)
+            if e1 and e2:
+                ordered(u, v, [(a, -a - 2, a + 1) for a in A if a != -1], B, C, 0, 0, False)
+            s2b = {a: -1 if (eu * ev - a - 1) & 1 else 1 for a in A}
+            ordered(v, u, [(a, -a - 1, s2b[a] if e1 and ev else -s2b[a]) for a in A],
+                    C, B, e2, e1, True)
+            if e1 and e2:
+                ordered(v, u, [(a, -a - 2, (a + 1) * s2b[a]) for a in A if a != -1],
+                        C, B, 0, 0, True)
+            # term 3, subtracted as the right side
+            uv_sum(A, B, C, e1, e2, -1)
+            if e2 and not e1:
+                uv_sum(A, B, C, 1, 0, 1)
+            if e1 and e2:
+                uv_sum(A, B, C, 0, 2, None)
+            failing.update(((a, b, c, ei), acc) for (a, b, c), acc in box.items() if acc)
+
+        for a, b, c, ei in sorted(failing):
+            if len(failures) < JACOBI_FAILURES:
+                failures.append({"u": u, "v": v, "input": w, "monomial": (a, b, c, *phis[ei]),
+                                 "residual": failing[a, b, c, ei]})
+                continue
+            # count the bins of w up to this one, in the order above
+            order = list(itertools.product(rng, rng, rng, range(len(phis))))
+            seen = order[:order.index((a, b, c, ei)) + 1]
+            sound = sum(1 for a, b, c, ei in seen
+                        if a in boxes[ei][0] and b in boxes[ei][1] and c in boxes[ei][2])
+            return {"passed": False, "checked": checked + sound,
+                    "skipped": skipped + len(seen) - sound, "failures": failures}
+        volume = sum(len(A) * len(B) * len(C) for A, B, C in boxes)
+        checked += volume
+        skipped += len(phis) * len(rng) ** 3 - volume
     return {"passed": not failures, "checked": checked, "skipped": skipped,
             "failures": failures}
 
@@ -655,9 +708,10 @@ def ns_modes_check(V: VertexData) -> dict:
         [2L(m), 2L(n)] = 2(m - n) 2L(m+n) + (m^3 - m)/3 c,
         [G(r), 2L(n)] = (2r - n) G(r+n),
         {G(r), G(s)} = 2L(r+s) + (4r^2 - 1)/12 c.
-    Basis columns and each composite op(s) op(t) on one are computed once
-    per call; the memos live only in this call, because copies of V share
-    their caches and may carry other overrides."""
+    Each basis column is computed once per call, and both operator orders
+    are summed from these columns straight into one side, with no memo of
+    the composites; the column memo lives only in this call, because copies
+    of V share their caches and may carry other overrides."""
     cap2, weights2 = V.space.cap2, V.space.weights2
     lift2 = _column_lift(V)
     cc = V.cc if V.cc is not None else V.compute_central_charge()
@@ -669,24 +723,17 @@ def ns_modes_check(V: VertexData) -> dict:
             return V.mode_apply_vec(V.tau, k2 + 1, {i: 1})
         return V._L2_apply(k2, {i: 1})
 
-    def op(k2, vec):
-        out: dict = {}
-        for i, ci in vec.items():
-            add_scaled(out, column(k2, i), ci)
-        return out
-
-    @functools.cache
-    def pair(s2, t2, w):
-        return op(s2, column(t2, w))
-
     def check(name, s2, t2, sign, rhs_k2, coeff, central):
         # both operator orders applied; raising intermediates must fit
         top2 = cap2 - max(0, -s2, -t2, -s2 - t2) - lift2
         for w in V.basis_indices():
             if weights2[w] > top2:
                 continue
-            lhs = dict(pair(s2, t2, w))
-            add_scaled(lhs, pair(t2, s2, w), sign)
+            lhs: dict = {}
+            for i, ci in column(t2, w).items():
+                add_scaled(lhs, column(s2, i), ci)
+            for i, ci in column(s2, w).items():
+                add_scaled(lhs, column(t2, i), sign * ci)
             rhs = scaled(column(rhs_k2, w), coeff)
             if central:
                 add_scaled(rhs, {w: 1}, central)

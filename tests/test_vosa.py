@@ -1,14 +1,17 @@
+import functools
 import gc
 import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superns.sparse import add_term, binom
+from superns.sparse import add_scaled, add_term, binom
 from superns.vosa import (
+    JACOBI_FAILURES,
+    JACOBI_WINDOW,
     FockSpace,
     VertexData,
     automorphism_J,
@@ -146,17 +149,34 @@ JACOBI_READS = {
     (2, 3): (335, "70b3bddfe9e00c71"),  # (alpha(-1), psi(-3/2))
 }
 
+# the same at cap 7/2, the cap of the vosa_jacobi benchmark workload
+JACOBI_READS_7_2 = {
+    (4, 4): (1170, "a2d20d352c57ab7e"),
+    (4, 1): (1658, "1f7ce9126894c0d5"),
+    (2, 3): (933, "fe7d12cc06449289"),
+}
+
+
+def full_sum_reads(X, pair):
+    """(count, digest) of the columns jacobi_check(X, *pair) reads."""
+    X = X.copy()
+    reads = recording_reads(X)
+    assert jacobi_check(X, *pair)["passed"]
+    digest = hashlib.sha256("\n".join(map(repr, sorted(reads))).encode()).hexdigest()[:16]
+    return len(reads), digest
+
 
 @pytest.mark.parametrize("pair", list(JACOBI_READS), ids=str)
 def test_jacobi_reads_the_columns_of_the_full_sums(V, pair):
     """The k-sums skip only zero products: they read exactly the columns the
-    sums over every k read.  A sum that skips a live k or forms a product
-    the full sums do not form reads another set."""
-    X = V.copy()
-    reads = recording_reads(X)
-    assert jacobi_check(X, *pair)["passed"]
-    digest = hashlib.sha256("\n".join(map(repr, sorted(reads))).encode()).hexdigest()[:16]
-    assert (len(reads), digest) == JACOBI_READS[pair]
+    sums over every k of every asserted bin read.  A sum that skips a live k
+    or forms a product the full sums do not form reads another set."""
+    assert full_sum_reads(V, pair) == JACOBI_READS[pair]
+
+
+@pytest.mark.parametrize("pair", list(JACOBI_READS_7_2), ids=str)
+def test_jacobi_reads_at_the_benchmark_cap(pair):
+    assert full_sum_reads(fixture_at(Fraction(7, 2)), pair) == JACOBI_READS_7_2[pair]
 
 
 # the 8 of the 108 mutants below that no asserted bin of jacobi_check(tau, tau)
@@ -181,6 +201,132 @@ def test_jacobi_mutation_score(V):
     assert survivors == JACOBI_SURVIVORS
 
 
+def reference_jacobi(V, u, v, term2_sign=1):
+    """jacobi_check's report, gathered bin by bin: every bin of the window
+    is visited in the order w, a, b, c, (e1, e2), tested for soundness and,
+    when sound, summed from its own k-sums, each over its full range with
+    no cut and no live list.  term2_sign=-1 adds term 2 instead of
+    subtracting it, a planted defect."""
+    cap2 = V.space.cap2
+    eu, ev = V.sign(u), V.sign(v)
+    wtu2, wtv2 = V.space.weights2[u], V.space.weights2[v]
+    wt2_of = {u: wtu2, v: wtv2}
+    rng = range(-JACOBI_WINDOW, JACOBI_WINDOW + 1)
+    checked = skipped = 0
+    failures = []
+    apply = V.mode_apply_vec
+    for w in V.basis_indices(min(V.space.cap, 2)):
+        wt2 = V.space.weights2[w]
+        wvec = {w: 1}
+
+        @functools.cache
+        def on_w(x, kx2):
+            return apply({x: 1}, kx2, wvec)
+
+        @functools.cache
+        def nested(x, kx2, y, ky2):
+            base = on_w(y, ky2)
+            return apply({x: 1}, kx2, base) if base else {}
+
+        @functools.cache
+        def outer(kj2, km2):
+            base = apply({u: 1}, kj2, {v: 1})
+            return apply(base, km2, wvec) if base else {}
+
+        def ordered(acc, x, y, bx, cy, ex, ey, sign, pp_sign):
+            kmax = (wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1
+            for k in range(kmax):
+                add_scaled(acc, nested(x, 2 * (n - k - bx - 1) - ex, y, 2 * (k - cy - 1) - ey),
+                           signed_binom(n, k) * sign)
+            if ex and ey and n:
+                for k in range(kmax):
+                    add_scaled(acc, nested(x, 2 * (n - k - bx - 2), y, 2 * (k - cy - 1)),
+                               -n * signed_binom(n - 1, k) * pp_sign)
+
+        for a, b, c in itertools.product(rng, rng, rng):
+            n = -a - 1
+            for e1, e2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                sound = (wt2 + wtv2 + 2 * c + e2 <= cap2
+                         and wt2 + wtu2 + 2 * b + e1 <= cap2
+                         and wtu2 + wtv2 + 2 * a + e1 + e2 <= cap2)
+                if e1 or e2:
+                    sound = sound and wtu2 + 1 <= cap2
+                if e2:
+                    sound = sound and wtv2 + 1 <= cap2
+                if not sound:
+                    skipped += 1
+                    continue
+                acc: dict = {}
+                ordered(acc, u, v, b, c, e1, e2, -1 if e2 and (eu + e1) & 1 else 1, 1)
+                s2b = (-1 if (eu * ev + n) & 1 else 1) * term2_sign
+                ordered(acc, v, u, c, b, e2, e1, s2b if e1 and ev else -s2b, s2b)
+                mm2 = 2 * (-b - c - 2)
+                ks = range((wtu2 + wtv2 + 2 * a + 4) // 2 + 1)
+                for k in ks:
+                    add_scaled(acc, outer(2 * (k - a - 1) - e1, mm2 - 2 * k - e2),
+                               -signed_binom(b + k, k))
+                for k in ks if e2 and not e1 else ():
+                    add_scaled(acc, outer(2 * (k - a) - 3, mm2 - 2 * k), signed_binom(b + k, k))
+                for k in ks if e1 and e2 else ():
+                    add_scaled(acc, outer(2 * (k - a - 1), mm2 - 2 * k - 2),
+                               (b + k + 1) * signed_binom(b + k, k))
+                checked += 1
+                if acc:
+                    if len(failures) < JACOBI_FAILURES:
+                        failures.append({"u": u, "v": v, "input": w,
+                                         "monomial": (a, b, c, e1, e2), "residual": acc})
+                    else:
+                        return {"passed": False, "checked": checked,
+                                "skipped": skipped, "failures": failures}
+    return {"passed": not failures, "checked": checked, "skipped": skipped,
+            "failures": failures}
+
+
+@functools.cache
+def fixture_at(cap):
+    return fixture_boson_fermion(cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.sampled_from([Fraction(5, 2), Fraction(7, 2)]),
+       pair=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       plant=st.integers(0, 4), k2=st.integers(-8, 8),
+       row=st.integers(0, 11), col=st.integers(0, 11), bump=st.integers(-2, 2))
+@example(cap=Fraction(5, 2), pair=(4, 4), plant=4, k2=2, row=2, col=2, bump=1)
+def test_jacobi_check_matches_the_per_bin_reference(cap, pair, plant, k2, row, col, bump):
+    """jacobi_check, which adds each product into its bin, reports what the
+    bin-by-bin gather reports: verdict, counts and failures with their
+    residuals, in the same order, also where it returns early.  The column
+    of a small state at key k2/2 gets bump added at one row; bump 0 keeps V
+    as it is.  The explicit example fails more than JACOBI_FAILURES bins."""
+    X = fixture_at(cap)
+    column = dict(X._k2_col(plant, k2, col))
+    add_term(column, row, bump)
+    X = X.with_override(plant, Fraction(k2, 2), col, column)
+    report = jacobi_check(X, *pair)
+    # repr: the residuals' key order is compared too
+    assert repr(report) == repr(reference_jacobi(X, *pair))
+
+
+def test_reference_jacobi_returns_early_on_the_example():
+    """The explicit example above reaches the early return."""
+    X = fixture_at(Fraction(5, 2))
+    column = dict(X._k2_col(4, 2, 2))
+    add_term(column, 2, 1)
+    report = reference_jacobi(X.with_override(4, 1, 2, column), 4, 4)
+    assert len(report["failures"]) == JACOBI_FAILURES
+    assert report["checked"] + report["skipped"] < 500 * len(X.basis_indices(2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(pair=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_reference_with_term_2_flipped_disagrees(V, pair):
+    """Negative control for the oracle: with term 2 added instead of
+    subtracted, the reference fails where jacobi_check passes."""
+    assert jacobi_check(V, *pair)["passed"]
+    assert not reference_jacobi(V, *pair, term2_sign=-1)["passed"]
+
+
 def test_fock_states_keep_the_half_odd_order():
     """A fermion part r is stored as 2r, and r -> 2r is monotone: index for
     index, the states of FockSpace(7/2) are the states with half-odd parts
@@ -195,6 +341,17 @@ def test_fock_states_keep_the_half_odd_order():
     space = FockSpace(cap)
     assert space.states == [(b, tuple(int(2 * r) for r in f)) for b, f in old]
     assert space.weights == [sum(b) + sum(f) for b, f in old]
+
+
+@pytest.mark.parametrize("cap", [Fraction(7, 3), 3.4, Fraction(-1, 2), True], ids=repr)
+def test_fock_space_rejects_a_cap_it_would_cut(cap):
+    """A cap outside (1/2)Z would keep cap but cut cap2 (7/3 to 4), a float
+    would be kept at its binary value, a negative cap would build no vacuum,
+    and a bool is not a weight: each raises instead, also through the
+    fixture."""
+    for build in (FockSpace, fixture_boson_fermion):
+        with pytest.raises(ValueError, match="negative|not an int or a Fraction|not in"):
+            build(cap)
 
 
 def test_fock_space_leaves_no_reference_cycles():
@@ -439,6 +596,38 @@ def test_wrong_central_charge_fails_ns_modes_check(cc):
     assert not report["passed"]
     assert report["central_charge"] == cc
     assert report["witnesses"] == WRONG_C_WITNESSES
+
+
+# the 41 of the 108 mutants below that ns_modes_check(V) passes at cap 5/2,
+# (key, column) with columns as indices of FockSpace(5/2).states: a lowering
+# key applied to a column of low weight, which no asserted relation reads;
+# and the sha256 prefix of the repr of all 108 witness lists, in mutant order
+NS_MODES_SURVIVORS = ({(Fraction(-2), col) for col in range(1, 12)}
+                      | {(Fraction(-3, 2), col) for col in range(2, 12)}
+                      | {(Fraction(-1), col) for col in range(3, 12)}
+                      | {(Fraction(-1, 2), col) for col in range(5, 12)}
+                      | {(Fraction(0), col) for col in range(8, 12)})
+NS_MODES_WITNESSES = "8b1742c734bfffb0"
+
+
+def test_ns_modes_mutation_score(V):
+    """+1 on the diagonal of one column of tau, at every key in -2, -3/2,
+    ..., 2 and every column: exactly the pinned 41 of the 108 mutants pass,
+    and every failing one keeps its witnesses.  A check that applies only
+    one operator order of a relation fails it."""
+    tau = tau_index(V)
+    mutants = [(Fraction(k2, 2), col) for k2 in range(-4, 5) for col in V.basis_indices()]
+    assert len(mutants) == 108
+    survivors, witnesses = set(), []
+    for key, col in mutants:
+        column = dict(V.mode_col(tau, key, col))
+        add_term(column, col, Fraction(1))
+        report = ns_modes_check(V.with_override(tau, key, col, column))
+        if report["passed"]:
+            survivors.add((key, col))
+        witnesses.append(report["witnesses"])
+    assert survivors == NS_MODES_SURVIVORS
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == NS_MODES_WITNESSES
 
 
 def test_ns_modes_check_memo_does_not_leak_between_calls():
