@@ -185,10 +185,6 @@ def as_qqi(x) -> QQi:
         return x
     if isinstance(x, (int, Fraction)):
         return QQi(x)
-    if isinstance(x, complex):
-        if x.imag == int(x.imag) and x.real == int(x.real):
-            return QQi(int(x.real), int(x.imag))
-        raise NotExact(f"refusing inexact complex {x}")
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
 
@@ -607,9 +603,6 @@ class GradedPoly:
             d[i] = d.get(i, 0) + e
         for i, e in m2:
             d[i] = d.get(i, 0) + e
-        for i, e in d.items():
-            if par[i] and e > 1:
-                return None
         mono = tuple(sorted(d.items()))
         if self.spec.degree(mono) > self.spec.degree_cap:
             return None

@@ -575,7 +575,7 @@ def sw_t_series(local_i: CoordData, inf_0: InfCoordData, partials: int,
     sums stabilize exactly at the last one.
     """
     sources = (local_i.A, local_i.M, inf_0.B, inf_0.N)
-    sups = [sorted(j for j, v in src.items() if v) for src in sources]
+    sups = [sorted(src) for src in sources]
     series = sw_solve(*sups, D, W)
     given = [src[j] for src, sup in zip(sources, sups) for j in sup]
     values = {name: v for (name, _), v in zip(_families(*sups), given)}

@@ -21,6 +21,12 @@ contribution to an output coefficient in one {mask: coeff} dict
 (grassmann.add_product) and builds one GrassmannElement per nonzero
 output.  Sums, products and left scales of series on different numbers
 of Grassmann generators raise DimensionMismatch.
+
+Coordinate data keep the sparse invariant too: each family of CoordData
+(A, M at zero) and InfCoordData (B, N at infinity) maps j >= 1 to a
+nonzero value of the family's parity, checked by one _family, which drops
+zeros.  One _flow_terms turns the families of either end into the flow's
+derivations, L(±j) for an even value and G(±(j - 1/2)) for an odd one.
 """
 
 from __future__ import annotations
@@ -536,7 +542,8 @@ class CoordData:
     """Local superconformal coordinate data vanishing at zero.
 
     a0 even with nonzero body; A maps j >= 1 to even values (weight-j flow);
-    M maps j >= 1 to the odd value attached to the half-index j - 1/2.
+    M maps j >= 1 to the odd value attached to the half-index j - 1/2.  A
+    and M store no zero: the constructor drops zero values (_family).
     """
 
     __slots__ = ("L", "a0", "A", "M", "branch")
@@ -544,22 +551,15 @@ class CoordData:
     def __init__(self, L: int, a0: GrassmannElement, A=None, M=None, branch: int = 1):
         self.L = L
         self.a0 = a0
-        self.A = dict(A or {})
-        self.M = dict(M or {})
         self.branch = branch
         if not a0.body():
             raise DomainError("a0 needs a nonzero body")
-        for j, v in self.A.items():
-            if j < 1 or (v and v.parity() != 0):
-                raise DomainError(f"A[{j}] must be even with j >= 1")
-        for j, v in self.M.items():
-            if j < 1 or (v and v.parity() != 1):
-                raise DomainError(f"M[{j}] must be odd with j >= 1")
+        self.A = _family("A", A, 0)
+        self.M = _family("M", M, 1)
 
     def __eq__(self, other):
         return (isinstance(other, CoordData) and self.a0 == other.a0
-                and _clean(self.A) == _clean(other.A)
-                and _clean(self.M) == _clean(other.M)
+                and self.A == other.A and self.M == other.M
                 and self.branch == other.branch)
 
     def __repr__(self):
@@ -567,36 +567,36 @@ class CoordData:
 
 
 class InfCoordData:
-    """Coordinate data vanishing at infinity: (B, N) families, j >= 1."""
+    """Coordinate data vanishing at infinity: (B, N) families, j >= 1, B
+    even and N odd, storing no zero like CoordData's."""
 
     __slots__ = ("L", "B", "N", "sk0_constraint")
 
     def __init__(self, L: int, B=None, N=None, sk0_constraint: bool = False):
         self.L = L
-        self.B = dict(B or {})
-        self.N = dict(N or {})
+        self.B = _family("B", B, 0)
+        self.N = _family("N", N, 1)
         self.sk0_constraint = sk0_constraint
-        for j, v in self.B.items():
-            if j < 1 or (v and v.parity() != 0):
-                raise DomainError(f"B[{j}] must be even with j >= 1")
-        for j, v in self.N.items():
-            if j < 1 or (v and v.parity() != 1):
-                raise DomainError(f"N[{j}] must be odd with j >= 1")
-        if sk0_constraint:
-            if self.B.get(1) or self.N.get(1):
-                raise DomainError("one-tube constraint needs (B_1, N_1/2) = (0, 0)")
+        if sk0_constraint and (1 in self.B or 1 in self.N):
+            raise DomainError("one-tube constraint needs (B_1, N_1/2) = (0, 0)")
 
     def __eq__(self, other):
-        return (isinstance(other, InfCoordData)
-                and _clean(self.B) == _clean(other.B)
-                and _clean(self.N) == _clean(other.N))
+        return isinstance(other, InfCoordData) and self.B == other.B and self.N == other.N
 
     def __repr__(self):
         return f"InfCoordData(B={self.B!r}, N={self.N!r})"
 
 
-def _clean(d):
-    return {k: v for k, v in d.items() if v}
+def _family(name: str, values, parity: int) -> dict:
+    """The nonzero values of one coordinate family, after checking that
+    every key is j >= 1 and every nonzero value has the family's parity."""
+    out = {}
+    for j, v in (values or {}).items():
+        if j < 1 or (v and v.parity() != parity):
+            raise DomainError(f"{name}[{j}] must be {'odd' if parity else 'even'} with j >= 1")
+        if v:
+            out[j] = v
+    return out
 
 
 # -- the superderivations and their flows --------------------------------
@@ -622,9 +622,6 @@ class DiffOp:
         # offset (n + 1)/2
         self._shift0, self._shift1 = g >> 1, (g + 1) >> 1
         self._half = Fraction(g + 2, 4)
-
-    def parity(self) -> int:
-        return self.g & 1
 
     def apply(self, F: SFun) -> SFun:
         """The derivation applied to F, exact on F's window moved by the
@@ -677,6 +674,15 @@ def _apply_flow(H: SuperSeries, terms: list, window) -> SuperSeries:
     raise TruncationError("flow exponential did not terminate on the window")
 
 
+def _flow_terms(side: int, evens: dict, odds: dict) -> list:
+    """The (DiffOp, coeff) terms of the flow at zero (side 1) or at infinity
+    (side -1): the even value at j drives L(side j), DiffOp(side 2j), the
+    odd one G(side (j - 1/2)), DiffOp(side (2j - 1)), evens first, each in
+    increasing j; at infinity every coefficient is negated."""
+    return [(DiffOp(side * (2 * j - odd)), v if side > 0 else -v)
+            for odd, family in enumerate((evens, odds)) for j, v in sorted(family.items())]
+
+
 def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> SuperSeries:
     """Superconformal map vanishing at zero from its flow coordinates.
 
@@ -690,14 +696,8 @@ def ss_exp_zero(c: CoordData, window: tuple[int, int] = DEFAULT_WINDOW) -> Super
     L = c.L
     root = c.a0 ** HALF
     base = SuperSeries(L, SFun.z_power(L, 1, c.a0), SFun.theta_term(L, 0, root))
-    terms = []
-    for j, v in sorted(c.A.items()):
-        if v:
-            terms.append((DiffOp(2 * j), v))
-    for j, v in sorted(c.M.items()):
-        if v:
-            terms.append((DiffOp(2 * j - 1), v))
-    H = _apply_flow(base, terms, (None, hi))   # flows only raise orders: exact below
+    # flows only raise orders: exact below
+    H = _apply_flow(base, _flow_terms(1, c.A, c.M), (None, hi))
     if c.branch < 0:
         H = H.negate_theta_output()
     return H
@@ -712,16 +712,8 @@ def ss_exp_infinity(c: InfCoordData, window: tuple[int, int] = DEFAULT_WINDOW) -
     lo, hi = window
     if lo > -1:
         raise TruncationError("window cannot hold the leading terms at infinity")
-    L = c.L
-    base = SuperSeries.inversion(L)
-    terms = []
-    for j, v in sorted(c.B.items()):
-        if v:
-            terms.append((DiffOp(-2 * j), -v))
-    for j, v in sorted(c.N.items()):
-        if v:
-            terms.append((DiffOp(1 - 2 * j), -v))
-    return _apply_flow(base, terms, (lo, None))   # flows only lower orders: exact above
+    # flows only lower orders: exact above
+    return _apply_flow(SuperSeries.inversion(c.L), _flow_terms(-1, c.B, c.N), (lo, None))
 
 
 def ss_extract_zero(H: SuperSeries) -> CoordData:

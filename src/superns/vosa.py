@@ -425,12 +425,12 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     (-1)^k C(n, k) are ints.
 
     Each k-sum forms only its nonzero products.  It stops at the last k
-    whose signed binomial is nonzero, and it walks a memoized ascending list
-    of the k whose inner vector (y_(.) w, or u_(.) v in term 3) is nonzero,
-    up to the largest cut over the box's rows.  The lists test the columns
-    actually read, overrides included, not a grading bound, so they skip
-    exactly the products that are zero in any VertexData, and every column
-    read is one that the sums over every k of every asserted bin read.
+    whose signed binomial is nonzero, up to the largest cut over the box's
+    rows, and skips a k whose memoized inner vector (y_(.) w, or u_(.) v
+    in term 3) is zero.  That test reads the columns themselves, overrides
+    included, not a grading bound, so it skips exactly the products that
+    are zero in any VertexData, and every column read is one that the sums
+    over every k of every asserted bin read.
 
     A bin fails when its sum is nonzero.  Failures are taken in the order
     w, a, b, c, then (e1, e2) in (0, 0), (1, 0), (0, 1), (1, 1); the check
@@ -456,11 +456,6 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
     def inner_uv(kj2):
         return apply({u: 1}, kj2, {v: 1})
 
-    @functools.cache
-    def live_uv(base2, kb):
-        """The ascending k < kb with u_(base2/2 + k) v nonzero."""
-        return [k for k in range(kb) if inner_uv(base2 + 2 * k)]
-
     for w in V.basis_indices(min(V.space.cap, 2)):
         wt2 = V.space.weights2[w]
         wvec = {w: 1}
@@ -479,11 +474,6 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
             base = inner_uv(kj2)
             return apply(base, km2, wvec) if base else {}
 
-        @functools.cache
-        def live_w(y, base2, kb):
-            """The ascending k < kb with y_(base2/2 + k) w nonzero."""
-            return [k for k in range(kb) if on_w(y, base2 + 2 * k)]
-
         def ordered(x, y, rows, bxs, cys, ex, ey, swap):
             """Add f signed_binom(m, k) x_(m-k-bx-1-ex/2) y_(k-cy-1-ey/2) w,
             for every k below the binomial's cut, into bin (a, bx, cy), or
@@ -496,8 +486,10 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
                 kmax = (wt2 + wt2_of[y] + 2 * cy + 4) // 2 + 1
                 cut = [(a, m, f, kmax if m < 0 else min(kmax, m + 1)) for a, m, f in rows]
                 base2 = -2 * cy - 2 - ey
-                for k in live_w(y, base2, max(kb for *_, kb in cut)):
+                for k in range(max(kb for *_, kb in cut)):
                     ky2 = base2 + 2 * k
+                    if not on_w(y, ky2):
+                        continue
                     for a, m, f, kb in cut:
                         if k >= kb:
                             continue
@@ -518,8 +510,10 @@ def jacobi_check(V: VertexData, u: int, v: int) -> dict:
                 # on when b < 0
                 cut = [(b, kmax3 if b >= 0 else min(kmax3, -b)) for b in bs]
                 base2 = -2 * a - 2 - ej
-                for k in live_uv(base2, max(kb for _, kb in cut)):
+                for k in range(max(kb for _, kb in cut)):
                     kj2 = base2 + 2 * k
+                    if not inner_uv(kj2):
+                        continue
                     for b, kb in cut:
                         if k >= kb:
                             continue

@@ -297,6 +297,18 @@ def test_qqi_takes_only_exact_parts(parts):
     assert QQi(1, Fraction(1, 2)) == QQi(Fraction(1), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("value", [1 + 0j, 2j, 0j, 1.0], ids=["one", "i", "zero", "float"])
+def test_scalar_entry_points_refuse_a_float_complex(value):
+    """A Python complex has float parts, so it is refused like a float: a
+    Gaussian rational enters as a QQi."""
+    spec = ParamSpec([("x", 0, True)], 1)
+    for enter in (as_qqi, as_rational, lambda v: GrassmannElement.scalar(2, v),
+                  lambda v: GradedPoly.scalar(spec, v)):
+        with pytest.raises(TypeError):
+            enter(value)
+    assert GrassmannElement.scalar(2, QQi(0, 1)).body() == QQi(0, 1)
+
+
 # -- the canonical coefficient domain of GrassmannElement --------------------
 
 _GAUSSIAN = st.one_of(st.integers(-3, 3), _SMALL, st.builds(QQi, _SMALL, _SMALL))

@@ -272,3 +272,18 @@ def test_diffop_takes_nsalg_generators():
         strings = [n for a in args for n in ast.walk(a)
                    if isinstance(n, ast.Constant) and isinstance(n.value, str)]
         assert not strings, (name, node.lineno)
+
+
+def test_one_flow_term_builder():
+    """superseries builds a DiffOp only in _flow_terms, so the rule from a
+    coordinate family to its generator (L(±j) for an even value at j,
+    G(±(j - 1/2)) for an odd one) is written once for both ends, and both
+    flow maps take their terms from it."""
+    tree = _tree("superseries")
+    builder = _functions(tree, {"_flow_terms"})["_flow_terms"]
+    inside = {id(n) for n in ast.walk(builder)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and "DiffOp" in _names(n.func)]
+    assert calls
+    assert all(id(n) in inside for n in calls), [n.lineno for n in calls if id(n) not in inside]
+    for fname, fn in _functions(tree, {"ss_exp_zero", "ss_exp_infinity"}).items():
+        assert "_flow_terms" in _names(fn), fname

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superns.grassmann import DimensionMismatch, GrassmannElement, QQi, as_qqi
+from superns.grassmann import DimensionMismatch, GrassmannElement, NotInvertible, QQi, as_qqi
 from superns.superseries import (
     CoordData,
     DiffOp,
@@ -613,6 +614,66 @@ def test_from_components_takes_theta_free_components():
             ss_from_components(bad_f, bad_psi)
 
 
+# -- coordinate data -----------------------------------------------------------
+
+
+# family name -> (data built from one family's values, the family's parity)
+_FAMILIES = {
+    "A": (lambda values: CoordData(L, scalar(1), A=values), 0),
+    "M": (lambda values: CoordData(L, scalar(1), M=values), 1),
+    "B": (lambda values: InfCoordData(L, B=values), 0),
+    "N": (lambda values: InfCoordData(L, N=values), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_coordinate_families_check_index_and_parity(name):
+    """A family is keyed by j >= 1 and holds values of its own parity; a
+    mixed value has neither parity, and a zero has both but still needs a
+    valid index."""
+    build, parity = _FAMILIES[name]
+    even, odd = gen(1) * gen(2) + 3, gen(3) + gen(1) * gen(2) * gen(4)
+    right, wrong = (odd, even) if parity else (even, odd)
+    assert getattr(build({1: right, 4: right}), name) == {1: right, 4: right}
+    kind = "odd" if parity else "even"
+    for values, j in (({0: right}, 0), ({-2: right}, -2), ({1: right, 2: wrong}, 2),
+                      ({3: gen(1) + gen(1) * gen(2)}, 3), ({0: GrassmannElement(L)}, 0)):
+        with pytest.raises(DomainError, match=re.escape(f"{name}[{j}] must be {kind} with j >= 1")):
+            build(values)
+
+
+def test_coordinate_data_checks_a0_and_the_one_tube_constraint():
+    for a0 in (GrassmannElement(L), gen(1) * gen(2)):
+        with pytest.raises(DomainError, match="a0 needs a nonzero body"):
+            CoordData(L, a0)
+    for B, N in (({1: gen(1) * gen(2)}, None), (None, {1: gen(3)})):
+        with pytest.raises(DomainError, match="one-tube constraint"):
+            InfCoordData(L, B, N, sk0_constraint=True)
+    InfCoordData(L, {2: gen(1) * gen(2)}, {3: gen(3)}, sk0_constraint=True)
+
+
+def test_coordinate_data_drops_zero_values():
+    """The families store no zero, like every sparse dict of the package:
+    data equal up to explicit zeros compare equal, repr shows no zero, the
+    flows see the same terms, and a zero B_1 or N_1/2 meets the one-tube
+    constraint."""
+    zero = GrassmannElement(L)
+    for name, (build, _) in _FAMILIES.items():
+        assert getattr(build({1: zero, 3: zero}), name) == {}
+    c = CoordData(L, scalar(4), {1: zero, 2: gen(1) * gen(2)}, {3: zero, 1: gen(3)})
+    assert (c.A, c.M) == ({2: gen(1) * gen(2)}, {1: gen(3)})
+    bare = CoordData(L, scalar(4), {2: gen(1) * gen(2)}, {1: gen(3)})
+    assert c == bare and repr(c) == repr(bare)
+    assert c != CoordData(L, scalar(4), {2: gen(1) * gen(2)}, {1: gen(3)}, branch=-1)
+    assert ss_exp_zero(c) == ss_exp_zero(bare)
+    inf = InfCoordData(L, {1: zero}, {2: zero, 1: gen(4)})
+    assert (inf.B, inf.N) == ({}, {1: gen(4)})
+    assert inf == InfCoordData(L, N={1: gen(4)}) != InfCoordData(L)
+    assert ss_exp_infinity(inf) == ss_exp_infinity(InfCoordData(L, N={1: gen(4)}))
+    one_tube = InfCoordData(L, {1: zero, 2: gen(1) * gen(2)}, {1: zero}, sk0_constraint=True)
+    assert (one_tube.B, one_tube.N) == ({2: gen(1) * gen(2)}, {})
+
+
 # -- exponential flows -----------------------------------------------------
 
 
@@ -780,6 +841,31 @@ def test_extract_rejects_non_superconformal():
     with pytest.raises(ShapeError):
         ss_extract_zero(H)
 
+
+
+# superconformal maps that ss_extract_zero refuses, one per raise after the
+# superconformal test; the last hides tht's theta term above its high edge
+_MISSHAPEN = {
+    "translation": (lambda: SFun.z_power(L, 1) + SFun.const(L, 1), lambda: SFun.theta_term(L, 0),
+                    ShapeError, "series does not vanish at zero"),
+    "odd-constant": (lambda: SFun.zero(L), lambda: SFun.const(L, gen(1)),
+                     ShapeError, "odd component has the wrong leading shape"),
+    "odd-pole": (lambda: SFun.zero(L), lambda: SFun.z_power(L, -1, gen(1)),
+                 ShapeError, "odd component has the wrong leading shape"),
+    "zero-body": (lambda: SFun.zero(L), lambda: SFun.z_power(L, 1, gen(1)),
+                  NotInvertible, "leading coefficient has zero body"),
+    "hidden-theta": (lambda: SFun.z_power(L, 1, 4), lambda: SFun(L, {}, None, -1),
+                     ShapeError, "leading theta coefficient is not a branch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_extract_rejects_superconformal_maps_of_the_wrong_shape(case):
+    ev, od, error, message = _MISSHAPEN[case]
+    H = SuperSeries(L, ev(), od())
+    assert ss_is_superconformal(H)[0]
+    with pytest.raises(error, match=message):
+        ss_extract_zero(H)
 
 # -- evaluation ---------------------------------------------------------------
 

@@ -538,6 +538,35 @@ def test_planted_mode_column_fails_every_consequence_identity(V):
                                        "eq_g_bracket", "eq_phi_axiom"))
 
 
+# plant -> (v, key, col) of the wrong column, the flag it breaks and its
+# witness, given the vacuum and a = alpha(-1) vac
+_VACUUM_PLANTS = {
+    "vacuum-x-mode": lambda vac, a: ((vac, 0, a), "vacuum_field", ("vacuum_field", 0, a)),
+    "vacuum-identity": lambda vac, a: ((vac, -1, a), "vacuum_field", ("vacuum_field", -1, a)),
+    "vacuum-phi-mode": lambda vac, a: ((vac, -HALF, a), "vacuum_field",
+                                       ("vacuum_field", -HALF, a)),
+    "creation-k=0": lambda vac, a: ((a, 0, vac), "creation", ("creation", a, 0)),
+    "creation-k=3/2": lambda vac, a: ((a, Fraction(3, 2), vac), "creation",
+                                      ("creation", a, Fraction(3, 2))),
+    "creation-constant": lambda vac, a: ((a, -1, vac), "creation", ("creation_constant", a)),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(_VACUUM_PLANTS))
+def test_planted_vacuum_column_fails_vacuum_checks(V, plant):
+    """Negative control for vacuum_checks: a wrong column of the vacuum's
+    modes breaks vacuum_field alone, and a nonzero v_(k) vac at k >= 0, or
+    v_(-1) vac other than v, breaks creation alone, each with one witness."""
+    (v, key, col), flag, witness = _VACUUM_PLANTS[plant](V.vacuum_index(),
+                                                        V.space.index[((1,), ())])
+    column = dict(V.mode_col(v, key, col))
+    column[col] = column.get(col, 0) + 1
+    report = vacuum_checks(V.with_override(v, key, col, column))
+    assert not report["passed"] and not report[flag]
+    assert report[({"vacuum_field", "creation"} - {flag}).pop()]
+    assert report["witnesses"] == [witness]
+
+
 def test_planted_G_half_column_is_caught(V):
     vac = V.vacuum_index()
     bad = V.with_override(tau_index(V), HALF, vac, {vac: Fraction(1)})
