@@ -716,12 +716,21 @@ def ss_exp_infinity(c: InfCoordData, window: tuple[int, int] = DEFAULT_WINDOW) -
     return _apply_flow(SuperSeries.inversion(c.L), _flow_terms(-1, c.B, c.N), (lo, None))
 
 
+def _known(f: SFun, n: int, e: int) -> GrassmannElement:
+    """f's coefficient of z^n theta^e, which f's window must hold: outside
+    it the coefficient is unknown, not zero."""
+    if (f.lo is not None and n < f.lo) or (f.hi is not None and n > f.hi):
+        raise TruncationError(f"order {n} lies outside the window [{f.lo}, {f.hi}]")
+    return f.coeff(n, e)
+
+
 def ss_extract_zero(H: SuperSeries) -> CoordData:
     """Order-by-order read-off inverting ss_exp_zero on H's window.
 
     The unknowns are solved in increasing flow order, interleaving the odd
     family at half-integer steps; each step is a linear read against the
     invertible leading coefficient; the flow is rebuilt after each nonzero read.
+    A read outside a component's window raises TruncationError.
     """
     L = H.L
     ok, residual = ss_is_superconformal(H)
@@ -733,11 +742,11 @@ def ss_extract_zero(H: SuperSeries) -> CoordData:
     for (n, e) in H.od.terms:
         if n < 0 or (n == 0 and e == 0):
             raise ShapeError("odd component has the wrong leading shape")
-    a0 = H.ev.coeff(1, 0)
+    a0 = _known(H.ev, 1, 0)
     if not a0.body():
         raise NotInvertible("leading coefficient has zero body")
     root = a0 ** HALF
-    g0 = H.od.coeff(0, 1)
+    g0 = _known(H.od, 0, 1)
     if g0 == root:
         branch = 1
         W = H
@@ -760,12 +769,12 @@ def ss_extract_zero(H: SuperSeries) -> CoordData:
     cur = flow()
     for j in range(1, hi):
         # odd unknown at half step j - 1/2: read the theta-free slot z^j of tht
-        r = W.od.coeff(j, 0) - cur.od.coeff(j, 0)
+        r = _known(W.od, j, 0) - _known(cur.od, j, 0)
         if r:
             M[j] = -(r * root_inv)  # responds as -sqrt(a0) * M_(j-1/2)
             cur = flow()
         # even unknown at step j: read slot z^(j+1) of zt
-        r = W.ev.coeff(j + 1, 0) - cur.ev.coeff(j + 1, 0)
+        r = _known(W.ev, j + 1, 0) - _known(cur.ev, j + 1, 0)
         if r:
             A[j] = -(r * a0_inv)  # responds as -a0 * A_j
             cur = flow()

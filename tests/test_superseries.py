@@ -843,8 +843,15 @@ def test_extract_rejects_non_superconformal():
 
 
 
+def _flow_with_odd_window(hi):
+    """The flow of M_3 = theta_1 with tht known only up to z^hi."""
+    H = ss_exp_zero(CoordData(L, scalar(1), {}, {3: gen(1)}), (-12, 12))
+    return H.ev, H.od.with_window(None, hi)
+
+
 # superconformal maps that ss_extract_zero refuses, one per raise after the
-# superconformal test; the last hides tht's theta term above its high edge
+# superconformal test; in the last two a coefficient the read-off needs lies
+# outside tht's window: its theta term, or the z^3 slot of M_3's flow
 _MISSHAPEN = {
     "translation": (lambda: SFun.z_power(L, 1) + SFun.const(L, 1), lambda: SFun.theta_term(L, 0),
                     ShapeError, "series does not vanish at zero"),
@@ -855,8 +862,18 @@ _MISSHAPEN = {
     "zero-body": (lambda: SFun.zero(L), lambda: SFun.z_power(L, 1, gen(1)),
                   NotInvertible, "leading coefficient has zero body"),
     "hidden-theta": (lambda: SFun.z_power(L, 1, 4), lambda: SFun(L, {}, None, -1),
-                     ShapeError, "leading theta coefficient is not a branch"),
+                     TruncationError, "order 0 lies outside the window"),
+    "cut-odd-flow": (lambda: _flow_with_odd_window(2)[0], lambda: _flow_with_odd_window(2)[1],
+                     TruncationError, "order 3 lies outside the window"),
 }
+
+
+def test_extract_reads_the_odd_flow_inside_its_window():
+    """Control for the cut-odd-flow case: with tht known as far as zt (the
+    read-off reads tht up to z^(hi - 1)), it recovers M_3."""
+    ev, od = _flow_with_odd_window(12)
+    assert ev.hi == od.hi == 12
+    assert ss_extract_zero(SuperSeries(L, ev, od)) == CoordData(L, scalar(1), {}, {3: gen(1)})
 
 
 @pytest.mark.parametrize("case", sorted(_MISSHAPEN))
