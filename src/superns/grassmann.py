@@ -514,6 +514,7 @@ class ParamSpec:
 Monomial = tuple[tuple[int, int], ...]
 TermKey = tuple[Monomial, int]
 _UNSEEN = object()
+_SCALAR = ((), 0)  # the term key of a scalar: no symbol, alpha0^0
 
 
 class GradedPoly:
@@ -537,7 +538,7 @@ class GradedPoly:
     @classmethod
     def scalar(cls, spec: ParamSpec, value) -> "GradedPoly":
         v = _real(value)
-        return cls(spec, {((), 0): v} if v else {})
+        return cls(spec, {_SCALAR: v} if v else {})
 
     @classmethod
     def symbol(cls, spec: ParamSpec, name: str, coeff=1) -> "GradedPoly":

@@ -41,6 +41,7 @@ import math
 from fractions import Fraction
 
 from .grassmann import (
+    _SCALAR,
     GradedPoly,
     GrassmannElement,
     ParamSpec,
@@ -56,7 +57,7 @@ from .nsalg import (
     gen_parity,
     gen_weight,
 )
-from .sparse import add_term, add_terms
+from .sparse import add_scaled, add_term, add_terms
 from .superseries import (
     CoordData,
     InfCoordData,
@@ -220,239 +221,112 @@ def solver_spec(A_sup, M_sup, B_sup, N_sup, degree_cap: int) -> ParamSpec:
 
 
 def _graded(vec: dict, keep) -> dict:
-    """{position: GradedPoly} as a graded vector: capped degree ->
-    {(position, doubled raising peak, 0 without a budget): terms dict}."""
+    """{position: GradedPoly} as a graded vector: (position, capped degree,
+    doubled raising peak, 0 without a budget) -> terms dict."""
     out: dict = {}
     for i, q in vec.items():
         degree = q.spec.degree
         for key, c in q.terms.items():
-            part = out.setdefault(degree(key[0]), {})
-            part.setdefault((i, keep[0](key[0]) if keep else 0), {})[key] = c
+            out.setdefault((i, degree(key[0]), keep[0](key[0]) if keep else 0), {})[key] = c
     return out
 
 
-def _positions(part: dict) -> dict:
-    """One degree of a graded vector summed over peaks: {position: terms}.
-    A monomial has one peak, so the merged dicts are disjoint."""
-    out: dict = {}
-    for (j, _), t in part.items():
-        out.setdefault(j, {}).update(t)
-    return out
+def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
+    """exp(sum coeff*gen) applied to a graded vector, truncated by the
+    parameter cap and, given a trust budget keep = (peak2, limit, lift), by
+    it.  action is the Verma module or the adjoint action (_Adjoint): each
+    acts by position through a memoized apply_gen(gen, i) -> {position:
+    value}.  A value is a GradedPoly, which a product is multiplied by, or
+    a canonical rational, which it is scaled by, as is a one-term scalar
+    GradedPoly: within the cap that product is the scaling.
 
-
-def _add_part(vec: dict, d: int, delta: dict):
-    """vec += delta at degree d, in place, keeping no empty entry.  Terms
-    dicts are replaced, never changed, so they may be shared."""
-    part = vec.setdefault(d, {})
-    for key, t in delta.items():
-        t = add_terms(part[key], t) if key in part else t
-        if t:
-            part[key] = t
-        else:
-            del part[key]
-    if not part:
-        del vec[d]
-
-
-class _ExpChain:
-    """exp(Z_n) ... exp(Z_1) applied to a graded vector, each stage's Z a
-    sum of coeff*gen, truncated by the parameter cap and, given a trust
-    budget keep = (peak2, limit, lift), by it; built degree by degree.
-    action is the Verma module or the adjoint action (_Adjoint): each acts
-    by position through a memoized apply_gen(gen, i) -> {position:
-    GradedPoly}.
-
-    A stage keeps its exponent split by generator and (degree, peak), and
-    its rounds: round 0 is its input (vec, or the output of the stage
-    before), round k is Z^k / k! on it, and its output is their sum.
-    extend(d) forms every part of degree <= d not yet built: round k's
-    part of degree d comes from the exponent's parts of degree e times
-    round k - 1's parts of degree d - e.  One call through the cap is the
-    whole series; calls at d = 1, 2, ... add one degree each.  A part meets
-    an entry only when their degrees sum within the call's range, and only
-    when their peaks sum within the limit: products over either bound
-    would be dropped, so they are never formed (degrees and peaks add, and
-    peaks are never negative).  Given a lift, an output at position j is
-    kept only when its peak plus lift[j] is within the limit too.  The
-    matrix elements of gen have degree 0 and peak 0, so p * q * element
-    lands where p * q does.  An odd gen meets the entries parity-twisted
-    (the Koszul sign of moving it past them).  With every coeff of capped
-    degree >= 1, round k dies past the cap at k = cap + 1 at the latest; a
-    series still alive then raises instead of being cut.  An entry at
-    position i fetches the row action.apply_gen(gen, i) when a part first
-    reaches it, before any product, so an empty row costs none.  Parts
-    emptied by cancellation are dropped.
-
-    A row of the Verma module holds GradedPoly values, and a part is
-    multiplied by them, except that a new entry times the module's 1 is a
-    copy; a row of the adjoint action holds rationals, and a part is scaled
-    by them.
-
-    add(s, terms) puts sum p * gen over terms (gen, p) into stage s's
-    exponent.  Parts above the built degree wait for extend.  A part at the
-    built degree d >= 1 adds only its linear term on the stage's degree-0
-    input, to round 1 and to the output of this and every later stage at
-    d: when every exponent of the chain has degree >= 1, nothing else of
-    degree <= d involves it.
+    Each coeff is split by (degree, peak) once.  A part of degree dp meets
+    an entry of degree dq only when dp + dq <= degree_cap, and only when
+    their peaks sum within the limit: products over either bound would be
+    dropped, so they are never formed (degrees and peaks add, and peaks are
+    never negative).  Given a lift, an output at position j is kept only
+    when its peak plus lift[j] is within the limit too.  The matrix
+    elements of gen have degree 0 and peak 0, so p * q * element lands
+    where p * q does.  An odd gen meets the entries parity-twisted (the
+    Koszul sign of moving it past them).  Every coeff has capped degree
+    >= 1, so the k-th power of the exponent dies past the cap at
+    k = degree_cap + 1 at the latest; a series still alive then raises
+    instead of being cut.  An entry at position i fetches the row
+    action.apply_gen(gen, i) when a part first reaches it, before any
+    product, so an empty row costs none.  Parts emptied by cancellation are
+    dropped from the result.
     """
-
-    def __init__(self, action, stages: list, vec: dict, cap: int, keep):
-        self.action, self.cap, self.keep = action, cap, keep
-        self.limit, self.lift = (keep[1], keep[2]) if keep else (0, None)
-        self.degree = -1  # every part of degree <= this one is built
-        self.parts: list = []  # per stage: {gen: [((degree, peak), terms)]}
-        self.rounds: list = []  # per stage: [round 0, round 1, ...]
-        self.outs: list = []  # per stage: its output, the next stage's round 0
-        for terms in stages:
-            self.parts.append({})
-            self.rounds.append([vec])
-            vec = {}
-            self.outs.append(vec)
-            self.add(len(self.parts) - 1, terms)
-
-    @property
-    def out(self) -> dict:
-        return self.outs[-1]
-
-    def add(self, s: int, terms):
-        """Put sum p*gen over terms (gen, p) into stage s's exponent."""
-        limit, parts, patch = self.limit, self.parts[s], {}
-        peak2 = self.keep[0] if self.keep else None
-        for g, p in terms:
-            self.action.one._check(p)
-            split: dict = {}  # (degree, peak) -> terms
-            degree = p.spec.degree
-            for key, c in p.terms.items():
-                pk = peak2(key[0]) if peak2 else 0
-                if pk <= limit:
-                    split.setdefault((degree(key[0]), pk), {})[key] = c
-            if not split:
-                continue
-            low = min(d for d, _ in split)
-            if low < self.degree or low == self.degree < 1:
-                raise SewingError(f"a part of degree {low} cannot join a chain built "
-                                  f"through degree {self.degree}")
-            parts.setdefault(g, []).extend(split.items())
-            if low == self.degree:
-                patch[g] = [(dp, t) for dp, t in split.items() if dp[0] == low]
-        if patch:
-            self._patch(s, self.degree, patch)
-
-    def _patch(self, s: int, d: int, block: dict):
-        """The linear term of block, exponent parts of degree d, on stage
-        s's degree-0 input, added to its round 1 and to every output from
-        stage s on at degree d."""
-        delta = self._round(block, {0: self.rounds[s][0].get(0, {})}, d - 1, d, 1)
-        if not delta:
-            return
-        rounds = self.rounds[s]
-        if len(rounds) == 1:
-            rounds.append({})
-        _add_part(rounds[1], d, delta[d])
-        for out in self.outs[s:]:
-            _add_part(out, d, delta[d])
-
-    def extend(self, d: int):
-        """Build every part of degree <= d."""
-        n, cap = self.degree, self.cap
-        if d <= n:
-            return
-        for s, parts in enumerate(self.parts):
-            rounds = self.rounds[s]
-            for k in range(1, cap + 2 if parts else 1):
-                if k > len(rounds) or not rounds[k - 1]:
-                    break
-                new = self._round(parts, rounds[k - 1], n, d, k)
-                if new:
-                    if k == len(rounds):
-                        rounds.append({})
-                    rounds[k].update(new)
-            if len(rounds) > cap + 1 and rounds[cap + 1]:
-                raise SewingError(f"exponential series still nonzero after {cap + 1} rounds")
-            out = self.outs[s]
-            for e in range(n + 1, d + 1):
-                for r in rounds:
-                    if e in r:
-                        _add_part(out, e, r[e])
-        self.degree = d
-
-    def _round(self, parts: dict, prev: dict, n: int, d: int, k: int) -> dict:
-        """Round k's parts of degree n < e <= d, from round k - 1, prev."""
-        action, limit, lift = self.action, self.limit, self.lift
-        spec, one = action.spec, action.one
-        product = one._product
-        rational = isinstance(action, _Adjoint)  # its rows hold rationals
-        nxt: dict = {}  # the new parts by degree
-        for dq, entries in prev.items():
-            # the exponent parts that reach degrees n < e <= d from degree dq,
-            # each with the new part at e it lands in
-            reach = []
-            for g, gparts in parts.items():
-                hits = [(nxt.setdefault(dp + dq, {}), pp, pt) for (dp, pp), pt in gparts
-                        if n < dp + dq <= d]
-                if hits:
-                    reach.append((g, gen_parity(g), hits))
-            for (i, pq), qt in entries.items() if reach else ():
-                twisted = None
-                for g, odd, hits in reach:
-                    row = None
-                    for out, pp, pt in hits:
-                        pk = pp + pq
-                        if pk > limit:
+    spec, product = action.spec, action.one._product
+    limit, lift = (keep[1], keep[2]) if keep else (0, None)
+    blocks = []  # (gen, odd, [((degree, peak), terms)] by degree)
+    for g, p in terms:
+        action.one._check(p)
+        parts: dict = {}
+        for (_, d, pk), t in _graded({0: p}, keep).items():
+            if pk <= limit:
+                parts[(d, pk)] = t
+        if parts:
+            blocks.append((g, gen_parity(g), sorted(parts.items())))
+    cur, acc = vec, dict(vec)
+    for k in range(1, degree_cap + 2):
+        nxt: dict = {}
+        for (i, dq, pq), qt in cur.items():
+            twisted = None
+            for g, odd, parts in blocks:
+                row = None
+                for (dp, pp), pt in parts:
+                    if dp + dq > degree_cap:
+                        break
+                    pk = pp + pq
+                    if pk > limit:
+                        continue
+                    if row is None:
+                        row = action.apply_gen(g, i)
+                    if not row:
+                        break
+                    if odd and twisted is None:
+                        twisted = {key: -c if spec.odd(key[0]) else c for key, c in qt.items()}
+                    pre = product({}, pt, twisted if odd else qt)
+                    if not pre:
+                        continue
+                    for j, r in row.items():
+                        if lift is not None and pk + lift[j] > limit:
                             continue
-                        if row is None:
-                            row = action.apply_gen(g, i)
-                        if not row:
-                            break
-                        if odd and twisted is None:
-                            twisted = {key: -c if spec.odd(key[0]) else c for key, c in qt.items()}
-                        pre = product({}, pt, twisted if odd else qt)
-                        if not pre:
-                            continue
-                        for j, r in row.items():
-                            if lift is not None and pk + lift[j] > limit:
+                        key = (j, dp + dq, pk)
+                        if type(r) is GradedPoly:
+                            rt = r.terms
+                            if len(rt) != 1 or _SCALAR not in rt:
+                                product(nxt.setdefault(key, {}), pre, rt)
                                 continue
-                            tgt = out.get((j, pk))
-                            if rational:
-                                if tgt is None:
-                                    out[(j, pk)] = dict(pre) if r == 1 else _scaled(pre, r)
-                                    continue
-                                for key, c in pre.items():
-                                    c = c * r
-                                    add_term(tgt, key, c if type(c) is int else as_rational(c))
-                            elif tgt is not None:
-                                product(tgt, pre, r.terms)
-                            elif r is one:
-                                out[(j, pk)] = dict(pre)
-                            else:
-                                out[(j, pk)] = product({}, pre, r.terms)
-        new: dict = {}
-        for e, part in nxt.items():
-            part = {key: t for key, t in part.items() if t}
-            if not part:
-                continue
+                            r = rt[_SCALAR]
+                        tgt = nxt.get(key)
+                        if tgt is None:
+                            nxt[key] = _scaled(pre, r)
+                        else:  # tgt += pre * r, in canonical form
+                            for m, c in pre.items():
+                                c = c * r
+                                add_term(tgt, m, c if type(c) is int else as_rational(c))
+        cur = {key: t for key, t in nxt.items() if t}
+        if not cur:
+            return {key: t for key, t in acc.items() if t}
+        for key, t in cur.items():
             if k > 1:  # 1/k in place, keeping the coefficient form
-                for t in part.values():
-                    for kk, c in t.items():
-                        if type(c) is int:
-                            t[kk] = Fraction(c, k) if c % k else c // k
-                        else:
-                            c = c / k
-                            t[kk] = c.numerator if c.denominator == 1 else c
-            new[e] = part
-        return new
-
-
-# the stages of the ansatz chain, in the order they act
-_GAMMA, _DIAGONAL, _LOWERING, _RAISING = range(4)
+                for kk, c in t.items():
+                    if type(c) is int:
+                        t[kk] = Fraction(c, k) if c % k else c // k
+                    else:
+                        c = c / k
+                        t[kk] = c.numerator if c.denominator == 1 else c
+            acc[key] = add_terms(acc[key], t) if key in acc else t
+    raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
 class _ByPosition(dict):
     """An attribute of each adjoint position j, rule(j) computed on first
-    read and kept; c, at C_GEN, has at_c."""
+    read and kept; c, at C_GEN, has 0."""
 
-    def __init__(self, rule, at_c=0):
-        super().__init__({C_GEN: at_c})
+    def __init__(self, rule):
+        super().__init__({C_GEN: 0})
         self.rule = rule
 
     def __missing__(self, j):
@@ -462,16 +336,15 @@ class _ByPosition(dict):
 
 class _Adjoint:
     """The NS algebra acting on itself by the superbracket, in the form
-    _ExpChain reads.
+    _exp_graded reads.
 
     A generator is its own position: nsalg's int doubled index, X(n) at 2n,
     and c at C_GEN.  That is the k2 of vosa.jacobi_check, which the layer
     rule keeps vosa from importing.  apply_gen(g, j) is [g, X] for the X at
     position j, the structure constants of nsalg.bracket_constants as
-    canonical rationals (a row of the Verma module holds GradedPoly
-    values), memoized as the module's rows are, so the chain scales a part
-    by a constant instead of multiplying it by a one-term polynomial.
-    lift[j] is max(j, 0): a lowering X(n) kills every state below level n.
+    canonical rationals, memoized as the Verma module's rows are, which
+    _exp_graded scales a part by.  lift[j] is max(j, 0): a lowering X(n)
+    kills every state below level n.
     """
 
     def __init__(self, spec: ParamSpec):
@@ -537,61 +410,47 @@ class _Factorization:
         return self._left(self.module, _graded(vec, keep), keep)
 
     def _left(self, action, vec: dict, keep) -> dict:
-        """The left side's stages on a graded vector, built through D:
-        raising exponential, with the reduced diagonal conjugated into its
-        terms, then lowering exponential."""
-        chain = _ExpChain(action, [self.raise_terms, self.low_terms], vec, self.D, keep)
-        chain.extend(self.D)
-        return chain.out
+        """The left side's stages on a graded vector: raising exponential,
+        with the reduced diagonal conjugated into its terms, then lowering
+        exponential."""
+        out = _exp_graded(action, self.raise_terms, vec, self.D, keep)
+        return _exp_graded(action, self.low_terms, out, self.D, keep)
 
     def rhs(self, psi: dict, gamma: GradedPoly, vec: dict, level=None) -> dict:
         """The ansatz side on vec, as lhs."""
         keep = self._keeper(level)
-        chain = self._ansatz(self.module, psi, gamma, _graded(vec, keep), self.D, keep)
-        chain.extend(self.D)
-        return chain.out
+        return self._ansatz(self.module, psi, gamma, _graded(vec, keep), self.D, keep)
 
     def _ansatz(self, action, psi: dict, gamma: GradedPoly, vec: dict, cap: int,
-                keep=None) -> _ExpChain:
-        """The ansatz stages on a graded vector, as a chain not yet built:
-        exp(Gamma c), exp(Psi_0 L(0)), then the lowering and the raising
-        exponential (stages _GAMMA, _DIAGONAL, _LOWERING and _RAISING).
-        Degrees add, so the chain built through d holds the parts of degree
-        <= d of the full side."""
-        stages = [[(C_GEN, gamma)], [(L(0), psi[Fraction(0)])], [], []]
+                keep=None) -> dict:
+        """The ansatz stages on a graded vector, cut at capped degree cap;
+        degrees add, so its parts are the full side's of degree <= cap."""
+        low, raise_ = [], []
         for k, p in psi.items():
             if k and p:
-                stages[_LOWERING if k > 0 else _RAISING].append((int(2 * k), p))
-        return _ExpChain(action, stages, vec, cap, keep)
+                (low if k > 0 else raise_).append((int(2 * k), p))
+        out = _exp_graded(action, [(C_GEN, gamma)], vec, cap, keep)
+        out = _exp_graded(action, [(L(0), psi[Fraction(0)])], out, cap, keep)
+        out = _exp_graded(action, low, out, cap, keep)
+        return _exp_graded(action, raise_, out, cap, keep)
 
     def conjugates(self, psi: dict, gamma: GradedPoly, cap: int) -> tuple:
         """The visible terms of Ad(L(0)) = X L(0) X^-1 for the left side X
-        and for the ansatz built through capped degree cap, as graded
-        vectors over the adjoint action.
+        and for the ansatz cut at capped degree cap, as graded vectors over
+        the adjoint action.
 
         Each side runs its stages on L(0) as nested exp(ad Z), as lhs and
         rhs run them on a column; Gamma c is central, so its stage is the
         identity.  The left one does not depend on Psi: it is built once,
-        at full D, and kept in left_conjugate, so the solve's reads and the
-        check share one.
+        at full D, and kept in left_conjugate, so the solve's D reads and
+        the check share one.
         """
-        chain = self._on_L0(psi, gamma, cap, self.adjoint.lift)
-        chain.extend(cap)
-        return self._left_on_L0(), chain.out
-
-    def _left_on_L0(self) -> dict:
-        if self.left_conjugate is None:
-            adj = self.adjoint
-            keep = self._keeper(0, adj.lift)
-            self.left_conjugate = self._left(adj, _graded({L(0): adj.one}, keep), keep)
-        return self.left_conjugate
-
-    def _on_L0(self, psi: dict, gamma: GradedPoly, cap: int, lift) -> _ExpChain:
-        """The ansatz chain on L(0), not yet built, under the budget of
-        level 0 with this adjoint lift."""
         adj = self.adjoint
-        keep = self._keeper(0, lift)
-        return self._ansatz(adj, psi, gamma, _graded({L(0): adj.one}, keep), cap, keep)
+        keep = self._keeper(0, adj.lift)
+        vec = _graded({L(0): adj.one}, keep)
+        if self.left_conjugate is None:
+            self.left_conjugate = self._left(adj, vec, keep)
+        return self.left_conjugate, self._ansatz(adj, psi, gamma, vec, cap, keep)
 
 
 def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
@@ -600,87 +459,66 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
     A_sup/M_sup/B_sup/N_sup are the index supports (j >= 1) of the four
     formal families.  Returns the unique (Psi, Gamma) with every
     coefficient restricted to the parameter monomials certifiable at
-    weight cap W.  The solve keeps one ansatz chain on the highest-weight
-    vector and one on L(0) (_ExpChain), and step d reads degree d only:
-    it extends the highest-weight chain to d and reads the raising slots,
-    Psi_0 and Gamma off the highest-weight column; then, with those parts
-    in, it extends the L(0) chain to d and reads every lowering slot psi_k
-    off the X(k) coordinate of Ad(L(0)).  There psi_k enters degree d only
-    as [psi_k X(k), L(0)] = k psi_k X(k), since the diagonal stages commute
-    with L(0) and further brackets raise the degree; m X(k) is visible
-    exactly when it is certified at level k, so the read needs no trust
-    filter.  Every part solved at step d has degree d, so each chain takes
-    it as its linear term on the degree-0 input (_ExpChain.add), and no
-    degree is built twice.  The left sides do not depend on Psi and are
-    built once, through D.
+    weight cap W.  Step d reads degree d only, off the ansatz cut at
+    degree d: the raising slots, Psi_0 and Gamma off the highest-weight
+    column, and every lowering slot psi_k off the X(k) coordinate of
+    Ad(L(0)).  There psi_k enters degree d only as [psi_k X(k), L(0)] =
+    k psi_k X(k), since the diagonal stages commute with L(0) and further
+    brackets raise the degree; m X(k) is visible exactly when it is
+    certified at level k, so the read needs no trust filter.
     """
     fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
     spec, module = fact.spec, fact.module
     zero = GradedPoly(spec)
-    # the one-letter columns: column i holds X(-k), the letter psi[-k] scales,
-    # and X(k) sits at adjoint position 2k
-    cols = [(gen_weight(w[0]), i, -w[0]) for i, w in enumerate(module.basis) if len(w) == 1]
-    slots = {g: zero for _, _, g2 in cols for g in (g2, -g2)}  # psi by generator
-    slots[L(0)] = gamma = zero
+    # the one-letter columns by level k: column i holds the letter psi[-k] scales
+    cols = {gen_weight(w[0]): i for i, w in enumerate(module.basis) if len(w) == 1}
+    psi: dict = {Fraction(0): zero}
+    for k in cols:
+        psi[k] = psi[-k] = zero
+    gamma = zero
+
+    def at_degree(side, d):  # the degree-d terms by position, over every peak
+        out: dict = {}
+        for (j, dj, _), t in side.items():
+            if dj == d:
+                out.setdefault(j, {}).update(t)
+        return out
 
     def read(lhs, rhs, i):  # lhs - rhs at position i
-        left, right = lhs.get(i, {}), rhs.get(i, {})
-        return GradedPoly(spec, left) - GradedPoly(spec, right) if left != right else zero
+        out = dict(lhs.get(i, ()))
+        add_scaled(out, rhs.get(i, {}), -1)
+        return GradedPoly(spec, out)
 
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
-    empty = {Fraction(0): zero}
-    left_hw = fact.lhs(hw)
-    right_hw = fact._ansatz(module, empty, zero, _graded(hw, None), fact.D)
-    # Ad(L(0)) is read at lowering coordinates only, and its last stage,
-    # the raising one, only lowers positions: a term at a position <= 0 or
-    # on c never reaches a read, so the solve's chain keeps none
-    reach = _ByPosition(lambda j: j if j > 0 else math.inf, math.inf)
-    left_L0, right_L0 = fact._left_on_L0(), fact._on_L0(empty, zero, fact.D, reach)
+    lhs_hw = fact.lhs(hw)
     for d in range(1, fact.D + 1):
-        right_hw.extend(d)
-        lhs_d, rhs_d = _positions(left_hw.get(d, {})), _positions(right_hw.out.get(d, {}))
-        solved: dict = {}  # stage -> [(generator, part of degree d)]
+        rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
+        lhs_d, rhs_d = at_degree(lhs_hw, d), at_degree(rhs_hw, d)
         # raising slots from the highest-weight column
-        for _, i, g in cols:
+        for k, i in cols.items():
             res = read(lhs_d, rhs_d, i)
             if res:
                 _assert_ch_free(res)
-                part = fact.trusted(res, 0)
-                slots[-g] = slots[-g] + part
-                solved.setdefault(_RAISING, []).append((-g, part))
+                psi[-k] = psi[-k] + fact.trusted(res, 0)
         # diagonal block: h reads psi0, c reads gamma
         res = read(lhs_d, rhs_d, 0)
         if res:
             h_lin = res.coefficient({"h": 1, "c": 0})
             c_lin = res.coefficient({"h": 0, "c": 1})
-            psi0, gamma_d = fact.trusted(h_lin, 0), fact.trusted(c_lin, 0)
-            slots[L(0)] = slots[L(0)] + psi0
-            gamma = gamma + gamma_d
+            psi[Fraction(0)] = psi[Fraction(0)] + fact.trusted(h_lin, 0)
+            gamma = gamma + fact.trusted(c_lin, 0)
             leftover = res - h_lin * GradedPoly.symbol(spec, "h") \
                 - c_lin * GradedPoly.symbol(spec, "c")
             if leftover:
                 raise SewingError(
                     f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
-            solved[_DIAGONAL], solved[_GAMMA] = [(L(0), psi0)], [(C_GEN, gamma_d)]
-        for chain in (right_hw, right_L0):
-            for stage, terms in solved.items():
-                chain.add(stage, terms)
-        # lowering slots from Ad(L(0)): [psi_k X(k), L(0)] = k psi_k X(k)
-        right_L0.extend(d)
-        left, right = _positions(left_L0.get(d, {})), _positions(right_L0.out.get(d, {}))
-        lowering = []
-        for k, _, g in cols:
-            res = read(left, right, g)
+        # lowering slots from Ad(L(0)): X(k) sits at adjoint position 2k
+        left, right = (at_degree(side, d) for side in fact.conjugates(psi, gamma, d))
+        for k in cols:
+            res = read(left, right, int(2 * k))
             if res:
-                part = res * (1 / k)
-                slots[g] = slots[g] + part
-                lowering.append((g, part))
-        for chain in (right_hw, right_L0):
-            chain.add(_LOWERING, lowering)
-    psi = {Fraction(0): slots[L(0)]}
-    for k, _, g in cols:
-        psi[k], psi[-k] = slots[g], slots[-g]
+                psi[k] = psi[k] + res * (1 / k)
     return SewingSeries(fact, psi, gamma)
 
 

@@ -23,7 +23,7 @@ from superns import sewing
 from superns.sewing import (
     ModuliElement,
     SewingError,
-    _ExpChain,
+    _exp_graded,
     _Factorization,
     _graded,
     sk_J,
@@ -75,23 +75,15 @@ def simple_moduli(n=2, z1=2):
 def _ungraded(spec: ParamSpec, vec: dict) -> dict:
     """A graded vector back as {position: GradedPoly}."""
     out: dict = {}
-    for part in vec.values():
-        for (i, _), t in part.items():
-            out.setdefault(i, {}).update(t)
+    for (i, _, _), t in vec.items():
+        out.setdefault(i, {}).update(t)
     return {i: GradedPoly(spec, t) for i, t in out.items()}
-
-
-def _built(chain: _ExpChain, cap: int) -> dict:
-    """The chain's output, built through degree cap."""
-    chain.extend(cap)
-    return chain.out
 
 
 def _exp_apply(module: VermaModule, terms, vec: dict, degree_cap: int, keep=None) -> dict:
     """exp(sum coeff*gen) applied to vec {position: GradedPoly}; keep is a
     trust budget (see _Factorization._keeper) or None."""
-    chain = _ExpChain(module, [terms], _graded(vec, keep), degree_cap, keep)
-    return _ungraded(module.spec, _built(chain, degree_cap))
+    return _ungraded(module.spec, _exp_graded(module, terms, _graded(vec, keep), degree_cap, keep))
 
 
 # -- solver: trivial and closed-form cases --------------------------------
@@ -279,8 +271,7 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
     fact, psi, gamma = series.fact, series.psi, series.gamma
 
     def ansatz(vec, cap):
-        chain = fact._ansatz(fact.module, psi, gamma, _graded(vec, None), cap)
-        return _ungraded(fact.spec, _built(chain, cap))
+        return _ungraded(fact.spec, fact._ansatz(fact.module, psi, gamma, _graded(vec, None), cap))
 
     def upto(side, d):
         return {i: t for i, p in side.items() if (t := p.truncate(d))}
@@ -296,7 +287,7 @@ def test_the_solve_reads_match_the_full_ansatz_side(problem):
     assert missed == set(range(1, D + 1))
 
     def graded_upto(side, d):
-        return {e: part for e, part in side.items() if e <= d}
+        return {key: t for key, t in side.items() if key[1] <= d}
 
     missed = set()
     full = fact.conjugates(psi, gamma, D)[1]
@@ -393,8 +384,7 @@ def generator_conjugates(fact, psi, gamma, g) -> tuple:
     adj = fact.adjoint
     keep = fact._keeper(gen_weight(g), adj.lift)
     vec = _graded({g: adj.one}, keep)
-    right = fact._ansatz(adj, psi, gamma, vec, fact.D, keep)
-    return fact._left(adj, vec, keep), _built(right, fact.D)
+    return fact._left(adj, vec, keep), fact._ansatz(adj, psi, gamma, vec, fact.D, keep)
 
 
 def generator_check(series) -> bool:
@@ -607,8 +597,8 @@ def test_every_kept_left_conjugate_is_a_fresh_full_build(problem, top_parts):
     want = generator_conjugates(fresh, series.psi, series.gamma, L(0))[0]
     kept = series.fact.left_conjugate
     assert kept == want
-    assert len(want[D]) == top_parts
-    assert want != {e: part for e, part in want.items() if e < D}
+    assert sum(key[1] == D for key in want) == top_parts
+    assert want != {key: t for key, t in want.items() if key[1] < D}
     assert sw_consistency_check(series, *problem)
     assert series.fact.left_conjugate is kept and kept == want
 
@@ -692,32 +682,45 @@ def test_conjugates_match_the_bracket_series(problem):
         assert got[0] == got[1]
 
 
+def test_adjoint_rows_are_canonical_rationals():
+    """The adjoint action's rows are nsalg's structure constants as ints or
+    non-integral Fractions, which _exp_graded scales parts by, and both
+    conjugates of L(0) keep canonical coefficients (the scaled products
+    too: several constants are halves)."""
+    problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
+    series = sw_solve(*problem, D=D, W=W)
+    adj = series.fact.adjoint
+    sides = series.fact.conjugates(series.psi, series.gamma, D)
+    assert adj._memo
+    for (g, j), row in adj._memo.items():
+        assert row == bracket_constants(g, j)
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                   for v in row.values()), (g, j)
+    assert any(type(v) is Fraction for row in adj._memo.values() for v in row.values())
+    coeffs = [c for side in sides for t in side.values() for c in t.values()]
+    assert {type(c) for c in coeffs} == {int, Fraction}
+    assert all(c.denominator != 1 for c in coeffs if type(c) is Fraction)
+
+
 def test_the_5_8_solve_is_certified_on_generators(monkeypatch):
     """At (D, W) = (5, 8), where the column check rebuilt both sides on 315
     columns, the check accepts the solve after one conjugates call, of
     L(0) at full D, and rejects a certified error planted in a lowering
-    slot.  The solve builds in one pass: it never conjugates, each of its
-    two ansatz chains is extended once per degree, 1 to 5, and each left
-    side is built once, through 5."""
+    slot.  The solve conjugates L(0) once per degree, cut at that degree."""
     problem = ([1, 2], [1], [1, 2], [1])
-    caps, steps = [], {}
-    conjugates, extend = _Factorization.conjugates, _ExpChain.extend
+    caps = []
+    conjugates = _Factorization.conjugates
 
     def recording(self, psi, gamma, cap):
         caps.append(cap)
         return conjugates(self, psi, gamma, cap)
 
-    def stepping(self, d):
-        steps.setdefault(self, []).append(d)
-        return extend(self, d)
-
     monkeypatch.setattr(_Factorization, "conjugates", recording)
-    monkeypatch.setattr(_ExpChain, "extend", stepping)
     series = sw_solve(*problem, D=5, W=8)
-    assert caps == []
-    assert sorted(steps.values()) == [[1, 2, 3, 4, 5]] * 2 + [[5]] * 2
+    assert caps == [1, 2, 3, 4, 5]
     assert len(series.fact.module.basis) == 315
     assert sum(len(p.terms) for p in series.psi.values()) + len(series.gamma.terms) == 147
+    caps.clear()
     assert sw_consistency_check(series, *problem)
     assert caps == [5]
     good = series.psi[Fraction(2)]
@@ -725,159 +728,6 @@ def test_the_5_8_solve_is_certified_on_generators(monkeypatch):
     add_term(terms, min(terms), 1)  # certified at level 2, as every psi[2] term is
     series.psi[Fraction(2)] = GradedPoly(series.spec, terms)
     assert not sw_consistency_check(series, *problem)
-
-
-def rebuild_solve(A_sup, M_sup, B_sup, N_sup, D, W):
-    """The solve as it was before the one-pass chains, kept as the
-    reference: step d rebuilds the ansatz from degree 1 to d, on the
-    highest-weight column and on L(0) (conjugates, under the full
-    visibility rule), and reads the same slots off degree d."""
-    fact = _Factorization(A_sup, M_sup, B_sup, N_sup, D, W)
-    spec, module = fact.spec, fact.module
-    zero = GradedPoly(spec)
-    cols = {gen_weight(w[0]): i for i, w in enumerate(module.basis) if len(w) == 1}
-    psi = {Fraction(0): zero}
-    for k in cols:
-        psi[k] = psi[-k] = zero
-    gamma = zero
-
-    def at_degree(side, d):
-        out: dict = {}
-        for (j, _), t in side.get(d, {}).items():
-            out.setdefault(j, {}).update(t)
-        return out
-
-    def read(lhs, rhs, i):
-        return GradedPoly(spec, lhs.get(i, {})) - GradedPoly(spec, rhs.get(i, {}))
-
-    hw = {0: module.one}
-    lhs_hw = fact.lhs(hw)
-    for d in range(1, D + 1):
-        rhs_hw = _built(fact._ansatz(module, psi, gamma, _graded(hw, None), d), d)
-        lhs_d, rhs_d = at_degree(lhs_hw, d), at_degree(rhs_hw, d)
-        for k, i in cols.items():
-            res = read(lhs_d, rhs_d, i)
-            if res:
-                sewing._assert_ch_free(res)
-                psi[-k] = psi[-k] + fact.trusted(res, 0)
-        res = read(lhs_d, rhs_d, 0)
-        if res:
-            h_lin = res.coefficient({"h": 1, "c": 0})
-            c_lin = res.coefficient({"h": 0, "c": 1})
-            psi[Fraction(0)] = psi[Fraction(0)] + fact.trusted(h_lin, 0)
-            gamma = gamma + fact.trusted(c_lin, 0)
-            leftover = res - h_lin * GradedPoly.symbol(spec, "h") \
-                - c_lin * GradedPoly.symbol(spec, "c")
-            if leftover:
-                raise SewingError(
-                    f"diagonal read at degree {d} has unexpected terms: {leftover!r}")
-        left, right = (at_degree(side, d) for side in fact.conjugates(psi, gamma, d))
-        for k in cols:
-            res = read(left, right, int(2 * k))
-            if res:
-                psi[k] = psi[k] + res * (1 / k)
-    return sewing.SewingSeries(fact, psi, gamma)
-
-
-def solve_outcome(solve, problem, D, W):
-    """(Psi, Gamma, check verdict) of a solve, or the text it raises."""
-    try:
-        series = solve(*problem, D=D, W=W)
-    except SewingError as err:
-        return str(err)
-    return series.psi, series.gamma, sw_consistency_check(series, *problem)
-
-
-@pytest.mark.parametrize("D, W, problems", [(3, 4, FAMILY), (3, 5, FAMILY), (4, 6, FAMILY),
-                                            (5, 8, [([1, 2], [1], [1, 2], [1])])],
-                         ids=["3-4", "3-5", "4-6", "5-8"])
-def test_the_one_pass_solve_matches_the_rebuild_reference(D, W, problems):
-    """On the whole family at (3, 4), (3, 5) and (4, 6), and on the (5, 8)
-    problem, the one-pass solve gives the reference's Psi, Gamma and check
-    verdict, or raises its SewingError text."""
-    raised = 0
-    for problem in problems:
-        want = solve_outcome(rebuild_solve, problem, D, W)
-        assert solve_outcome(sw_solve, problem, D, W) == want, problem
-        raised += isinstance(want, str)
-    assert raised == {4: 51, 5: 36, 6: 39, 8: 0}[W]
-
-
-def test_the_one_pass_solve_needs_its_patches(monkeypatch):
-    """Negative control: with the linear terms of newly solved parts left
-    out of the chains, the one-pass solve no longer matches the reference."""
-    monkeypatch.setattr(_ExpChain, "_patch", lambda *args: None)
-    D, W = 3, 4
-    assert any(solve_outcome(sw_solve, problem, D, W)
-               != solve_outcome(rebuild_solve, problem, D, W) for problem in PRUNE_PROBLEMS)
-
-
-def slot_parts(psi, gamma, d) -> dict:
-    """The degree-d parts of every slot and of gamma, by ansatz stage."""
-    out: dict = {}
-    for k, p in psi.items():
-        stage = sewing._DIAGONAL if k == 0 else sewing._LOWERING if k > 0 else sewing._RAISING
-        out.setdefault(stage, []).append((int(2 * k), p.degree_part(d)))
-    out[sewing._GAMMA] = [(C_GEN, gamma.degree_part(d))]
-    return out
-
-
-@pytest.mark.parametrize("problem", PRUNE_PROBLEMS[:2])
-def test_chains_grow_one_degree_at_a_time(monkeypatch, problem):
-    """On the highest-weight vector (with and without the budget of level
-    0) and on L(0): extending the left side and the ansatz one degree at a
-    time through D gives one build through D; and the ansatz started with
-    empty slots, given each slot's degree-d part right after its extension
-    to d, equals at every d the ansatz rebuilt from the slots cut at d.
-    Negative control: without the patch it does not."""
-    D, W = 3, 4
-    series = sw_solve(*problem, D=D, W=W)
-    fact, psi, gamma = series.fact, series.psi, series.gamma
-    module, adj = fact.module, fact.adjoint
-    zero = GradedPoly(fact.spec)
-    column, conjugate = fact._keeper(0), fact._keeper(0, adj.lift)
-    inputs = [(module, {0: module.one}, None), (module, {0: module.one}, column),
-              (adj, {L(0): adj.one}, conjugate)]
-
-    def grown(action, vec, keep):
-        chain = fact._ansatz(action, {k: zero for k in psi}, zero, _graded(vec, keep), D, keep)
-        for d in range(1, D + 1):
-            chain.extend(d)
-            for stage, terms in slot_parts(psi, gamma, d).items():
-                chain.add(stage, terms)
-            cut = {k: p.truncate(d) for k, p in psi.items()}
-            rebuilt = fact._ansatz(action, cut, gamma.truncate(d), _graded(vec, keep), D, keep)
-            yield chain.out == _built(rebuilt, d)
-
-    for action, vec, keep in inputs:
-        for build in (lambda: _ExpChain(action, [fact.raise_terms, fact.low_terms],
-                                        _graded(vec, keep), D, keep),
-                      lambda: fact._ansatz(action, psi, gamma, _graded(vec, keep), D, keep)):
-            stepped = build()
-            for d in range(D + 1):
-                stepped.extend(d)
-            assert stepped.out == _built(build(), D)
-        assert all(grown(action, vec, keep))
-        with monkeypatch.context() as m:
-            m.setattr(_ExpChain, "_patch", lambda *args: None)
-            assert not all(grown(action, vec, keep))
-
-
-def test_a_chain_takes_no_part_below_its_built_degree():
-    """A part of degree below the built degree, or at a built degree 0,
-    would need more than its linear term, and raises."""
-    fact = _Factorization([1], [1], [1], [1], 3, 4)
-    module = fact.module
-    chain = fact._ansatz(module, {Fraction(0): GradedPoly(fact.spec)}, GradedPoly(fact.spec),
-                         _graded({0: module.one}, None), 3)
-    B1 = GradedPoly.symbol(fact.spec, "B1")
-    chain.extend(0)
-    with pytest.raises(SewingError, match="cannot join"):
-        chain.add(sewing._DIAGONAL, [(L(0), GradedPoly.symbol(fact.spec, "c"))])
-    chain.extend(2)
-    with pytest.raises(SewingError, match="cannot join"):
-        chain.add(sewing._RAISING, [(L(-1), B1)])
-    chain.add(sewing._RAISING, [(L(-1), B1 * B1 * GradedPoly.symbol(fact.spec, "A1"))])
 
 
 def test_exp_series_outliving_the_cap_raises():
@@ -1086,28 +936,6 @@ def test_both_sides_keep_canonical_coefficients():
     assert seen == {int, Fraction}
 
 
-def test_adjoint_rows_are_canonical_rationals():
-    """The adjoint action's rows are nsalg's structure constants as ints or
-    non-integral Fractions, which the chain scales parts by, and both
-    conjugates of L(0) keep canonical coefficients (the scaled products
-    too: several constants are halves)."""
-    problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
-    series = sw_solve(*problem, D=D, W=W)
-    adj = series.fact.adjoint
-    sides = series.fact.conjugates(series.psi, series.gamma, D)
-    assert adj._memo
-    for (g, j), row in adj._memo.items():
-        assert row == bracket_constants(g, j)
-        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-                   for v in row.values()), (g, j)
-    assert any(type(v) is Fraction for row in adj._memo.values() for v in row.values())
-    seen = {type(c) for side in sides for part in side.values()
-            for t in part.values() for c in t.values()}
-    assert seen == {int, Fraction}
-    assert all(c.denominator != 1 for side in sides for part in side.values()
-               for t in part.values() for c in t.values() if type(c) is Fraction)
-
-
 def raises_the_known_defect_at_w4(problem) -> bool:
     """At (D, W) = (3, 4) the raising read of these problems meets a (c, h)
     term of a degree-3 monomial over the cap, B3 with A3, with A2 B2 or
@@ -1148,14 +976,13 @@ def test_every_raising_term_of_the_conjugates_pays_for_its_level(W, problems):
     D, raising = 3, 0
 
     def short(side):  # the (position, doubled peak) of raising parts below the lemma
-        return [(j, pk) for part in side.values() for j, pk in part
-                if j != C_GEN and j < 0 and pk < -j]
+        return [(j, pk) for j, _, pk in side if j != C_GEN and j < 0 and pk < -j]
 
     for problem in problems:
         series = sw_solve(*problem, D=D, W=W)
         for side in series.fact.conjugates(series.psi, series.gamma, D):
             assert not short(side), problem
-            raising += sum(1 for part in side.values() for j, _ in part if j != C_GEN and j < 0)
+            raising += sum(1 for j, _, _ in side if j != C_GEN and j < 0)
     assert raising
     problem = ([1, 2], [1], [1, 2], [1])
     series = sw_solve(*problem, D=D, W=W)
