@@ -6,10 +6,11 @@ over the Gaussian rationals, because a body can be complex (a square root
 of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
 (bit i-1 set means zi is a factor), so the empty mask holds the body and
 every other mask is soul.  add_product is the one loop that multiplies
-such terms dicts, out += a * b.  GrassmannElement.__mul__ calls it, and so
-does superseries._sum_left, through which every superfunction product,
-scale, power, composition and flow step sums straight into one mask dict
-per output coefficient.
+such terms dicts, out += a * b, into slots {mask: [num, den]} that
+settle makes one coefficient each.  GrassmannElement.__mul__ calls both,
+and so does superseries._sum_left, through which every superfunction
+product, scale, power, composition and flow step sums straight into one
+accumulator per output coefficient.
 
 One power serves every exponent in ½ℤ: x ** n is the terminating series
 b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
@@ -27,6 +28,7 @@ convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .sparse import add_term, add_terms
@@ -57,7 +59,7 @@ class QQi:
 
     A sum whose imaginary part cancels is its real part in as_rational's
     form, so sums in sparse.add_term keep the canonical coefficient form;
-    a product stays a QQi (add_product normalizes Grassmann products).
+    a product stays a QQi (settle normalizes Grassmann products).
     """
 
     __slots__ = ("re", "im")
@@ -247,25 +249,47 @@ def _merge_sign(a: int, b: int) -> int:
 
 
 def add_product(out: dict, a: dict, b: dict) -> None:
-    """out += a * b in place, for Grassmann terms dicts {mask: coeff}.
+    """out += a * b in place, for Grassmann terms dicts a, b {mask: coeff}
+    and an accumulator out {mask: [num, den]}, which settle turns into terms.
 
-    The one loop that multiplies Grassmann monomials: a pair of masks that
-    share a generator gives nothing, any other pair its coefficient product
-    in as_rational's form with the Koszul sign of _merge_sign, accumulated
-    through add_term.  Products of elements and sums of superfunction
-    products (superseries._sum_left) both accumulate here, so a sum of many
-    products never builds an element per product.
+    The one loop that multiplies Grassmann monomials.  Each coefficient is
+    read as a numerator over a positive int denominator: a Fraction as its
+    two ints, an int or a QQi over 1 (b's per pair, not split into a list
+    first: an operand here holds one to three terms).  A pair of masks that
+    share a generator gives nothing, any other pair its numerator product,
+    with the Koszul sign of _merge_sign, over its denominator product.  That
+    adds into the mask's slot by a plain += when the denominators agree and
+    otherwise by cross-multiplication onto their lcm, so a slot's
+    denominator is the lcm of its products'.  Products of elements
+    (GrassmannElement.__mul__) and sums of superfunction products
+    (superseries._sum_left) both accumulate here.
     """
-    for ma, ca in a.items():
-        for mb, cb in b.items():
+    for ma, na in a.items():
+        na, da = (na.numerator, na.denominator) if type(na) is Fraction else (na, 1)
+        for mb, nb in b.items():
             if ma & mb:
                 continue
-            c = ca * cb
-            if type(c) is not int:
-                c = as_rational(c)
+            nb, db = (nb.numerator, nb.denominator) if type(nb) is Fraction else (nb, 1)
+            n, d = na * nb, da * db
             if ma and _merge_sign(ma, mb) < 0:
-                c = -c
-            add_term(out, ma | mb, c)
+                n = -n
+            m = ma | mb
+            slot = out.get(m)
+            if slot is None:
+                out[m] = [n, d]
+            elif slot[1] == d:
+                slot[0] += n
+            else:
+                g = gcd(slot[1], d)
+                slot[0] = slot[0] * (d // g) + n * (slot[1] // g)
+                slot[1] = slot[1] // g * d
+
+
+def settle(acc: dict) -> dict:
+    """The terms dict of an add_product accumulator: each nonzero slot
+    [num, den] as one coefficient in as_rational's form, each zero dropped."""
+    return {m: as_rational(n if d == 1 else Fraction(n, d) if type(n) is int else n / d)
+            for m, (n, d) in acc.items() if n}
 
 
 def _scaled(terms: dict, v) -> dict:
@@ -370,13 +394,15 @@ class GrassmannElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other: an element product sums its pairs of terms in one
+        add_product accumulator and settles each coefficient once."""
         if not isinstance(other, GrassmannElement):
             v = as_rational(other)
             return GrassmannElement(self.L, _scaled(self.terms, v) if v else {})
         self._check(other)
-        out: dict[int, Scalar] = {}
-        add_product(out, self.terms, other.terms)
-        return GrassmannElement(self.L, out)
+        acc: dict[int, list] = {}
+        add_product(acc, self.terms, other.terms)
+        return GrassmannElement(self.L, settle(acc))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):

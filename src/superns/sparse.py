@@ -12,6 +12,12 @@ key set are equal exactly when they are equal as dicts.  ``add_term`` is
 the one place that accumulates into such a dict; it keeps the invariant.
 ``add_scaled`` is the "acc += c * vec" loop on top of it, and ``scaled``
 is its allocating form, a new dict "vec * c".
+
+The one other accumulator is the Grassmann product kernel's: slots
+``{mask: [num, den]}`` that ``grassmann.add_product`` sums unreduced
+products into.  ``grassmann.settle`` makes them a terms dict: it drops each
+zero slot, so the invariant holds, and writes every other one as a single
+coefficient in the canonical int, Fraction or off-axis QQi form.
 """
 
 from fractions import Fraction

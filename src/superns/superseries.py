@@ -17,10 +17,11 @@ with a low edge.
 Every sum of products is one _sum_left call: SFun.__mul__, scale_left,
 SFun.power's binomial sum, ss_compose's substitution and the flows' steps
 list their products as parts c z^n theta^e F, and _sum_left sums every
-contribution to an output coefficient in one {mask: coeff} dict
-(grassmann.add_product) and builds one GrassmannElement per nonzero
-output.  Sums, products and left scales of series on different numbers
-of Grassmann generators raise DimensionMismatch.
+contribution to an output coefficient in one grassmann.add_product
+accumulator of int numerators over int denominators, settles it once and
+builds one GrassmannElement per nonzero output.  Sums, products and left
+scales of series on different numbers of Grassmann generators raise
+DimensionMismatch.
 
 Coordinate data keep the sparse invariant too: each family of CoordData
 (A, M at zero) and InfCoordData (B, N at infinity) maps j >= 1 to a
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import DimensionMismatch, GrassmannElement, NotInvertible, QQi, add_product
+from .grassmann import (DimensionMismatch, GrassmannElement, NotInvertible, QQi, add_product,
+                        settle)
 from .sparse import add_term, add_terms, binom
 
 HALF = Fraction(1, 2)
@@ -76,7 +78,8 @@ class SFun:
 
     terms maps (z_order, theta_exponent) -> GrassmannElement and stores
     no zero (the invariant of superns.sparse); the constructor drops zero
-    coefficients and those outside the window.
+    coefficients and those outside the window (_sum_left, which forms
+    neither, stores its terms directly).
     """
 
     __slots__ = ("L", "terms", "lo", "hi")
@@ -328,11 +331,14 @@ def _sum_left(L: int, parts, lo, hi) -> SFun:
     c a GrassmannElement written to the left of theta.
 
     The one place superseries multiplies coefficients: every contribution
-    to an output coefficient is summed in one {mask: coeff} dict by
-    add_product, and one GrassmannElement is built per nonzero output.  c
-    passes a theta term of F as its parity twist, formed only when F has
-    one; theta^e meets a theta term of F in theta^2 = 0.  A part whose c
-    and F differ in generator count raises DimensionMismatch.
+    to an output coefficient is summed in one {mask: [num, den]}
+    accumulator by add_product, settle forms each Grassmann coefficient
+    once, and one GrassmannElement is built per nonzero output.  Orders
+    outside [lo, hi] are never accumulated and settle drops zeros, so the
+    result is stored as built, without SFun's filter.  c passes a theta
+    term of F as its parity twist, formed only when F has one; theta^e
+    meets a theta term of F in theta^2 = 0.  A part whose c and F differ in
+    generator count raises DimensionMismatch.
     """
     acc: dict = {}
     for c, n, e, F in parts:
@@ -348,7 +354,9 @@ def _sum_left(L: int, parts, lo, hi) -> SFun:
             if lo is not None and m < lo or hi is not None and m > hi:
                 continue
             add_product(acc.setdefault((m, e | f), {}), at if f else a, x.terms)
-    return SFun(L, {key: GrassmannElement(L, v) for key, v in acc.items() if v}, lo, hi)
+    out = SFun(L, None, lo, hi)
+    out.terms = {key: GrassmannElement(L, v) for key, slots in acc.items() if (v := settle(slots))}
+    return out
 
 
 def _reach_down(u: SFun) -> int:

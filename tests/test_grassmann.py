@@ -468,6 +468,106 @@ def test_schema_mismatch_rejected():
         GradedPoly.scalar(s1, 1) * GradedPoly.scalar(s2, 1)
 
 
+# -- the Grassmann product kernel against a bubble-sort reference ------------
+
+
+def naive_grassmann_product(x, y) -> dict:
+    """The terms of x*y from first principles: concatenate the letters of
+    two monomials, drop the pair if a letter repeats, bubble-sort them with
+    a sign flip per swap, and sum the coefficient products as QQi."""
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            seq = [i for i in range(x.L) if ma >> i & 1] + [i for i in range(y.L) if mb >> i & 1]
+            if len(set(seq)) < len(seq):
+                continue
+            sign = 1
+            for s in range(len(seq)):
+                for t in range(len(seq) - 1 - s):
+                    if seq[t] > seq[t + 1]:
+                        sign = -sign
+                        seq[t], seq[t + 1] = seq[t + 1], seq[t]
+            mask = sum(1 << i for i in seq)
+            out[mask] = out.get(mask, QQi(0)) + as_qqi(ca) * as_qqi(cb) * sign
+    return {m: as_rational(c) for m, c in out.items() if c}
+
+
+_ADD_PRODUCT = grassmann.add_product
+
+
+def first_denominator_kernel(out, a, b):
+    """add_product with the cross-multiplication lost: every product adds
+    its numerator over the first denominator its slot saw."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            step = {}
+            _ADD_PRODUCT(step, {ma: ca}, {mb: cb})
+            for m, (n, d) in step.items():
+                out.setdefault(m, [0, d])[0] += n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(entered(n), entered(n)), min_size=1, max_size=3)))
+def test_grassmann_kernel_matches_the_bubble_sort_reference(pairs):
+    """GrassmannElement.__mul__ equals the reference product, and
+    add_product summing several products into one accumulator, then
+    settle, equals the sum of the reference products, in canonical form."""
+    L = pairs[0][0].L
+    acc, want = {}, GrassmannElement(L)
+    for x, y in pairs:
+        assert (x * y).terms == naive_grassmann_product(x, y)
+        grassmann.add_product(acc, x.terms, y.terms)
+        want = want + GrassmannElement(L, naive_grassmann_product(x, y))
+    got = GrassmannElement(L, grassmann.settle(acc))
+    assert got.terms == want.terms and canonical(got)
+
+
+def _unlike_denominators():
+    """(1/2 + z1/4)(z1z2/3 + z2): on z1z2 the products (1/2)(1/3) and
+    (1/4)(1) meet with denominators 6 and 4."""
+    z1, z2 = G(2)
+    return scalar(HALF, 2) + Fraction(1, 4) * z1, Fraction(1, 3) * z1 * z2 + z2
+
+
+def test_kernel_sums_unlike_denominators_onto_their_lcm():
+    x, y = _unlike_denominators()
+    acc = {}
+    grassmann.add_product(acc, x.terms, y.terms)
+    assert acc == {0b11: [5, 12], 0b10: [1, 2]}
+    assert (x * y).terms == naive_grassmann_product(x, y) == {0b11: Fraction(5, 12),
+                                                              0b10: HALF}
+
+
+def test_kernel_sums_gaussian_numerators_to_a_rational():
+    """(i + z1)((2 - i) + z1) has z1 coefficient i + (2 - i) = 2, an int,
+    and (i + z1/2)((1 - 2i) + z1) has i + (1/2)(1 - 2i) = 1/2, summed over
+    unlike denominators: imaginary parts that cancel leave a coefficient in
+    as_rational's form."""
+    z1 = G(1)[0]
+    x, y = scalar(QQi(0, 1), 1) + z1, scalar(QQi(2, -1), 1) + z1
+    assert (x * y).terms == naive_grassmann_product(x, y) == {0: QQi(1, 2), 1: 2}
+    assert type((x * y).terms[1]) is int
+    x, y = scalar(QQi(0, 1), 1) + HALF * z1, scalar(QQi(1, -2), 1) + z1
+    assert (x * y).terms == naive_grassmann_product(x, y) == {0: QQi(2, 1), 1: HALF}
+    # a single product on the real axis: i * i and (i/2)(i/2) are rational
+    for x, want in ((scalar(QQi(0, 1), 1), -1), (scalar(QQi(0, HALF), 1), Fraction(-1, 4))):
+        assert (x * x).terms == {0: want} and type((x * x).terms[0]) is type(want)
+
+
+def test_kernel_reference_sees_a_lost_denominator_and_a_dropped_sign(monkeypatch):
+    """Negative controls: a kernel that keeps a slot's first denominator,
+    and one whose Koszul sign is always +1, no longer match the reference."""
+    x, y = _unlike_denominators()
+    z1, z2 = G(2)
+    assert (z2 * z1).terms == naive_grassmann_product(z2, z1) == {0b11: -1}
+    with monkeypatch.context() as m:
+        m.setattr(grassmann, "add_product", first_denominator_kernel)
+        assert (x * y).terms != naive_grassmann_product(x, y)
+    monkeypatch.setattr(grassmann, "_merge_sign", lambda a, b: 1)
+    assert (z2 * z1).terms != naive_grassmann_product(z2, z1)
+
+
 # -- the memoized monomial kernel against a naive product ------------------
 
 

@@ -143,7 +143,10 @@ def test_one_grassmann_product_loop():
     superseries multiplies coefficients in one function: add_product and
     parity_twist are called inside it alone, SFun.__mul__, scale_left,
     SFun.power, ss_compose and _apply_flow all sum their products through
-    it, and __mul__ and scale_left multiply nothing themselves."""
+    it, and __mul__ and scale_left multiply nothing themselves.  settle, which
+    forms the coefficients of add_product's accumulator, is defined in
+    grassmann and called only by GrassmannElement.__mul__ and that one
+    superseries function, _sum_left."""
     owners = set()
     for name in ALLOWED:
         tree = _tree(name)
@@ -173,6 +176,23 @@ def test_one_grassmann_product_loop():
         products = [n.lineno for n in ast.walk(callers[fname])
                     if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mult)]
         assert not products, (fname, products)
+    found = set()
+    for name in ALLOWED:
+        module = _tree(name)
+        defined = {n.name for n in ast.walk(module) if isinstance(n, ast.FunctionDef)}
+        assert ("settle" in defined) == (name == "grassmann"), name
+        # the functions that may call settle: GrassmannElement.__mul__ and _sum_left
+        scope = {node.name: node for node in module.body
+                 if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement"}
+        settlers = (_functions(scope["GrassmannElement"], {"__mul__"}) if scope
+                    else _functions(module, {"_sum_left"}))
+        inside = {id(n): fname for fname, fn in settlers.items() for n in ast.walk(fn)}
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call) and "settle" in _names(node.func):
+                assert id(node) in inside, (name, node.lineno)
+                found.add((name, inside[id(node)]))
+    assert found == {("grassmann", "__mul__"), ("superseries", kernel)}
+    assert kernel == "_sum_left"
 
 
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly

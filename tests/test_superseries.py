@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superns.grassmann import DimensionMismatch, GrassmannElement, NotInvertible, QQi, as_qqi
+from superns import grassmann, superseries
+from superns.grassmann import (DimensionMismatch, GrassmannElement, NotInvertible, QQi, as_qqi,
+                               as_rational)
 from superns.superseries import (
     CoordData,
     DiffOp,
@@ -27,9 +29,10 @@ from superns.superseries import (
     ss_from_components,
     ss_invert,
     ss_is_superconformal,
+    _sum_left,
 )
 from superns.sparse import add_term
-from test_grassmann import _GAUSSIAN, canonical
+from test_grassmann import _GAUSSIAN, canonical, first_denominator_kernel, naive_grassmann_product
 
 SEED = int(os.environ.get("SUPERNS_SEED", "20240901"))
 L = 6
@@ -224,6 +227,74 @@ def test_per_pair_reference_sees_a_dropped_twist(monkeypatch):
     P, S = f * g, f.scale_left(gen(4))
     assert P.terms != per_pair_product(f, g)
     assert S.coeff(0, 1) != twist(gen(4)) * gen(2)
+
+
+def reference_product(f: SFun, g: SFun) -> dict:
+    """The terms of f * g from the bubble-sort Grassmann reference: each
+    term pair's product, twist included, summed as QQi inside
+    product_window(f, g)."""
+    lo, hi = product_window(f, g)
+    out = {}
+    for (n1, e1), c1 in f.terms.items():
+        for (n2, e2), c2 in g.terms.items():
+            n = n1 + n2
+            if (e1 and e2) or (lo is not None and n < lo) or (hi is not None and n > hi):
+                continue
+            slot = out.setdefault((n, e1 | e2), {})
+            for m, v in naive_grassmann_product(twist(c1) if e2 and not e1 else c1, c2).items():
+                slot[m] = slot.get(m, QQi(0)) + v
+    terms = {key: {m: as_rational(v) for m, v in slot.items() if v} for key, slot in out.items()}
+    return {key: GrassmannElement(f.L, t) for key, t in terms.items() if t}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(windowed(n, "any"), windowed(n, "any"))))
+def test_series_product_matches_the_bubble_sort_reference(fg):
+    """SFun.__mul__ equals the product summed from the Grassmann reference."""
+    f, g = fg
+    lo, hi = product_window(f, g)
+    assume(lo is None or hi is None or lo <= hi)
+    assert (f * g).terms == reference_product(f, g)
+
+
+def test_series_reference_sees_a_lost_denominator_and_a_dropped_sign(monkeypatch):
+    """Negative controls for SFun.__mul__: a kernel that keeps a slot's
+    first denominator, and one whose Koszul sign is always +1, no longer
+    match the reference.  In (1/2 + z/4)(z/3 + 1), (1/2)(1/3) and (1/4)(1)
+    meet at order 1 from two add_product calls, over denominators 6 and 4."""
+    f = SFun(L, {(0, 0): scalar(HALF), (1, 0): scalar(Fraction(1, 4))})
+    g = SFun(L, {(1, 0): scalar(Fraction(1, 3)), (0, 0): scalar(1)})
+    odd = SFun(L, {(0, 0): gen(2)}), SFun(L, {(1, 0): gen(1)})
+    assert (f * g).coeff(1, 0) == scalar(Fraction(5, 12))
+    assert (f * g).terms == reference_product(f, g)
+    assert (odd[0] * odd[1]).terms == reference_product(*odd) == {(1, 0): -(gen(1) * gen(2))}
+    with monkeypatch.context() as m:
+        m.setattr(superseries, "add_product", first_denominator_kernel)
+        assert (f * g).terms != reference_product(f, g)
+    monkeypatch.setattr(grassmann, "_merge_sign", lambda a, b: 1)
+    assert (odd[0] * odd[1]).terms != reference_product(*odd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(coefficients(n), st.integers(-2, 2), st.integers(0, 1),
+                       windowed(n, None)), min_size=1, max_size=3),
+    st.booleans(), st.one_of(st.none(), st.integers(-4, 2)),
+    st.one_of(st.none(), st.integers(-2, 4)))))
+def test_sum_left_stores_no_zero_and_nothing_outside_its_window(args):
+    """_sum_left stores its result without SFun's filter, so it must hold
+    no zero coefficient, Grassmann or series, and no order outside [lo, hi]:
+    also when a part cancels against its negative."""
+    parts, cancel, lo, hi = args
+    if cancel:
+        c, n, e, F = parts[0]
+        parts = parts + [(-c, n, e, F)]
+    S = _sum_left(parts[0][0].L, parts, lo, hi)
+    assert (S.lo, S.hi) == (lo, hi)
+    assert all(c.terms and all(c.terms.values()) for c in S.terms.values())
+    assert all((lo is None or lo <= n) and (hi is None or n <= hi) for n, _ in S.terms)
+    if cancel and len(parts) == 2:
+        assert not S.terms
 
 
 # -- ring laws of series products, on the common window ------------------------
@@ -533,6 +604,45 @@ def test_invert_random_flow_roundtrip():
         for (n, e), c in E.od.terms.items():
             if (n, e) != (0, 1):
                 assert not c
+
+
+@st.composite
+def souls_at_infinity(draw):
+    """InfCoordData on 2..4 generators whose values are souls at indices
+    j <= L: B an even monomial, N an odd one, either family possibly empty."""
+    n = draw(st.integers(2, 4))
+
+    def soul(sizes):
+        k = draw(st.sampled_from([k for k in sizes if k <= n]))
+        ix = draw(st.sets(st.integers(1, n), min_size=k, max_size=k))
+        v = draw(st.integers(-3, 3).filter(bool)) * Fraction(1, draw(st.integers(1, 3)))
+        return GrassmannElement.monomial(n, sorted(ix), v)
+
+    js = st.sets(st.integers(1, n), max_size=2)
+    return InfCoordData(n, {j: soul((2, 4)) for j in draw(js)},
+                        {j: soul((1, 3)) for j in draw(js)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(souls_at_infinity(), st.sampled_from(["ev", "od"]), st.integers(0, 2),
+       st.integers(-2, 2).filter(bool))
+def test_invert_maps_with_souls_at_infinity(data, sector, order, planted):
+    """K = ss_invert(H) for H = ss_exp_infinity of soul data: H o K is the
+    identity on the window, K carries Gaussian coefficients (from the
+    base point's i theta / z), and a term planted in K breaks the identity."""
+    n = data.L
+    H = ss_exp_infinity(data, (-6, 6))
+    K = ss_invert(H, (-6, 6))
+    one = GrassmannElement.scalar(n, 1)
+    E = ss_compose(H, K, clip=(-4, 4))
+    assert E.ev.terms == {(1, 0): one} and E.od.terms == {(0, 1): one}
+    assert all(F.lo is None and F.hi >= 4 for F in (E.ev, E.od))
+    assert any(type(v) is QQi for F in (K.ev, K.od) for c in F.terms.values()
+               for v in c.terms.values())
+    plant = (SFun.z_power if sector == "ev" else SFun.theta_term)(n, order, planted)
+    ev, od = (K.ev + plant, K.od) if sector == "ev" else (K.ev, K.od + plant)
+    E = ss_compose(H, SuperSeries(n, ev, od), clip=(-4, 4))
+    assert E.ev.terms != {(1, 0): one} or E.od.terms != {(0, 1): one}
 
 
 # -- superconformality ----------------------------------------------------
