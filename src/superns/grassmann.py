@@ -479,7 +479,7 @@ class SchemaMismatch(GrassmannError):
 
 
 class ParamSpec:
-    """Declaration of the formal symbols of a GradedPoly ring.
+    """The formal symbols of a GradedPoly ring and the layout of its keys.
 
     Each symbol carries a parity (0 even, 1 odd) and a capped flag; the
     total degree of capped symbols in any monomial is bounded by
@@ -487,14 +487,18 @@ class ParamSpec:
     exempt from truncation.  The distinguished Laurent symbol alpha0 is
     tracked separately with half-integer exponents.
 
-    Three memos belong to this instance, so they are freed with the spec
-    and never shared between two problems' rings: _merges[m1][m2] is
-    GradedPoly._mul_mono(m1, m2) for GradedPoly._product, and _odd and
-    _degree hold odd() and degree() of each monomial seen.
+    A term key is one int, a packed monomial (Monagan & Pearce, ISSAC
+    2009).  From the low bits up: one bit per odd symbol, in symbol order
+    (so a Grassmann mask is the key of a spec of uncapped odd symbols); per
+    even symbol, a field for exponents up to degree_cap, or below
+    2^_UNCAPPED_BITS when uncapped, under a guard bit; the capped degree,
+    with room for the sum of two; and the signed alpha0 half-exponent on
+    top.  A product's key is the sum of its factors'.  Other modules build
+    keys by key() and read them by degree, odd, alpha and exponents.
     """
 
-    __slots__ = ("names", "parity", "capped", "index", "degree_cap",
-                 "_merges", "_odd", "_degree")
+    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_declared", "_shift",
+                 "_mask", "_odd_bits", "_guards", "_degree_shift", "_degree_bits", "_alpha_shift")
 
     def __init__(self, symbols: list[tuple[str, int, bool]], degree_cap: int):
         self.names = tuple(s[0] for s in symbols)
@@ -502,53 +506,72 @@ class ParamSpec:
         self.capped = tuple(s[2] for s in symbols)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.degree_cap = degree_cap
-        self._merges: dict = {}
-        self._odd: dict = {}
-        self._degree: dict = {}
+        self._declared = (self.names, self.parity, self.capped, degree_cap)
         if len(self.index) != len(self.names):
             raise SchemaMismatch("duplicate symbol names")
+        cap_bits = degree_cap.bit_length()
+        shift, mask, odd, pos = [], [], 0, sum(self.parity)
+        for p, capped in zip(self.parity, self.capped):
+            w = 1 if p else cap_bits if capped else _UNCAPPED_BITS
+            shift.append(odd if p else pos)
+            mask.append((1 << w) - 1)
+            odd, pos = (odd + 1, pos) if p else (odd, pos + w + 1)
+        self._shift, self._mask, self._odd_bits = tuple(shift), tuple(mask), (1 << odd) - 1
+        self._guards = sum(m + 1 << s for s, m, p in zip(shift, mask, self.parity) if not p)
+        self._degree_shift, self._alpha_shift = pos, pos + cap_bits + 1
+        self._degree_bits = ((2 << cap_bits) - 1) << pos
 
     def __eq__(self, other):
-        return (isinstance(other, ParamSpec)
-                and self.names == other.names
-                and self.parity == other.parity
-                and self.capped == other.capped
-                and self.degree_cap == other.degree_cap)
+        return isinstance(other, ParamSpec) and self._declared == other._declared
 
     def __hash__(self):
-        return hash((self.names, self.parity, self.capped, self.degree_cap))
+        return hash(self._declared)
 
-    def degree(self, mono: Monomial) -> int:
-        """The total degree of the capped symbols of mono."""
-        d = self._degree.get(mono)
-        if d is None:
-            cap = self.capped
-            d = self._degree[mono] = sum(e for i, e in mono if cap[i])
-        return d
+    def key(self, exponents=(), alpha: int = 0) -> int | None:
+        """The key of alpha0^(alpha/2) times symbol i to the power e for each
+        pair (i, e) of exponents; None for a monomial that is 0 in the ring,
+        an odd square or over the cap.  An uncapped exponent that outgrows
+        its field raises GrassmannError."""
+        k = degree = 0
+        for i, e in exponents:
+            if e & ~self._mask[i]:
+                if self.parity[i] or self.capped[i]:
+                    return None
+                raise GrassmannError(f"exponent {e} of {self.names[i]} outgrows its field")
+            k += e << self._shift[i]
+            degree += e if self.capped[i] else 0
+        if degree > self.degree_cap:
+            return None
+        return k + (degree << self._degree_shift) + (alpha << self._alpha_shift)
 
-    def odd(self, mono: Monomial) -> int:
-        """The parity of mono: 1 when it holds an odd number of odd letters."""
-        o = self._odd.get(mono)
-        if o is None:
-            par = self.parity
-            o = self._odd[mono] = sum(e * par[i] for i, e in mono) & 1
-        return o
+    def degree(self, key: int) -> int:
+        """The total degree of the capped symbols of key."""
+        return (key & self._degree_bits) >> self._degree_shift
+
+    def odd(self, key: int) -> int:
+        """The parity of key: 1 when it holds an odd number of odd letters."""
+        return (key & self._odd_bits).bit_count() & 1
+
+    def alpha(self, key: int) -> int:
+        """The alpha0 half-exponent of key."""
+        return key >> self._alpha_shift
+
+    def exponents(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The (symbol index, exponent) pairs of key, nonzero and by index."""
+        return tuple((i, e) for i, (s, m) in enumerate(zip(self._shift, self._mask))
+                     if (e := key >> s & m))
 
 
-# a monomial is a tuple of (symbol_index, exponent), sorted by index;
-# a term key is (monomial, alpha0_half_exponent)
-Monomial = tuple[tuple[int, int], ...]
-TermKey = tuple[Monomial, int]
-_UNSEEN = object()
-_SCALAR = ((), 0)  # the term key of a scalar: no symbol, alpha0^0
+_UNCAPPED_BITS = 15
+_SCALAR = 0  # the term key of a scalar: no symbol, alpha0^0
 
 
 class GradedPoly:
     """Sparse polynomial over the rationals in graded symbols times alpha0^(k/2).
 
-    terms maps (monomial, alpha0 half-exponent) -> coefficient and stores no
-    zero (the invariant of superns.sparse).  A coefficient is an int when it
-    is integral and a Fraction otherwise: never Fraction(n, 1), never a QQi.
+    terms maps a term key (see ParamSpec) -> coefficient and stores no zero
+    (the invariant of superns.sparse).  A coefficient is an int when it is
+    integral and a Fraction otherwise: never Fraction(n, 1), never a QQi.
     Scalars enter through _real, sums keep the form through add_term, and
     products and scalar multiples store integral results as ints.  Odd
     symbols square to zero and anticommute (Koszul signs); capped symbols
@@ -557,7 +580,7 @@ class GradedPoly:
 
     __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: ParamSpec, terms: dict[TermKey, Rational] | None = None):
+    def __init__(self, spec: ParamSpec, terms: dict[int, Rational] | None = None):
         self.spec = spec
         self.terms = terms if terms is not None else {}
 
@@ -568,13 +591,13 @@ class GradedPoly:
 
     @classmethod
     def symbol(cls, spec: ParamSpec, name: str, coeff=1) -> "GradedPoly":
-        i = spec.index[name]
+        k = spec.key(((spec.index[name], 1),))  # None for a capped symbol at cap 0
         v = _real(coeff)
-        return cls(spec, {(((i, 1),), 0): v} if v else {})
+        return cls(spec, {k: v} if v and k is not None else {})
 
     @classmethod
     def alpha(cls, spec: ParamSpec, half_exponent: int) -> "GradedPoly":
-        return cls(spec, {((), half_exponent): 1})
+        return cls(spec, {spec.key((), half_exponent): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -583,15 +606,13 @@ class GradedPoly:
         return bool(self.terms)
 
     def parity(self) -> int | None:
-        if not self.terms:
-            return 0
-        ps = {self.spec.odd(m) for m, _ in self.terms}
+        ps = {self.spec.odd(k) for k in self.terms} or {0}
         return ps.pop() if len(ps) == 1 else None
 
     def parity_twist(self) -> "GradedPoly":
         """even part minus odd part (sign from passing one odd symbol)."""
         odd = self.spec.odd
-        return GradedPoly(self.spec, {k: -c if odd(k[0]) else c for k, c in self.terms.items()})
+        return GradedPoly(self.spec, {k: -c if odd(k) else c for k, c in self.terms.items()})
 
     def _check(self, other: "GradedPoly"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -609,31 +630,10 @@ class GradedPoly:
         return GradedPoly(self.spec, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = GradedPoly.scalar(self.spec, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def _mul_mono(self, m1: Monomial, m2: Monomial) -> tuple[Monomial, int] | None:
-        """Merge two monomials; returns (monomial, sign), or None if it dies
-        as an odd square or over the degree cap."""
-        par = self.spec.parity
-        odd1 = sum(1 << i for i, e in m1 if par[i])
-        odd2 = sum(1 << i for i, e in m2 if par[i])  # odd letters as bitmasks
-        if odd1 & odd2:
-            return None  # odd square
-        sign = _merge_sign(odd1, odd2)
-        d: dict[int, int] = {}
-        for i, e in m1:
-            d[i] = d.get(i, 0) + e
-        for i, e in m2:
-            d[i] = d.get(i, 0) + e
-        mono = tuple(sorted(d.items()))
-        if self.spec.degree(mono) > self.spec.degree_cap:
-            return None
-        return mono, sign
 
     def __mul__(self, other):
         # GradedPoly first: Fraction is an ABC, so testing it costs more
@@ -646,26 +646,31 @@ class GradedPoly:
     def _product(self, out: dict, terms1: dict, terms2: dict) -> dict:
         """out += terms1 * terms2, in place, for terms dicts of this ring.
 
-        The one product loop: each monomial pair is merged once per ring
-        (spec._merges) and each product is stored in canonical form.
+        The one product loop: a pair of keys multiplies to their sum, with
+        the Koszul sign of _merge_sign on the odd bits, and gives nothing as
+        an odd square (a shared odd bit) or over the degree cap.  A carry
+        into a guard bit raises GrassmannError.  Products are canonical.
         """
-        merges = self.spec._merges
+        spec = self.spec
+        odd, degree, guards = spec._odd_bits, spec._degree_bits, spec._guards
+        cap = spec.degree_cap << spec._degree_shift
         others = terms2.items()
-        for (m1, a1), c1 in terms1.items():
-            row = merges.get(m1)
-            if row is None:
-                row = merges[m1] = {}
-            for (m2, a2), c2 in others:
-                merged = row.get(m2, _UNSEEN)
-                if merged is _UNSEEN:
-                    merged = row[m2] = self._mul_mono(m1, m2)
-                if merged is None:
+        for k1, c1 in terms1.items():
+            o1 = k1 & odd
+            for k2, c2 in others:
+                if o1 & k2:
                     continue
-                mono, sign = merged
+                k = k1 + k2
+                if k & degree > cap:
+                    continue
+                if k & guards:
+                    raise GrassmannError(f"an exponent of {spec.exponents(k1)} outgrows its field")
                 c = c1 * c2
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                add_term(out, (mono, a1 + a2), -c if sign < 0 else c)
+                if o1 and _merge_sign(o1, k2 & odd) < 0:
+                    c = -c
+                add_term(out, k, c)
         return out
 
     def __rmul__(self, other):
@@ -689,26 +694,22 @@ class GradedPoly:
 
     def truncate(self, cap: int | None = None) -> "GradedPoly":
         cap = self.spec.degree_cap if cap is None else cap
-        return GradedPoly(
-            self.spec,
-            {k: c for k, c in self.terms.items() if self.spec.degree(k[0]) <= cap})
+        degree = self.spec.degree
+        return GradedPoly(self.spec, {k: c for k, c in self.terms.items() if degree(k) <= cap})
 
     def degree_part(self, d: int) -> "GradedPoly":
         """Terms whose capped-symbol total degree is exactly d."""
-        return GradedPoly(
-            self.spec,
-            {k: c for k, c in self.terms.items() if self.spec.degree(k[0]) == d})
+        degree = self.spec.degree
+        return GradedPoly(self.spec, {k: c for k, c in self.terms.items() if degree(k) == d})
 
     def coefficient(self, assignments: dict[str, int]) -> "GradedPoly":
         """Extract the coefficient of prod(sym^exp); other symbols untouched."""
-        idx = {self.spec.index[n]: e for n, e in assignments.items()}
-        out: dict[TermKey, Rational] = {}
-        for (mono, a), c in self.terms.items():
-            d = dict(mono)
-            if all(d.get(i, 0) == e for i, e in idx.items()):
-                rest = tuple((i, e) for i, e in mono if i not in idx)
-                out[(rest, a)] = c
-        return GradedPoly(self.spec, out)
+        spec = self.spec
+        fixed = {spec.index[n]: e for n, e in assignments.items()}
+        want = {(i, e) for i, e in fixed.items() if e}
+        drop = spec.key(want)  # keys are linear in the exponents
+        return GradedPoly(spec, {k - drop: c for k, c in self.terms.items()
+                                 if {(i, e) for i, e in spec.exponents(k) if i in fixed} == want})
 
     def substitute(self, values: dict[str, GrassmannElement],
                    alpha_value: GrassmannElement | None = None) -> GrassmannElement:
@@ -722,15 +723,15 @@ class GradedPoly:
         if some is None and alpha_value is None:
             raise GrassmannError("no values supplied")
         L = some.L if some is not None else alpha_value.L
-        total = GrassmannElement(L, {})
-        for (mono, a), c in self.terms.items():
+        spec, total = self.spec, GrassmannElement(L, {})
+        for k, c in self.terms.items():
             acc = GrassmannElement.scalar(L, c)
-            for i, e in mono:
-                name = self.spec.names[i]
+            for i, e in spec.exponents(k):
+                name = spec.names[i]
                 if name not in values:
                     raise GrassmannError(f"no value for symbol {name}")
                 acc = acc * (values[name] ** e)
-            if a != 0:
+            if a := spec.alpha(k):
                 if alpha_value is None:
                     raise GrassmannError("alpha0 exponent present but no value")
                 acc = acc * alpha_value ** Fraction(a, 2)
@@ -740,14 +741,13 @@ class GradedPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
-        names = self.spec.names
-        parts = []
-        for (mono, a) in sorted(self.terms, key=lambda k: (len(k[0]), k)):
-            c = self.terms[(mono, a)]
+        spec, parts = self.spec, []
+        terms = [(spec.exponents(k), spec.alpha(k), c) for k, c in self.terms.items()]
+        for mono, a, c in sorted(terms, key=lambda t: (len(t[0]), t[0], t[1])):
             bits = [str(c)]
             if a:
                 bits.append(f"a0^({a}/2)" if a % 2 else f"a0^{a//2}")
             for i, e in mono:
-                bits.append(names[i] if e == 1 else f"{names[i]}^{e}")
+                bits.append(spec.names[i] if e == 1 else f"{spec.names[i]}^{e}")
             parts.append("*".join(bits))
         return " + ".join(parts)

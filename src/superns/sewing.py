@@ -30,8 +30,8 @@ exp(ad Z) run by the same kernel over the adjoint action.  The column
 gives the raising slots, Psi_0 and Gamma; the X(k) coordinates of
 Ad(L(0)) give every lowering slot.  The check compares both forms again
 at full degree, which certifies every column (see sw_consistency_check),
-on the module and left conjugate of the solve's _Factorization, which
-the series holds.
+on the module, left column and left conjugate of the solve's
+_Factorization, which the series holds.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _graded(vec: dict, keep) -> dict:
     for i, q in vec.items():
         degree = q.spec.degree
         for key, c in q.terms.items():
-            out.setdefault((i, degree(key[0]), keep[0](key[0]) if keep else 0), {})[key] = c
+            out.setdefault((i, degree(key), keep[0](key) if keep else 0), {})[key] = c
     return out
 
 
@@ -285,7 +285,7 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
                     if not row:
                         break
                     if odd and twisted is None:
-                        twisted = {key: -c if spec.odd(key[0]) else c for key, c in qt.items()}
+                        twisted = {key: -c if spec.odd(key) else c for key, c in qt.items()}
                     pre = product({}, pt, twisted if odd else qt)
                     if not pre:
                         continue
@@ -379,9 +379,11 @@ class _Factorization:
         # alpha0^(g/2) X(g/2): B_j -> alpha0^-j B_j, N_j -> alpha0^(1/2-j) N_j
         self.raise_terms = [(g, p * GradedPoly.alpha(spec, g)) for g, p in terms if g < 0]
         # twice each symbol's raising peak (c and h come last, with 0); the
-        # memo of monomial peaks is this ring's alone
+        # memo of term peaks is this ring's alone
         doubled = [max(0, -g) for _, g in families] + [0, 0]
-        self._peak2 = functools.cache(lambda mono: sum(doubled[i] * e for i, e in mono))
+        self._peak2 = functools.cache(lambda k: sum(doubled[i] * e for i, e in spec.exponents(k)))
+        # the left side on the highest-weight column, level-0 budget; solve and check read it
+        self.left_column = self.lhs({0: self.module.one}, 0)
 
     def _keeper(self, level, lift=None):
         """The trust budget of a column of this level: (peak2, limit, lift),
@@ -401,7 +403,7 @@ class _Factorization:
     def trusted(self, p: GradedPoly, level) -> GradedPoly:
         """The terms of p certified at a column of this level: level + peak <= W."""
         peak2, limit, _ = self._keeper(level)
-        return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k[0]) <= limit})
+        return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if peak2(k) <= limit})
 
     def lhs(self, vec: dict, level=None) -> dict:
         """The left side on vec {position: GradedPoly}, as a graded vector;
@@ -491,7 +493,7 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
 
     # the highest-weight vector: the empty word, first in the level-sorted basis
     hw = {0: module.one}
-    lhs_hw = fact.lhs(hw)
+    lhs_hw = fact.left_column
     for d in range(1, fact.D + 1):
         rhs_hw = fact._ansatz(module, psi, gamma, _graded(hw, None), d)
         lhs_d, rhs_d = at_degree(lhs_hw, d), at_degree(rhs_hw, d)
@@ -523,12 +525,8 @@ def sw_solve(A_sup, M_sup, B_sup, N_sup, D: int = 3, W=6) -> SewingSeries:
 
 
 def _assert_ch_free(p: GradedPoly):
-    idx_c = p.spec.index["c"]
-    idx_h = p.spec.index["h"]
-    for (mono, _), _c in p.terms.items():
-        dd = dict(mono)
-        if dd.get(idx_c) or dd.get(idx_h):
-            raise SewingError(f"raising read produced (c,h)-dependent terms: {p!r}")
+    if p.coefficient({"c": 0, "h": 0}) != p:
+        raise SewingError(f"raising read produced (c,h)-dependent terms: {p!r}")
 
 
 def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bool:
@@ -562,8 +560,7 @@ def sw_consistency_check(series: SewingSeries, A_sup, M_sup, B_sup, N_sup) -> bo
     fact, psi, gamma = series.fact, series.psi, series.gamma
     if solver_spec(A_sup, M_sup, B_sup, N_sup, fact.D) != fact.spec:
         raise SewingError("the supports name another ring than the series'")
-    hw = {0: fact.module.one}
-    if fact.lhs(hw, 0) != fact.rhs(psi, gamma, hw, 0):
+    if fact.left_column != fact.rhs(psi, gamma, {0: fact.module.one}, 0):
         return False
     left, right = fact.conjugates(psi, gamma, fact.D)
     return left == right
@@ -602,7 +599,7 @@ def sw_t_series(local_i: CoordData, inf_0: InfCoordData, partials: int,
     # alpha0^(a/2) at a0/t is t^(-a/2) a0^(a/2): one t-power per alpha0 exponent
     by_alpha: dict[int, dict] = {}
     for key, c in series.gamma.terms.items():
-        by_alpha.setdefault(key[1], {})[key] = c
+        by_alpha.setdefault(series.spec.alpha(key), {})[key] = c
     sums = []
     total = GrassmannElement(local_i.L)
     for a in sorted(by_alpha, reverse=True):

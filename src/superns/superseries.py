@@ -775,24 +775,25 @@ def ss_extract_zero(H: SuperSeries) -> CoordData:
         return ss_exp_zero(CoordData(L, a0, A, M, 1), (0, hi))
 
     cur = flow()
-    for j in range(1, hi):
+    for j in range(1, hi + 1):
         # odd unknown at half step j - 1/2: read the theta-free slot z^j of tht
         r = _known(W.od, j, 0) - _known(cur.od, j, 0)
         if r:
             M[j] = -(r * root_inv)  # responds as -sqrt(a0) * M_(j-1/2)
             cur = flow()
-        # even unknown at step j: read slot z^(j+1) of zt
-        r = _known(W.ev, j + 1, 0) - _known(cur.ev, j + 1, 0)
+        # even unknown at step j: slot z^(j+1) of zt responds as -a0 * A_j; at
+        # the window top, past which that slot lies, read slot theta z^j of
+        # tht, which responds as -sqrt(a0) * (j + 1)/2 * A_j
+        r, inv = ((_known(W.ev, j + 1, 0) - _known(cur.ev, j + 1, 0), a0_inv) if j < hi
+                  else (_known(W.od, j, 1) - _known(cur.od, j, 1), root_inv * Fraction(2, j + 1)))
         if r:
-            A[j] = -(r * a0_inv)  # responds as -a0 * A_j
+            A[j] = -(r * inv)
             cur = flow()
     # cur, the flow of the final (A, M), must reproduce W on the window
-    for (n, e), c in W.ev.terms.items():
-        if 0 <= n <= hi and cur.ev.coeff(n, e) != c:
-            raise ShapeError(f"read-off failed to reproduce slot z^{n} of zt")
-    for (n, e), c in W.od.terms.items():
-        if 0 <= n <= hi and cur.od.coeff(n, e) != c:
-            raise ShapeError(f"read-off failed to reproduce slot z^{n} of tht")
+    for want, got, name in ((W.ev, cur.ev, "zt"), (W.od, cur.od, "tht")):
+        for (n, e), c in want.terms.items():
+            if 0 <= n <= hi and got.coeff(n, e) != c:
+                raise ShapeError(f"read-off failed to reproduce slot z^{n} of {name}")
     return CoordData(L, a0, A, M, branch)
 
 

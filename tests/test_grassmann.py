@@ -468,6 +468,85 @@ def test_schema_mismatch_rejected():
         GradedPoly.scalar(s1, 1) * GradedPoly.scalar(s2, 1)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_symbol_respects_the_degree_cap(cap):
+    """A capped symbol over the cap is 0, as every product would make it:
+    each symbol equals itself times 1, and at cap 0 only c survives."""
+    spec = sewing_spec(cap)
+    one = GradedPoly.scalar(spec, 1)
+    for name in spec.names:
+        x = GradedPoly.symbol(spec, name)
+        assert x == x * 1 == x * one == one * x, name
+        assert bool(x) is (cap > 0 or name == "c"), name
+
+
+def test_an_exponent_that_outgrows_its_field_raises():
+    """c is uncapped, so its exponent is bounded only by its field: a
+    product that carries into the guard bit raises rather than spilling
+    into the next field.  Negative control: the raw key sum is not the key
+    of the product."""
+    spec = sewing_spec()
+    ic = spec.index["c"]
+    c = p = GradedPoly.symbol(spec, "c")
+    for _ in range(14):
+        p = p * p
+    assert p.terms == {spec.key(((ic, 2 ** 14),)): 1}
+    assert (p * c).terms == {spec.key(((ic, 2 ** 14 + 1),)): 1}
+    with pytest.raises(GrassmannError, match="outgrows"):
+        p * p
+    with pytest.raises(GrassmannError, match="outgrows"):
+        spec.key(((ic, 2 ** 15),))
+    assert spec.exponents(spec.key(((ic, 2 ** 15 - 1),))) == ((ic, 2 ** 15 - 1),)
+    k = next(iter(p.terms))
+    assert spec.exponents(k + k) != ((ic, 2 ** 15),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=5, max_size=5),
+       st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 4),
+       st.lists(st.integers(0, 3), min_size=5, max_size=5), st.integers(-5, 5),
+       st.lists(st.integers(0, 3), min_size=5, max_size=5), st.integers(-5, 5))
+def test_keys_read_back_and_add_under_products(parity, capped, cap, e1, a1, e2, a2):
+    """key() and the readers agree on every field, and the key of a
+    product of two monomials is the sum of their keys."""
+    spec = ParamSpec([(f"x{i}", parity[i], capped[i]) for i in range(5)], cap)
+
+    def key(exps, a):
+        return spec.key([(i, e) for i, e in enumerate(exps) if e], a)
+
+    def valid(exps):
+        return (all(e <= 1 for e, p in zip(exps, parity) if p)
+                and sum(e for e, cp in zip(exps, capped) if cp) <= cap)
+
+    for exps, a in ((e1, a1), (e2, a2)):
+        k = key(exps, a)
+        assert (k is None) is not valid(exps)
+        if k is not None:
+            assert spec.exponents(k) == tuple((i, e) for i, e in enumerate(exps) if e)
+            assert spec.alpha(k) == a
+            assert spec.degree(k) == sum(e for e, cp in zip(exps, capped) if cp)
+            assert spec.odd(k) == sum(e for e, p in zip(exps, parity) if p) % 2
+    both = [x + y for x, y in zip(e1, e2)]
+    if valid(e1) and valid(e2) and valid(both):
+        assert key(both, a1 + a2) == key(e1, a1) + key(e2, a2)
+
+
+def test_a_grassmann_mask_is_the_key_of_an_odd_spec():
+    """Over uncapped odd symbols z1..zL a term key is the Grassmann bitmask,
+    and the graded product is the Grassmann product term for term."""
+    L = 4
+    spec = ParamSpec([(f"z{i}", 1, False) for i in range(1, L + 1)], 2)
+    for mask in range(1 << L):
+        assert spec.key([(i, 1) for i in range(L) if mask >> i & 1]) == mask
+    rng = random.Random(SEED + 11)
+    for _ in range(20):
+        x, y = ({m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in
+                 rng.sample(range(1 << L), 3)} for _ in range(2))
+        x, y = ({m: as_rational(c) for m, c in t.items() if c} for t in (x, y))
+        got = GradedPoly(spec, x) * GradedPoly(spec, y)
+        assert got.terms == (GrassmannElement(L, x) * GrassmannElement(L, y)).terms
+
+
 # -- the Grassmann product kernel against a bubble-sort reference ------------
 
 
@@ -568,17 +647,19 @@ def test_kernel_reference_sees_a_lost_denominator_and_a_dropped_sign(monkeypatch
     assert (z2 * z1).terms != naive_grassmann_product(z2, z1)
 
 
-# -- the memoized monomial kernel against a naive product ------------------
+# -- the packed-key product against a naive product ------------------------
 
 
 def naive_product(p, q):
     """p*q from first principles: concatenate the letters of two monomials,
     bubble-sort them with a sign flip per swap of two odd letters, then
-    drop odd squares and terms over the degree cap."""
+    drop odd squares and terms over the degree cap.  Keys are read and
+    built only through the spec's exponents, alpha and key."""
     spec = p.spec
     out = {}
-    for (m1, a1), c1 in p.terms.items():
-        for (m2, a2), c2 in q.terms.items():
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            m1, m2 = spec.exponents(k1), spec.exponents(k2)
             seq = [i for i, e in m1 for _ in range(e)] + [i for i, e in m2 for _ in range(e)]
             sign = 1
             for x in range(len(seq)):
@@ -592,7 +673,7 @@ def naive_product(p, q):
                 continue
             if sum(e for i, e in counts.items() if spec.capped[i]) > spec.degree_cap:
                 continue
-            key = (tuple(sorted(counts.items())), a1 + a2)
+            key = spec.key(sorted(counts.items()), spec.alpha(k1) + spec.alpha(k2))
             out[key] = out.get(key, QQi(0)) + c1 * c2 * sign
     return {k: v for k, v in out.items() if v}
 
@@ -600,7 +681,7 @@ def naive_product(p, q):
 def naive_twist(p):
     """parity_twist from first principles: negate every term with an odd
     number of odd letters."""
-    return {k: -c if sum(e for i, e in k[0] if p.spec.parity[i]) % 2 else c
+    return {k: -c if sum(e for i, e in p.spec.exponents(k) if p.spec.parity[i]) % 2 else c
             for k, c in p.terms.items()}
 
 
@@ -617,25 +698,29 @@ def spec_of(parity, capped, cap):
     return ParamSpec([(f"x{i}", parity[i], capped[i]) for i in range(NSYM)], cap)
 
 
+def raw_key(spec, exps, a):
+    """The key of a raw term, odd exponents cut to their low bit; None
+    when it is over the degree cap, and so 0 in the ring."""
+    return spec.key([(i, e & 1 if spec.parity[i] else e) for i, e in enumerate(exps)], a)
+
+
 def poly_of(spec, raw):
     terms = {}
     for exps, a, num, den in raw:
-        mono = tuple((i, e & 1 if spec.parity[i] else e) for i, e in enumerate(exps))
-        key = (tuple((i, e) for i, e in mono if e), a)
-        terms[key] = terms.get(key, QQi(0)) + QQi(Fraction(num, den))
+        key = raw_key(spec, exps, a)
+        if key is not None:
+            terms[key] = terms.get(key, QQi(0)) + QQi(Fraction(num, den))
     return GradedPoly(spec, {k: v for k, v in terms.items() if v})
 
 
 @settings(max_examples=150, deadline=None)
 @given(_PARITIES, _CAPPED, st.integers(0, 4),
        st.lists(_POLY_TERM, max_size=6), st.lists(_POLY_TERM, max_size=6))
-def test_memoized_product_matches_naive_product(parity, capped, cap, raw_p, raw_q):
+def test_packed_product_matches_naive_product(parity, capped, cap, raw_p, raw_q):
     spec = spec_of(parity, capped, cap)
     p, q = poly_of(spec, raw_p), poly_of(spec, raw_q)
-    # the second round is served from the memo the first one filled
-    for _ in range(2):
-        assert (p * q).terms == naive_product(p, q)
-        assert (q * p).terms == naive_product(q, p)
+    assert (p * q).terms == naive_product(p, q)
+    assert (q * p).terms == naive_product(q, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -643,8 +728,8 @@ def test_memoized_product_matches_naive_product(parity, capped, cap, raw_p, raw_
        st.lists(_POLY_TERM, max_size=5), st.lists(_POLY_TERM, max_size=5))
 def test_specs_with_the_same_symbols_keep_their_own_products(par1, par2, cap1, cap2,
                                                              raw_p, raw_q):
-    """Same symbol names and monomial keys, different parities or caps:
-    neither ring may serve the other's memoized merges."""
+    """Same symbol names, different parities or caps, and so different key
+    layouts: each ring multiplies and twists by its own."""
     capped = [True] * NSYM
     s1, s2 = spec_of(par1, capped, cap1), spec_of(par2, capped, cap2)
     # odd exponents above 1 are not elements, so keep exponents at most 1
@@ -653,7 +738,6 @@ def test_specs_with_the_same_symbols_keep_their_own_products(par1, par2, cap1, c
     for spec in (s1, s2, s1):
         p, q = poly_of(spec, raw_p), poly_of(spec, raw_q)
         assert (p * q).terms == naive_product(p, q)
-        # the parity memo is per ring too
         assert p.parity_twist().terms == naive_twist(p)
 
 
@@ -670,7 +754,7 @@ def supercommute(p, q) -> bool:
 
 def homogeneous(p, odd: int):
     """The terms of p of parity odd."""
-    return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if p.spec.odd(k[0]) == odd})
+    return GradedPoly(p.spec, {k: c for k, c in p.terms.items() if p.spec.odd(k) == odd})
 
 
 # a term of at most two letters, so that products often survive the cap
@@ -695,8 +779,7 @@ def test_graded_poly_ring_laws(parity, capped, cap, raw_p, raw_q, raw_r):
 
 
 def test_graded_ring_laws_see_a_dropped_koszul_sign(monkeypatch):
-    """Negative control: with _merge_sign +1 from the first product of a
-    fresh ring on (the merge memo is per spec), odd symbols commute.
+    """Negative control: with _merge_sign +1, odd symbols commute.
     Supercommutativity catches that; associativity alone would not."""
     monkeypatch.setattr(grassmann, "_merge_sign", lambda a, b: 1)
     spec = spec_of([1, 1, 1, 0, 0], [True] * NSYM, 4)
@@ -729,9 +812,8 @@ def rational_poly_of(spec, raw):
     """poly_of with rational coefficients, summed through GradedPoly.__add__."""
     out = GradedPoly(spec)
     for exps, a, num, den in raw:
-        mono = tuple((i, e & 1 if spec.parity[i] else e) for i, e in enumerate(exps))
-        key = (tuple((i, e) for i, e in mono if e), a)
-        if num:
+        key = raw_key(spec, exps, a)
+        if num and key is not None:
             out = out + GradedPoly(spec, {key: as_rational(Fraction(num, den))})
     return out
 
@@ -766,9 +848,9 @@ def test_graded_poly_scalars_must_be_rational():
         GradedPoly.symbol(spec, "A1") * QQi(1, 1)
     # a Gaussian rational on the real axis is its real part
     p = GradedPoly.scalar(spec, QQi(Fraction(6, 3)))
-    assert p.terms == {((), 0): 2} and type(p.terms[((), 0)]) is int
+    assert p.terms == {0: 2} and type(p.terms[0]) is int
     half = GradedPoly.symbol(spec, "A1", QQi(Fraction(1, 2)))
-    assert type((half * 2).terms[(((0, 1),), 0)]) is int
+    assert type((half * 2).terms[spec.key(((0, 1),))]) is int
 
 
 def test_graded_poly_is_unequal_to_a_scalar_outside_the_ring():

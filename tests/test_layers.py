@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import superns
+from superns.grassmann import ParamSpec
 
 PKG = Path(superns.__file__).parent
 
@@ -115,21 +116,23 @@ def test_one_soul_series():
 
 
 def test_one_graded_product_loop():
-    """GradedPoly._product is the one loop that multiplies graded terms: it
-    alone calls _mul_mono, so the merge memo is the one place two monomials
-    merge.  No helper re-normalizes a finished product (grassmann._integral)
-    and sewing keeps no pass-through filter (_whole)."""
+    """GradedPoly._product is the one loop that multiplies graded terms, by
+    adding their packed keys: no monomial merge (_mul_mono) or merge memo
+    (_merges) is left.  No helper re-normalizes a finished product
+    (grassmann._integral) and sewing keeps no pass-through filter (_whole).
+    Only grassmann reads the key layout (ParamSpec's private fields)."""
     for name in ALLOWED:
         tree = _tree(name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        assert not defined & {"_integral", "_whole"}, name
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in ("_product", "_mul_mono"):
-                allowed |= {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_mul_mono":
-                assert id(node) in allowed, (name, node.lineno)
+        assert not defined & {"_integral", "_whole", "_mul_mono"}, name
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "_merges" not in attrs, name
+        if name != "grassmann":
+            assert not attrs & {a for a in ParamSpec.__slots__ if a.startswith("_")}, name
+    # sewing reads term keys through ParamSpec's accessors, never by index
+    for node in ast.walk(_tree("sewing")):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            assert node.value.id not in {"key", "k", "mono"}, node.lineno
 
 
 def _functions(tree, names) -> dict:
@@ -139,7 +142,7 @@ def _functions(tree, names) -> dict:
 
 def test_one_grassmann_product_loop():
     """grassmann.add_product is the one loop that multiplies Grassmann
-    monomials: _merge_sign is called only there and in GradedPoly._mul_mono.
+    monomials: _merge_sign is called only there and in GradedPoly._product.
     superseries multiplies coefficients in one function: add_product and
     parity_twist are called inside it alone, SFun.__mul__, scale_left,
     SFun.power, ss_compose and _apply_flow all sum their products through
@@ -151,13 +154,13 @@ def test_one_grassmann_product_loop():
     for name in ALLOWED:
         tree = _tree(name)
         inside = {}
-        for fname, fn in _functions(tree, {"add_product", "_mul_mono"}).items():
+        for fname, fn in _functions(tree, {"add_product", "_product"}).items():
             inside |= {id(n): fname for n in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and "_merge_sign" in _names(node.func):
                 assert id(node) in inside, (name, node.lineno)
                 owners.add((name, inside[id(node)]))
-    assert owners == {("grassmann", "add_product"), ("grassmann", "_mul_mono")}
+    assert owners == {("grassmann", "add_product"), ("grassmann", "_product")}
     tree = _tree("superseries")
     kernels = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for n in ast.walk(fn) if isinstance(n, ast.Call)

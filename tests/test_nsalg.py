@@ -528,8 +528,9 @@ def _kac_ratio(t, level):
 
     def to_sympy(p):
         out = sympy.Integer(0)
-        for (mono, _alpha), coeff in p.terms.items():
-            out += sympy.Rational(coeff.numerator, coeff.denominator) * h ** dict(mono).get(ih, 0)
+        for key, coeff in p.terms.items():
+            power = dict(SPEC.exponents(key)).get(ih, 0)
+            out += sympy.Rational(coeff.numerator, coeff.denominator) * h ** power
         return out
 
     words = [w for w in M.basis if word_level(w) == level]

@@ -1,9 +1,11 @@
 import gc
 import itertools
+import json
 import os
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,21 @@ def simple_moduli(n=2, z1=2):
     punctures = [(scalar(z1 + k), gen(k + 1)) for k in range(n - 1)]
     return ModuliElement(L_GEN, n, punctures, InfCoordData(L_GEN),
                          [trivial_local() for _ in range(n)])
+
+
+def term_order(spec: ParamSpec):
+    """A sort key for the term keys of spec: their (exponents, alpha0
+    half-exponent), an order that does not depend on the key format."""
+    return lambda key: (spec.exponents(key), spec.alpha(key))
+
+
+def named_terms(p) -> list:
+    """p's terms as sorted [[[symbol, exponent], ...], alpha0 half-exponent,
+    coefficient string]: a form that does not depend on the key format, so
+    it compares rings whose keys are laid out differently."""
+    spec = p.spec
+    return sorted([[[spec.names[i], e] for i, e in spec.exponents(k)], spec.alpha(k), str(c)]
+                  for k, c in p.terms.items())
 
 
 def _ungraded(spec: ParamSpec, vec: dict) -> dict:
@@ -149,23 +166,25 @@ def test_pure_raising_inputs_reflect():
     assert out.psi[-HALF] == -GradedPoly.symbol(spec, "N1") * GradedPoly.alpha(spec, -1)
 
 
-def sl2_closed_form(spec, D, sign=-1):
-    """Psi of the sl2 problem A = B = {1}, M = N = {} from its Gauss
-    decomposition, with x = A1*B1*alpha0^(-1): Psi_-1 = -B1*alpha0^(-1)/(1 - x),
-    Psi_1 = -A1*(1 - x) and Psi_0 = -2 log(1 - x), as series in x up to the
-    degree cap.  sign=+1 plants the wrong Psi_1 = -A1*(1 + x)."""
-    A1, B1 = GradedPoly.symbol(spec, "A1"), GradedPoly.symbol(spec, "B1")
-    alpha_inv = GradedPoly.alpha(spec, -2)
-    x = A1 * B1 * alpha_inv
+def sl2_closed_form(spec, D, sign=-1, j=1):
+    """Psi of the sl2 problem A = B = {j}, M = N = {} from its Gauss
+    decomposition.  {L(j), L(0), L(-j), c} spans an sl2 with Cartan element
+    (2/j)(L(0) + c(j^2 - 1)/24), so with x = j^2*Aj*Bj*alpha0^(-j):
+    Psi_-j = -Bj*alpha0^(-j)/(1 - x), Psi_j = -Aj*(1 - x) and
+    Psi_0 = -(2/j) log(1 - x), as series in x up to the degree cap; Gamma
+    is ((j^2 - 1)/24) Psi_0.  sign=+1 plants the wrong Psi_j = -Aj*(1 + x)."""
+    A, B = GradedPoly.symbol(spec, f"A{j}"), GradedPoly.symbol(spec, f"B{j}")
+    alpha_inv = GradedPoly.alpha(spec, -2 * j)
+    x = A * B * alpha_inv * (j * j)
     one = GradedPoly.scalar(spec, 1)
     geometric, log, xn = one, GradedPoly(spec), one
     for n in range(1, D + 1):
         xn = xn * x
         geometric = geometric + xn
         log = log + xn * Fraction(1, n)
-    return {Fraction(-1): -B1 * alpha_inv * geometric,
-            Fraction(1): -A1 * (one + x * sign),
-            Fraction(0): log * 2}
+    return {Fraction(-j): -B * alpha_inv * geometric,
+            Fraction(j): -A * (one + x * sign),
+            Fraction(0): log * Fraction(2, j)}
 
 
 @pytest.mark.parametrize("D, W", [(3, 5), (4, 4), (5, 6)])
@@ -185,11 +204,62 @@ def test_sl2_solve_matches_the_gauss_decomposition(D, W):
     assert fact.trusted(planted, 1) != series.psi[Fraction(1)]
 
 
+@pytest.mark.parametrize("j, D, W", [(2, 4, 5), (2, 4, 8), (3, 4, 8), (4, 3, 12), (2, 6, 12)])
+def test_sl2_solve_at_index_j_matches_the_closed_form(j, D, W):
+    """The principal sl2 at index j: each slot of the solve is the rescaled
+    closed form, certified at the slot's column level, every other slot
+    vanishes, and Gamma = ((j^2 - 1)/24) Psi_0 != 0.  Negative controls:
+    the planted Psi_j, and a Gamma with (j^2 - 1)/12 for (j^2 - 1)/24."""
+    series = sw_solve([j], [], [j], [], D, W)
+    fact = series.fact
+    want = sl2_closed_form(series.spec, D, j=j)
+    for k, p in want.items():
+        assert series.psi[k] and fact.trusted(p, max(k, 0)) == series.psi[k], k
+    assert not any(p for k, p in series.psi.items() if k not in want)
+    psi0 = fact.trusted(want[Fraction(0)], 0)
+    assert series.gamma and series.gamma == psi0 * Fraction(j * j - 1, 24)
+    planted = sl2_closed_form(series.spec, D, sign=1, j=j)[Fraction(j)]
+    assert fact.trusted(planted, j) != series.psi[Fraction(j)]
+    assert series.gamma != psi0 * Fraction(j * j - 1, 12)
+
+
+@pytest.mark.parametrize("problem, j, D, W", [
+    (([3], [2], [3], [2]), 3, 4, 8), (([5], [3], [5], [3]), 5, 3, 10),
+    (([2], [1], [2], [1]), 2, 3, 5)], ids=["osp3", "osp5", "mixed"])
+def test_gamma_is_the_osp12_multiple_of_psi0(problem, j, D, W):
+    """For odd j, G(+-j/2) extend the sl2 at index j to an osp(1|2), whose
+    Cartan element is fixed by {G(j/2), G(-j/2)} = 2L(0) + c(j^2 - 1)/12: so
+    with A = B = {j} and M = N = {(j + 1)/2}, Gamma = ((j^2 - 1)/24) Psi_0.
+    Negative control: the mixed support ([2], [1], [2], [1]) is no
+    superalgebra of that kind, and breaks the relation."""
+    series = sw_solve(*problem, D, W)
+    assert sw_consistency_check(series, *problem)
+    relation = series.gamma == series.psi[Fraction(0)] * Fraction(j * j - 1, 24)
+    assert series.gamma and relation is (problem[1] != [1])
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "sew_golden_3_5.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN["problems"], ids=lambda e: str(e["support"]))
+def test_the_solve_matches_its_golden_values(entry):
+    """Psi and Gamma equal, value for value, the recorded ones, which were
+    written before term keys were packed into ints.  Negative control: one
+    coefficient moved by one differs."""
+    series = sw_solve(*entry["support"], D=GOLDEN["D"], W=GOLDEN["W"])
+    assert {str(k): named_terms(p) for k, p in series.psi.items()} == entry["psi"]
+    assert named_terms(series.gamma) == entry["gamma"]
+    k, p = next((k, p) for k, p in series.psi.items() if p)
+    key = min(p.terms, key=term_order(p.spec))
+    moved = GradedPoly(p.spec, {**p.terms, key: p.terms[key] + 1})
+    assert named_terms(moved) != entry["psi"][str(k)]
+
+
 def test_gamma_multiplies_c_only():
     out = sw_solve([2, 3], [1], [2], [2], D=3, W=5)
     for k, p in out.psi.items():
-        for (mono, _), _c in p.terms.items():
-            names = {p.spec.names[i] for i, _e in mono}
+        for key in p.terms:
+            names = {p.spec.names[i] for i, _e in p.spec.exponents(key)}
             assert "c" not in names and "h" not in names
 
 
@@ -234,7 +304,8 @@ def levels(module) -> list:
 
 def certified(p, level, W):
     """The terms of p at level + raising peak <= W, peaks recomputed."""
-    return {k: c for k, c in p.terms.items() if level + raise_peak(p.spec, k[0]) <= W}
+    spec = p.spec
+    return {k: c for k, c in p.terms.items() if level + raise_peak(spec, spec.exponents(k)) <= W}
 
 
 def test_pruned_sides_keep_every_certified_coefficient():
@@ -350,7 +421,8 @@ def test_planted_certified_error_fails_the_check():
         good = series.psi[k]
         if not good:
             continue
-        key = min(good.terms)  # certified at level k, as every psi[k] term is
+        # certified at level k, as every psi[k] term is
+        key = min(good.terms, key=term_order(good.spec))
         bad = dict(good.terms)
         bad[key] = bad[key] + QQi(1)
         series.psi[k] = GradedPoly(good.spec, {t: c for t, c in bad.items() if c})
@@ -424,12 +496,12 @@ def test_the_graded_verdict_agrees_with_the_trusted_difference():
     fact, spec = series.fact, series.spec
 
     def plant(p, key=None):
-        key = key if key is not None else min(p.terms)  # every stored term is certified
+        key = key if key is not None else min(p.terms, key=term_order(spec))  # all certified
         terms = dict(p.terms)
         add_term(terms, key, 1)
         return GradedPoly(spec, terms)
 
-    uncertified = (((spec.index["B2"], 3),), 0)
+    uncertified = spec.key(((spec.index["B2"], 3),))
     good_psi, good_gamma = dict(series.psi), series.gamma
     cases = [(k, plant(good_psi[k]), False) for k in (-2, 1, 0)]
     cases += [("gamma", plant(good_gamma), False), (-1, plant(good_psi[-1], uncertified), True)]
@@ -472,12 +544,14 @@ def planted_series(rng, series):
         return GradedPoly(spec, terms)
 
     capped = [i for i, c in enumerate(spec.capped) if c]
+    order = term_order(spec)
     out = []
     for slot in slots:
         p = of(slot)
         if p:
-            out.append((slot, "own", plus(p, rng.choice(sorted(p.terms)))))
-        others = sorted(k for other in slots if other != slot for k in of(other).terms)
+            out.append((slot, "own", plus(p, rng.choice(sorted(p.terms, key=order)))))
+        others = sorted((k for other in slots if other != slot for k in of(other).terms),
+                        key=order)
         if others:
             out.append((slot, "other", plus(p, rng.choice(others))))
         odd = slot != "gamma" and slot.denominator == 2
@@ -486,9 +560,10 @@ def planted_series(rng, series):
             for i in rng.choices(capped, k=rng.randint(1, spec.degree_cap)):
                 mono[i] = mono.get(i, 0) + 1
             mono = tuple(sorted(mono.items()))
-            if all(e == 1 for i, e in mono if spec.parity[i]) and spec.odd(mono) == odd:
+            key = spec.key(mono)  # None for an odd square
+            if key is not None and spec.odd(key) == odd:
                 break
-        out.append((slot, "random", plus(p, (mono, rng.randint(-8, 2)))))
+        out.append((slot, "random", plus(p, spec.key(mono, rng.randint(-8, 2)))))
     return out
 
 
@@ -893,24 +968,31 @@ def capped_degree(spec, mono):
     return sum(e for i, e in mono if spec.capped[i])
 
 
-def test_exponentials_merge_no_pair_over_the_degree_cap():
-    """The kernel never forms a product the degree cap kills: after both
-    sides run on every column, with and without the column's budget, the
-    ring's merge memo holds no monomial pair whose capped degrees sum over
-    D."""
+def test_exponentials_merge_no_pair_over_the_degree_cap(monkeypatch):
+    """The kernel never forms a product the degree cap kills: while both
+    sides run on every column, with and without the column's budget, no
+    pair of terms that reaches the ring's product loop has capped degrees
+    summing over D."""
     problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact = _Factorization(*problem, D, W)
+    pairs = set()
+    product = GradedPoly._product
+
+    def recorded(self, out, terms1, terms2):
+        pairs.update(itertools.product(terms1, terms2))
+        return product(self, out, terms1, terms2)
+
+    monkeypatch.setattr(GradedPoly, "_product", recorded)
     for col, lvl in enumerate(levels(fact.module)):
         for level in (lvl, None):
             fact.lhs({col: fact.module.one}, level)
             fact.rhs(series.psi, series.gamma, {col: fact.module.one}, level)
     spec = fact.spec
-    pairs = [(m1, m2) for m1, row in spec._merges.items() for m2 in row]
     assert len(pairs) > 100
-    over = [(m1, m2) for m1, m2 in pairs
-            if capped_degree(spec, m1) + capped_degree(spec, m2) > D]
-    assert not over, f"{len(over)} of {len(pairs)} merged pairs are over the cap"
+    over = [(k1, k2) for k1, k2 in pairs
+            if sum(capped_degree(spec, spec.exponents(k)) for k in (k1, k2)) > D]
+    assert not over, f"{len(over)} of {len(pairs)} multiplied pairs are over the cap"
 
 
 def test_both_sides_keep_canonical_coefficients():
@@ -1008,8 +1090,8 @@ def test_raising_the_degree_cap_keeps_every_lower_degree_coefficient(problem):
     assert sw_consistency_check(big, *problem)
     assert set(small.psi) == set(big.psi)
     for k in big.psi:
-        assert big.psi[k].truncate(3).terms == small.psi[k].terms, k
-    assert big.gamma.truncate(3).terms == small.gamma.terms
+        assert named_terms(big.psi[k].truncate(3)) == named_terms(small.psi[k]), k
+    assert named_terms(big.gamma.truncate(3)) == named_terms(small.gamma)
     assert any(big.psi[k].degree_part(4) for k in big.psi) or big.gamma.degree_part(4)
 
 

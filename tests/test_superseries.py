@@ -980,10 +980,76 @@ _MISSHAPEN = {
 
 def test_extract_reads_the_odd_flow_inside_its_window():
     """Control for the cut-odd-flow case: with tht known as far as zt (the
-    read-off reads tht up to z^(hi - 1)), it recovers M_3."""
+    read-off reads tht up to z^hi), it recovers M_3."""
     ev, od = _flow_with_odd_window(12)
     assert ev.hi == od.hi == 12
     assert ss_extract_zero(SuperSeries(L, ev, od)) == CoordData(L, scalar(1), {}, {3: gen(1)})
+
+
+# -- extraction of composed maps, whose coordinates reach the window top ------
+
+L2 = 2
+_BODY = st.sampled_from([Fraction(1), Fraction(4), Fraction(9, 4)])
+_NONZERO = st.fractions(min_value=-2, max_value=2, max_denominator=5).filter(bool)
+_BRANCH = st.sampled_from([1, -1])
+
+
+def composed_map(d1, d2, hi):
+    """exp_zero(c1) o exp_zero(c2) on the window (-hi, hi), over L2
+    generators: c1 = (a0; A1, A2; M1 = m z1; branch) and c2 = (a0; A1;
+    M2 = m z2; branch) from the tuples d1 and d2."""
+    one = GrassmannElement.scalar(L2, 1)
+    z1, z2 = (GrassmannElement.generator(L2, i) for i in (1, 2))
+    (a1, x1, x2, m1, b1), (a2, y1, m2, b2) = d1, d2
+    c1 = CoordData(L2, one * a1, {1: one * x1, 2: one * x2}, {1: z1 * m1}, b1)
+    c2 = CoordData(L2, one * a2, {1: one * y1}, {2: z2 * m2}, b2)
+    return ss_compose(ss_exp_zero(c1, (-hi, hi)), ss_exp_zero(c2, (-hi, hi)), clip=(-hi, hi))
+
+
+def reproduces(c, H, hi) -> bool:
+    """ss_exp_zero(c) equals H on every slot of orders 0..hi."""
+    back = ss_exp_zero(c, (-hi, hi))
+    return all({k: v for k, v in f.terms.items() if 0 <= k[0] <= hi}
+               == {k: v for k, v in g.terms.items() if 0 <= k[0] <= hi}
+               for f, g in ((back.ev, H.ev), (back.od, H.od)))
+
+
+# the composed map of the extract defect: its coordinates fill every order
+REPRODUCER = ((Fraction(9, 4), HALF, Fraction(1, 3), 1, 1), (Fraction(4), Fraction(1, 5), 1, 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(_BODY, _NONZERO, _NONZERO, _NONZERO, _BRANCH),
+       st.tuples(_BODY, _NONZERO, _NONZERO, _BRANCH), st.sampled_from([4, 6]))
+def test_extract_reads_a_composed_map_up_to_the_window_top(d1, d2, hi):
+    """A composition of two superconformal maps is one, with coordinates
+    up to the window top: M_hi shows only in tht's z^hi slot and A_hi only
+    in its theta z^hi slot.  The read-off recovers data that reproduce the
+    map on the window, on the branch b1 * b2."""
+    H = composed_map(d1, d2, hi)
+    assert ss_is_superconformal(H)[0]
+    c = ss_extract_zero(H)
+    assert c.branch == d1[-1] * d2[-1]
+    assert c.a0 == GrassmannElement.scalar(L2, d1[0] * d2[0])
+    assert reproduces(c, H, hi)
+    assert ss_extract_zero(ss_exp_zero(c, (-hi, hi))) == c
+
+
+@pytest.mark.parametrize("hi", [4, 8, 12])
+def test_extract_needs_both_reads_at_the_window_top(hi):
+    """On the defect's composed map: the data extracted reproduce it, and
+    each read at the window top is needed.  Negative controls: without
+    M_hi, without A_hi, or with A_hi read against zt's response -a0 in place
+    of tht's -sqrt(a0) (hi + 1)/2, the data miss the map's top slots."""
+    H = composed_map(*REPRODUCER, hi)
+    c = ss_extract_zero(H)
+    assert c.M[hi] and c.A[hi] and reproduces(c, H, hi)
+    a0, A, M = c.a0, dict(c.A), dict(c.M)
+    wrong = c.A[hi] * a0 ** HALF * Fraction(hi + 1, 2) * a0 ** -1
+    for A_, M_ in (({**A}, {j: v for j, v in M.items() if j != hi}),
+                   ({j: v for j, v in A.items() if j != hi}, {**M}),
+                   ({**A, hi: wrong}, {**M})):
+        assert not reproduces(CoordData(L2, a0, A_, M_, c.branch), H, hi)
 
 
 @pytest.mark.parametrize("case", sorted(_MISSHAPEN))
