@@ -5,24 +5,27 @@ GrassmannElement lives in the algebra on anticommuting generators z1..zL
 over the Gaussian rationals, because a body can be complex (a square root
 of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
 (bit i-1 set means zi is a factor), so the empty mask holds the body and
-every other mask is soul.  add_product is the one loop that multiplies
-such terms dicts, out += a * b, into slots {mask: [num, den]} that
-settle makes one coefficient each.  GrassmannElement.__mul__ calls both,
-and so does superseries._sum_left, through which every superfunction
-product, scale, power, composition and flow step sums straight into one
-accumulator per output coefficient.
+every other mask is soul.
+
+GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
+is over the rationals, keyed by a ParamSpec's packed monomials; over odd
+symbols only, such a key is the Grassmann mask.  So add_product is the one
+loop that multiplies terms dicts of either ring, out += a * b on the
+ring's key layout, into slots {key: [num, den]} that settle makes one
+coefficient each.  Both rings' products call the two, and so do
+superseries._sum_left, through which every superfunction product, scale,
+power, composition and flow step sums, and sewing._exp_graded, each
+round of the sewing exponentials.
 
 One power serves every exponent in ½ℤ: x ** n is the terminating series
 b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
 and a square root x ** Fraction(1, 2) (principal body root).  No other
 code expands a soul series.
 
-GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
-is over the rationals.  Both rings store a coefficient in one canonical
-form (see as_rational): an int when it is integral, a Fraction when it is
-rational, and a QQi only when its imaginary part is nonzero, which
-GradedPoly refuses.  All operations are pure; elements are immutable by
-convention.
+Both rings store a coefficient in one canonical form (see as_rational):
+an int when it is integral, a Fraction when it is rational, and a QQi only
+when its imaginary part is nonzero, which GradedPoly refuses.  All
+operations are pure; elements are immutable by convention.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .sparse import add_term, add_terms
+from .sparse import add_terms, scaled
 
 
 class GrassmannError(ValueError):
@@ -248,35 +251,46 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if n & 1 else 1
 
 
-def add_product(out: dict, a: dict, b: dict) -> None:
-    """out += a * b in place, for Grassmann terms dicts a, b {mask: coeff}
-    and an accumulator out {mask: [num, den]}, which settle turns into terms.
+_GRASSMANN = (-1, 0, 0, 0)  # every bit odd, no degree field, no guard bits
 
-    The one loop that multiplies Grassmann monomials.  Each coefficient is
-    read as a numerator over a positive int denominator: a Fraction as its
-    two ints, an int or a QQi over 1 (b's per pair, not split into a list
-    first: an operand here holds one to three terms).  A pair of masks that
-    share a generator gives nothing, any other pair its numerator product,
-    with the Koszul sign of _merge_sign, over its denominator product.  That
-    adds into the mask's slot by a plain += when the denominators agree and
-    otherwise by cross-multiplication onto their lcm, so a slot's
-    denominator is the lcm of its products'.  Products of elements
-    (GrassmannElement.__mul__) and sums of superfunction products
-    (superseries._sum_left) both accumulate here.
+
+def add_product(out: dict, a: dict, b: dict, layout: tuple = _GRASSMANN) -> None:
+    """out += a * b in place, for terms dicts a, b of one ring and an
+    accumulator out {key: [num, den]}, which settle turns into terms.
+
+    The one loop that multiplies terms, in either ring.  layout is the
+    ring's (odd bits, degree bits, cap, guard bits): a ParamSpec's, or
+    _GRASSMANN, that of uncapped odd symbols only, for Grassmann masks.  A
+    pair of keys multiplies to their sum; it gives nothing as an odd square
+    (a shared odd bit) or over the cap, and a carry into a guard bit raises
+    GrassmannError.  Each coefficient is read as a numerator over a
+    positive int denominator: a Fraction as its two ints, an int or a QQi
+    over 1 (b's per pair, not split into a list first: a Grassmann operand
+    here holds one to three terms).  A pair's numerator product, with the
+    Koszul sign of _merge_sign on the odd bits, adds into the key's slot by
+    a plain += when the denominators agree and otherwise by
+    cross-multiplication onto their lcm, the slot's new denominator.
     """
-    for ma, na in a.items():
+    odd, degree, cap, guards = layout
+    for ka, na in a.items():
+        oa = ka & odd
         na, da = (na.numerator, na.denominator) if type(na) is Fraction else (na, 1)
-        for mb, nb in b.items():
-            if ma & mb:
+        for kb, nb in b.items():
+            if oa & kb:
                 continue
+            k = ka + kb
+            if k & degree > cap:
+                continue
+            if k & guards:
+                raise GrassmannError(f"an exponent of the product of keys {ka:#x} and {kb:#x} "
+                                     "outgrows its field")
             nb, db = (nb.numerator, nb.denominator) if type(nb) is Fraction else (nb, 1)
             n, d = na * nb, da * db
-            if ma and _merge_sign(ma, mb) < 0:
+            if oa and (ob := kb & odd) and _merge_sign(oa, ob) < 0:
                 n = -n
-            m = ma | mb
-            slot = out.get(m)
+            slot = out.get(k)
             if slot is None:
-                out[m] = [n, d]
+                out[k] = [n, d]
             elif slot[1] == d:
                 slot[0] += n
             else:
@@ -290,11 +304,6 @@ def settle(acc: dict) -> dict:
     [num, den] as one coefficient in as_rational's form, each zero dropped."""
     return {m: as_rational(n if d == 1 else Fraction(n, d) if type(n) is int else n / d)
             for m, (n, d) in acc.items() if n}
-
-
-def _scaled(terms: dict, v) -> dict:
-    """terms * v for a nonzero scalar v, each product in canonical form."""
-    return {m: p if type(p := c * v) is int else as_rational(p) for m, c in terms.items()}
 
 
 class GrassmannElement:
@@ -398,7 +407,9 @@ class GrassmannElement:
         add_product accumulator and settles each coefficient once."""
         if not isinstance(other, GrassmannElement):
             v = as_rational(other)
-            return GrassmannElement(self.L, _scaled(self.terms, v) if v else {})
+            if type(v) is not QQi:  # a real multiple of a canonical term is canonical
+                return GrassmannElement(self.L, scaled(self.terms, v))
+            other = GrassmannElement(self.L, {0: v})  # i * i is -1: settle makes it rational
         self._check(other)
         acc: dict[int, list] = {}
         add_product(acc, self.terms, other.terms)
@@ -424,9 +435,10 @@ class GrassmannElement:
 
         With body b and soul s, (b + s)^n = b^n Σ_k C(n, k) u^k, u = s/b.
         The scalar b commutes with s and u is nilpotent, so the sum ends by
-        k = L.  A half-odd n needs an even element and takes the principal
-        root of b (QQi.sqrt); a negative or half-odd n needs b != 0.  With
-        b = 0 and integer n >= 0 the power is the plain product.
+        k = L; its terms are scaled by the rational C(n, k), and b^n comes
+        last, by __mul__.  A half-odd n needs an even element and takes the
+        principal root of b (QQi.sqrt); a negative or half-odd n needs
+        b != 0.  With b = 0 and integer n >= 0 the power is the plain product.
         """
         n = Fraction(n)
         if n.denominator > 2:
@@ -444,16 +456,15 @@ class GrassmannElement:
         base = as_rational(as_qqi(b).sqrt()) if n.denominator == 2 else b
         if type(base) is int:
             base = Fraction(base)  # an int to a negative power is a float
-        lead = as_rational(base ** n.numerator)
         u = s * (Fraction(1) / b)
-        acc = {0: lead}
+        acc = {0: 1}
         term, coeff, k = u, n, 1
         while coeff and term:
-            acc = add_terms(acc, _scaled(term.terms, lead * coeff))
+            acc = add_terms(acc, scaled(term.terms, coeff))
             k += 1
             coeff = coeff * (n - k + 1) / k
             term = term * u
-        return GrassmannElement(self.L, acc)
+        return GrassmannElement(self.L, acc) * base ** n.numerator
 
     def __repr__(self):
         if not self.terms:
@@ -493,12 +504,15 @@ class ParamSpec:
     even symbol, a field for exponents up to degree_cap, or below
     2^_UNCAPPED_BITS when uncapped, under a guard bit; the capped degree,
     with room for the sum of two; and the signed alpha0 half-exponent on
-    top.  A product's key is the sum of its factors'.  Other modules build
-    keys by key() and read them by degree, odd, alpha and exponents.
+    top.  A product's key is the sum of its factors'.  layout holds the odd
+    bits, the degree bits, the cap in the degree field and the guard bits,
+    which add_product multiplies keys by.  Other modules build keys by
+    key(), read them by degree, odd, alpha and exponents, and pass layout
+    on to add_product.
     """
 
-    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "_declared", "_shift",
-                 "_mask", "_odd_bits", "_guards", "_degree_shift", "_degree_bits", "_alpha_shift")
+    __slots__ = ("names", "parity", "capped", "index", "degree_cap", "layout", "_declared",
+                 "_shift", "_mask", "_odd_bits", "_degree_shift", "_degree_bits", "_alpha_shift")
 
     def __init__(self, symbols: list[tuple[str, int, bool]], degree_cap: int):
         self.names = tuple(s[0] for s in symbols)
@@ -517,9 +531,10 @@ class ParamSpec:
             mask.append((1 << w) - 1)
             odd, pos = (odd + 1, pos) if p else (odd, pos + w + 1)
         self._shift, self._mask, self._odd_bits = tuple(shift), tuple(mask), (1 << odd) - 1
-        self._guards = sum(m + 1 << s for s, m, p in zip(shift, mask, self.parity) if not p)
+        guards = sum(m + 1 << s for s, m, p in zip(shift, mask, self.parity) if not p)
         self._degree_shift, self._alpha_shift = pos, pos + cap_bits + 1
         self._degree_bits = ((2 << cap_bits) - 1) << pos
+        self.layout = (self._odd_bits, self._degree_bits, degree_cap << pos, guards)
 
     def __eq__(self, other):
         return isinstance(other, ParamSpec) and self._declared == other._declared
@@ -636,42 +651,15 @@ class GradedPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other: a product sums its pairs of terms in one add_product
+        accumulator on the spec's layout and settles each coefficient once."""
         # GradedPoly first: Fraction is an ABC, so testing it costs more
         if not isinstance(other, GradedPoly):
-            v = _real(other)
-            return GradedPoly(self.spec, _scaled(self.terms, v) if v else {})
+            return GradedPoly(self.spec, scaled(self.terms, _real(other)))
         self._check(other)
-        return GradedPoly(self.spec, self._product({}, self.terms, other.terms))
-
-    def _product(self, out: dict, terms1: dict, terms2: dict) -> dict:
-        """out += terms1 * terms2, in place, for terms dicts of this ring.
-
-        The one product loop: a pair of keys multiplies to their sum, with
-        the Koszul sign of _merge_sign on the odd bits, and gives nothing as
-        an odd square (a shared odd bit) or over the degree cap.  A carry
-        into a guard bit raises GrassmannError.  Products are canonical.
-        """
-        spec = self.spec
-        odd, degree, guards = spec._odd_bits, spec._degree_bits, spec._guards
-        cap = spec.degree_cap << spec._degree_shift
-        others = terms2.items()
-        for k1, c1 in terms1.items():
-            o1 = k1 & odd
-            for k2, c2 in others:
-                if o1 & k2:
-                    continue
-                k = k1 + k2
-                if k & degree > cap:
-                    continue
-                if k & guards:
-                    raise GrassmannError(f"an exponent of {spec.exponents(k1)} outgrows its field")
-                c = c1 * c2
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if o1 and _merge_sign(o1, k2 & odd) < 0:
-                    c = -c
-                add_term(out, k, c)
-        return out
+        acc: dict[int, list] = {}
+        add_product(acc, self.terms, other.terms, self.spec.layout)
+        return GradedPoly(self.spec, settle(acc))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):

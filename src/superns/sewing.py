@@ -41,13 +41,12 @@ import math
 from fractions import Fraction
 
 from .grassmann import (
-    _SCALAR,
     GradedPoly,
     GrassmannElement,
     ParamSpec,
-    _scaled,
+    add_product,
     as_qqi,
-    as_rational,
+    settle,
 )
 from .nsalg import (
     C_GEN,
@@ -57,7 +56,7 @@ from .nsalg import (
     gen_parity,
     gen_weight,
 )
-from .sparse import add_scaled, add_term, add_terms
+from .sparse import add_scaled, add_terms
 from .superseries import (
     CoordData,
     InfCoordData,
@@ -236,9 +235,11 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     parameter cap and, given a trust budget keep = (peak2, limit, lift), by
     it.  action is the Verma module or the adjoint action (_Adjoint): each
     acts by position through a memoized apply_gen(gen, i) -> {position:
-    value}.  A value is a GradedPoly, which a product is multiplied by, or
-    a canonical rational, which it is scaled by, as is a one-term scalar
-    GradedPoly: within the cap that product is the scaling.
+    GradedPoly}, a structure constant being a scalar one.  A round sums
+    into grassmann.add_product slots, a slot dict per output part: a part
+    times an entry is settled once and then multiplied by each row value's
+    terms.  Round k's 1/k multiplies every slot's denominator by k, and
+    each slot is settled once.
 
     Each coeff is split by (degree, peak) once.  A part of degree dp meets
     an entry of degree dq only when dp + dq <= degree_cap, and only when
@@ -256,7 +257,7 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
     product, so an empty row costs none.  Parts emptied by cancellation are
     dropped from the result.
     """
-    spec, product = action.spec, action.one._product
+    spec, layout = action.spec, action.spec.layout
     limit, lift = (keep[1], keep[2]) if keep else (0, None)
     blocks = []  # (gen, odd, [((degree, peak), terms)] by degree)
     for g, p in terms:
@@ -286,38 +287,23 @@ def _exp_graded(action, terms, vec: dict, degree_cap: int, keep) -> dict:
                         break
                     if odd and twisted is None:
                         twisted = {key: -c if spec.odd(key) else c for key, c in qt.items()}
-                    pre = product({}, pt, twisted if odd else qt)
+                    pre: dict = {}
+                    add_product(pre, pt, twisted if odd else qt, layout)
+                    pre = settle(pre)
                     if not pre:
                         continue
                     for j, r in row.items():
-                        if lift is not None and pk + lift[j] > limit:
-                            continue
-                        key = (j, dp + dq, pk)
-                        if type(r) is GradedPoly:
-                            rt = r.terms
-                            if len(rt) != 1 or _SCALAR not in rt:
-                                product(nxt.setdefault(key, {}), pre, rt)
-                                continue
-                            r = rt[_SCALAR]
-                        tgt = nxt.get(key)
-                        if tgt is None:
-                            nxt[key] = _scaled(pre, r)
-                        else:  # tgt += pre * r, in canonical form
-                            for m, c in pre.items():
-                                c = c * r
-                                add_term(tgt, m, c if type(c) is int else as_rational(c))
-        cur = {key: t for key, t in nxt.items() if t}
+                        if lift is None or pk + lift[j] <= limit:
+                            add_product(nxt.setdefault((j, dp + dq, pk), {}), pre, r.terms, layout)
+        cur = {}
+        for key, slots in nxt.items():
+            for slot in slots.values():
+                slot[1] *= k
+            if t := settle(slots):
+                cur[key] = t
+                acc[key] = add_terms(acc[key], t) if key in acc else t
         if not cur:
             return {key: t for key, t in acc.items() if t}
-        for key, t in cur.items():
-            if k > 1:  # 1/k in place, keeping the coefficient form
-                for kk, c in t.items():
-                    if type(c) is int:
-                        t[kk] = Fraction(c, k) if c % k else c // k
-                    else:
-                        c = c / k
-                        t[kk] = c.numerator if c.denominator == 1 else c
-            acc[key] = add_terms(acc[key], t) if key in acc else t
     raise SewingError(f"exponential series still nonzero after {degree_cap + 1} rounds")
 
 
@@ -341,9 +327,9 @@ class _Adjoint:
     A generator is its own position: nsalg's int doubled index, X(n) at 2n,
     and c at C_GEN.  That is the k2 of vosa.jacobi_check, which the layer
     rule keeps vosa from importing.  apply_gen(g, j) is [g, X] for the X at
-    position j, the structure constants of nsalg.bracket_constants as
-    canonical rationals, memoized as the Verma module's rows are, which
-    _exp_graded scales a part by.  lift[j] is max(j, 0): a lowering X(n)
+    position j, each structure constant of nsalg.bracket_constants as a
+    scalar GradedPoly, memoized as the Verma module's rows are, which
+    _exp_graded multiplies alike.  lift[j] is max(j, 0): a lowering X(n)
     kills every state below level n.
     """
 
@@ -357,7 +343,8 @@ class _Adjoint:
         key = (g, j)
         r = self._memo.get(key)
         if r is None:
-            r = self._memo[key] = {h: as_rational(v) for h, v in bracket_constants(g, j).items()}
+            r = self._memo[key] = {h: GradedPoly.scalar(self.spec, v)
+                                   for h, v in bracket_constants(g, j).items()}
         return r
 
 

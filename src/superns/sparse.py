@@ -13,11 +13,13 @@ the one place that accumulates into such a dict; it keeps the invariant.
 ``add_scaled`` is the "acc += c * vec" loop on top of it, and ``scaled``
 is its allocating form, a new dict "vec * c".
 
-The one other accumulator is the Grassmann product kernel's: slots
-``{mask: [num, den]}`` that ``grassmann.add_product`` sums unreduced
-products into.  ``grassmann.settle`` makes them a terms dict: it drops each
-zero slot, so the invariant holds, and writes every other one as a single
-coefficient in the canonical int, Fraction or off-axis QQi form.
+The one other accumulator is the product kernel's, shared by both
+coefficient rings: slots ``{key: [num, den]}`` that ``grassmann.add_product``
+sums unreduced products of Grassmann or graded-polynomial terms into, an
+int numerator over an int denominator per output key.  ``grassmann.settle``
+makes them a terms dict: it drops each zero slot, so the invariant holds,
+and writes every other one as a single coefficient in the canonical int,
+Fraction or off-axis QQi form.
 """
 
 from fractions import Fraction
@@ -55,10 +57,15 @@ def add_scaled(acc: dict, vec: dict, c) -> None:
 
 def scaled(vec: dict, c) -> dict:
     """vec * c as a new dict, coefficient of vec first and zero products
-    dropped; {} when c is zero."""
+    dropped; {} when c is zero.
+
+    An integral Fraction product is stored as its int, as add_term stores
+    a sum, so a real multiple of a ring's terms keeps their canonical form.
+    """
     if not c:
         return {}
-    return {key: p for key, val in vec.items() if (p := val * c)}
+    return {key: p.numerator if type(p) is Fraction and p.denominator == 1 else p
+            for key, val in vec.items() if (p := val * c)}
 
 
 def add_terms(a: dict, b: dict) -> dict:

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superns import grassmann
@@ -574,13 +574,13 @@ def naive_grassmann_product(x, y) -> dict:
 _ADD_PRODUCT = grassmann.add_product
 
 
-def first_denominator_kernel(out, a, b):
+def first_denominator_kernel(out, a, b, layout=grassmann._GRASSMANN):
     """add_product with the cross-multiplication lost: every product adds
     its numerator over the first denominator its slot saw."""
     for ma, ca in a.items():
         for mb, cb in b.items():
             step = {}
-            _ADD_PRODUCT(step, {ma: ca}, {mb: cb})
+            _ADD_PRODUCT(step, {ma: ca}, {mb: cb}, layout)
             for m, (n, d) in step.items():
                 out.setdefault(m, [0, d])[0] += n
 
@@ -822,6 +822,68 @@ def in_domain(p):
     """Every coefficient is an int or a Fraction that is not integral."""
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in p.terms.values())
+
+
+def accumulated(spec, pairs) -> dict:
+    """The terms of the sum of p * q over pairs, from one add_product
+    accumulator on the spec's layout, settled once."""
+    acc = {}
+    for p, q in pairs:
+        grassmann.add_product(acc, p.terms, q.terms, spec.layout)
+    return grassmann.settle(acc)
+
+
+def reference_sum(spec, pairs) -> dict:
+    """The sum of naive_product(p, q) over pairs, through GradedPoly.__add__."""
+    out = GradedPoly(spec)
+    for p, q in pairs:
+        out = out + GradedPoly(spec, naive_product(p, q))
+    return out.terms
+
+
+def _graded_unlike_denominators():
+    """(1/2 + x/4)(x/3 + 1) + (x/3)(x + y) at cap 1, x even and y odd: on x
+    the products (1/2)(1/3) and (1/4)(1) meet with denominators 6 and 4,
+    and x^2 and x y are over the cap."""
+    spec = ParamSpec([("x", 0, True), ("y", 1, True)], 1)
+    x, y = GradedPoly.symbol(spec, "x"), GradedPoly.symbol(spec, "y")
+    return spec, [(HALF + Fraction(1, 4) * x, Fraction(1, 3) * x + 1),
+                  (Fraction(1, 3) * x, x + y)]
+
+
+def test_graded_kernel_sums_unlike_denominators_onto_their_lcm(monkeypatch):
+    """Several graded products in one accumulator equal the sum of the
+    bubble-sort references.  Negative control: a kernel that keeps a slot's
+    first denominator no longer matches, in the accumulator or in __mul__."""
+    spec, pairs = _graded_unlike_denominators()
+    x = spec.key(((0, 1),))
+    want = reference_sum(spec, pairs)
+    assert accumulated(spec, pairs) == want == {0: HALF, x: Fraction(5, 12)}
+    monkeypatch.setattr(grassmann, "add_product", first_denominator_kernel)
+    assert accumulated(spec, pairs) != want
+    p, q = pairs[0]
+    assert (p * q).terms != naive_product(p, q)
+
+
+_ONE, _X0 = [0] * NSYM, [1] + [0] * (NSYM - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PARITIES, _CAPPED, st.integers(0, 4),
+       st.lists(st.tuples(st.lists(_POLY_TERM, max_size=5), st.lists(_POLY_TERM, max_size=5)),
+                min_size=1, max_size=3))
+@example([0, 1, 0, 1, 0], [True, False, True, False, True], 2,
+         [([(_ONE, 0, 1, 2), (_X0, 0, 1, 3)], [(_ONE, 0, 1, 1), (_X0, 0, 1, 1)])])
+def test_graded_kernel_matches_the_bubble_sort_reference(parity, capped, cap, raw_pairs):
+    """add_product summing several GradedPoly products with mixed
+    denominators into one accumulator under the degree cap, then settle,
+    equals the sum of the reference products, in the ring's canonical form.
+    The explicit example, (1/2 + x0/3)(1 + x0), meets denominators 2 and 3
+    on x0, so a kernel that loses the cross-multiplication always fails."""
+    spec = spec_of(parity, capped, cap)
+    pairs = [(rational_poly_of(spec, rp), rational_poly_of(spec, rq)) for rp, rq in raw_pairs]
+    got = GradedPoly(spec, accumulated(spec, pairs))
+    assert got.terms == reference_sum(spec, pairs) and in_domain(got)
 
 
 @settings(max_examples=100, deadline=None)

@@ -65,8 +65,9 @@ def test_one_accumulator_and_one_binom():
     for name in ALLOWED:
         tree = _tree(name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        # no ring class has a scaled method either: a multiple is sparse.scaled
-        shared = defined & {"add_term", "add_terms", "add_scaled", "scaled", "binom",
+        # no ring class has a scaled method either, nor grassmann a _scaled
+        # helper: a multiple is sparse.scaled
+        shared = defined & {"add_term", "add_terms", "add_scaled", "scaled", "_scaled", "binom",
                             "_vec_add", "vec_sum", "vec_scale"}
         assert not shared or name == "sparse", (name, shared)
     # vosa accumulates only through add_scaled, never term by term
@@ -116,15 +117,16 @@ def test_one_soul_series():
 
 
 def test_one_graded_product_loop():
-    """GradedPoly._product is the one loop that multiplies graded terms, by
-    adding their packed keys: no monomial merge (_mul_mono) or merge memo
-    (_merges) is left.  No helper re-normalizes a finished product
-    (grassmann._integral) and sewing keeps no pass-through filter (_whole).
-    Only grassmann reads the key layout (ParamSpec's private fields)."""
+    """grassmann.add_product is the one loop that multiplies graded terms,
+    by adding their packed keys: no GradedPoly._product beside it, and no
+    monomial merge (_mul_mono) or merge memo (_merges) is left.  No helper
+    re-normalizes a finished product (grassmann._integral) and sewing keeps
+    no pass-through filter (_whole).  Only grassmann reads the key layout
+    (ParamSpec's private fields); other modules pass its public layout on."""
     for name in ALLOWED:
         tree = _tree(name)
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        assert not defined & {"_integral", "_whole", "_mul_mono"}, name
+        assert not defined & {"_integral", "_whole", "_mul_mono", "_product"}, name
         attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "_merges" not in attrs, name
         if name != "grassmann":
@@ -140,27 +142,42 @@ def _functions(tree, names) -> dict:
             if isinstance(node, ast.FunctionDef) and node.name in names}
 
 
+def _qualified(module) -> dict:
+    """id of every node inside a module-level function or a method -> its
+    name, Class.method for a method."""
+    out = {}
+    for top in module.body:
+        if isinstance(top, ast.FunctionDef):
+            out |= {id(n): top.name for n in ast.walk(top)}
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef):
+                    out |= {id(n): f"{top.name}.{fn.name}" for n in ast.walk(fn)}
+    return out
+
+
 def test_one_grassmann_product_loop():
-    """grassmann.add_product is the one loop that multiplies Grassmann
-    monomials: _merge_sign is called only there and in GradedPoly._product.
+    """grassmann.add_product is the one loop that multiplies monomials of
+    either ring: _merge_sign is called only there.
     superseries multiplies coefficients in one function: add_product and
     parity_twist are called inside it alone, SFun.__mul__, scale_left,
     SFun.power, ss_compose and _apply_flow all sum their products through
     it, and __mul__ and scale_left multiply nothing themselves.  settle, which
     forms the coefficients of add_product's accumulator, is defined in
-    grassmann and called only by GrassmannElement.__mul__ and that one
-    superseries function, _sum_left."""
+    grassmann and called only by the two ring products,
+    GrassmannElement.__mul__ and GradedPoly.__mul__, by that one
+    superseries function, _sum_left, and by sewing's _exp_graded."""
     owners = set()
     for name in ALLOWED:
         tree = _tree(name)
         inside = {}
-        for fname, fn in _functions(tree, {"add_product", "_product"}).items():
+        for fname, fn in _functions(tree, {"add_product"}).items():
             inside |= {id(n): fname for n in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and "_merge_sign" in _names(node.func):
                 assert id(node) in inside, (name, node.lineno)
                 owners.add((name, inside[id(node)]))
-    assert owners == {("grassmann", "add_product"), ("grassmann", "_product")}
+    assert owners == {("grassmann", "add_product")}
     tree = _tree("superseries")
     kernels = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for n in ast.walk(fn) if isinstance(n, ast.Call)
@@ -184,17 +201,13 @@ def test_one_grassmann_product_loop():
         module = _tree(name)
         defined = {n.name for n in ast.walk(module) if isinstance(n, ast.FunctionDef)}
         assert ("settle" in defined) == (name == "grassmann"), name
-        # the functions that may call settle: GrassmannElement.__mul__ and _sum_left
-        scope = {node.name: node for node in module.body
-                 if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement"}
-        settlers = (_functions(scope["GrassmannElement"], {"__mul__"}) if scope
-                    else _functions(module, {"_sum_left"}))
-        inside = {id(n): fname for fname, fn in settlers.items() for n in ast.walk(fn)}
+        inside = _qualified(module)
         for node in ast.walk(module):
             if isinstance(node, ast.Call) and "settle" in _names(node.func):
                 assert id(node) in inside, (name, node.lineno)
                 found.add((name, inside[id(node)]))
-    assert found == {("grassmann", "__mul__"), ("superseries", kernel)}
+    assert found == {("grassmann", "GrassmannElement.__mul__"), ("grassmann", "GradedPoly.__mul__"),
+                     ("superseries", kernel), ("sewing", "_exp_graded")}
     assert kernel == "_sum_left"
 
 

@@ -758,20 +758,24 @@ def test_conjugates_match_the_bracket_series(problem):
 
 
 def test_adjoint_rows_are_canonical_rationals():
-    """The adjoint action's rows are nsalg's structure constants as ints or
-    non-integral Fractions, which _exp_graded scales parts by, and both
-    conjugates of L(0) keep canonical coefficients (the scaled products
-    too: several constants are halves)."""
+    """The adjoint action's rows are nsalg's structure constants as scalar
+    GradedPolys with an int or non-integral Fraction coefficient, which
+    _exp_graded multiplies parts by, and both conjugates of L(0) keep
+    canonical coefficients (the scaled products too: several constants
+    are halves)."""
     problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
     series = sw_solve(*problem, D=D, W=W)
     adj = series.fact.adjoint
     sides = series.fact.conjugates(series.psi, series.gamma, D)
     assert adj._memo
     for (g, j), row in adj._memo.items():
-        assert row == bracket_constants(g, j)
+        assert row == {h: GradedPoly.scalar(adj.spec, v) for h, v in bracket_constants(g, j).items()}
+        values = [v for p in row.values() for v in p.terms.values()]
+        assert len(values) == len(row)
         assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-                   for v in row.values()), (g, j)
-    assert any(type(v) is Fraction for row in adj._memo.values() for v in row.values())
+                   for v in values), (g, j)
+    assert any(type(v) is Fraction for row in adj._memo.values() for p in row.values()
+               for v in p.terms.values())
     coeffs = [c for side in sides for t in side.values() for c in t.values()]
     assert {type(c) for c in coeffs} == {int, Fraction}
     assert all(c.denominator != 1 for c in coeffs if type(c) is Fraction)
@@ -971,19 +975,19 @@ def capped_degree(spec, mono):
 def test_exponentials_merge_no_pair_over_the_degree_cap(monkeypatch):
     """The kernel never forms a product the degree cap kills: while both
     sides run on every column, with and without the column's budget, no
-    pair of terms that reaches the ring's product loop has capped degrees
-    summing over D."""
+    pair of terms that reaches the product loop sewing calls
+    (grassmann.add_product) has capped degrees summing over D."""
     problem, D, W = ([1, 2], [1], [1, 2], [1]), 3, 4
     series = sw_solve(*problem, D=D, W=W)
     fact = _Factorization(*problem, D, W)
     pairs = set()
-    product = GradedPoly._product
+    product = sewing.add_product
 
-    def recorded(self, out, terms1, terms2):
+    def recorded(out, terms1, terms2, layout):
         pairs.update(itertools.product(terms1, terms2))
-        return product(self, out, terms1, terms2)
+        return product(out, terms1, terms2, layout)
 
-    monkeypatch.setattr(GradedPoly, "_product", recorded)
+    monkeypatch.setattr(sewing, "add_product", recorded)
     for col, lvl in enumerate(levels(fact.module)):
         for level in (lvl, None):
             fact.lhs({col: fact.module.one}, level)

@@ -1060,6 +1060,68 @@ def test_extract_rejects_superconformal_maps_of_the_wrong_shape(case):
     with pytest.raises(error, match=message):
         ss_extract_zero(H)
 
+
+# -- ss_invert against the closed-form inverse --------------------------------
+
+
+def closed_form_inverse(c: CoordData, m_sign=-1, power=-1) -> CoordData:
+    """The flow coordinates of ss_exp_zero(c)^-1 = Phi_-X o base^-1:
+    a0' = a0^-1, A'_j = -a0^-j A_j, M'_j = -branch a0^-(j - 1/2) M_j and
+    branch' = branch.  m_sign and power plant a flipped M sign and a
+    flipped a0 power (a0^j in A'_j, a0^(j - 1/2) in M'_j)."""
+    a0 = c.a0
+    A = {j: -(a0 ** (power * j)) * v for j, v in c.A.items()}
+    M = {j: m_sign * c.branch * a0 ** (power * (j - HALF)) * v for j, v in c.M.items()}
+    return CoordData(c.L, a0 ** -1, A, M, c.branch)
+
+
+def bodied_data(a0, A, m, branch) -> CoordData:
+    """Coordinates on L2 generators with rational bodies a0 and A_j, and
+    M_j = m_j z_j (M is odd, so all soul)."""
+    one = GrassmannElement.scalar(L2, 1)
+    M = {j: GrassmannElement.generator(L2, j) * v for j, v in m.items()}
+    return CoordData(L2, one * a0, {j: one * v for j, v in A.items()}, M, branch)
+
+
+def _soul_data(branch):
+    """Coordinates on L generators whose a0 has a soul and whose A_j are souls."""
+    z = [gen(i) for i in range(1, L + 1)]
+    return CoordData(L, scalar(Fraction(9, 4)) + z[0] * z[1], {1: z[2] * z[3], 3: -2 * z[0] * z[4]},
+                     {1: z[5], 2: Fraction(1, 3) * z[1] * z[2] * z[3]}, branch)
+
+
+# (coordinate data, window top): soul data on L generators, a0 with a soul;
+# bodied data on L2, a0 != 1 and A_j with bodies
+_INVERSE_CASES = {
+    "souls+": (lambda: _soul_data(1), 10),
+    "souls-": (lambda: _soul_data(-1), 8),
+    "bodied+": (lambda: bodied_data(Fraction(9, 4), {1: HALF, 2: Fraction(1, 3)}, {1: 1, 2: 2}, 1), 6),
+    "bodied-": (lambda: bodied_data(Fraction(4), {1: Fraction(1, 5)}, {1: HALF, 2: 1}, -1), 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVERSE_CASES))
+def test_invert_matches_the_closed_form_inverse(case):
+    """ss_invert(ss_exp_zero(c)) is ss_exp_zero of the closed-form inverse
+    coordinates on orders [0, hi], for data with souls and with bodies on
+    both branches.  Negative controls: a flipped M sign and a flipped a0
+    power each miss the inverse."""
+    make, hi = _INVERSE_CASES[case]
+    c = make()
+    K = ss_invert(ss_exp_zero(c, (-hi, hi)), (-hi, hi))
+    assert reproduces(closed_form_inverse(c), K, hi)
+    assert not reproduces(closed_form_inverse(c, m_sign=1), K, hi)
+    assert not reproduces(closed_form_inverse(c, power=1), K, hi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_BODY, _NONZERO, _NONZERO, _NONZERO, _BRANCH, st.sampled_from([4, 6]))
+def test_invert_matches_the_closed_form_inverse_on_drawn_data(a0, a1, a2, m, branch, hi):
+    """The closed-form inverse on drawn bodied data, both branches."""
+    c = bodied_data(a0, {1: a1, 2: a2}, {1: m, 2: m}, branch)
+    K = ss_invert(ss_exp_zero(c, (-hi, hi)), (-hi, hi))
+    assert reproduces(closed_form_inverse(c), K, hi)
+
 # -- evaluation ---------------------------------------------------------------
 
 
