@@ -1,18 +1,20 @@
-"""Exact arithmetic in finite-generator Grassmann algebras and graded
-polynomial rings.
+"""Exact arithmetic in one supercommutative ring class and its Grassmann
+subclass.
 
-GrassmannElement lives in the algebra on anticommuting generators z1..zL
-over the Gaussian rationals, because a body can be complex (a square root
-of a negative, the inversion's i*theta/z).  Terms are keyed by bitmasks
-(bit i-1 set means zi is a factor), so the empty mask holds the body and
-every other mask is soul.
+GradedPoly is a sparse polynomial in graded symbols (even ones, capped
+or not, and odd ones, which square to zero and anticommute) times powers
+of a Laurent symbol alpha0, keyed by a ParamSpec's packed monomials.  It
+is the coefficient ring of the Neveu-Schwarz and sewing layers, over the
+rationals.  GrassmannElement, the algebra on anticommuting generators
+z1..zL of the superfunction layer, is the same ring over the spec of L
+uncapped odd symbols at cap 0, whose keys are generator masks; only its
+coefficient domain differs, the Gaussian rationals, because a body can be
+complex (a square root of a negative, the inversion's i*theta/z).  Every
+ring operation is written once, in GradedPoly.
 
-GradedPoly, the coefficient ring of the Neveu-Schwarz and sewing layers,
-is over the rationals, keyed by a ParamSpec's packed monomials; over odd
-symbols only, such a key is the Grassmann mask.  So add_product is the one
-loop that multiplies terms dicts of either ring, out += a * b on the
-ring's key layout, into slots {key: [num, den]} that settle makes one
-coefficient each.  Both rings' products call the two, and so do
+add_product is the one loop that multiplies terms dicts, out += a * b on
+the spec's key layout, into slots {key: [num, den]} that settle makes one
+coefficient each.  GradedPoly.__mul__ calls the two, and so do
 superseries._sum_left, through which every superfunction product, scale,
 power, composition and flow step sums, and sewing._exp_graded, each
 round of the sewing exponentials.
@@ -22,8 +24,8 @@ b^n Σ_k C(n, k) (s/b)^k in the body b and soul s, so an inverse is x ** -1
 and a square root x ** Fraction(1, 2) (principal body root).  No other
 code expands a soul series.
 
-Both rings store a coefficient in one canonical form (see as_rational):
-an int when it is integral, a Fraction when it is rational, and a QQi only
+Every coefficient is stored in one canonical form (see as_rational): an
+int when it is integral, a Fraction when it is rational, and a QQi only
 when its imaginary part is nonzero, which GradedPoly refuses.  All
 operations are pure; elements are immutable by convention.
 """
@@ -251,25 +253,21 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if n & 1 else 1
 
 
-_GRASSMANN = (-1, 0, 0, 0)  # every bit odd, no degree field, no guard bits
-
-
-def add_product(out: dict, a: dict, b: dict, layout: tuple = _GRASSMANN) -> None:
+def add_product(out: dict, a: dict, b: dict, layout: tuple) -> None:
     """out += a * b in place, for terms dicts a, b of one ring and an
     accumulator out {key: [num, den]}, which settle turns into terms.
 
-    The one loop that multiplies terms, in either ring.  layout is the
-    ring's (odd bits, degree bits, cap, guard bits): a ParamSpec's, or
-    _GRASSMANN, that of uncapped odd symbols only, for Grassmann masks.  A
-    pair of keys multiplies to their sum; it gives nothing as an odd square
-    (a shared odd bit) or over the cap, and a carry into a guard bit raises
-    GrassmannError.  Each coefficient is read as a numerator over a
-    positive int denominator: a Fraction as its two ints, an int or a QQi
-    over 1 (b's per pair, not split into a list first: a Grassmann operand
-    here holds one to three terms).  A pair's numerator product, with the
-    Koszul sign of _merge_sign on the odd bits, adds into the key's slot by
-    a plain += when the denominators agree and otherwise by
-    cross-multiplication onto their lcm, the slot's new denominator.
+    The one loop that multiplies terms.  layout is the ring's spec.layout,
+    (odd bits, degree bits, cap, guard bits).  A pair of keys multiplies
+    to their sum; it gives nothing as an odd square (a shared odd bit) or
+    over the cap, and a carry into a guard bit raises GrassmannError.  Each
+    coefficient is read as a numerator over a positive int denominator: a
+    Fraction as its two ints, an int or a QQi over 1 (b's per pair, not
+    split into a list first: a Grassmann operand here holds one to three
+    terms).  A pair's numerator product, with the Koszul sign of
+    _merge_sign on the odd bits, adds into the key's slot by a plain +=
+    when the denominators agree and otherwise by cross-multiplication onto
+    their lcm, the slot's new denominator.
     """
     odd, degree, cap, guards = layout
     for ka, na in a.items():
@@ -306,187 +304,9 @@ def settle(acc: dict) -> dict:
             for m, (n, d) in acc.items() if n}
 
 
-class GrassmannElement:
-    """A finite linear combination of products of generators over the
-    Gaussian rationals.
-
-    terms maps bitmask -> coefficient in as_rational's canonical form and
-    stores no zero (the invariant of superns.sparse).  Scalars enter through
-    as_rational, products and powers are stored in that form, and sums keep
-    it through add_term.  num_generators bounds the admissible bits.
-    """
-
-    __slots__ = ("L", "terms")
-
-    def __init__(self, num_generators: int, terms: dict[int, Scalar] | None = None):
-        self.L = num_generators
-        self.terms = terms if terms is not None else {}
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def scalar(cls, L: int, value) -> "GrassmannElement":
-        v = as_rational(value)
-        return cls(L, {0: v} if v else {})
-
-    @classmethod
-    def generator(cls, L: int, i: int) -> "GrassmannElement":
-        if not 1 <= i <= L:
-            raise GrassmannError(f"generator index {i} outside 1..{L}")
-        return cls(L, {1 << (i - 1): 1})
-
-    @classmethod
-    def monomial(cls, L: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= L:
-                raise GrassmannError(f"generator index {i} outside 1..{L}")
-            bit = 1 << (i - 1)
-            if mask & bit:
-                return cls(L, {})
-            mask |= bit
-        v = as_rational(coeff)
-        return cls(L, {mask: v} if v else {})
-
-    # -- structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def body(self) -> Scalar:
-        return self.terms.get(0, 0)
-
-    def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.L, {m: c for m, c in self.terms.items() if m})
-
-    def split(self) -> tuple[Scalar, "GrassmannElement"]:
-        return self.body(), self.soul()
-
-    def parity(self) -> int | None:
-        """0 for even (the zero element included), 1 for odd, None for mixed."""
-        if not self.terms:
-            return 0
-        ps = {m.bit_count() & 1 for m in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def parity_twist(self) -> "GrassmannElement":
-        """even part minus odd part (the sign picked up passing one odd symbol)."""
-        return GrassmannElement(
-            self.L,
-            {m: -c if m.bit_count() & 1 else c for m, c in self.terms.items()})
-
-    # -- ring operations ----------------------------------------------
-
-    def _check(self, other: "GrassmannElement"):
-        if self.L != other.L:
-            raise DimensionMismatch(f"generator counts differ: {self.L} vs {other.L}")
-
-    def __add__(self, other):
-        # GrassmannElement first: Fraction is an ABC, so testing it costs more
-        if not isinstance(other, GrassmannElement):
-            other = GrassmannElement.scalar(self.L, other)
-        self._check(other)
-        return GrassmannElement(self.L, add_terms(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GrassmannElement(self.L, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """self * other: an element product sums its pairs of terms in one
-        add_product accumulator and settles each coefficient once."""
-        if not isinstance(other, GrassmannElement):
-            v = as_rational(other)
-            if type(v) is not QQi:  # a real multiple of a canonical term is canonical
-                return GrassmannElement(self.L, scaled(self.terms, v))
-            other = GrassmannElement(self.L, {0: v})  # i * i is -1: settle makes it rational
-        self._check(other)
-        acc: dict[int, list] = {}
-        add_product(acc, self.terms, other.terms)
-        return GrassmannElement(self.L, settle(acc))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannElement):
-            if not isinstance(other, (int, Fraction, QQi)):
-                return NotImplemented
-            other = GrassmannElement.scalar(self.L, other)
-        return self.L == other.L and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.L, frozenset(self.terms.items())))
-
-    def __pow__(self, n):
-        """self ** n for n in ½ℤ: the one body/soul power series.
-
-        With body b and soul s, (b + s)^n = b^n Σ_k C(n, k) u^k, u = s/b.
-        The scalar b commutes with s and u is nilpotent, so the sum ends by
-        k = L; its terms are scaled by the rational C(n, k), and b^n comes
-        last, by __mul__.  A half-odd n needs an even element and takes the
-        principal root of b (QQi.sqrt); a negative or half-odd n needs
-        b != 0.  With b = 0 and integer n >= 0 the power is the plain product.
-        """
-        n = Fraction(n)
-        if n.denominator > 2:
-            raise GrassmannError(f"power {n} is not a half-integer")
-        b, s = self.split()
-        if not b:
-            if n.denominator == 1 and n >= 0:
-                out = GrassmannElement.scalar(self.L, 1)
-                for _ in range(n.numerator):
-                    out = out * self
-                return out
-            raise NotInvertible(f"zero body has no power {n}")
-        if n.denominator == 2 and self.parity() != 0:
-            raise GrassmannError("a half-odd power needs an even element")
-        base = as_rational(as_qqi(b).sqrt()) if n.denominator == 2 else b
-        if type(base) is int:
-            base = Fraction(base)  # an int to a negative power is a float
-        u = s * (Fraction(1) / b)
-        acc = {0: 1}
-        term, coeff, k = u, n, 1
-        while coeff and term:
-            acc = add_terms(acc, scaled(term.terms, coeff))
-            k += 1
-            coeff = coeff * (n - k + 1) / k
-            term = term * u
-        return GrassmannElement(self.L, acc) * base ** n.numerator
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            if m == 0:
-                parts.append(str(c))
-            else:
-                gens = "".join(f"z{i+1}" for i in range(self.L) if m >> i & 1)
-                parts.append(f"{c}*{gens}")
-        return " + ".join(parts)
-
-
 # ----------------------------------------------------------------------
-# Graded polynomial ring with a distinguished Laurent symbol
+# The supercommutative ring: graded symbols and a Laurent symbol
 # ----------------------------------------------------------------------
-
-
-class SchemaMismatch(GrassmannError):
-    pass
 
 
 class ParamSpec:
@@ -522,7 +342,7 @@ class ParamSpec:
         self.degree_cap = degree_cap
         self._declared = (self.names, self.parity, self.capped, degree_cap)
         if len(self.index) != len(self.names):
-            raise SchemaMismatch("duplicate symbol names")
+            raise GrassmannError("duplicate symbol names")
         cap_bits = degree_cap.bit_length()
         shift, mask, odd, pos = [], [], 0, sum(self.parity)
         for p, capped in zip(self.parity, self.capped):
@@ -582,22 +402,30 @@ _SCALAR = 0  # the term key of a scalar: no symbol, alpha0^0
 
 
 class GradedPoly:
-    """Sparse polynomial over the rationals in graded symbols times alpha0^(k/2).
+    """Sparse polynomial in graded symbols times alpha0^(k/2), the one
+    supercommutative ring class: every ring operation is defined here.
 
     terms maps a term key (see ParamSpec) -> coefficient and stores no zero
-    (the invariant of superns.sparse).  A coefficient is an int when it is
-    integral and a Fraction otherwise: never Fraction(n, 1), never a QQi.
-    Scalars enter through _real, sums keep the form through add_term, and
-    products and scalar multiples store integral results as ints.  Odd
-    symbols square to zero and anticommute (Koszul signs); capped symbols
-    are truncated at spec.degree_cap total degree.
+    (the invariant of superns.sparse).  A coefficient is in the canonical
+    form of the class's coefficient domain, _coeff: here _real, an int when
+    it is integral and a Fraction otherwise, never Fraction(n, 1), never a
+    QQi.  Scalars enter through _coeff, sums keep the form through
+    add_term, and products and scalar multiples store integral results as
+    ints.  Odd symbols square to zero and anticommute (Koszul signs);
+    capped symbols are truncated at spec.degree_cap total degree.  Operands
+    over different specs raise DimensionMismatch.  Results are built by
+    _like, so a subclass (GrassmannElement) gets its own type back.
     """
 
     __slots__ = ("spec", "terms")
+    _coeff = staticmethod(_real)
 
     def __init__(self, spec: ParamSpec, terms: dict[int, Rational] | None = None):
         self.spec = spec
         self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "GradedPoly":
+        return GradedPoly(self.spec, terms)
 
     @classmethod
     def scalar(cls, spec: ParamSpec, value) -> "GradedPoly":
@@ -621,28 +449,36 @@ class GradedPoly:
         return bool(self.terms)
 
     def parity(self) -> int | None:
-        ps = {self.spec.odd(k) for k in self.terms} or {0}
+        """0 for even (the zero element included), 1 for odd, None for mixed."""
+        odd = self.spec.layout[0]
+        ps = {(k & odd).bit_count() & 1 for k in self.terms} or {0}
         return ps.pop() if len(ps) == 1 else None
 
     def parity_twist(self) -> "GradedPoly":
-        """even part minus odd part (sign from passing one odd symbol)."""
-        odd = self.spec.odd
-        return GradedPoly(self.spec, {k: -c if odd(k) else c for k, c in self.terms.items()})
+        """even part minus odd part (the sign picked up passing one odd symbol)."""
+        odd = self.spec.layout[0]
+        return self._like({k: -c if (k & odd).bit_count() & 1 else c
+                           for k, c in self.terms.items()})
 
     def _check(self, other: "GradedPoly"):
         if self.spec is not other.spec and self.spec != other.spec:
-            raise SchemaMismatch("incompatible parameter tables")
+            raise DimensionMismatch(f"rings differ: {self.spec.names} at cap {self.spec.degree_cap}"
+                                    f" vs {other.spec.names} at cap {other.spec.degree_cap}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = GradedPoly.scalar(self.spec, other)
-        self._check(other)
-        return GradedPoly(self.spec, add_terms(self.terms, other.terms))
+        # GradedPoly first: Fraction is an ABC, so testing it costs more
+        if isinstance(other, GradedPoly):
+            self._check(other)
+            terms = other.terms
+        else:
+            v = self._coeff(other)
+            terms = {_SCALAR: v} if v else {}
+        return self._like(add_terms(self.terms, terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.spec, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -653,13 +489,16 @@ class GradedPoly:
     def __mul__(self, other):
         """self * other: a product sums its pairs of terms in one add_product
         accumulator on the spec's layout and settles each coefficient once."""
-        # GradedPoly first: Fraction is an ABC, so testing it costs more
-        if not isinstance(other, GradedPoly):
-            return GradedPoly(self.spec, scaled(self.terms, _real(other)))
-        self._check(other)
+        if isinstance(other, GradedPoly):
+            self._check(other)
+        else:
+            v = self._coeff(other)
+            if type(v) is not QQi:  # a real multiple of a canonical term is canonical
+                return self._like(scaled(self.terms, v))
+            other = self._like({_SCALAR: v})  # i * i is -1: settle makes it rational
         acc: dict[int, list] = {}
         add_product(acc, self.terms, other.terms, self.spec.layout)
-        return GradedPoly(self.spec, settle(acc))
+        return self._like(settle(acc))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -667,15 +506,14 @@ class GradedPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        """A scalar outside the ring (a QQi off the real axis) is unequal."""
+        """A scalar outside the coefficient domain (a QQi off the real axis,
+        for GradedPoly) is unequal."""
+        if isinstance(other, GradedPoly):
+            return self.spec == other.spec and self.terms == other.terms
         if isinstance(other, (int, Fraction, QQi)):
-            other = as_rational(other)
-            if type(other) is QQi:
-                return False
-            other = GradedPoly.scalar(self.spec, other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+            v = as_rational(other)
+            return self.terms == ({_SCALAR: v} if v else {})
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.terms.items())))
@@ -683,12 +521,12 @@ class GradedPoly:
     def truncate(self, cap: int | None = None) -> "GradedPoly":
         cap = self.spec.degree_cap if cap is None else cap
         degree = self.spec.degree
-        return GradedPoly(self.spec, {k: c for k, c in self.terms.items() if degree(k) <= cap})
+        return self._like({k: c for k, c in self.terms.items() if degree(k) <= cap})
 
     def degree_part(self, d: int) -> "GradedPoly":
         """Terms whose capped-symbol total degree is exactly d."""
         degree = self.spec.degree
-        return GradedPoly(self.spec, {k: c for k, c in self.terms.items() if degree(k) == d})
+        return self._like({k: c for k, c in self.terms.items() if degree(k) == d})
 
     def coefficient(self, assignments: dict[str, int]) -> "GradedPoly":
         """Extract the coefficient of prod(sym^exp); other symbols untouched."""
@@ -696,8 +534,8 @@ class GradedPoly:
         fixed = {spec.index[n]: e for n, e in assignments.items()}
         want = {(i, e) for i, e in fixed.items() if e}
         drop = spec.key(want)  # keys are linear in the exponents
-        return GradedPoly(spec, {k - drop: c for k, c in self.terms.items()
-                                 if {(i, e) for i, e in spec.exponents(k) if i in fixed} == want})
+        return self._like({k - drop: c for k, c in self.terms.items()
+                           if {(i, e) for i, e in spec.exponents(k) if i in fixed} == want})
 
     def substitute(self, values: dict[str, GrassmannElement],
                    alpha_value: GrassmannElement | None = None) -> GrassmannElement:
@@ -739,3 +577,112 @@ class GradedPoly:
                 bits.append(spec.names[i] if e == 1 else f"{spec.names[i]}^{e}")
             parts.append("*".join(bits))
         return " + ".join(parts)
+
+
+# ----------------------------------------------------------------------
+# The Grassmann algebra on L odd generators
+# ----------------------------------------------------------------------
+
+
+_SPECS: dict[int, ParamSpec] = {}  # L -> the spec of z1..zL, built once per L
+
+
+def _odd_spec(L: int) -> ParamSpec:
+    spec = _SPECS[L] = ParamSpec([(f"z{i}", 1, False) for i in range(1, L + 1)], 0)
+    return spec
+
+
+class GrassmannElement(GradedPoly):
+    """An element of the Grassmann algebra on z1..zL over the Gaussian
+    rationals: a GradedPoly over the spec of L uncapped odd symbols at cap 0.
+
+    A key is a generator mask (bit i-1 set means zi is a factor), so the
+    empty mask holds the body and every other mask is soul.  The
+    coefficient domain is as_rational's: an int, a Fraction, or a QQi off
+    the real axis.  The ring operations are GradedPoly's; __add__,
+    __radd__ and __mul__ are bound here as well, as the same functions, so
+    a tracer can wrap this ring's entries apart from GradedPoly's.
+    """
+
+    __slots__ = ("L",)
+    _coeff = staticmethod(as_rational)
+
+    def __init__(self, L: int, terms: dict[int, Scalar] | None = None):
+        self.L = L
+        self.spec = _SPECS.get(L) or _odd_spec(L)
+        self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "GrassmannElement":
+        return GrassmannElement(self.L, terms)
+
+    __add__ = __radd__ = GradedPoly.__add__
+    __mul__ = GradedPoly.__mul__
+
+    @classmethod
+    def scalar(cls, L: int, value) -> "GrassmannElement":
+        v = as_rational(value)
+        return cls(L, {_SCALAR: v} if v else {})
+
+    @classmethod
+    def generator(cls, L: int, i: int) -> "GrassmannElement":
+        if not 1 <= i <= L:
+            raise GrassmannError(f"generator index {i} outside 1..{L}")
+        return cls(L, {1 << (i - 1): 1})
+
+    @classmethod
+    def monomial(cls, L: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
+        mask = 0
+        for i in indices:
+            if not 1 <= i <= L:
+                raise GrassmannError(f"generator index {i} outside 1..{L}")
+            bit = 1 << (i - 1)
+            if mask & bit:
+                return cls(L, {})
+            mask |= bit
+        v = as_rational(coeff)
+        return cls(L, {mask: v} if v else {})
+
+    def body(self) -> Scalar:
+        return self.terms.get(_SCALAR, 0)
+
+    def soul(self) -> "GrassmannElement":
+        return self._like({m: c for m, c in self.terms.items() if m})
+
+    def split(self) -> tuple[Scalar, "GrassmannElement"]:
+        return self.body(), self.soul()
+
+    def __pow__(self, n):
+        """self ** n for n in ½ℤ: the one body/soul power series.
+
+        With body b and soul s, (b + s)^n = b^n Σ_k C(n, k) u^k, u = s/b.
+        The scalar b commutes with s and u is nilpotent, so the sum ends by
+        k = L; its terms are scaled by the rational C(n, k), and b^n comes
+        last, by __mul__.  A half-odd n needs an even element and takes the
+        principal root of b (QQi.sqrt); a negative or half-odd n needs
+        b != 0.  With b = 0 and integer n >= 0 the power is the plain product.
+        """
+        n = Fraction(n)
+        if n.denominator > 2:
+            raise GrassmannError(f"power {n} is not a half-integer")
+        b, s = self.split()
+        if not b:
+            if n.denominator == 1 and n >= 0:
+                out = GrassmannElement.scalar(self.L, 1)
+                for _ in range(n.numerator):
+                    out = out * self
+                return out
+            raise NotInvertible(f"zero body has no power {n}")
+        if n.denominator == 2 and self.parity() != 0:
+            raise GrassmannError("a half-odd power needs an even element")
+        base = as_rational(as_qqi(b).sqrt()) if n.denominator == 2 else b
+        if type(base) is int:
+            base = Fraction(base)  # an int to a negative power is a float
+        u = s * (Fraction(1) / b)
+        acc = {0: 1}
+        term, coeff, k = u, n, 1
+        while coeff and term:
+            acc = add_terms(acc, scaled(term.terms, coeff))
+            k += 1
+            coeff = coeff * (n - k + 1) / k
+            term = term * u
+        return self._like(acc) * base ** n.numerator

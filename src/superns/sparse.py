@@ -13,13 +13,14 @@ the one place that accumulates into such a dict; it keeps the invariant.
 ``add_scaled`` is the "acc += c * vec" loop on top of it, and ``scaled``
 is its allocating form, a new dict "vec * c".
 
-The one other accumulator is the product kernel's, shared by both
-coefficient rings: slots ``{key: [num, den]}`` that ``grassmann.add_product``
-sums unreduced products of Grassmann or graded-polynomial terms into, an
-int numerator over an int denominator per output key.  ``grassmann.settle``
-makes them a terms dict: it drops each zero slot, so the invariant holds,
-and writes every other one as a single coefficient in the canonical int,
-Fraction or off-axis QQi form.
+The one other accumulator is the product kernel's, for the one
+supercommutative ring class ``grassmann.GradedPoly`` (a Grassmann element
+is a GradedPoly over odd symbols): slots ``{key: [num, den]}`` that
+``grassmann.add_product`` sums unreduced products of terms into, on the
+ring's key layout, an int numerator over an int denominator per output
+key.  ``grassmann.settle`` makes them a terms dict: it drops each zero
+slot, so the invariant holds, and writes every other one as a single
+coefficient in the canonical int, Fraction or off-axis QQi form.
 """
 
 from fractions import Fraction

@@ -18,8 +18,9 @@ Every sum of products is one _sum_left call: SFun.__mul__, scale_left,
 SFun.power's binomial sum, ss_compose's substitution and the flows' steps
 list their products as parts c z^n theta^e F, and _sum_left sums every
 contribution to an output coefficient in one grassmann.add_product
-accumulator of int numerators over int denominators, settles it once and
-builds one GrassmannElement per nonzero output.  Sums, products and left
+accumulator of int numerators over int denominators, on the layout of
+the Grassmann ring's spec, settles it once and builds one
+GrassmannElement per nonzero output.  Sums, products and left
 scales of series on different numbers of Grassmann generators raise
 DimensionMismatch.
 
@@ -332,10 +333,11 @@ def _sum_left(L: int, parts, lo, hi) -> SFun:
 
     The one place superseries multiplies coefficients: every contribution
     to an output coefficient is summed in one {mask: [num, den]}
-    accumulator by add_product, settle forms each Grassmann coefficient
-    once, and one GrassmannElement is built per nonzero output.  Orders
-    outside [lo, hi] are never accumulated and settle drops zeros, so the
-    result is stored as built, without SFun's filter.  c passes a theta
+    accumulator by add_product on c's spec.layout, the Grassmann ring's,
+    settle forms each coefficient once, and one GrassmannElement is built
+    per nonzero output.  Orders outside [lo, hi] are never accumulated and
+    settle drops zeros, so the result is stored as built, without SFun's
+    filter.  c passes a theta
     term of F as its parity twist, formed only when F has one; theta^e
     meets a theta term of F in theta^2 = 0.  A part whose c and F differ in
     generator count raises DimensionMismatch.
@@ -343,7 +345,7 @@ def _sum_left(L: int, parts, lo, hi) -> SFun:
     acc: dict = {}
     for c, n, e, F in parts:
         F._check(c.L)
-        a, at = c.terms, None
+        a, at, layout = c.terms, None, c.spec.layout
         for (m, f), x in F.terms.items():
             if f:
                 if e:
@@ -353,7 +355,7 @@ def _sum_left(L: int, parts, lo, hi) -> SFun:
             m += n
             if lo is not None and m < lo or hi is not None and m > hi:
                 continue
-            add_product(acc.setdefault((m, e | f), {}), at if f else a, x.terms)
+            add_product(acc.setdefault((m, e | f), {}), at if f else a, x.terms, layout)
     out = SFun(L, None, lo, hi)
     out.terms = {key: GrassmannElement(L, v) for key, slots in acc.items() if (v := settle(slots))}
     return out

@@ -282,8 +282,23 @@ def test_associativity_randomized():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        scalar(1, 2) * scalar(1, 3)
+    """Every ring mismatch raises the one DimensionMismatch, in a sum and in
+    a product: Grassmann elements on different generator counts, a
+    Grassmann element against a sewing polynomial, and two polynomials over
+    specs with the same symbols at different caps."""
+    for x, y in ((scalar(1, 3), scalar(1, 4)),
+                 (G(3)[0], GradedPoly.symbol(sewing_spec(), "A1")),
+                 (GradedPoly.scalar(sewing_spec(3), 1), GradedPoly.scalar(sewing_spec(2), 1))):
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(DimensionMismatch):
+                op(x, y)
+            with pytest.raises(DimensionMismatch):
+                op(y, x)
+
+
+def test_duplicate_symbol_names_raise():
+    with pytest.raises(GrassmannError, match="duplicate"):
+        ParamSpec([("x", 0, True), ("y", 1, False), ("x", 1, False)], 2)
 
 
 @pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (0.5, 0), (2.0,), (0, 1.0), ("1/2",)],
@@ -461,13 +476,6 @@ def test_substitute_grassmann_values():
     assert got == z[0] * z[1] * z[2] * z[3]
 
 
-def test_schema_mismatch_rejected():
-    s1 = sewing_spec(3)
-    s2 = sewing_spec(2)
-    with pytest.raises(Exception):
-        GradedPoly.scalar(s1, 1) * GradedPoly.scalar(s2, 1)
-
-
 @pytest.mark.parametrize("cap", [0, 1, 2])
 def test_symbol_respects_the_degree_cap(cap):
     """A capped symbol over the cap is 0, as every product would make it:
@@ -547,6 +555,48 @@ def test_a_grassmann_mask_is_the_key_of_an_odd_spec():
         assert got.terms == (GrassmannElement(L, x) * GrassmannElement(L, y)).terms
 
 
+_RATIONAL = st.one_of(st.integers(-3, 3), _SMALL)
+
+
+@st.composite
+def rational_terms(draw, L):
+    """A terms dict on L generators: drawn masks, rational coefficients in
+    canonical form, no zero."""
+    raw = draw(st.dictionaries(st.integers(0, 2 ** L - 1), _RATIONAL, max_size=5))
+    return {m: as_rational(c) for m, c in raw.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_grassmann_element_is_a_graded_poly_over_its_spec(data):
+    """On rational coefficients a GrassmannElement(L) computes exactly what
+    a plain GradedPoly over its spec (z1..zL, uncapped and odd, at cap 0)
+    computes, key for key, and each keeps its own type.  Negative control:
+    only the Grassmann ring admits a Gaussian scalar."""
+    L = data.draw(st.integers(0, 5))
+    x, y = data.draw(rational_terms(L)), data.draw(rational_terms(L))
+    c = data.draw(_RATIONAL)
+    gx, gy = GrassmannElement(L, x), GrassmannElement(L, y)
+    spec = gx.spec
+    assert spec is gy.spec and spec == ParamSpec([(f"z{i}", 1, False) for i in range(1, L + 1)], 0)
+    assert spec.layout == (2 ** L - 1, 1 << L, 0, 0)
+    px, py = GradedPoly(spec, x), GradedPoly(spec, y)
+    for g, p in ((gx + gy, px + py), (gx * gy, px * py), (gx - gy, px - py), (-gx, -px),
+                 (gx.parity_twist(), px.parity_twist()), (gx * c, px * c), (c * gx, c * px),
+                 (gx + c, px + c), (c - gx, c - px)):
+        assert type(g) is GrassmannElement and type(p) is GradedPoly
+        assert g.terms == p.terms
+    assert gx.parity() == px.parity() and gy.parity() == py.parity()
+    assert (gx == gy) == (px == py) and (gx == c) == (px == c) and gx == px
+    i = QQi(0, 1)
+    assert gx * i * i == -gx and (gx + i) - i == gx and gx * 0 + i == i
+    with pytest.raises(NotExact):
+        px + i
+    with pytest.raises(NotExact):
+        px * i
+    assert not px == i and px != i
+
+
 # -- the Grassmann product kernel against a bubble-sort reference ------------
 
 
@@ -574,7 +624,7 @@ def naive_grassmann_product(x, y) -> dict:
 _ADD_PRODUCT = grassmann.add_product
 
 
-def first_denominator_kernel(out, a, b, layout=grassmann._GRASSMANN):
+def first_denominator_kernel(out, a, b, layout):
     """add_product with the cross-multiplication lost: every product adds
     its numerator over the first denominator its slot saw."""
     for ma, ca in a.items():
@@ -596,7 +646,7 @@ def test_grassmann_kernel_matches_the_bubble_sort_reference(pairs):
     acc, want = {}, GrassmannElement(L)
     for x, y in pairs:
         assert (x * y).terms == naive_grassmann_product(x, y)
-        grassmann.add_product(acc, x.terms, y.terms)
+        grassmann.add_product(acc, x.terms, y.terms, x.spec.layout)
         want = want + GrassmannElement(L, naive_grassmann_product(x, y))
     got = GrassmannElement(L, grassmann.settle(acc))
     assert got.terms == want.terms and canonical(got)
@@ -612,7 +662,7 @@ def _unlike_denominators():
 def test_kernel_sums_unlike_denominators_onto_their_lcm():
     x, y = _unlike_denominators()
     acc = {}
-    grassmann.add_product(acc, x.terms, y.terms)
+    grassmann.add_product(acc, x.terms, y.terms, x.spec.layout)
     assert acc == {0b11: [5, 12], 0b10: [1, 2]}
     assert (x * y).terms == naive_grassmann_product(x, y) == {0b11: Fraction(5, 12),
                                                               0b10: HALF}

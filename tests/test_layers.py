@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import superns
-from superns.grassmann import ParamSpec
+from superns.grassmann import GradedPoly, GrassmannElement, ParamSpec
 
 PKG = Path(superns.__file__).parent
 
@@ -157,16 +157,16 @@ def _qualified(module) -> dict:
 
 
 def test_one_grassmann_product_loop():
-    """grassmann.add_product is the one loop that multiplies monomials of
-    either ring: _merge_sign is called only there.
+    """grassmann.add_product is the one loop that multiplies monomials, on
+    any spec's layout: _merge_sign is called only there.
     superseries multiplies coefficients in one function: add_product and
     parity_twist are called inside it alone, SFun.__mul__, scale_left,
     SFun.power, ss_compose and _apply_flow all sum their products through
     it, and __mul__ and scale_left multiply nothing themselves.  settle, which
     forms the coefficients of add_product's accumulator, is defined in
-    grassmann and called only by the two ring products,
-    GrassmannElement.__mul__ and GradedPoly.__mul__, by that one
-    superseries function, _sum_left, and by sewing's _exp_graded."""
+    grassmann and called only by the one ring product, GradedPoly.__mul__,
+    which GrassmannElement inherits, by that one superseries function,
+    _sum_left, and by sewing's _exp_graded."""
     owners = set()
     for name in ALLOWED:
         tree = _tree(name)
@@ -206,9 +206,32 @@ def test_one_grassmann_product_loop():
             if isinstance(node, ast.Call) and "settle" in _names(node.func):
                 assert id(node) in inside, (name, node.lineno)
                 found.add((name, inside[id(node)]))
-    assert found == {("grassmann", "GrassmannElement.__mul__"), ("grassmann", "GradedPoly.__mul__"),
-                     ("superseries", kernel), ("sewing", "_exp_graded")}
+    assert found == {("grassmann", "GradedPoly.__mul__"), ("superseries", kernel),
+                     ("sewing", "_exp_graded")}
     assert kernel == "_sum_left"
+
+
+# what GrassmannElement adds to GradedPoly: its constructors by generator
+# count, the body/soul split and the soul series
+GRASSMANN_METHODS = {"__init__", "_like", "scalar", "generator", "monomial", "body", "soul",
+                     "split", "__pow__"}
+
+
+def test_a_grassmann_element_is_a_graded_poly():
+    """GrassmannElement subclasses GradedPoly and defines only the methods
+    that need its generator count; its coefficient domain is the class
+    attribute _coeff, and its ring operations are GradedPoly's own
+    functions, bound under its name so a tracer can wrap each ring apart."""
+    cls = next(node for node in _tree("grassmann").body
+               if isinstance(node, ast.ClassDef) and node.name == "GrassmannElement")
+    assert _names(cls.bases[0]) == {"GradedPoly"} and len(cls.bases) == 1
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert methods == GRASSMANN_METHODS
+    bound = {t.id for node in cls.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert bound == {"__slots__", "_coeff", "__add__", "__radd__", "__mul__"}
+    for name in ("__add__", "__radd__", "__mul__"):
+        assert GrassmannElement.__dict__[name] is GradedPoly.__dict__[name], name
+    assert GradedPoly.__dict__["__radd__"] is GradedPoly.__dict__["__add__"]
 
 
 # sewing's solver: the functions and the class whose arithmetic is on GradedPoly

@@ -8,6 +8,8 @@ import importlib.util
 from pathlib import Path
 
 from superns import sewing
+from superns.grassmann import GrassmannElement
+from superns.superseries import CoordData, ss_exp_zero, ss_extract_zero
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -55,3 +57,26 @@ def test_apply_gen_misses_count_the_module_memo():
     misses = tracer.counts["nsalg.VermaModule.apply_gen.misses"]
     assert misses == len(series.fact.module._memo) > 0
     assert tracer.counts["nsalg.VermaModule.apply_gen.calls"] > misses
+
+
+def test_the_two_rings_count_apart():
+    """GrassmannElement binds GradedPoly's __add__, __radd__ and __mul__ as
+    its own entries, so the tracer counts each ring under its own name: a
+    series round trip multiplies Grassmann elements and adds no graded
+    polynomial, and a sewing solve multiplies graded polynomials and no
+    Grassmann element."""
+    tracer = load_layertrace().Tracer()
+    try:
+        tracer.install()
+        z1, z2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
+        c = CoordData(2, GrassmannElement.scalar(2, 4) + z1 * z2, {1: z1 * z2 * 3}, {2: z2})
+        assert ss_extract_zero(ss_exp_zero(c, (-4, 4))) == c
+        ring = dict(tracer.counts)
+        sewing.sw_solve([1], [], [1], [], D=1, W=1)
+    finally:
+        tracer.uninstall()
+    assert ring["grassmann.GrassmannElement.mul.calls"] > 0
+    assert ring.get("grassmann.GradedPoly.add.calls", 0) == 0
+    sew = {k: tracer.counts[k] - ring.get(k, 0) for k in tracer.counts}
+    assert sew["grassmann.GradedPoly.mul.calls"] > 0
+    assert sew.get("grassmann.GrassmannElement.mul.calls", 0) == 0
